@@ -53,41 +53,20 @@ let nested results path =
   in
   go results path
 
-(* The headline set: one representative per subsystem the benchmarks
-   exercise. Row labels are matched after trimming the report's column
-   padding. *)
+(* The headline set: the registry's virtual headlines, one
+   representative per subsystem the benchmarks exercise, then the host
+   headlines of the harness's own timing sections. Row labels are
+   matched after trimming the report's column padding. *)
 let headline =
-  [
-    {
-      m_key = "exp_scale.rtt_p50_us.1024conns";
-      m_kind = Virtual;
-      m_tol = 0.05;
-      m_extract =
-        (fun r ->
-          table_row r ~table:"exp_scale" ~label:"1024 conns | echo rtt p50");
-    };
-    {
-      m_key = "exp_multicore.speedup_4core";
-      m_kind = Virtual;
-      m_tol = 0.05;
-      m_extract =
-        (fun r ->
-          table_row r ~table:"exp_multicore" ~label:"4-core server | speedup vs 1");
-    };
-    {
-      m_key = "exp_mq.goodput_5pct_loss";
-      m_kind = Virtual;
-      m_tol = 0.05;
-      m_extract =
-        (fun r -> table_row r ~table:"exp_mq" ~label:"goodput | 5% loss");
-    };
-    {
-      m_key = "exp_mq.failover_blackout_ms";
-      m_kind = Virtual;
-      m_tol = 0.05;
-      m_extract =
-        (fun r -> table_row r ~table:"exp_mq" ~label:"failover | blackout");
-    };
+  List.concat_map
+    (fun (e : Ash_core.Registry.t) ->
+       List.map
+         (fun (h : Ash_core.Registry.headline) ->
+            { m_key = h.key; m_kind = Virtual; m_tol = h.tol;
+              m_extract = (fun r -> table_row r ~table:e.id ~label:h.label) })
+         e.headlines)
+    Ash_core.Registry.all
+  @ [
     {
       m_key = "table6.tcp_roundtrip_ns";
       m_kind = Host;
@@ -160,28 +139,15 @@ let parse_entry v =
   { e_rev = str "git_rev"; e_at = str "recorded_at"; e_metrics = metrics }
 
 let load_history path =
-  if not (Sys.file_exists path) then []
+  if not (Sys.file_exists path) then Ok []
   else
     match Minijson.parse_file path with
-    | exception _ -> []
+    | exception Minijson.Parse_error { pos; msg } ->
+      Error (Printf.sprintf "%s: parse error at %d: %s" path pos msg)
     | doc ->
       (match Option.bind (Minijson.mem "entries" doc) Minijson.to_list with
-       | Some entries -> List.map parse_entry entries
-       | None -> [])
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+       | Some entries -> Ok (List.map parse_entry entries)
+       | None -> Error (Printf.sprintf "%s: no \"entries\" list" path))
 
 let write_history path entries =
   let b = Buffer.create 4096 in
@@ -192,12 +158,12 @@ let write_history path entries =
   List.iteri
     (fun i e ->
        add "    {\"git_rev\": \"%s\", \"recorded_at\": \"%s\", \"metrics\": {"
-         (json_escape e.e_rev) (json_escape e.e_at);
+         (Minijson.escape e.e_rev) (Minijson.escape e.e_at);
        List.iteri
          (fun j (k, v) ->
             add "%s\"%s\": %s"
               (if j = 0 then "" else ", ")
-              (json_escape k) (Minijson.number v))
+              (Minijson.escape k) (Minijson.number v))
          e.e_metrics;
        add "}}%s\n" (if i = List.length entries - 1 then "" else ","))
     entries;
@@ -215,15 +181,20 @@ let utc_now () =
 
 (* Fold a results file into the history: one entry per revision, a
    re-run of the same revision replaces its previous entry, and the log
-   keeps the newest [max_entries]. *)
+   keeps the newest [max_entries]. An unreadable history is never
+   rewritten: it may hold every baseline behind a merge conflict. *)
 let append ~results_path ~history_path =
+  let previous =
+    match load_history history_path with
+    | Ok entries -> entries
+    | Error msg -> failwith msg
+  in
   let results = Minijson.parse_file results_path in
   let rev = results_rev results in
   let metrics = extract results in
   let entry = { e_rev = rev; e_at = utc_now (); e_metrics = metrics } in
   let entries =
-    List.filter (fun e -> e.e_rev <> rev) (load_history history_path)
-    @ [ entry ]
+    List.filter (fun e -> e.e_rev <> rev) previous @ [ entry ]
   in
   let entries =
     let n = List.length entries in
@@ -267,13 +238,13 @@ let pick_baseline entries ~rev =
 
 let check_metric ~strict_host ~baseline m now_v =
   let base_v = List.assoc_opt m.m_key baseline.e_metrics in
-  match (base_v, now_v) with
-  | None, _ ->
-    { c_key = m.m_key; c_kind = m.m_kind; c_tol = m.m_tol; c_base = None;
-      c_now = now_v; c_status = Warn; c_note = "no baseline value" }
-  | _, None ->
+  let check c_status c_note =
     { c_key = m.m_key; c_kind = m.m_kind; c_tol = m.m_tol; c_base = base_v;
-      c_now = None; c_status = Warn; c_note = "missing from results" }
+      c_now = now_v; c_status; c_note }
+  in
+  match (base_v, now_v) with
+  | None, _ -> check Warn "no baseline value"
+  | _, None -> check Warn "missing from results"
   | Some b, Some n ->
     let drift =
       if Float.abs b > 1e-12 then Float.abs (n -. b) /. Float.abs b
@@ -287,8 +258,7 @@ let check_metric ~strict_host ~baseline m now_v =
       else if m.m_kind = Host && not strict_host then Warn
       else Fail
     in
-    { c_key = m.m_key; c_kind = m.m_kind; c_tol = m.m_tol; c_base = Some b;
-      c_now = Some n; c_status = status; c_note = note }
+    check status note
 
 let regress ?(strict_host = false) ~results_path ~history_path () =
   if not (Sys.file_exists results_path) then
@@ -302,10 +272,10 @@ let regress ?(strict_host = false) ~results_path ~history_path () =
       Error (Printf.sprintf "%s: parse error at %d: %s" results_path pos msg)
     | results ->
       let rev = results_rev results in
-      let entries = load_history history_path in
-      (match pick_baseline entries ~rev with
-       | None -> Error (Printf.sprintf "%s has no entries" history_path)
-       | Some baseline ->
+      (match Result.map (pick_baseline ~rev) (load_history history_path) with
+       | Error msg -> Error msg
+       | Ok None -> Error (Printf.sprintf "%s has no entries" history_path)
+       | Ok (Some baseline) ->
          let checks =
            List.map
              (fun m ->

@@ -15,8 +15,9 @@ type metric = {
 }
 
 val headline : metric list
-(** The tracked set: scale-suite p50, multicore speedup, tcp_roundtrip
-    host cost, tracer and telemetry overhead ratios. *)
+(** The tracked set: every {!Ash_core.Registry} virtual headline, then
+    the tcp_roundtrip host cost and the tracer and telemetry overhead
+    ratios. *)
 
 val extract : Ash_util.Minijson.t -> (string * float) list
 (** Headline metrics present in a parsed results document. *)
@@ -27,15 +28,16 @@ type entry = {
   e_metrics : (string * float) list;
 }
 
-val load_history : string -> entry list
-(** Entries of a history file, oldest first; [[]] when absent or
-    unreadable. *)
+val load_history : string -> (entry list, string) result
+(** Entries of a history file, oldest first; [Ok []] when absent.
+    [Error] gives the parse position when the file is unreadable. *)
 
 val append : results_path:string -> history_path:string -> entry
 (** Fold the results file into the history file (creating it if
     needed): one entry per revision — a re-run of the same revision
     replaces its entry — keeping the newest 200. Returns the entry
-    written. Raises on an unreadable results file. *)
+    written. Raises on an unreadable results file, and raises [Failure]
+    without writing on an unreadable history file. *)
 
 type status = Pass | Warn | Fail
 

@@ -1,106 +1,36 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (paper-vs-measured), then runs one Bechamel
    micro-benchmark per table measuring the host-side cost of the
-   simulation kernel behind it.
+   simulation kernel behind it. Experiments and kernels come from
+   [Ash_core.Registry].
 
    Usage:
      main.exe                 run everything
      main.exe table5 fig3     run selected experiments
      main.exe --no-bechamel   skip the Bechamel section
      main.exe --markdown      additionally dump Markdown for EXPERIMENTS.md
-     main.exe --backend interp|compiled
-                              execution backend for downloaded code
-                              (default: compiled; simulated numbers are
-                              identical either way)
      main.exe --no-json       don't write BENCH_results.json *)
 
 module Core = Ash_core
 module Report = Core.Report
+module Registry = Core.Registry
 module Lab = Core.Lab
 module Tcp = Ash_proto.Tcp
-
-let experiments : (string * (unit -> Report.table)) list =
-  [
-    ("table1", Core.Exp_raw.table1);
-    ("fig3", Core.Exp_raw.fig3);
-    ("table2", Core.Exp_proto.table2);
-    ("table3", Core.Exp_memory.table3);
-    ("table4", Core.Exp_ilp.table4);
-    ("table5", Core.Exp_ash.table5);
-    ("table6", Core.Exp_tcp.table6);
-    ("fig4", Core.Exp_sched.fig4);
-    ("sandbox", Core.Exp_sandbox.section_vd);
-    ("dpf", Core.Exp_ablate.dpf);
-    ("demux", Core.Exp_ablate.demux_scaling);
-    ("dilp-scaling", Core.Exp_ilp.dilp_scaling);
-    ("striped", Core.Exp_ablate.striped);
-    ("absint", Core.Exp_ablate.absint);
-    ("chaos", fun () -> Core.Exp_chaos.chaos ());
-    ("exp_scale", Core.Exp_scale.scale);
-    ("exp_multicore", Core.Exp_multicore.multicore);
-    ("exp_mq", Core.Exp_mq.mq);
-  ]
 
 (* -- Bechamel: host-side cost of each experiment's simulation kernel -- *)
 
 open Bechamel
 open Toolkit
 
-let staged_kernels : (string * (unit -> unit)) list =
-  [
-    ("table1.pingpong", fun () -> ignore (Lab.raw_pingpong ~iters:2 Lab.Srv_user));
-    ( "fig3.train",
-      fun () -> ignore (Lab.raw_train_throughput ~size:1024 ~count:16 ()) );
-    ( "table2.udp_latency",
-      fun () ->
-        ignore (Lab.udp_latency ~checksum:true ~in_place:false ~medium:`An2 ())
-    );
-    ("table3.model_copy", fun () -> ignore (Core.Exp_memory.single_copy ()));
-    ("table4.dilp_fused", fun () -> ignore (Core.Exp_ilp.dilp ~bswap:true ()));
-    ( "table5.remote_increment",
-      fun () ->
-        ignore (Lab.remote_increment ~iters:2 (Lab.Srv_ash { sandbox = true }))
-    );
-    ( "table6.tcp_roundtrip",
-      fun () ->
-        ignore
-          (Lab.tcp_latency
-             ~mode:(Tcp.Fast_ash { sandbox = true })
-             ~checksum:true ~iters:2 ()) );
-    ( "fig4.scheduled_increment",
-      fun () ->
-        ignore
-          (Lab.remote_increment ~iters:2 ~nprocs:4 Lab.Srv_user) );
-    ( "sandbox.remote_write",
-      fun () ->
-        ignore
-          (Core.Exp_sandbox.run_once ~variant:Core.Exp_sandbox.Specific
-             ~sandboxed:true ~payload_len:40 ()) );
-    ( "dpf.demux16",
-      fun () ->
-        ignore (Core.Exp_ablate.demux_cycles ~compiled:true ~nfilters:16) );
-    ( "demux.trie16",
-      fun () -> ignore (Core.Exp_ablate.demux_cycles_trie ~nfilters:16) );
-    ( "dilp-scaling.4pipes",
-      fun () -> ignore (Core.Exp_ilp.dilp_n_pipes 4 ()) );
-    ( "striped.one_pass",
-      fun () -> ignore (Core.Exp_ablate.striped_one_pass ~len:1440 ()) );
-    ( "exp_scale.churn8",
-      fun () ->
-        ignore
-          (Core.Exp_scale.run_churn
-             { Core.Exp_scale.default_spec with
-               connections = 8;
-               client_hosts = 4;
-               rounds = 2 }) );
-    ("exp_mq.produce_chain", fun () -> ignore (Core.Exp_mq.smoke ()));
-  ]
-
 let bechamel_tests =
   Test.make_grouped ~name:"ashs"
-    (List.map
-       (fun (name, f) -> Test.make ~name (Staged.stage f))
-       staged_kernels)
+    (List.filter_map
+       (fun (e : Registry.t) ->
+          Option.map
+            (fun (suffix, f) ->
+               Test.make ~name:(e.id ^ "." ^ suffix) (Staged.stage f))
+            e.kernel)
+       Registry.all)
 
 let run_bechamel () =
   let cfg =
@@ -134,56 +64,16 @@ let run_bechamel () =
          None)
     rows
 
-(* -- Backend comparison: interpreter vs closure-compiled, host time -- *)
-
-(* Direct wall-clock measurement of the two handler-heaviest kernels
-   under each execution backend. The simulated results are identical by
-   construction (test_differential enforces it); only host time moves. *)
-let backend_comparison_kernels =
-  (* Higher iteration counts than the staged kernels: handler executions
-     must dominate connection/kernel setup for the backend delta to rise
-     above scenario noise. *)
-  [
-    ( "table5.remote_increment",
-      fun () ->
-        ignore (Lab.remote_increment ~iters:16 (Lab.Srv_ash { sandbox = true }))
-    );
-    ( "table6.tcp_roundtrip",
-      fun () ->
-        ignore
-          (Lab.tcp_latency
-             ~mode:(Tcp.Fast_ash { sandbox = true })
-             ~checksum:true ~iters:16 ()) );
-  ]
-
-(* Best of three timed passes (min is the usual wall-clock estimator:
-   noise is one-sided). *)
-let time_under backend f =
-  let reps = 30 in
-  Ash_vm.Exec.with_default backend (fun () ->
-      f (); (* warm up: first run compiles / fills host caches *)
-      let pass () =
-        Gc.full_major (); (* don't bill one backend for the other's garbage *)
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          f ()
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-      in
-      List.fold_left min (pass ()) [ pass (); pass () ])
-
-let run_backend_comparison () =
-  Format.printf
-    "@.=== Execution backends: interpreter vs closure-compiled (host \
-     wall time per run) ===@.";
-  List.map
-    (fun (name, f) ->
-       let interp_ns = time_under Ash_vm.Exec.Interpreter f in
-       let compiled_ns = time_under Ash_vm.Exec.Compiled f in
-       Format.printf "  %-32s interp %10.0f ns   compiled %10.0f ns   x%.2f@."
-         name interp_ns compiled_ns (interp_ns /. compiled_ns);
-       (name, interp_ns, compiled_ns))
-    backend_comparison_kernels
+(* Mean host wall time of one run over 20 back-to-back runs, starting
+   from a collected heap. *)
+let timed f =
+  let reps = 20 in
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
 
 (* -- Tracer overhead: off vs counters-only vs full spans --------------- *)
 
@@ -196,15 +86,6 @@ let tracer_overhead_kernel () =
 
 let run_tracer_overhead () =
   let module Trace = Ash_obs.Trace in
-  let reps = 20 in
-  let timed f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-  in
   (* Steady-state cost: the recorder is installed before the timed pass
      and stays live across it, as in a traced experiment run. *)
   let recorded sample =
@@ -253,15 +134,6 @@ let telemetry_overhead_kernel () =
        ~checksum:true ~iters:16 ())
 
 let run_telemetry_overhead () =
-  let reps = 20 in
-  let timed f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-  in
   let sampled () =
     let ts = Ash_obs.Timeseries.create () in
     Ash_obs.Timeseries.set_current ts;
@@ -287,19 +159,7 @@ let run_telemetry_overhead () =
 
 (* -- BENCH_results.json ------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Ash_util.Minijson.escape
 
 let json_float f = Printf.sprintf "%.6g" f
 
@@ -319,13 +179,11 @@ let env_int name default =
   | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
   | None -> default
 
-let write_results_json ~path ~backend ~tables ~bechamel ~backends ~tracer
-    ~telemetry =
+let write_results_json ~path ~tables ~bechamel ~tracer ~telemetry =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
   add "  \"schema\": \"ashs-bench-results/1\",\n";
-  add "  \"backend\": \"%s\",\n" (Ash_vm.Exec.backend_name backend);
   add "  \"meta\": {\"shards\": %d, \"jobs\": %d, \"host_cores\": %d, \
        \"git_rev\": \"%s\"},\n"
     (env_int "ASH_SHARDS" 1) (env_int "ASH_JOBS" 1)
@@ -363,16 +221,6 @@ let write_results_json ~path ~backend ~tables ~bechamel ~backends ~tracer
          (if i = List.length bechamel - 1 then "" else ","))
     bechamel;
   add "  },\n";
-  add "  \"backend_comparison_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, interp_ns, compiled_ns) ->
-       add
-         "    \"%s\": {\"interp\": %s, \"compiled\": %s, \"speedup\": %s}%s\n"
-         (json_escape name) (json_float interp_ns) (json_float compiled_ns)
-         (json_float (interp_ns /. compiled_ns))
-         (if i = List.length backends - 1 then "" else ","))
-    backends;
-  add "  },\n";
   (match tracer with
    | None -> add "  \"tracer_overhead_ns_per_run\": null,\n"
    | Some (off_ns, counters_ns, spans_ns) ->
@@ -400,54 +248,28 @@ let () =
   let no_bechamel = List.mem "--no-bechamel" args in
   let markdown = List.mem "--markdown" args in
   let no_json = List.mem "--no-json" args in
-  let backend =
-    let rec find = function
-      | "--backend" :: v :: _ -> begin
-          match Ash_vm.Exec.backend_of_string v with
-          | Some b -> b
-          | None ->
-            Format.eprintf "unknown backend %S (interp|compiled)@." v;
-            exit 2
-        end
-      | _ :: rest -> find rest
-      | [] -> Ash_vm.Exec.Compiled
-    in
-    find args
+  let selected =
+    List.filter (fun a -> not (String.starts_with ~prefix:"--" a)) args
   in
-  Ash_vm.Exec.set_default backend;
-  let rec drop_flag_args = function
-    | "--backend" :: _ :: rest -> drop_flag_args rest
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" ->
-      drop_flag_args rest
-    | a :: rest -> a :: drop_flag_args rest
-    | [] -> []
-  in
-  let selected = drop_flag_args args in
   let to_run =
-    if selected = [] then experiments
-    else
-      List.filter_map
-        (fun id ->
-           match List.assoc_opt id experiments with
-           | Some f -> Some (id, f)
-           | None ->
-             Format.eprintf "unknown experiment %S (have: %s)@." id
-               (String.concat ", " (List.map fst experiments));
-             exit 2)
-        selected
+    match Registry.select selected with
+    | Ok l -> l
+    | Error msg ->
+      Format.eprintf "%s@." msg;
+      exit 2
   in
   Format.printf
     "ASHs reproduction benchmark harness — %d experiment(s)@."
     (List.length to_run);
   let tables =
     List.map
-      (fun (id, f) ->
+      (fun (e : Registry.t) ->
          let t0 = Unix.gettimeofday () in
-         let table = f () in
+         let table = e.table () in
          Format.printf "%a" Report.print table;
          Format.printf "  (generated in %.1f s)@."
            (Unix.gettimeofday () -. t0);
-         (id, table))
+         (e.id, table))
       to_run
   in
   if markdown then begin
@@ -455,12 +277,11 @@ let () =
     List.iter (fun (_, t) -> print_string (Report.to_markdown t)) tables
   end;
   let bechamel = if no_bechamel then [] else run_bechamel () in
-  let backends = if no_bechamel then [] else run_backend_comparison () in
   let tracer = if no_bechamel then None else run_tracer_overhead () in
   let telemetry = if no_bechamel then None else run_telemetry_overhead () in
   if not no_json then begin
-    write_results_json ~path:"BENCH_results.json" ~backend ~tables ~bechamel
-      ~backends ~tracer ~telemetry;
+    write_results_json ~path:"BENCH_results.json" ~tables ~bechamel ~tracer
+      ~telemetry;
     (* Fold the headline metrics into the revision-keyed history so
        `ashbench regress` has a baseline to compare future runs against. *)
     let entry =

@@ -8,36 +8,11 @@
 
 module Core = Ash_core
 module Report = Core.Report
+module Registry = Core.Registry
 module Program = Ash_vm.Program
 module Sandbox = Ash_vm.Sandbox
 
 open Cmdliner
-
-let experiments : (string * string * (unit -> Report.table)) list =
-  [
-    ("table1", "raw AN2/Ethernet round-trip latency", Core.Exp_raw.table1);
-    ("fig3", "user-level AN2 throughput vs packet size", Core.Exp_raw.fig3);
-    ("table2", "UDP/TCP latency and throughput", Core.Exp_proto.table2);
-    ("table3", "copy throughput (single/double)", Core.Exp_memory.table3);
-    ("table4", "integrated vs separate manipulations", Core.Exp_ilp.table4);
-    ("table5", "remote-increment round trips", Core.Exp_ash.table5);
-    ("table6", "TCP across delivery mechanisms", Core.Exp_tcp.table6);
-    ("fig4", "latency vs competing processes", Core.Exp_sched.fig4);
-    ("sandbox", "sandboxing overhead (sec. V-D)", Core.Exp_sandbox.section_vd);
-    ("dpf", "compiled vs interpreted packet filters", Core.Exp_ablate.dpf);
-    ("dilp-scaling", "DILP fusion vs separate passes", Core.Exp_ilp.dilp_scaling);
-    ("striped", "striped vs contiguous DILP back ends", Core.Exp_ablate.striped);
-    ("absint", "download-time static analysis vs full checking",
-     Core.Exp_ablate.absint);
-    ("chaos", "TCP goodput vs seeded loss (fixed vs adaptive RTO)",
-     fun () -> Core.Exp_chaos.chaos ());
-    ("exp_scale", "connection churn over the many-host switched fabric",
-     Core.Exp_scale.scale);
-    ("exp_multicore", "RSS-sharded server goodput vs cores; domain speedup",
-     Core.Exp_multicore.multicore);
-    ("exp_mq", "replicated message queue: goodput vs loss, failover recovery",
-     Core.Exp_mq.mq);
-  ]
 
 let handlers : (string * (unit -> Program.t)) list =
   [
@@ -58,13 +33,16 @@ let list_cmd =
   let doc = "List available experiments." in
   let run () =
     List.iter
-      (fun (id, desc, _) -> Printf.printf "%-14s %s\n" id desc)
-      experiments
+      (fun (e : Registry.t) -> Printf.printf "%-14s %s\n" e.id e.doc)
+      Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let run_cmd =
-  let doc = "Run experiments (all when none named) and print their tables." in
+  let doc =
+    "Run experiments (all when none named) and print their tables. Exits \
+     1 when a table fails its self-check."
+  in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT")
   in
@@ -134,10 +112,11 @@ let run_cmd =
                  trigger fired).")
   in
   let flight_dump =
-    Arg.(value & opt string "flight-dump"
+    Arg.(value & opt string "flight-dumps/flight-dump"
          & info [ "flight-dump" ] ~docv:"PREFIX"
-           ~doc:"Write anomaly dumps to $(docv)-<n>.json (default \
-                 $(b,flight-dump)).")
+           ~doc:"Write anomaly dumps to $(docv)-<n>.json, creating its \
+                 directory if needed (default \
+                 $(b,flight-dumps/flight-dump)).")
   in
   let jobs =
     Arg.(value & opt (some int) None
@@ -162,18 +141,11 @@ let run_cmd =
        Printf.eprintf "--jobs must be >= 1\n";
        exit 2);
     let selected =
-      if ids = [] then experiments
-      else
-        List.map
-          (fun id ->
-             match
-               List.find_opt (fun (eid, _, _) -> eid = id) experiments
-             with
-             | Some e -> e
-             | None ->
-               Printf.eprintf "unknown experiment %S\n" id;
-               exit 2)
-          ids
+      match Registry.select ids with
+      | Ok l -> l
+      | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2
     in
     if trace_sample < 1 then begin
       Printf.eprintf "--trace-sample must be >= 1\n";
@@ -198,12 +170,16 @@ let run_cmd =
         Some (Ash_obs.Trace.record ())
       else None
     in
-    List.iter
-      (fun (_, _, f) ->
-         let table = f () in
-         Format.printf "%a" Report.print table;
-         if markdown then print_string (Report.to_markdown table))
-      selected;
+    let failed =
+      List.filter_map
+        (fun (e : Registry.t) ->
+           let table = e.table () in
+           Format.printf "%a" Report.print table;
+           if markdown then print_string (Report.to_markdown table);
+           Result.fold ~ok:(fun () -> None) ~error:Option.some
+             (Registry.self_check e table))
+        selected
+    in
     (match ts with
      | None -> ()
      | Some ts ->
@@ -231,42 +207,45 @@ let run_cmd =
      | None -> ()
      | Some f ->
        if Ash_obs.Flight.dump_count f > 0 then begin
+         let dir = Filename.dirname flight_dump in
+         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
          let paths = Ash_obs.Flight.write_dumps f ~prefix:flight_dump in
          Printf.eprintf "flight recorder fired %d time(s); wrote %s\n"
            (Ash_obs.Flight.dump_count f)
            (String.concat ", " paths)
        end;
        Ash_obs.Flight.disarm f);
-    match recorder with
-    | None -> ()
-    | Some r ->
-      Ash_obs.Trace.stop r;
-      if trace then Format.printf "%a@." (Report.print_trace ?max_events:None) r;
-      if profile then
-        Format.printf "%a@." Ash_obs.Profile.pp (Ash_obs.Profile.of_recorder r);
-      (* JSON last: scripts can take the final stdout line. *)
-      if trace_json then print_endline (Report.trace_to_json r);
-      (match trace_chrome with
-       | None -> ()
-       | Some file ->
-         let oc = open_out file in
-         let shards =
-           match Sys.getenv_opt "ASH_SHARDS" with
-           | Some s -> (match int_of_string_opt s with Some n -> n | None -> 1)
-           | None -> 1
-         in
-         let jobs_n =
-           match Sys.getenv_opt "ASH_JOBS" with
-           | Some s -> (match int_of_string_opt s with Some n -> n | None -> 1)
-           | None -> 1
-         in
-         output_string oc
-           (Ash_obs.Dump.to_chrome_json ~shards ~jobs:jobs_n
-              ~host_cores:(Domain.recommended_domain_count ())
-              r);
-         output_char oc '\n';
-         close_out oc;
-         Printf.eprintf "wrote chrome trace to %s\n" file)
+    (match recorder with
+     | None -> ()
+     | Some r ->
+       Ash_obs.Trace.stop r;
+       if trace then
+         Format.printf "%a@." (Report.print_trace ?max_events:None) r;
+       if profile then
+         Format.printf "%a@." Ash_obs.Profile.pp
+           (Ash_obs.Profile.of_recorder r);
+       (* JSON last: scripts can take the final stdout line. *)
+       if trace_json then print_endline (Report.trace_to_json r);
+       (match trace_chrome with
+        | None -> ()
+        | Some file ->
+          let oc = open_out file in
+          let env_int name =
+            Option.value ~default:1
+              (Option.bind (Sys.getenv_opt name) int_of_string_opt)
+          in
+          output_string oc
+            (Ash_obs.Dump.to_chrome_json ~shards:(env_int "ASH_SHARDS")
+               ~jobs:(env_int "ASH_JOBS")
+               ~host_cores:(Domain.recommended_domain_count ())
+               r);
+          output_char oc '\n';
+          close_out oc;
+          Printf.eprintf "wrote chrome trace to %s\n" file));
+    if failed <> [] then begin
+      List.iter prerr_endline failed;
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc)

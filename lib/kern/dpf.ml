@@ -55,10 +55,10 @@ let filter_env machine ~msg_addr ~msg_len =
     gas_cycles = Interp.default_gas;
   }
 
-let run_prepared ?backend machine prepared ~msg_addr ~msg_len =
+let run_prepared machine prepared ~msg_addr ~msg_len =
   let env = filter_env machine ~msg_addr ~msg_len in
   let matched =
-    match (Ash_vm.Exec.run ?backend env prepared).Interp.outcome with
+    match (Ash_vm.Exec.run env prepared).Interp.outcome with
     | Interp.Committed -> true
     | Interp.Aborted | Interp.Returned | Interp.Killed _ -> false
   in
@@ -67,8 +67,7 @@ let run_prepared ?backend machine prepared ~msg_addr ~msg_len =
   matched
 
 let run_compiled machine program ~msg_addr ~msg_len =
-  run_prepared ~backend:Ash_vm.Exec.Interpreter machine
-    (Ash_vm.Exec.prepare program) ~msg_addr ~msg_len
+  run_prepared machine (Ash_vm.Exec.prepare program) ~msg_addr ~msg_len
 
 (* Per-atom decode/dispatch cost of a tree-walking filter interpreter:
    fetch the atom record, switch on the opcode, bounds-check, loop — the

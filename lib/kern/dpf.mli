@@ -4,7 +4,7 @@
     compiles filters to executable code when they are installed,
     eliminating interpretation overhead. We reproduce both halves:
     {!compile} turns a declarative filter into a VM program (executed by
-    the same interpreter that runs ASHs, so its cost is real), and
+    the same executor that runs ASHs, so its cost is real), and
     {!run_interpreted} is the classic tree-walking engine DPF is measured
     against (charged a realistic per-atom interpretation cost).
 
@@ -32,14 +32,12 @@ val compile : t -> Ash_vm.Program.t
     DPF's constant specialization. *)
 
 val run_prepared :
-  ?backend:Ash_vm.Exec.backend ->
   Ash_sim.Machine.t ->
   Ash_vm.Exec.prepared ->
   msg_addr:int ->
   msg_len:int ->
   bool
-(** Execute a prepared compiled filter against a packet under the given
-    execution backend (default {!Ash_vm.Exec.default}), charging the
+(** Execute a prepared compiled filter against a packet, charging the
     machine. Packets shorter than a referenced field reject (kill =
     reject). The kernel prepares each binding's filter once at bind
     time and calls this per frame. *)
@@ -50,8 +48,8 @@ val run_compiled :
   msg_addr:int ->
   msg_len:int ->
   bool
-(** [run_prepared] on a one-shot interpreter-backend preparation:
-    execute a compiled filter program directly, charging the machine. *)
+(** [run_prepared] on a one-shot preparation: execute a compiled filter
+    program directly, charging the machine. *)
 
 val run_interpreted :
   Ash_sim.Machine.t -> t -> msg_addr:int -> msg_len:int -> bool

@@ -97,7 +97,6 @@ type t = {
   costs : Costs.t;
   machine : Machine.t;
   kname : string;
-  backend : Exec.backend;
   absint_on : bool;
   (* Snapshot of [absint_default] taken at creation: downloads on a
      worker domain must not read the process-global knob. *)
@@ -160,20 +159,16 @@ let absint_default = ref true
 
 let set_absint_default b = absint_default := b
 
-let create ?backend ?(demux = Demux_trie) ?(quarantine_threshold = 3)
+let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
     ?(notify_queue_limit = 256) engine costs ~name =
   if quarantine_threshold < 1 then invalid_arg "Kernel.create: threshold";
   if notify_queue_limit < 1 then invalid_arg "Kernel.create: queue limit";
-  let backend =
-    match backend with Some b -> b | None -> Exec.default ()
-  in
   let t =
     {
     engine;
     costs;
     machine = Machine.create costs;
     kname = name;
-    backend;
     absint_on = !absint_default;
     demux;
     an2 = None;
@@ -255,7 +250,6 @@ let set_notify_queue_limit t n =
 
 let costs t = t.costs
 let name t = t.kname
-let exec_backend t = t.backend
 let eth_demux_mode t = t.demux
 let set_eth_demux t d = t.demux <- d
 
@@ -383,9 +377,8 @@ let download_ash t ?(sandbox = true) ?absint ?(specialize_exit = false)
           (sp, Some st)
         else (p, None)
       in
-      let exec = Exec.prepare p in
       (* Compile at download time, not on first message arrival. *)
-      if t.backend = Exec.Compiled then Exec.force exec;
+      let exec = Exec.prepare p in
       let ch = { c_sb_stats = sb_stats; c_exec = exec } in
       Hashtbl.add t.handler_cache key ch;
       t.cache_misses <- t.cache_misses + 1;
@@ -459,9 +452,7 @@ let dilp_callback t ~id ~src ~dst ~len ~regs =
       if Trace.enabled () then
         Span.begin_span ~corr ~off:(span_off t) Trace.Pipe;
       let result =
-        match
-          Dilp.execute ~backend:t.backend ~init t.machine c ~src ~dst ~len
-        with
+        match Dilp.execute ~init t.machine c ~src ~dst ~len with
         | r -> Some r
         | exception Invalid_argument _ -> None
       in
@@ -501,12 +492,7 @@ let bind_eth_filter t filter ~compiled delivery =
   let prio = t.next_eth_prio in
   t.next_eth_prio <- prio + 1;
   let prog =
-    if compiled then begin
-      let prep = Exec.prepare (Dpf.compile filter) in
-      if t.backend = Exec.Compiled then Exec.force prep;
-      Some prep
-    end
-    else None
+    if compiled then Some (Exec.prepare (Dpf.compile filter)) else None
   in
   let b =
     { bvc = vc; delivery; user_handler = None; commit_hook = None;
@@ -779,7 +765,7 @@ let eth_env base t =
 
 let run_handler_common t b ~id ~corr ~c0 ~addr ~len ~release ~env ~upcall
     ~(ash : ash) =
-  let r = Exec.run ~backend:t.backend env ash.exec in
+  let r = Exec.run env ash.exec in
   ash.last <- Some r;
   if Trace.enabled () then
     Span.end_span ~corr ~off:(span_off t)
@@ -962,8 +948,7 @@ let eth_demux t ~msg_addr ~msg_len =
       (fun b ->
          match b.filter with
          | Some (_, Some prep) ->
-           Dpf.run_prepared ~backend:t.backend t.machine prep ~msg_addr
-             ~msg_len
+           Dpf.run_prepared t.machine prep ~msg_addr ~msg_len
          | Some (spec, None) ->
            Dpf.run_interpreted t.machine spec ~msg_addr ~msg_len
          | None -> false)

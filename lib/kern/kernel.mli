@@ -68,7 +68,6 @@ type demux =
                       ({!Dpf_trie}). *)
 
 val create :
-  ?backend:Ash_vm.Exec.backend ->
   ?demux:demux ->
   ?quarantine_threshold:int ->
   ?notify_queue_limit:int ->
@@ -76,12 +75,10 @@ val create :
   Ash_sim.Costs.t ->
   name:string ->
   t
-(** [backend] selects how downloaded code executes (default:
-    {!Ash_vm.Exec.default}, i.e. closure-compiled). [demux] selects the
-    Ethernet demultiplexing strategy (default [Demux_trie]). Both are
-    host-side choices: simulated numbers are identical across backends,
-    and across demux modes whenever filters don't overlap in cost-visible
-    ways (a lone filter charges identically under both).
+(** [demux] selects the Ethernet demultiplexing strategy (default
+    [Demux_trie]). It is a host-side choice: simulated numbers are
+    identical across demux modes whenever filters don't overlap in
+    cost-visible ways (a lone filter charges identically under both).
 
     [quarantine_threshold] (default 3, must be ≥ 1) is the number of
     involuntary kills after which a handler is quarantined.
@@ -98,7 +95,6 @@ val engine : t -> Ash_sim.Engine.t
 val machine : t -> Ash_sim.Machine.t
 val costs : t -> Ash_sim.Costs.t
 val name : t -> string
-val exec_backend : t -> Ash_vm.Exec.backend
 
 val eth_demux_mode : t -> demux
 val set_eth_demux : t -> demux -> unit
@@ -166,8 +162,8 @@ val download_ash :
     [specialize_exit] flags and allowed-calls policy skips verification
     and sandboxing and shares the already-compiled execution artifact
     ([hardwired] only affects per-invocation dispatch cost, so it is
-    not part of the key). Under the compiled backend the closure
-    artifact is generated here, at download time. *)
+    not part of the key). The closure artifact is generated here, at
+    download time. *)
 
 type cache_stats = {
   hits : int;

@@ -142,19 +142,7 @@ let render_value kind v =
   | Rate -> string_of_int (int_of_float v)
   | Gauge -> Printf.sprintf "%.6g" v
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Ash_util.Minijson.escape
 
 let views_to_json ?(meta = []) ~interval_ns views =
   let b = Buffer.create 4096 in

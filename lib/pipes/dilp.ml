@@ -200,7 +200,7 @@ let compile ?(layout = Contiguous) pl mode =
     persistent = Pipe.Pipelist.persistent_regs pl;
   }
 
-let execute ?backend ?(init = []) machine t ~src ~dst ~len =
+let execute ?(init = []) machine t ~src ~dst ~len =
   if len < 0 || len land 3 <> 0 then
     invalid_arg "Dilp.execute: length must be a non-negative multiple of 4";
   if Ash_obs.Trace.enabled () then
@@ -221,10 +221,10 @@ let execute ?backend ?(init = []) machine t ~src ~dst ~len =
   let regs_init =
     (reg_src, src) :: (reg_dst, dst) :: (reg_len, len) :: init
   in
-  Ash_vm.Exec.run ?backend env ~regs_init t.exec
+  Ash_vm.Exec.run env ~regs_init t.exec
 
-let execute_exn ?backend ?init machine t ~src ~dst ~len =
-  let r = execute ?backend ?init machine t ~src ~dst ~len in
+let execute_exn ?init machine t ~src ~dst ~len =
+  let r = execute ?init machine t ~src ~dst ~len in
   match r.Ash_vm.Interp.outcome with
   | Ash_vm.Interp.Returned -> r.Ash_vm.Interp.regs
   | Ash_vm.Interp.Committed | Ash_vm.Interp.Aborted ->

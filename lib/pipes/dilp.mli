@@ -40,8 +40,7 @@ val eth_striped : layout
 type compiled = private {
   program : Ash_vm.Program.t;
   exec : Ash_vm.Exec.prepared;
-  (** The program prepared for backend execution (closure artifact
-      generated lazily on first compiled-backend run). *)
+  (** The program prepared for execution (compiled with the loop). *)
   mode : mode;
   layout : layout;
   pipes : Pipe.t list;
@@ -55,7 +54,6 @@ val compile : ?layout:layout -> Pipe.Pipelist.t -> mode -> compiled
     must be straight-line), or [Invalid_argument] on a bad layout. *)
 
 val execute :
-  ?backend:Ash_vm.Exec.backend ->
   ?init:(Ash_vm.Isa.reg * int) list ->
   Ash_sim.Machine.t ->
   compiled ->
@@ -64,13 +62,11 @@ val execute :
   len:int ->
   Ash_vm.Interp.result
 (** Run the fused loop over [len] {e payload} bytes (the striped source
-    region is correspondingly longer), charging the machine, under
-    [backend] (default {!Ash_vm.Exec.default}). Raises
+    region is correspondingly longer), charging the machine. Raises
     [Invalid_argument] if [len] is negative, not a multiple of four, or
     (striped layouts) not a multiple of the stripe's data size. *)
 
 val execute_exn :
-  ?backend:Ash_vm.Exec.backend ->
   ?init:(Ash_vm.Isa.reg * int) list ->
   Ash_sim.Machine.t ->
   compiled ->

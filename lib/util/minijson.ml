@@ -184,3 +184,17 @@ let number f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.6g" f
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string b "\\\""
+       | '\\' -> Buffer.add_string b "\\\\"
+       | '\n' -> Buffer.add_string b "\\n"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b

@@ -37,6 +37,11 @@ val to_string : t -> string option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option
 
+val escape : string -> string
+(** JSON string-body escaping the way our writers do it: quote,
+    backslash and newline get their short forms, other control
+    characters [\u00XX]. *)
+
 val number : float -> string
 (** Render a float the way our writers do: integral values bare
     (["42"]), others via [%g]-style shortest form. *)

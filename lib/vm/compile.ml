@@ -1,4 +1,4 @@
-(* Closure-compilation backend (§IV-A "dynamic code generation").
+(* Closure-compilation executor (§IV-A "dynamic code generation").
 
    [compile] translates a program once into an array of OCaml closures —
    one per instruction — so per-packet execution pays no opcode dispatch.

@@ -1,4 +1,4 @@
-(** Closure-compilation execution backend.
+(** Closure compilation: the code behind {!Exec}.
 
     Translates a program once — at download time — into an array of
     OCaml closures, one per instruction, so steady-state execution pays

@@ -1,37 +1,5 @@
-type backend = Interpreter | Compiled
-
-let backend_name = function
-  | Interpreter -> "interp"
-  | Compiled -> "compiled"
-
-let backend_of_string = function
-  | "interp" | "interpreter" -> Some Interpreter
-  | "compiled" | "closure" -> Some Compiled
-  | _ -> None
-
-let default_backend = ref Compiled
-
-let default () = !default_backend
-
-let set_default b = default_backend := b
-
-let with_default b f =
-  let saved = !default_backend in
-  default_backend := b;
-  Fun.protect ~finally:(fun () -> default_backend := saved) f
-
-type prepared = {
-  program : Program.t;
-  digest : string;
-  mutable compiled : Compile.t option;
-}
-
-let prepare program =
-  { program; digest = Program.digest program; compiled = None }
-
-let program p = p.program
-
-let digest p = p.digest
+(* A fresh handle per [prepare], around a possibly shared artifact. *)
+type prepared = { program : Program.t; compiled : Compile.t }
 
 (* Process-wide artifact memo. Translation is a pure function of the
    program, so distinct kernels (each with its own per-kernel handler
@@ -46,43 +14,26 @@ let memo_cap = 1024
 let artifacts : (string, Compile.t) Hashtbl.t = Hashtbl.create 64
 let artifacts_mutex = Mutex.create ()
 
-let memo_find digest =
-  Mutex.lock artifacts_mutex;
-  let c = Hashtbl.find_opt artifacts digest in
-  Mutex.unlock artifacts_mutex;
-  c
-
 let memo_add digest c =
-  Mutex.lock artifacts_mutex;
-  let c =
-    match Hashtbl.find_opt artifacts digest with
-    | Some existing -> existing
-    | None ->
-      if Hashtbl.length artifacts >= memo_cap then Hashtbl.reset artifacts;
-      Hashtbl.add artifacts digest c;
-      c
-  in
-  Mutex.unlock artifacts_mutex;
-  c
-
-let compiled p =
-  match p.compiled with
-  | Some c -> c
+  match Hashtbl.find_opt artifacts digest with
+  | Some existing -> existing
   | None ->
-    let c =
-      match memo_find p.digest with
-      | Some c -> c
-      | None -> memo_add p.digest (Compile.compile p.program)
-    in
-    p.compiled <- Some c;
+    if Hashtbl.length artifacts >= memo_cap then Hashtbl.reset artifacts;
+    Hashtbl.add artifacts digest c;
     c
 
-let is_compiled p = p.compiled <> None
+let prepare program =
+  let digest = Program.digest program in
+  let locked f = Mutex.protect artifacts_mutex f in
+  let compiled =
+    match locked (fun () -> Hashtbl.find_opt artifacts digest) with
+    | Some c -> c
+    | None ->
+      let c = Compile.compile program in
+      locked (fun () -> memo_add digest c)
+  in
+  { program; compiled }
 
-let force p = ignore (compiled p)
+let program p = p.program
 
-let run ?backend env ?regs_init p =
-  let b = match backend with Some b -> b | None -> !default_backend in
-  match b with
-  | Interpreter -> Interp.run env ?regs_init p.program
-  | Compiled -> Compile.run env ?regs_init (compiled p)
+let run env ?regs_init p = Compile.run env ?regs_init p.compiled

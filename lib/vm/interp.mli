@@ -51,7 +51,7 @@ type env = {
 val max_steps : int
 (** Hard backstop on executed instructions independent of the cycle
     budget, so a mis-configured gas value cannot hang the host. Shared
-    by every execution backend (see {!Compile}). *)
+    by {!Compile}. *)
 
 val default_gas : int
 (** 200_000 cycles = 5 ms at 40 MHz — two 2.5-ms clock ticks; "the

@@ -12,6 +12,8 @@ module Machine = Ash_sim.Machine
 module Engine = Ash_sim.Engine
 module Stats = Ash_util.Stats
 module Tcp = Ash_proto.Tcp
+module Registry = Ash_core.Registry
+module History = Ash_bench.History
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -314,6 +316,87 @@ let smoke name f () =
          (Float.is_finite r.Report.measured))
     t.Report.rows
 
+(* ------------------------------------------------------------------ *)
+(* Experiment registry                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let ids = List.map (fun (e : Registry.t) -> e.id) Registry.all
+
+let test_registry_ids_unique () =
+  Alcotest.(check int) "no duplicate ids" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun id ->
+       match Registry.find id with
+       | Some e -> Alcotest.(check string) "find round-trips" id e.Registry.id
+       | None -> Alcotest.failf "find %S" id)
+    ids;
+  Alcotest.(check bool) "unknown id" true (Registry.find "table7" = None);
+  Alcotest.(check bool) "select rejects unknown" true
+    (Result.is_error (Registry.select [ "table1"; "table7" ]))
+
+(* Every experiment the bench harness ran before the registry existed
+   keeps its id, so BENCH_history.json and CI invocations stay valid. *)
+let test_registry_keeps_ids () =
+  List.iter
+    (fun id -> Alcotest.(check bool) id true (List.mem id ids))
+    [ "table1"; "fig3"; "table2"; "table3"; "table4"; "table5"; "table6";
+      "fig4"; "sandbox"; "dpf"; "demux"; "dilp-scaling"; "striped";
+      "absint"; "chaos"; "exp_scale"; "exp_multicore"; "exp_mq" ]
+
+let test_registry_self_check () =
+  let get id = Option.get (Registry.find id) in
+  let bare =
+    { Report.id = "exp_mq"; title = "T"; rows = []; notes = [ "n" ] }
+  in
+  Alcotest.(check bool) "missing marker fails" true
+    (Result.is_error (Registry.self_check (get "exp_mq") bare));
+  let table1 = get "table1" in
+  Alcotest.(check bool) "table1 passes" true
+    (Registry.self_check table1 (table1.Registry.table ()) = Ok ())
+
+(* ------------------------------------------------------------------ *)
+(* Bench history                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let write_file path s =
+  let oc = open_out path in
+  output_string oc s;
+  close_out oc
+
+let read_file path =
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A merge-conflicted history must survive: append refuses to rewrite
+   it and regress reports where the parse failed. *)
+let test_history_unreadable () =
+  let results = Filename.temp_file "results" ".json" in
+  let history = Filename.temp_file "history" ".json" in
+  write_file results {|{"meta": {"git_rev": "abc"}, "tables": {}}|};
+  let broken = "{\"entries\": [\n<<<<<<< HEAD\n" in
+  write_file history broken;
+  (match History.append ~results_path:results ~history_path:history with
+   | _ -> Alcotest.fail "append accepted an unreadable history"
+   | exception Failure _ -> ());
+  Alcotest.(check string) "history untouched" broken (read_file history);
+  (match History.regress ~results_path:results ~history_path:history () with
+   | Ok _ -> Alcotest.fail "regress accepted an unreadable history"
+   | Error msg ->
+     Alcotest.(check bool) ("parse position in " ^ msg) true
+       (contains ~sub:"parse error at " msg));
+  Sys.remove results;
+  Sys.remove history
+
 let () =
   Alcotest.run "ash_core"
     [
@@ -371,5 +454,17 @@ let () =
             (smoke "sec5D" Ash_core.Exp_sandbox.section_vd);
           Alcotest.test_case "dpf ablation" `Quick
             (smoke "dpf" Ash_core.Exp_ablate.dpf);
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "ids unique" `Quick test_registry_ids_unique;
+          Alcotest.test_case "keeps harness ids" `Quick
+            test_registry_keeps_ids;
+          Alcotest.test_case "self-check" `Quick test_registry_self_check;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "unreadable history kept" `Quick
+            test_history_unreadable;
         ] );
     ]

@@ -392,29 +392,29 @@ let prop_dilp_matches_baseline_passes =
       fused_cksum = seq_cksum && fused_bytes = seq_bytes)
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: interpreter backend vs closure-compiled backend             *)
+(* Part 3: the interpreter oracle vs the closure-compiled executor      *)
 (* ------------------------------------------------------------------ *)
 
 module Exec = Ash_vm.Exec
 module Dpf = Ash_kern.Dpf
 
-(* The backends' contract is total observational equality: same
-   Interp.result field for field AND the same machine charging, for any
-   program — including ones that die mid-run. *)
+(* The executor's contract with Interp is total observational
+   equality: same Interp.result field for field AND the same machine
+   charging, for any program — including ones that die mid-run. *)
 
-let run_backend backend (machine, msg, _scratch) prepared =
-  let env =
-    {
-      Interp.machine;
-      msg_addr = msg.Memory.base;
-      msg_len;
-      allowed_calls = allowed;
-      dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
-      send = ignore;
-      gas_cycles = Interp.default_gas;
-    }
-  in
-  Exec.run ~backend env prepared
+let oracle_env ?(allowed_calls = allowed) machine ~msg_addr ~msg_len =
+  {
+    Interp.machine;
+    msg_addr;
+    msg_len;
+    allowed_calls;
+    dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
+    send = ignore;
+    gas_cycles = Interp.default_gas;
+  }
+
+let fixture_env (machine, msg, _scratch) =
+  oracle_env machine ~msg_addr:msg.Memory.base ~msg_len
 
 let check_results_equal ~what (a : Interp.result) (b : Interp.result) =
   if a.Interp.outcome <> b.Interp.outcome then
@@ -447,9 +447,8 @@ let prop_backends_agree =
       in
       List.iter
         (fun (what, prog) ->
-           let prep_a = Exec.prepare prog and prep_b = Exec.prepare prog in
-           let ra = run_backend Exec.Interpreter fa prep_a in
-           let rb = run_backend Exec.Compiled fb prep_b in
+           let ra = Interp.run (fixture_env fa) prog in
+           let rb = Exec.run (fixture_env fb) (Exec.prepare prog) in
            check_results_equal ~what ra rb;
            if Machine.consumed_cycles ma <> Machine.consumed_cycles mb then
              QCheck.Test.fail_reportf "%s: machine cycle meters diverged" what;
@@ -491,13 +490,18 @@ let prop_dilp_backends_agree =
       in
       let ma, mema, srca, dsta = setup () in
       let mb, memb, srcb, dstb = setup () in
+      (* The oracle enters the loop by Dilp's documented convention:
+         r1 = source, r2 = destination, r3 = length. *)
       let ra =
-        Dilp.execute ~backend:Exec.Interpreter ma compiled
-          ~src:srca.Memory.base ~dst:dsta.Memory.base ~len
+        Interp.run
+          (oracle_env ~allowed_calls:[] ma ~msg_addr:srca.Memory.base
+             ~msg_len:len)
+          ~regs_init:[ (1, srca.Memory.base); (2, dsta.Memory.base); (3, len) ]
+          compiled.Dilp.program
       in
       let rb =
-        Dilp.execute ~backend:Exec.Compiled mb compiled ~src:srcb.Memory.base
-          ~dst:dstb.Memory.base ~len
+        Dilp.execute mb compiled ~src:srcb.Memory.base ~dst:dstb.Memory.base
+          ~len
       in
       check_results_equal ~what:"dilp" ra rb;
       if Machine.consumed_cycles ma <> Machine.consumed_cycles mb then
@@ -532,7 +536,7 @@ let prop_dpf_backends_agree =
                         land 0xff))
                 done)
            filter);
-      let prep = Exec.prepare (Dpf.compile filter) in
+      let program = Dpf.compile filter in
       let setup () =
         let machine = Machine.create Costs.decstation in
         let mem = Machine.mem machine in
@@ -543,12 +547,16 @@ let prop_dpf_backends_agree =
       in
       let ma, bufa = setup () and mb, bufb = setup () in
       let accept_a =
-        Dpf.run_prepared ~backend:Exec.Interpreter ma prep
-          ~msg_addr:bufa.Memory.base ~msg_len
+        let env =
+          oracle_env
+            ~allowed_calls:Isa.[ K_msg_read8; K_msg_read16; K_msg_read32 ]
+            ma ~msg_addr:bufa.Memory.base ~msg_len
+        in
+        (Interp.run env program).Interp.outcome = Interp.Committed
       in
       let accept_b =
-        Dpf.run_prepared ~backend:Exec.Compiled mb prep
-          ~msg_addr:bufb.Memory.base ~msg_len
+        Dpf.run_prepared mb (Exec.prepare program) ~msg_addr:bufb.Memory.base
+          ~msg_len
       in
       if accept_a <> accept_b then
         QCheck.Test.fail_reportf "accept differs: %b vs %b" accept_a accept_b;
