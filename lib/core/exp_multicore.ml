@@ -201,7 +201,8 @@ let run_mc spec =
     in
     ring_flows.(ring) <- ring_flows.(ring) + 1
   done;
-  (* Request frames, one per flow ([Ethernet.transmit] copies). *)
+  (* Request frames, one per flow, sent again on every request: the
+     stack never writes to a frame it was handed. *)
   let frame_of g =
     let h = client_of g in
     let total = net_header + spec.payload in

@@ -290,6 +290,11 @@ val setup_scheduler : t -> policy:Sched.policy -> nprocs:int -> unit
 
 (* -- Sends --------------------------------------------------------------- *)
 
+(** Every send hands the frame to the stack: the NIC puts the caller's
+    bytes on the wire without copying them, so the caller must not
+    mutate a frame once it is sent. It may send the same unchanged frame
+    again. *)
+
 val user_send : t -> vc:int -> Bytes.t -> unit
 (** Transmit from application context: pays the system call, the
     user-level writes to the AN2 board, and the kernel transmit path. *)

@@ -142,15 +142,21 @@ let transmit t ~vc payload =
     t.tx_frames <- t.tx_frames + 1;
     if Trace.enabled () then
       Trace.emit (Trace.Pkt_tx { nic = "an2"; bytes = len });
-    (* The CRC is computed by the board over the bytes as sent; the copy
-       here freezes the frame at transmit time. *)
-    let frame = Bytes.copy payload in
-    let crc_sent = Crc32.digest frame ~off:0 ~len in
-    if t.corrupt_next then begin
-      t.corrupt_next <- false;
-      Bytes.set frame (len / 2)
-        (Char.chr (Char.code (Bytes.get frame (len / 2)) lxor 0x10))
-    end;
+    (* The CRC is computed by the board over the bytes as sent. The
+       stack owns [payload] from here on, so the fault-free path puts
+       the caller's bytes on the wire; only an injected bit flip (and a
+       fault plan, in [Faulty_link]) works on a copy. *)
+    let crc_sent = Crc32.digest payload ~off:0 ~len in
+    let frame =
+      if t.corrupt_next then begin
+        t.corrupt_next <- false;
+        let frame = Bytes.copy payload in
+        Bytes.set frame (len / 2)
+          (Char.chr (Char.code (Bytes.get frame (len / 2)) lxor 0x10));
+        frame
+      end
+      else payload
+    in
     Faulty_link.transmit link ~wire_bytes:len ~frame (fun payload ->
         deliver peer ~vc ~payload ~crc_sent)
   | _ -> failwith "An2.transmit: not connected"

@@ -65,7 +65,11 @@ val set_rx_handler : t -> (rx -> unit) -> unit
 val transmit : t -> vc:int -> Bytes.t -> unit
 (** Queue a frame for the peer. Raises [Failure] if not connected, or
     [Invalid_argument] if the frame exceeds the board's maximum
-    (4 KB in our configuration, comfortably above the 3072-byte MSS). *)
+    (4 KB in our configuration, comfortably above the 3072-byte MSS).
+    The stack owns the frame from here on and the caller must not
+    mutate it: without injected faults its bytes go on the wire
+    uncopied. {!corrupt_next_frame} and a fault plan damage a private
+    copy, never the caller's buffer. *)
 
 val corrupt_next_frame : t -> unit
 (** Fault injection: flip a bit in the next transmitted frame so the

@@ -153,13 +153,19 @@ let transmit t payload =
     t.tx_frames <- t.tx_frames + 1;
     if Trace.enabled () then
       Trace.emit (Trace.Pkt_tx { nic = "eth"; bytes = len });
-    let frame = Bytes.copy payload in
-    let crc_sent = Crc32.digest frame ~off:0 ~len in
-    if t.corrupt_next then begin
-      t.corrupt_next <- false;
-      Bytes.set frame (len / 2)
-        (Char.chr (Char.code (Bytes.get frame (len / 2)) lxor 0x10))
-    end;
+    (* As on the AN2: the caller's bytes go on the wire unless a bit
+       flip is injected (a fault plan copies in [Faulty_link]). *)
+    let crc_sent = Crc32.digest payload ~off:0 ~len in
+    let frame =
+      if t.corrupt_next then begin
+        t.corrupt_next <- false;
+        let frame = Bytes.copy payload in
+        Bytes.set frame (len / 2)
+          (Char.chr (Char.code (Bytes.get frame (len / 2)) lxor 0x10));
+        frame
+      end
+      else payload
+    in
     let costs = Machine.costs t.machine in
     (* Wire occupancy: preamble + header/CRC framing + padding to the
        64-byte minimum frame. *)

@@ -85,7 +85,9 @@ val set_rx_handler : t -> (rx -> unit) -> unit
 val transmit : t -> Bytes.t -> unit
 (** Send a frame to the peer. Short frames are padded to the 64-byte
     minimum on the wire (the receiver still sees the true length).
-    Raises [Invalid_argument] if the payload exceeds the MTU. *)
+    Raises [Invalid_argument] if the payload exceeds the MTU. Ownership
+    passes to the stack as on {!An2.transmit}: the caller must not
+    mutate the frame once sent. *)
 
 val release_buffer : t -> ring_addr:int -> unit
 (** Return a ring buffer to the device after the driver has copied the

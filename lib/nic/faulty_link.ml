@@ -19,7 +19,10 @@ let transmit t ?deliver_via ~wire_bytes ~frame deliver =
     Link.transmit t.link ?deliver_via ~bytes:wire_bytes (fun () ->
         deliver frame)
   | Some plan ->
-    let copies, injected = Fault.apply plan ~frame in
+    (* The plan may damage the frame in place or deliver it late (after
+       the sender has been acked and reused its buffer), so it works on
+       a private copy; the fault-free path above shares the sender's. *)
+    let copies, injected = Fault.apply plan ~frame:(Bytes.copy frame) in
     (match injected with
      | Some fault when Trace.enabled () ->
        Trace.emit (Trace.Fault_injected { nic = t.nic; fault })

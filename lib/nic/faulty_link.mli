@@ -30,8 +30,11 @@ val transmit :
 (** [transmit t ~wire_bytes ~frame deliver]: put [frame] on the wire
     ([wire_bytes] is the occupancy charge, which may exceed the frame —
     Ethernet framing); [deliver] receives the bytes that actually
-    arrive, possibly mutated, truncated, or twice. [frame] ownership
-    passes to the wrapper. The payload each copy delivers is computed
+    arrive, possibly mutated, truncated, or twice. With no plan, [deliver]
+    gets [frame] itself, so the sender must leave it unmodified; with a
+    plan, the plan works on a private copy (it may damage it, or deliver
+    it after the sender was acked and reused its buffer), and [frame] is
+    never written. The payload each copy delivers is computed
     here, at transmit time, so [deliver_via] (see {!Link.transmit}) can
     hand the arrival to another shard without touching source-shard
     state. *)

@@ -137,7 +137,9 @@ let enqueue t p ~frame ~crc_sent =
    or broadcast destination floods every other attached port (one copy
    per port); a destination learned on the ingress port itself is
    filtered. The sender's CRC rides along unrecomputed, so corruption
-   injected on either hop surfaces as a receiver CRC failure. *)
+   injected on either hop surfaces as a receiver CRC failure. Flooded
+   ports share one frame: nothing downstream writes to it (a port's
+   fault plan damages a private copy in [Faulty_link]). *)
 let ingress t ~in_port ~src_mac ~dst_mac ~frame ~crc_sent =
   t.s_in <- t.s_in + 1;
   if src_mac <> Ethernet.broadcast_mac then
@@ -156,7 +158,7 @@ let ingress t ~in_port ~src_mac ~dst_mac ~frame ~crc_sent =
     Array.iter
       (fun p ->
          if p.pid <> in_port then
-           enqueue t p ~frame:(Bytes.copy frame) ~crc_sent)
+           enqueue t p ~frame ~crc_sent)
       t.ports
 
 let set_exec t exec = t.exec <- Some exec

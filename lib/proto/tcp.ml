@@ -105,6 +105,9 @@ type t = {
   staging : Memory.region;   (* for write_string *)
   mutable pending_write : write_op option;
   mutable unacked : seg list; (* newest first *)
+  mutable spare_frames : Bytes.t list;
+  (* Full-size frames of acked segments, reused by [build_segment] so a
+     bulk transfer does not churn 3-KB frames through the major heap. *)
   mutable rt_timer : Engine.event_id option;
   (* Jacobson/Karn retransmission state (all ns; srtt < 0 = no sample
      yet). [rto_cur] is the smoothed estimate before backoff; the
@@ -195,7 +198,15 @@ let build_segment t ~flags ~seq ~ack ~payload =
       in
       (len, c)
   in
-  let frame = Bytes.create (headers_len + plen) in
+  (* A recycled frame needs no clearing: the two header writers cover
+     all [headers_len] bytes and the payload blit the rest. *)
+  let frame =
+    match t.spare_frames with
+    | spare :: rest when Bytes.length spare = headers_len + plen ->
+      t.spare_frames <- rest;
+      spare
+    | _ -> Bytes.create (headers_len + plen)
+  in
   Packet.Ip.write frame ~off:0
     {
       Packet.Ip.src = t.cfg.local_ip;
@@ -361,7 +372,7 @@ let send_data_segment t ~src ~len =
     :: t.unacked;
   t.sent_during_delivery <- true;
   arm_rt_timer t;
-  xmit t (Bytes.copy frame)
+  xmit t frame
 
 (* ------------------------------------------------------------------ *)
 (* Window pump and write completion                                    *)
@@ -383,9 +394,24 @@ let rec pump t =
       pump t
     end
 
+(* An acked segment's frame can be reused: its first transmission was
+   that very frame, and the ack proves it was delivered (links are FIFO
+   and fault plans work on copies); every retransmission sent a copy. *)
+let recycle_frame t frame =
+  if Bytes.length frame = t.cfg.mss + headers_len then
+    t.spare_frames <- frame :: t.spare_frames
+
 let check_acks t =
   let una = tcb_get t Tcb.off_snd_una in
-  t.unacked <- List.filter (fun seg -> seg.end_seq > una) t.unacked;
+  t.unacked <-
+    List.filter
+      (fun seg ->
+         seg.end_seq > una
+         || begin
+           recycle_frame t seg.frame;
+           false
+         end)
+      t.unacked;
   if t.unacked = [] then cancel_rt_timer t;
   match t.pending_write with
   | Some w when w.sent = w.src_len && una >= w.end_seq ->
@@ -664,7 +690,7 @@ let on_segment_body t ~addr ~len =
                rexmitted = false }
              :: t.unacked;
            arm_rt_timer t;
-           xmit t (Bytes.copy frame)
+           xmit t frame
          end
        end
        else if st = Tcb.st_syn_rcvd then begin
@@ -722,6 +748,7 @@ let create kernel cfg =
       staging = Memory.alloc m ~name:"tcp-staging" (max cfg.window 4096);
       pending_write = None;
       unacked = [];
+      spare_frames = [];
       rt_timer = None;
       srtt = -1;
       rttvar = 0;
@@ -892,7 +919,7 @@ let connect t ~on_connected =
     { end_seq = t.cfg.iss + 1; frame; sent_at = now_ns t; rexmitted = false }
     :: t.unacked;
   arm_rt_timer t;
-  xmit t (Bytes.copy frame)
+  xmit t frame
 
 let listen t =
   if state t <> Tcb.st_closed then invalid_arg "Tcp.listen: not closed";
@@ -937,7 +964,7 @@ let close t ~on_closed =
   arm_rt_timer t;
   set_state t
     (if st = Tcb.st_established then Tcb.st_fin_wait_1 else Tcb.st_last_ack);
-  xmit t (Bytes.copy frame)
+  xmit t frame
 
 let set_on_peer_fin t f = t.on_peer_fin <- Some f
 
@@ -959,6 +986,7 @@ let teardown t =
   cancel_rt_timer t;
   t.pending_write <- None;
   t.unacked <- [];
+  t.spare_frames <- [];
   t.reader <- None;
   t.on_connected <- None;
   t.on_closed <- None;

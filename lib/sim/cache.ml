@@ -40,41 +40,42 @@ let line_addr t addr = addr land lnot (t.line - 1)
 
 let index t addr = (addr lsr t.line_shift) land t.index_mask
 
-(* Iterate over the distinct lines covered by [addr, addr+size). *)
-let fold_lines t ~addr ~size f init =
-  if size <= 0 then init
-  else begin
-    let first = line_addr t addr in
-    let last = line_addr t (addr + size - 1) in
-    let acc = ref init in
-    let la = ref first in
-    while !la <= last do
-      acc := f !acc !la;
-      la := !la + t.line
-    done;
-    !acc
-  end
+(* The lines covered by [addr, addr+size) run from [line_addr t addr]
+   to [line_addr t (addr + size - 1)] in steps of [t.line]. Every walk
+   below is a plain loop: these run on every simulated access, so they
+   must not allocate. *)
 
 let load t ~addr ~size =
-  fold_lines t ~addr ~size
-    (fun cost la ->
-       let i = index t la in
-       if t.tags.(i) = la then begin
-         t.hits <- t.hits + 1;
-         cost + t.load_extra
-       end
-       else begin
-         t.misses <- t.misses + 1;
-         t.tags.(i) <- la;
-         cost + t.load_extra + t.miss_penalty
-       end)
-    0
+  let cost = ref 0 in
+  if size > 0 then begin
+    let last = line_addr t (addr + size - 1) in
+    let la = ref (line_addr t addr) in
+    while !la <= last do
+      let i = index t !la in
+      if t.tags.(i) = !la then begin
+        t.hits <- t.hits + 1;
+        cost := !cost + t.load_extra
+      end
+      else begin
+        t.misses <- t.misses + 1;
+        t.tags.(i) <- !la;
+        cost := !cost + t.load_extra + t.miss_penalty
+      end;
+      la := !la + t.line
+    done
+  end;
+  !cost
 
 let store t ~addr ~size =
   (* Write-through, no allocate: cost is per line touched; a store hit
      keeps the line valid (the data array is shared with memory in our
      model so no value update is needed). *)
-  fold_lines t ~addr ~size (fun cost _la -> cost + t.store_extra) 0
+  if size <= 0 then 0
+  else
+    let lines =
+      ((line_addr t (addr + size - 1) - line_addr t addr) asr t.line_shift) + 1
+    in
+    lines * t.store_extra
 
 let probe t ~addr =
   let la = line_addr t addr in
@@ -83,17 +84,24 @@ let probe t ~addr =
 let flush_all t = Array.fill t.tags 0 t.lines (-1)
 
 let flush_range t ~addr ~len =
-  ignore
-    (fold_lines t ~addr ~size:len
-       (fun () la ->
-          let i = index t la in
-          if t.tags.(i) = la then t.tags.(i) <- -1)
-       ())
+  if len > 0 then begin
+    let last = line_addr t (addr + len - 1) in
+    let la = ref (line_addr t addr) in
+    while !la <= last do
+      let i = index t !la in
+      if t.tags.(i) = !la then t.tags.(i) <- -1;
+      la := !la + t.line
+    done
+  end
 
 let warm_range t ~addr ~len =
-  ignore
-    (fold_lines t ~addr ~size:len
-       (fun () la -> t.tags.(index t la) <- la)
-       ())
+  if len > 0 then begin
+    let last = line_addr t (addr + len - 1) in
+    let la = ref (line_addr t addr) in
+    while !la <= last do
+      t.tags.(index t !la) <- !la;
+      la := !la + t.line
+    done
+  end
 
 let stats t = (t.hits, t.misses)

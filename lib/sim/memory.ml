@@ -12,18 +12,18 @@ type t = {
   mutable regions : region array; (* sorted by base *)
   mutable count : int;
   mutable brk : int;
-  mutable last : region option;   (* memoize the last hit *)
+  mutable last : region;          (* memoize the last hit; [none] = no memo *)
 }
+
+(* The "no region" sentinel: never in [regions], never resident. Lookups
+   return it instead of [None] so the hot path allocates nothing. *)
+let none = { base = 0; len = 0; data = Bytes.empty; name = ""; resident = false }
 
 let guard_gap = 256
 let alignment = 16
 
 let create () =
-  { regions = Array.make 16 { base = 0; len = 0; data = Bytes.empty;
-                              name = ""; resident = false };
-    count = 0;
-    brk = 0x1000;
-    last = None }
+  { regions = Array.make 16 none; count = 0; brk = 0x1000; last = none }
 
 let alloc t ?(name = "region") ?(resident = true) len =
   if len <= 0 then invalid_arg "Memory.alloc: non-positive length";
@@ -64,93 +64,96 @@ let free t r =
     invalid_arg "Memory.free: not a live region";
   Array.blit t.regions (!idx + 1) t.regions !idx (t.count - !idx - 1);
   t.count <- t.count - 1;
-  t.last <- None
+  t.last <- none
 
-let find t ~addr ~size =
-  let inside r = addr >= r.base && addr + size <= r.base + r.len in
-  match t.last with
-  | Some r when inside r -> Some r
-  | _ ->
+(* The region wholly containing [addr, addr+size), or [none]. *)
+let lookup t addr size =
+  let r = t.last in
+  if r != none && addr >= r.base && addr + size <= r.base + r.len then r
+  else begin
     (* Binary search for the last region with base <= addr. *)
-    let lo = ref 0 and hi = ref (t.count - 1) and found = ref None in
+    let lo = ref 0 and hi = ref (t.count - 1) and found = ref none in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
       let r = t.regions.(mid) in
       if r.base <= addr then begin
-        if inside r then begin
-          found := Some r;
+        if addr + size <= r.base + r.len then begin
+          found := r;
           lo := !hi + 1
         end
         else lo := mid + 1
       end
       else hi := mid - 1
     done;
-    (match !found with Some r -> t.last <- Some r | None -> ());
+    if !found != none then t.last <- !found;
     !found
+  end
+
+let resident_at t ~addr ~size = (lookup t addr size).resident
 
 let locate t addr size =
-  match find t ~addr ~size with
-  | None -> raise (Fault { addr; size; reason = "unmapped" })
-  | Some r when not r.resident ->
+  let r = lookup t addr size in
+  if r == none then raise (Fault { addr; size; reason = "unmapped" })
+  else if not r.resident then
     raise (Fault { addr; size; reason = "non-resident page" })
-  | Some r -> (r.data, addr - r.base)
+  else r
 
 let load8 t addr =
-  let data, off = locate t addr 1 in
-  Char.code (Bytes.get data off)
+  let r = locate t addr 1 in
+  Char.code (Bytes.get r.data (addr - r.base))
 
 let load16 t addr =
-  let data, off = locate t addr 2 in
-  Ash_util.Bytesx.get_u16 data off
+  let r = locate t addr 2 in
+  Bytes.get_uint16_be r.data (addr - r.base)
 
 let load32 t addr =
-  let data, off = locate t addr 4 in
-  Ash_util.Bytesx.get_u32 data off
+  let r = locate t addr 4 in
+  Int32.to_int (Bytes.get_int32_be r.data (addr - r.base)) land 0xffff_ffff
 
 let store8 t addr v =
-  let data, off = locate t addr 1 in
-  Bytes.set data off (Char.chr (v land 0xff))
+  let r = locate t addr 1 in
+  Bytes.set r.data (addr - r.base) (Char.unsafe_chr (v land 0xff))
 
 let store16 t addr v =
-  let data, off = locate t addr 2 in
-  Ash_util.Bytesx.set_u16 data off (v land 0xffff)
+  let r = locate t addr 2 in
+  Bytes.set_uint16_be r.data (addr - r.base) (v land 0xffff)
 
 let store32 t addr v =
-  let data, off = locate t addr 4 in
-  Ash_util.Bytesx.set_u32 data off (v land 0xffff_ffff)
+  let r = locate t addr 4 in
+  Bytes.set_int32_be r.data (addr - r.base) (Int32.of_int v)
 
 let blit_from_bytes t ~src ~src_off ~dst ~len =
   if len = 0 then ()
   else begin
-    let data, off = locate t dst len in
-    Bytes.blit src src_off data off len
+    let r = locate t dst len in
+    Bytes.blit src src_off r.data (dst - r.base) len
   end
 
 let blit_to_bytes t ~src ~dst ~dst_off ~len =
   if len = 0 then ()
   else begin
-    let data, off = locate t src len in
-    Bytes.blit data off dst dst_off len
+    let r = locate t src len in
+    Bytes.blit r.data (src - r.base) dst dst_off len
   end
 
 let blit t ~src ~dst ~len =
   if len = 0 then ()
   else begin
-    let sdata, soff = locate t src len in
-    let ddata, doff = locate t dst len in
-    Bytes.blit sdata soff ddata doff len
+    let s = locate t src len in
+    let d = locate t dst len in
+    Bytes.blit s.data (src - s.base) d.data (dst - d.base) len
   end
 
 let fill t ~addr ~len c =
   if len = 0 then ()
   else begin
-    let data, off = locate t addr len in
-    Bytes.fill data off len c
+    let r = locate t addr len in
+    Bytes.fill r.data (addr - r.base) len c
   end
 
 let read_string t ~addr ~len =
   if len = 0 then ""
   else begin
-    let data, off = locate t addr len in
-    Bytes.sub_string data off len
+    let r = locate t addr len in
+    Bytes.sub_string r.data (addr - r.base) len
   end

@@ -43,9 +43,15 @@ val region_count : t -> int
 (** Live (allocated, not freed) regions — the scale suite's leak
     check. *)
 
-val find : t -> addr:int -> size:int -> region option
-(** The region wholly containing [addr, addr+size), if mapped. Does not
-    check residency. *)
+val resident_at : t -> addr:int -> size:int -> bool
+(** Whether [addr, addr+size) lies wholly inside one mapped, resident
+    region: exactly the ranges the accessors below serve without
+    faulting. Allocation-free, like every accessor here. *)
+
+val locate : t -> int -> int -> region
+(** [locate t addr size] is the resident region wholly containing
+    [addr, addr+size). Raises {!Fault} with reason ["unmapped"] or
+    ["non-resident page"] otherwise. *)
 
 val load8 : t -> int -> int
 

@@ -9,51 +9,39 @@ let set_u8 b off v =
   check b off 1 "Bytesx.set_u8";
   Bytes.set b off (Char.chr (v land 0xff))
 
+(* The multi-byte accessors keep their own bounds check (and its
+   message) in front of the stdlib's. *)
 let get_u16 b off =
   check b off 2 "Bytesx.get_u16";
-  (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
+  Bytes.get_uint16_be b off
 
 let set_u16 b off v =
   check b off 2 "Bytesx.set_u16";
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
+  Bytes.set_uint16_be b off (v land 0xffff)
 
 let get_u32 b off =
   check b off 4 "Bytesx.get_u32";
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+  Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
 
 let set_u32 b off v =
   check b off 4 "Bytesx.set_u32";
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
+  Bytes.set_int32_be b off (Int32.of_int v)
 
 let get_u16_le b off =
   check b off 2 "Bytesx.get_u16_le";
-  Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+  Bytes.get_uint16_le b off
 
 let set_u16_le b off v =
   check b off 2 "Bytesx.set_u16_le";
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff))
+  Bytes.set_uint16_le b off (v land 0xffff)
 
 let get_u32_le b off =
   check b off 4 "Bytesx.get_u32_le";
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+  Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
 
 let set_u32_le b off v =
   check b off 4 "Bytesx.set_u32_le";
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
+  Bytes.set_int32_le b off (Int32.of_int v)
 
 let bswap16 v = ((v land 0xff) lsl 8) lor ((v lsr 8) land 0xff)
 

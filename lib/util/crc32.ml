@@ -1,30 +1,24 @@
+(* Native ints throughout: the CRC register fits in 32 bits of a 63-bit
+   int, so no step boxes an [int32]. *)
 let table =
-  lazy
-    (let t = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xedb88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 let digest b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Crc32.digest";
-  let t = Lazy.force table in
-  let crc = ref 0xffffffffl in
+  let crc = ref 0xffffffff in
   for i = off to off + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !crc
-        (Int32.of_int (Char.code (Bytes.get b i)))) 0xffl)
-    in
-    crc := Int32.logxor t.(idx) (Int32.shift_right_logical !crc 8)
+    (* In bounds by the check above; the index is masked to 0..255. *)
+    let byte = Char.code (Bytes.unsafe_get b i) in
+    crc := Array.unsafe_get table ((!crc lxor byte) land 0xff) lxor (!crc lsr 8)
   done;
-  Int32.logxor !crc 0xffffffffl
+  Int32.of_int (!crc lxor 0xffffffff)
 
 let digest_string s =
   digest (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)

@@ -54,10 +54,7 @@ let check_charge c =
   c.check_insns <- c.check_insns + 1;
   charge c (1 + c.extra)
 
-let addr_ok c addr size =
-  match Memory.find (Machine.mem c.m) ~addr ~size with
-  | Some r -> r.Memory.resident
-  | None -> false
+let addr_ok c addr size = Memory.resident_at (Machine.mem c.m) ~addr ~size
 
 (* Kernel-call semantics duplicated verbatim from Interp.run's [kcall];
    the allowed-calls policy is per-run, so it stays a runtime check. *)

@@ -51,11 +51,7 @@ let run env ?(regs_init = []) (p : Program.t) =
   let set r v = if r <> Isa.reg_zero then regs.(r) <- mask32 v in
   let charge c = Machine.charge_cycles m c in
   let spent () = Machine.consumed_cycles m - start_cycles in
-  let addr_ok addr size =
-    match Memory.find (Machine.mem m) ~addr ~size with
-    | Some r -> r.Memory.resident
-    | None -> false
-  in
+  let addr_ok addr size = Memory.resident_at (Machine.mem m) ~addr ~size in
   let kcall k =
     if not (List.mem k env.allowed_calls) then
       raise (Kill (Isa.Call_denied k));

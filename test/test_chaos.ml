@@ -636,6 +636,142 @@ let test_flight_dump_fires_under_loss () =
       | exception Minijson.Parse_error { pos; msg } ->
         Alcotest.failf "dump json unparseable at %d: %s" pos msg)
 
+(* ------------------------------------------------------------------ *)
+(* Frame ownership                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Ethernet = Ash_nic.Ethernet
+module Rng = Ash_util.Rng
+
+(* A byte-verified bulk transfer of full-size segments. Each write is
+   three windows long, so acks that open the window immediately send new
+   segments in the frames of acked ones. The plan's reorder delay (30-60 ms) is
+   longer than any RTO the transfer reaches (the adaptive estimate sits
+   near its 1 ms floor), so a delayed first copy lands after its
+   retransmission was acked and its frame recycled. *)
+let tcp_bulk_under ?rto ~plan () =
+  let tb = TB.create () in
+  let c, s =
+    Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false ?rto tb
+  in
+  An2.set_fault_plan tb.TB.client.TB.an2 (Some (Fault.create plan));
+  let chunk = 24576 and chunks = 4 in
+  let total = chunk * chunks in
+  let data = Bytes.create total in
+  Rng.fill_bytes (Rng.create (plan.Fault.seed + 1)) data;
+  let cmem = Machine.mem (Kernel.machine tb.TB.client.TB.kernel) in
+  let src = Memory.alloc cmem ~name:"bulk-src" total in
+  Memory.blit_from_bytes cmem ~src:data ~src_off:0 ~dst:src.Memory.base
+    ~len:total;
+  let got = Buffer.create total in
+  Tcp.set_reader s (fun ~addr ~len ->
+      Buffer.add_string got (read_mem tb `S ~addr ~len));
+  let completed = ref 0 in
+  let rec send i =
+    if i < chunks then
+      Tcp.write c ~addr:(src.Memory.base + (i * chunk)) ~len:chunk
+        ~on_complete:(fun () ->
+          incr completed;
+          send (i + 1))
+  in
+  send 0;
+  TB.run tb;
+  Alcotest.(check int) "all writes completed" chunks !completed;
+  Alcotest.(check bool) "payload byte-identical" true
+    (Buffer.contents got = Bytes.to_string data);
+  (Tcp.stats c, An2.stats tb.TB.server.TB.an2)
+
+let late_reorder seed =
+  { Fault.none with Fault.seed; reorder = 0.15; reorder_delay_ns = 30_000_000 }
+
+let test_tcp_recycled_frames_under_late_reorder () =
+  List.iter
+    (fun seed ->
+       let st, nic = tcp_bulk_under ~plan:(late_reorder seed) () in
+       Alcotest.(check bool) "late copies forced retransmits" true
+         (st.Tcp.retransmits > 0);
+       (* A late copy that shared its bytes with a recycled frame would
+          arrive holding another segment and fail the board CRC. *)
+       Alcotest.(check int) "no frame damaged after send" 0
+         nic.An2.rx_crc_errors)
+    [ 1; 7; 42 ]
+
+(* No fault plan, and a fixed RTO shorter than the round trip: segments
+   are resent while their first copy is still on the wire, so an ack can
+   recycle a frame whose retransmission has not left the node yet. A
+   retransmission that shared the frame would then carry the new
+   segment, which TCP tolerates but which changes the run, so the counts
+   are pinned to those of a stack that copies every frame. *)
+let test_tcp_recycled_frames_under_spurious_timeouts () =
+  let st, nic =
+    tcp_bulk_under ~rto:(Tcp.Rto_fixed 400_000) ~plan:Fault.none ()
+  in
+  Alcotest.(check int) "retransmits" 972 st.Tcp.retransmits;
+  Alcotest.(check int) "timeouts" 309 st.Tcp.timeout_retransmits;
+  Alcotest.(check int) "frames received" 1010 nic.An2.rx_frames;
+  Alcotest.(check int) "no frame damaged after send" 0 nic.An2.rx_crc_errors
+
+let test_tcp_recycled_frames_under_duplicate_and_corrupt () =
+  List.iter
+    (fun seed ->
+       let _, nic =
+         tcp_bulk_under
+           ~plan:{ (late_reorder seed) with Fault.duplicate = 0.15 } ()
+       in
+       Alcotest.(check int) "duplicates arrive intact" 0
+         nic.An2.rx_crc_errors;
+       let st, nic =
+         tcp_bulk_under
+           ~plan:{ (late_reorder seed) with Fault.corrupt = 0.1 } ()
+       in
+       Alcotest.(check bool) "corruption injected and recovered" true
+         (nic.An2.rx_crc_errors > 0 && st.Tcp.retransmits > 0))
+    [ 1; 7; 42 ]
+
+(* Under [corrupt_next] or a fault plan, the NICs damage private copies:
+   the caller's buffer (for TCP, its retained frame) is never touched. *)
+let damaging_plan () =
+  Some (Fault.create { Fault.none with Fault.seed; corrupt = 0.5; duplicate = 0.2 })
+
+let test_nics_never_mutate_caller_frame () =
+  let engine = Engine.create () in
+  let costs = Ash_sim.Costs.decstation in
+  let ma = Machine.create costs and mb = Machine.create costs in
+  let a = An2.create engine ma and b = An2.create engine mb in
+  An2.connect a b;
+  An2.bind_vc b ~vc:1;
+  let rx = Memory.alloc (Machine.mem mb) 256 in
+  An2.set_rx_handler b (fun _ ->
+      An2.post_buffer b ~vc:1 ~addr:rx.Memory.base ~len:rx.Memory.len);
+  An2.post_buffer b ~vc:1 ~addr:rx.Memory.base ~len:rx.Memory.len;
+  let ea = Ethernet.create engine ma and eb = Ethernet.create engine mb in
+  Ethernet.connect ea eb;
+  Ethernet.set_rx_handler eb (fun r ->
+      Ethernet.release_buffer eb ~ring_addr:r.Ethernet.ring_addr);
+  let frame = Bytes.init 200 (fun i -> Char.chr (i land 0xff)) in
+  let pristine = Bytes.copy frame in
+  let send_all () =
+    for _ = 1 to 20 do
+      An2.transmit a ~vc:1 frame;
+      Ethernet.transmit ea frame;
+      Engine.run engine
+    done
+  in
+  An2.corrupt_next_frame a;
+  Ethernet.corrupt_next_frame ea;
+  send_all ();
+  Alcotest.(check bool) "corrupt_next spares the caller" true
+    (Bytes.equal frame pristine);
+  An2.set_fault_plan a (damaging_plan ());
+  Ethernet.set_fault_plan ea (damaging_plan ());
+  send_all ();
+  Alcotest.(check bool) "fault plans spare the caller" true
+    (Bytes.equal frame pristine);
+  Alcotest.(check bool) "an2 saw the damage" true
+    ((An2.stats b).An2.rx_crc_errors > 1);
+  Alcotest.(check bool) "ethernet saw the damage" true
+    ((Ethernet.stats eb).Ethernet.rx_crc_errors > 1)
+
 let () =
   Alcotest.run "ash_chaos"
     [
@@ -669,6 +805,17 @@ let () =
             test_tcp_adaptive_beats_fixed;
           Alcotest.test_case "fast path under loss" `Quick
             test_tcp_fastpath_under_loss;
+        ] );
+      ( "frame ownership",
+        [
+          Alcotest.test_case "recycled frames, late reorder" `Quick
+            test_tcp_recycled_frames_under_late_reorder;
+          Alcotest.test_case "recycled frames, spurious timeouts" `Quick
+            test_tcp_recycled_frames_under_spurious_timeouts;
+          Alcotest.test_case "recycled frames, duplicate and corrupt" `Quick
+            test_tcp_recycled_frames_under_duplicate_and_corrupt;
+          Alcotest.test_case "nics never mutate the caller's frame" `Quick
+            test_nics_never_mutate_caller_frame;
         ] );
       ( "kernel degradation",
         [

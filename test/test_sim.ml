@@ -335,6 +335,331 @@ let prop_cache_load_cost_bounded =
        <= lines
           * (costs.Costs.load_extra_cycles + costs.Costs.miss_penalty_cycles))
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the allocation-free memory path vs a reference        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference keeps the implementation the allocation-free path
+   replaced: an option-returning region lookup over a list, a
+   closure-based line fold for cache costs, byte-wise big-endian
+   accessors, and the per-word copy loop. It owns its own memory image,
+   cache tags and cycle meter; regions are allocated in the same order
+   on both sides, so their addresses agree. *)
+module Ref = struct
+  type t = {
+    mem : Memory.t;
+    mutable live : Memory.region list;
+    tags : int array;
+    mutable hits : int;
+    mutable misses : int;
+    mutable cycles : int;
+  }
+
+  let line = costs.Costs.cache_line
+  let nlines = costs.Costs.cache_size / line
+
+  let shift =
+    let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in
+    go 0 line
+
+  let index la = (la lsr shift) land (nlines - 1)
+
+  let create () =
+    { mem = Memory.create (); live = []; tags = Array.make nlines (-1);
+      hits = 0; misses = 0; cycles = 0 }
+
+  let alloc t ~resident len =
+    let r = Memory.alloc t.mem ~resident len in
+    t.live <- r :: t.live;
+    r
+
+  let free t r =
+    Memory.free t.mem r;
+    t.live <- List.filter (fun x -> x != r) t.live
+
+  let find t ~addr ~size =
+    List.find_opt
+      (fun (r : Memory.region) ->
+         addr >= r.Memory.base && addr + size <= r.Memory.base + r.Memory.len)
+      t.live
+
+  let locate t addr size =
+    match find t ~addr ~size with
+    | None -> raise (Memory.Fault { addr; size; reason = "unmapped" })
+    | Some r when not r.Memory.resident ->
+      raise (Memory.Fault { addr; size; reason = "non-resident page" })
+    | Some r -> (r.Memory.data, addr - r.Memory.base)
+
+  let fold_lines ~addr ~size f init =
+    if size <= 0 then init
+    else begin
+      let first = addr land lnot (line - 1) in
+      let last = (addr + size - 1) land lnot (line - 1) in
+      let acc = ref init and la = ref first in
+      while !la <= last do
+        acc := f !acc !la;
+        la := !la + line
+      done;
+      !acc
+    end
+
+  let cache_load t ~addr ~size =
+    fold_lines ~addr ~size
+      (fun cost la ->
+         let i = index la in
+         if t.tags.(i) = la then begin
+           t.hits <- t.hits + 1;
+           cost + costs.Costs.load_extra_cycles
+         end
+         else begin
+           t.misses <- t.misses + 1;
+           t.tags.(i) <- la;
+           cost + costs.Costs.load_extra_cycles
+           + costs.Costs.miss_penalty_cycles
+         end)
+      0
+
+  let cache_store ~addr ~size =
+    fold_lines ~addr ~size
+      (fun cost _ -> cost + costs.Costs.store_extra_cycles)
+      0
+
+  let charge t c = t.cycles <- t.cycles + c
+
+  let load t size addr =
+    charge t (costs.Costs.insn_cycles + cache_load t ~addr ~size);
+    let data, off = locate t addr size in
+    let v = ref 0 in
+    for i = 0 to size - 1 do
+      v := (!v lsl 8) lor Char.code (Bytes.get data (off + i))
+    done;
+    !v
+
+  let store t size addr v =
+    charge t (costs.Costs.insn_cycles + cache_store ~addr ~size);
+    let data, off = locate t addr size in
+    for i = 0 to size - 1 do
+      Bytes.set data (off + i)
+        (Char.chr ((v lsr (8 * (size - 1 - i))) land 0xff))
+    done
+
+  let copy t ~src ~dst ~len =
+    charge t (5 * costs.Costs.insn_cycles);
+    let words = len / 4 in
+    let i = ref 0 in
+    while !i < words do
+      let group = min 4 (words - !i) in
+      for k = 0 to group - 1 do
+        let o = (!i + k) * 4 in
+        store t 4 (dst + o) (load t 4 (src + o))
+      done;
+      charge t costs.Costs.insn_cycles;
+      i := !i + group
+    done;
+    for o = words * 4 to len - 1 do
+      store t 1 (dst + o) (load t 1 (src + o));
+      charge t costs.Costs.insn_cycles
+    done
+end
+
+(* Region lengths and residency: region 2 is paged out and region 3 is
+   freed after allocation. Offsets past either end reach the guard gap,
+   and odd lengths end regions mid-line. *)
+let layout =
+  [| (64, true); (37, true); (200, false); (16, true); (130, true);
+     (48, true) |]
+
+let freed = 3
+
+type world = {
+  m : Machine.t;
+  rf : Ref.t;
+  real : Memory.region array;
+  refr : Memory.region array;
+}
+
+let make_world () =
+  let m = Machine.create costs and rf = Ref.create () in
+  let real =
+    Array.map
+      (fun (len, resident) -> Memory.alloc (Machine.mem m) ~resident len)
+      layout
+  in
+  let refr =
+    Array.map (fun (len, resident) -> Ref.alloc rf ~resident len) layout
+  in
+  Array.iteri
+    (fun i (r : Memory.region) ->
+       for j = 0 to r.Memory.len - 1 do
+         let c = Char.chr (((i * 31) + (j * 7)) land 0xff) in
+         Bytes.set r.Memory.data j c;
+         Bytes.set refr.(i).Memory.data j c
+       done)
+    real;
+  Memory.free (Machine.mem m) real.(freed);
+  Ref.free rf refr.(freed);
+  { m; rf; real; refr }
+
+(* An address near a region (from 8 bytes before it to 8 bytes past its
+   end), or anywhere in the whole span the regions occupy. *)
+let gen_addr =
+  let open QCheck.Gen in
+  let probe = make_world () in
+  let first = probe.real.(0) in
+  let last = probe.real.(Array.length layout - 1) in
+  frequency
+    [
+      ( 4,
+        int_bound (Array.length layout - 1) >>= fun i ->
+        let r = probe.real.(i) in
+        map (fun d -> r.Memory.base + d) (int_range (-8) (r.Memory.len + 8)) );
+      ( 1,
+        int_range (first.Memory.base - 64)
+          (last.Memory.base + last.Memory.len + 64) );
+    ]
+
+type access = Load of int * int | Store of int * int * int
+
+let gen_access =
+  let open QCheck.Gen in
+  let size = oneofl [ 1; 2; 4 ] in
+  frequency
+    [
+      (1, map2 (fun s a -> Load (s, a)) size gen_addr);
+      (1, map3 (fun s a v -> Store (s, a, v)) size gen_addr int);
+    ]
+
+let print_access = function
+  | Load (s, a) -> Printf.sprintf "load%d 0x%x" (8 * s) a
+  | Store (s, a, v) -> Printf.sprintf "store%d 0x%x %d" (8 * s) a v
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Memory.Fault { addr; size; reason } -> Error (addr, size, reason)
+
+(* Everything observable: the meter, hit/miss counts, the tag of every
+   line the test touched, and the contents of every region. *)
+let same_state w touched =
+  Machine.consumed_cycles w.m = w.rf.Ref.cycles
+  && Cache.stats (Machine.cache w.m) = (w.rf.Ref.hits, w.rf.Ref.misses)
+  && List.for_all
+       (fun la ->
+          Cache.probe (Machine.cache w.m) ~addr:la = Cache.Hit
+          = (w.rf.Ref.tags.(Ref.index la) = la))
+       touched
+  && Array.for_all2
+       (fun (a : Memory.region) (b : Memory.region) ->
+          Bytes.equal a.Memory.data b.Memory.data)
+       w.real w.refr
+
+let lines_of ~addr ~len =
+  List.init
+    ((len + (2 * Ref.line)) / Ref.line)
+    (fun k -> (addr land lnot (Ref.line - 1)) + (k * Ref.line))
+
+let prop_accesses_match_reference =
+  QCheck.Test.make ~name:"loads/stores = closure/option reference" ~count:300
+    QCheck.(
+      make ~print:(Print.list print_access)
+        Gen.(list_size (int_range 1 40) gen_access))
+    (fun ops ->
+       let w = make_world () in
+       let touched = ref [] in
+       List.for_all
+         (fun op ->
+            let real, expect, addr, size =
+              match op with
+              | Load (s, a) ->
+                let ld =
+                  match s with
+                  | 1 -> Machine.load8
+                  | 2 -> Machine.load16
+                  | _ -> Machine.load32
+                in
+                ( outcome (fun () -> ld w.m a),
+                  outcome (fun () -> Ref.load w.rf s a),
+                  a,
+                  s )
+              | Store (s, a, v) ->
+                let st =
+                  match s with
+                  | 1 -> Machine.store8
+                  | 2 -> Machine.store16
+                  | _ -> Machine.store32
+                in
+                ( outcome (fun () -> st w.m a v; 0),
+                  outcome (fun () -> Ref.store w.rf s a v; 0),
+                  a,
+                  s )
+            in
+            touched := lines_of ~addr ~len:size @ !touched;
+            real = expect)
+         ops
+       && same_state w !touched)
+
+type copy = { src : int; dst : int; len : int }
+
+let gen_copy =
+  let open QCheck.Gen in
+  gen_addr >>= fun src ->
+  frequency [ (3, gen_addr); (1, map (fun d -> src + d) (int_range (-9) 9)) ]
+  >>= fun dst -> map (fun len -> { src; dst; len }) (int_range 0 300)
+
+let prop_copy_matches_reference =
+  QCheck.Test.make ~name:"Machine.copy = per-word reference" ~count:300
+    QCheck.(
+      make
+        ~print:
+          (Print.list (fun c ->
+               Printf.sprintf "copy 0x%x -> 0x%x, %d" c.src c.dst c.len))
+        Gen.(list_size (int_range 1 4) gen_copy))
+    (fun copies ->
+       let w = make_world () in
+       let touched = ref [] in
+       List.for_all
+         (fun { src; dst; len } ->
+            touched := lines_of ~addr:src ~len @ !touched;
+            outcome (fun () -> Machine.copy w.m ~src ~dst ~len)
+            = outcome (fun () -> Ref.copy w.rf ~src ~dst ~len))
+         copies
+       && same_state w !touched)
+
+(* ------------------------------------------------------------------ *)
+(* The simulated memory path allocates nothing                         *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words_over_10k f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  int_of_float (Gc.minor_words () -. before)
+
+let test_memory_path_allocation_free () =
+  let m = mk_machine () in
+  let mem = Machine.mem m in
+  let a = (Memory.alloc mem 4096).Memory.base in
+  let b = (Memory.alloc mem 4096).Memory.base in
+  let c = Machine.cache m in
+  let zero name f =
+    Alcotest.(check int) (name ^ ": minor words over 10k calls") 0
+      (minor_words_over_10k f)
+  in
+  zero "harness" (fun () -> ());
+  zero "Machine.load8" (fun () -> ignore (Machine.load8 m (a + 5)));
+  zero "Machine.load16" (fun () -> ignore (Machine.load16 m (a + 14)));
+  zero "Machine.load32" (fun () -> ignore (Machine.load32 m (a + 30)));
+  zero "Machine.store8" (fun () -> Machine.store8 m (b + 5) 0x1ff);
+  zero "Machine.store16" (fun () -> Machine.store16 m (b + 14) 0x1_2345);
+  zero "Machine.store32" (fun () -> Machine.store32 m (b + 30) 0xdead_beef);
+  zero "Cache.load" (fun () -> ignore (Cache.load c ~addr:(a + 13) ~size:4));
+  zero "Cache.store" (fun () -> ignore (Cache.store c ~addr:(b + 13) ~size:4));
+  zero "Memory.resident_at" (fun () ->
+      ignore (Memory.resident_at mem ~addr:(a + 100) ~size:64));
+  zero "Machine.copy 3 KiB" (fun () -> Machine.copy m ~src:a ~dst:b ~len:3072)
+
 let () =
   Alcotest.run "ash_sim"
     [
@@ -386,5 +711,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_monotonic_clock;
           QCheck_alcotest.to_alcotest prop_copy_preserves_content;
           QCheck_alcotest.to_alcotest prop_cache_load_cost_bounded;
+          QCheck_alcotest.to_alcotest prop_accesses_match_reference;
+          QCheck_alcotest.to_alcotest prop_copy_matches_reference;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "memory path allocation-free" `Quick
+            test_memory_path_allocation_free;
         ] );
     ]

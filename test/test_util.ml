@@ -143,6 +143,30 @@ let test_crc32_detects_corruption () =
   let c' = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
   Alcotest.(check bool) "differs" true (c <> c')
 
+(* The textbook bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320)
+   on [Int32], the reference the table-driven native-int digest must
+   match on every slice. *)
+let crc32_bitwise b ~off ~len =
+  let crc = ref 0xffffffffl in
+  for i = off to off + len - 1 do
+    crc := Int32.logxor !crc (Int32.of_int (Char.code (Bytes.get b i)));
+    for _ = 0 to 7 do
+      let lsb = Int32.logand !crc 1l in
+      crc := Int32.shift_right_logical !crc 1;
+      if lsb <> 0l then crc := Int32.logxor !crc 0xedb88320l
+    done
+  done;
+  Int32.logxor !crc 0xffffffffl
+
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 digest = bit-at-a-time reference" ~count:300
+    QCheck.(triple (bytes_of_size (Gen.int_range 0 600)) small_nat small_nat)
+    (fun (b, a, c) ->
+       let n = Bytes.length b in
+       let off = if n = 0 then 0 else a mod (n + 1) in
+       let len = if n - off = 0 then 0 else c mod (n - off + 1) in
+       Crc32.digest b ~off ~len = crc32_bitwise b ~off ~len)
+
 (* ------------------------------------------------------------------ *)
 (* RNG                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -194,6 +218,57 @@ let test_bounds_checking () =
     (fun () -> ignore (Bytesx.get_u32 b 1));
   Alcotest.check_raises "negative" (Invalid_argument "Bytesx.get_u16")
     (fun () -> ignore (Bytesx.get_u16 b (-1)))
+
+(* The accessors sit on the stdlib's; these are the byte-by-byte
+   compositions they replaced. *)
+let prop_bytesx_matches_bytewise =
+  QCheck.Test.make ~name:"bytesx accessors = byte-wise reference" ~count:300
+    QCheck.(pair (int_range 0 4) int)
+    (fun (off, v) ->
+       let b = Bytes.init 8 (fun i -> Char.chr ((v lsr (3 * i)) land 0xff)) in
+       let byte i = Char.code (Bytes.get b (off + i)) in
+       let be16 = (byte 0 lsl 8) lor byte 1 in
+       let le16 = byte 0 lor (byte 1 lsl 8) in
+       let be32 = (be16 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
+       let le32 = le16 lor (byte 2 lsl 16) lor (byte 3 lsl 24) in
+       let reads =
+         Bytesx.get_u16 b off = be16
+         && Bytesx.get_u16_le b off = le16
+         && Bytesx.get_u32 b off = be32
+         && Bytesx.get_u32_le b off = le32
+       in
+       let wrote set get width =
+         let w = Bytes.make 8 '\000' in
+         set w off v;
+         get w off = v land ((1 lsl width) - 1)
+         && Bytes.sub_string w 0 off = String.make off '\000'
+         && Bytes.sub_string w (off + (width / 8)) (8 - off - (width / 8))
+            = String.make (8 - off - (width / 8)) '\000'
+       in
+       let be_order =
+         let w = Bytes.make 8 '\000' in
+         Bytesx.set_u32 w off v;
+         Char.code (Bytes.get w off) = (v lsr 24) land 0xff
+       in
+       reads && be_order
+       && wrote Bytesx.set_u16 Bytesx.get_u16 16
+       && wrote Bytesx.set_u16_le Bytesx.get_u16_le 16
+       && wrote Bytesx.set_u32 Bytesx.get_u32 32
+       && wrote Bytesx.set_u32_le Bytesx.get_u32_le 32)
+
+let test_bytesx_error_messages () =
+  let b = Bytes.create 4 in
+  List.iter
+    (fun (name, f) ->
+       Alcotest.check_raises name (Invalid_argument ("Bytesx." ^ name)) f)
+    [
+      ("set_u16", fun () -> Bytesx.set_u16 b 3 0);
+      ("set_u32", fun () -> Bytesx.set_u32 b 1 0);
+      ("get_u16_le", fun () -> ignore (Bytesx.get_u16_le b 3));
+      ("set_u16_le", fun () -> Bytesx.set_u16_le b (-1) 0);
+      ("get_u32_le", fun () -> ignore (Bytesx.get_u32_le b 2));
+      ("set_u32_le", fun () -> Bytesx.set_u32_le b 4 0);
+    ]
 
 let test_equal_slice () =
   let a = Bytes.of_string "hello world" in
@@ -433,6 +508,7 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc32_known;
           Alcotest.test_case "detects corruption" `Quick
             test_crc32_detects_corruption;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
         ] );
       ( "rng",
         [
@@ -445,7 +521,9 @@ let () =
           Alcotest.test_case "endianness" `Quick test_endianness_roundtrip;
           Alcotest.test_case "bswap" `Quick test_bswap;
           Alcotest.test_case "bounds" `Quick test_bounds_checking;
+          Alcotest.test_case "error messages" `Quick test_bytesx_error_messages;
           Alcotest.test_case "equal_slice" `Quick test_equal_slice;
+          QCheck_alcotest.to_alcotest prop_bytesx_matches_bytewise;
         ] );
       ( "minijson",
         [
