@@ -45,7 +45,7 @@ let index t addr = (addr lsr t.line_shift) land t.index_mask
    below is a plain loop: these run on every simulated access, so they
    must not allocate. *)
 
-let load t ~addr ~size =
+let load_lines t ~addr ~size =
   let cost = ref 0 in
   if size > 0 then begin
     let last = line_addr t (addr + size - 1) in
@@ -66,7 +66,25 @@ let load t ~addr ~size =
   end;
   !cost
 
-let store t ~addr ~size =
+(* The common single-line access inline; spanning and empty ones take
+   the general walk. *)
+let[@inline] load t ~addr ~size =
+  let la = line_addr t addr in
+  if size > 0 && line_addr t (addr + size - 1) = la then begin
+    let i = index t la in
+    if t.tags.(i) = la then begin
+      t.hits <- t.hits + 1;
+      t.load_extra
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      t.tags.(i) <- la;
+      t.load_extra + t.miss_penalty
+    end
+  end
+  else load_lines t ~addr ~size
+
+let[@inline] store t ~addr ~size =
   (* Write-through, no allocate: cost is per line touched; a store hit
      keeps the line valid (the data array is shared with memory in our
      model so no value update is needed). *)

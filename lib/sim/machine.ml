@@ -21,7 +21,7 @@ let costs t = t.costs
 let mem t = t.mem
 let cache t = t.cache
 
-let charge_cycles t c =
+let[@inline] charge_cycles t c =
   t.meter_cycles <- t.meter_cycles + c;
   t.total_cycles <- t.total_cycles + c
 
@@ -37,33 +37,36 @@ let pending_ns t = t.meter_ns + Costs.cycles_to_ns t.costs t.meter_cycles
 
 let consumed_cycles t = t.total_cycles
 
-let load_cost t addr size =
+(* Each accessor charges before it touches memory, so a faulting access
+   is still paid for. Inline: these run on every simulated load and
+   store. *)
+let[@inline] load_cost t addr size =
   t.costs.insn_cycles + Cache.load t.cache ~addr ~size
 
-let store_cost t addr size =
+let[@inline] store_cost t addr size =
   t.costs.insn_cycles + Cache.store t.cache ~addr ~size
 
-let load8 t addr =
+let[@inline] load8 t addr =
   charge_cycles t (load_cost t addr 1);
   Memory.load8 t.mem addr
 
-let load16 t addr =
+let[@inline] load16 t addr =
   charge_cycles t (load_cost t addr 2);
   Memory.load16 t.mem addr
 
-let load32 t addr =
+let[@inline] load32 t addr =
   charge_cycles t (load_cost t addr 4);
   Memory.load32 t.mem addr
 
-let store8 t addr v =
+let[@inline] store8 t addr v =
   charge_cycles t (store_cost t addr 1);
   Memory.store8 t.mem addr v
 
-let store16 t addr v =
+let[@inline] store16 t addr v =
   charge_cycles t (store_cost t addr 2);
   Memory.store16 t.mem addr v
 
-let store32 t addr v =
+let[@inline] store32 t addr v =
   charge_cycles t (store_cost t addr 4);
   Memory.store32 t.mem addr v
 

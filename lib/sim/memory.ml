@@ -8,11 +8,17 @@ type region = {
 
 exception Fault of { addr : int; size : int; reason : string }
 
+(* Lookups memoize the two most recently found regions: [last] and
+   [prev]. A hit in either slot writes nothing — the DILP loop alternates
+   source and destination, and the TCP fast path message and TCB, so
+   both stay memoized without a single store per access. A miss moves
+   [last] into [prev]. [none] = empty slot. *)
 type t = {
   mutable regions : region array; (* sorted by base *)
   mutable count : int;
   mutable brk : int;
-  mutable last : region;          (* memoize the last hit; [none] = no memo *)
+  mutable last : region;
+  mutable prev : region;
 }
 
 (* The "no region" sentinel: never in [regions], never resident. Lookups
@@ -23,7 +29,8 @@ let guard_gap = 256
 let alignment = 16
 
 let create () =
-  { regions = Array.make 16 none; count = 0; brk = 0x1000; last = none }
+  { regions = Array.make 16 none; count = 0; brk = 0x1000; last = none;
+    prev = none }
 
 let alloc t ?(name = "region") ?(resident = true) len =
   if len <= 0 then invalid_arg "Memory.alloc: non-positive length";
@@ -64,61 +71,79 @@ let free t r =
     invalid_arg "Memory.free: not a live region";
   Array.blit t.regions (!idx + 1) t.regions !idx (t.count - !idx - 1);
   t.count <- t.count - 1;
-  t.last <- none
+  (* The vacated slot would otherwise keep the last region reachable. *)
+  t.regions.(t.count) <- none;
+  t.last <- none;
+  t.prev <- none
+
+let contains r addr size = addr >= r.base && addr + size <= r.base + r.len
+
+(* Binary search for the region wholly containing [addr, addr+size), or
+   [none]; a hit becomes [last]. *)
+let search t addr size =
+  let lo = ref 0 and hi = ref (t.count - 1) and found = ref none in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let r = t.regions.(mid) in
+    if r.base <= addr then begin
+      if addr + size <= r.base + r.len then begin
+        found := r;
+        lo := !hi + 1
+      end
+      else lo := mid + 1
+    end
+    else hi := mid - 1
+  done;
+  let r = !found in
+  if r != none then begin
+    t.prev <- t.last;
+    t.last <- r
+  end;
+  r
 
 (* The region wholly containing [addr, addr+size), or [none]. *)
 let lookup t addr size =
   let r = t.last in
-  if r != none && addr >= r.base && addr + size <= r.base + r.len then r
-  else begin
-    (* Binary search for the last region with base <= addr. *)
-    let lo = ref 0 and hi = ref (t.count - 1) and found = ref none in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let r = t.regions.(mid) in
-      if r.base <= addr then begin
-        if addr + size <= r.base + r.len then begin
-          found := r;
-          lo := !hi + 1
-        end
-        else lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    if !found != none then t.last <- !found;
-    !found
-  end
+  if r != none && contains r addr size then r
+  else
+    let r = t.prev in
+    if r != none && contains r addr size then r else search t addr size
 
 let resident_at t ~addr ~size = (lookup t addr size).resident
 
-let locate t addr size =
+let locate_slow t addr size =
   let r = lookup t addr size in
   if r == none then raise (Fault { addr; size; reason = "unmapped" })
   else if not r.resident then
     raise (Fault { addr; size; reason = "non-resident page" })
   else r
 
-let load8 t addr =
+(* [none] is never resident, so one test covers "slot filled" too. *)
+let[@inline] locate t addr size =
+  let r = t.last in
+  if r.resident && contains r addr size then r else locate_slow t addr size
+
+let[@inline] load8 t addr =
   let r = locate t addr 1 in
   Char.code (Bytes.get r.data (addr - r.base))
 
-let load16 t addr =
+let[@inline] load16 t addr =
   let r = locate t addr 2 in
   Bytes.get_uint16_be r.data (addr - r.base)
 
-let load32 t addr =
+let[@inline] load32 t addr =
   let r = locate t addr 4 in
   Int32.to_int (Bytes.get_int32_be r.data (addr - r.base)) land 0xffff_ffff
 
-let store8 t addr v =
+let[@inline] store8 t addr v =
   let r = locate t addr 1 in
   Bytes.set r.data (addr - r.base) (Char.unsafe_chr (v land 0xff))
 
-let store16 t addr v =
+let[@inline] store16 t addr v =
   let r = locate t addr 2 in
   Bytes.set_uint16_be r.data (addr - r.base) (v land 0xffff)
 
-let store32 t addr v =
+let[@inline] store32 t addr v =
   let r = locate t addr 4 in
   Bytes.set_int32_be r.data (addr - r.base) (Int32.of_int v)
 

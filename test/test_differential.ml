@@ -564,6 +564,364 @@ let prop_dpf_backends_agree =
         QCheck.Test.fail_report "dpf: machine cycle meters diverged";
       accept_a = Dpf.matches packet filter)
 
+(* ------------------------------------------------------------------ *)
+(* Part 4: block dispatch — control flow, faults and gas kills          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Exec] runs whole basic blocks without Interp's per-instruction pc,
+   step and gas checks whenever none of them could fire inside the
+   block. These programs stress exactly that: backward loops, [Jr] into
+   the middle of blocks (with and without a jump map), writes to r0, and
+   kills in the middle of a block — a load or store into the guard gap,
+   a freed region or a paged-out one, a zero divisor, a wild jump — and
+   they are run under every gas budget that changes where a kill lands. *)
+
+module Cache = Ash_sim.Cache
+
+type block_fixture = {
+  bmachine : Machine.t;
+  bmsg : Memory.region;
+  bscratch : Memory.region;
+  bad : int array; (* guard gap past scratch, freed region, paged-out region *)
+}
+
+let block_fixture seed =
+  let bmachine, bmsg, bscratch = fixture seed in
+  let mem = Machine.mem bmachine in
+  let freed = Memory.alloc mem ~name:"freed" 64 in
+  let paged = Memory.alloc mem ~name:"paged" ~resident:false 64 in
+  Memory.free mem freed;
+  {
+    bmachine;
+    bmsg;
+    bscratch;
+    bad =
+      [| bscratch.Memory.base + scratch_len + 8; freed.Memory.base;
+         paged.Memory.base |];
+  }
+
+(* Every run starts from the same machine state: scratch zeroed, cache
+   cold. *)
+let reset f =
+  Memory.fill (Machine.mem f.bmachine) ~addr:f.bscratch.Memory.base
+    ~len:scratch_len '\000';
+  Machine.flush_cache f.bmachine
+
+(* r9 = scratch base, r10 = loop counter, r11 = a bad address, r12 = the
+   [Jr] operand; r0-r8 take data, r0 being a rare destination. Loops are
+   counted down from at most 4 and entered only at their head, and every
+   other branch or jump goes forward, so every program terminates. *)
+let gen_block_program rng (f : block_fixture) =
+  let n = 8 + Rng.int rng 40 in
+  let code = Array.make n (Isa.Mov (1, 1)) in
+  let sbase = f.bscratch.Memory.base in
+  code.(0) <- Isa.Li (9, sbase);
+  code.(1) <- Isa.Li (11, f.bad.(Rng.int rng (Array.length f.bad)));
+  let exit () =
+    match Rng.int rng 3 with 0 -> Isa.Commit | 1 -> Isa.Abort | _ -> Isa.Halt
+  in
+  let rd () = if Rng.int rng 8 = 0 then 0 else 1 + Rng.int rng 8 in
+  let rs () = Rng.int rng 9 in
+  let straight () =
+    match Rng.int rng 12 with
+    | 0 -> Isa.Li (rd (), Rng.int rng 0x10000)
+    | 1 -> Isa.Add (rd (), rs (), rs ())
+    | 2 -> Isa.Sub (rd (), rs (), rs ())
+    | 3 -> Isa.Mul (rd (), rs (), rs ())
+    | 4 when Rng.int rng 4 = 0 ->
+      (* Divisor often zero: a kill mid-block. *)
+      if Rng.int rng 2 = 0 then Isa.Divu (rd (), rs (), rs ())
+      else Isa.Remu (rd (), rs (), rs ())
+    | 5 -> Isa.Addi (rd (), rs (), Rng.int rng 512 - 256)
+    | 6 -> Isa.Sll (rd (), rs (), Rng.int rng 32)
+    | 7 -> Isa.Cksum32 (rd (), rs ())
+    | 8 | 9 ->
+      let w = [| 1; 2; 4 |].(Rng.int rng 3) in
+      let off = w * Rng.int rng (scratch_len / w) in
+      (match (w, Rng.int rng 2) with
+       | 1, 0 -> Isa.Ld8 (rd (), 9, off)
+       | 1, _ -> Isa.St8 (rs (), 9, off)
+       | 2, 0 -> Isa.Ld16 (rd (), 9, off)
+       | 2, _ -> Isa.St16 (rs (), 9, off)
+       | _, 0 -> Isa.Ld32 (rd (), 9, off)
+       | _, _ -> Isa.St32 (rs (), 9, off))
+    | 10 when Rng.int rng 6 = 0 ->
+      if Rng.int rng 2 = 0 then Isa.Ld32 (rd (), 11, 0)
+      else Isa.St8 (rs (), 11, 3)
+    | _ -> Isa.Mov (rd (), rs ())
+  in
+  (* Slots no forward branch or jump may land on: loop bodies, and a
+     [Jr] past the [Li] that sets its operand. *)
+  let no_target = Array.make n false in
+  let forward = ref [] in
+  let i = ref 2 in
+  while !i < n - 1 do
+    let slot = !i in
+    let room = n - 1 - slot in
+    (match Rng.int rng 10 with
+     | 0 when room >= 4 ->
+       let body = 1 + Rng.int rng (min 4 (room - 3)) in
+       code.(slot) <- Isa.Li (10, 1 + Rng.int rng 4);
+       for k = 1 to body do
+         code.(slot + k) <- straight ()
+       done;
+       code.(slot + body + 1) <- Isa.Addi (10, 10, -1);
+       code.(slot + body + 2) <- Isa.Bne (10, 0, slot + 1);
+       for k = slot + 1 to slot + body + 2 do
+         no_target.(k) <- true
+       done;
+       i := slot + body + 2
+     | 1 when room >= 2 ->
+       forward := (`Jr, slot) :: !forward;
+       code.(slot + 1) <- Isa.Jr 12;
+       no_target.(slot + 1) <- true;
+       incr i
+     | 2 -> forward := (`Branch, slot) :: !forward
+     | 3 when room >= 2 ->
+       let call, w =
+         match Rng.int rng 3 with
+         | 0 -> (Isa.K_msg_read8, 1)
+         | 1 -> (Isa.K_msg_read16, 2)
+         | _ -> (Isa.K_msg_read32, 4)
+       in
+       code.(slot) <- Isa.Li (Isa.reg_arg0, w * Rng.int rng (msg_len / w));
+       code.(slot + 1) <- Isa.Call call;
+       incr i
+     | 4 when room >= 4 ->
+       (* A kernel copy: its cost grows with the length. *)
+       let len = Rng.int rng 48 in
+       code.(slot) <- Isa.Li (Isa.reg_arg0, Rng.int rng (msg_len - len + 1));
+       code.(slot + 1) <- Isa.Li (Isa.reg_arg1, sbase + Rng.int rng 64);
+       code.(slot + 2) <- Isa.Li (Isa.reg_arg2, len);
+       code.(slot + 3) <- Isa.Call Isa.K_copy;
+       i := slot + 3
+     | 5 when Rng.int rng 8 = 0 -> code.(slot) <- exit ()
+     | _ -> code.(slot) <- straight ());
+    incr i
+  done;
+  code.(n - 1) <- exit ();
+  let targets_after slot =
+    List.filter
+      (fun t -> t > slot && not no_target.(t))
+      (List.init n Fun.id)
+  in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  (* Half the programs translate [Jr] operands through a jump map whose
+     spare entries are random too (each entry starts a block). *)
+  let jump_map =
+    if Rng.int rng 2 = 0 then None
+    else Some (Array.init (n + 4) (fun _ -> pick (targets_after 0)))
+  in
+  let used = Array.make (n + 4) false in
+  List.iter
+    (fun (kind, slot) ->
+       match kind with
+       | `Branch ->
+         let t = pick (targets_after slot) in
+         let a = rs () and b = rs () in
+         code.(slot) <-
+           (match Rng.int rng 4 with
+            | 0 -> Isa.Beq (a, b, t)
+            | 1 -> Isa.Bne (a, b, t)
+            | 2 -> Isa.Bltu (a, b, t)
+            | _ -> Isa.Bgeu (a, b, t))
+       | `Jr ->
+         let t = pick (targets_after (slot + 1)) in
+         let v =
+           if Rng.int rng 16 = 0 then n + 4 + Rng.int rng 4 (* wild *)
+           else
+             match jump_map with
+             | None -> t
+             | Some map ->
+               (* An entry of its own: sharing one with a later [Jr]
+                  could send this one backwards. *)
+               let v =
+                 pick
+                   (List.filter
+                      (fun v -> not used.(v))
+                      (List.init (Array.length map) Fun.id))
+               in
+               used.(v) <- true;
+               map.(v) <- t;
+               v
+         in
+         code.(slot) <- Isa.Li (12, v))
+    !forward;
+  let p = Program.make ~name:(Printf.sprintf "blocks-%d" n) code in
+  { p with Program.jump_map }
+
+let block_variants p =
+  match p.Program.jump_map with
+  | Some _ -> [ ("unsafe+map", p) ]
+  | None -> [ ("unsafe", p); ("sandboxed", fst (Sandbox.apply p)) ]
+
+let block_allowed = Isa.[ K_msg_read8; K_msg_read16; K_msg_read32; K_copy ]
+
+let block_env ?(gas_cycles = Interp.default_gas) f =
+  {
+    (oracle_env ~allowed_calls:block_allowed f.bmachine
+       ~msg_addr:f.bmsg.Memory.base ~msg_len)
+    with
+    Interp.gas_cycles;
+  }
+
+let gen_regs_init rng =
+  let v () = Rng.int rng 0x10000 lor (Rng.int rng 0x10000 lsl 16) in
+  match Rng.int rng 3 with
+  | 0 -> []
+  | 1 -> [ (0, v ()) ]
+  | _ -> [ (0, v ()); (5, v ()); (10, Rng.int rng 3) ]
+
+(* What a run charged the machine: cycles, cache hits, cache misses. *)
+let charged f run =
+  let m = f.bmachine in
+  let c0 = Machine.consumed_cycles m in
+  let h0, m0 = Cache.stats (Machine.cache m) in
+  let r = run () in
+  let h1, m1 = Cache.stats (Machine.cache m) in
+  (r, (Machine.consumed_cycles m - c0, h1 - h0, m1 - m0))
+
+(* One budget: reset both fixtures, run the oracle on [fa] and the
+   executor on [fb], and demand identical results, charges and scratch
+   memory. *)
+let agree_at ~what ~regs_init ~gas_cycles fa fb prog prepared =
+  reset fa;
+  reset fb;
+  let ra, ca =
+    charged fa (fun () ->
+        Interp.run (block_env ~gas_cycles fa) ~regs_init prog)
+  in
+  let rb, cb =
+    charged fb (fun () ->
+        Exec.run (block_env ~gas_cycles fb) ~regs_init prepared)
+  in
+  let what = Printf.sprintf "%s, gas %d" what gas_cycles in
+  check_results_equal ~what ra rb;
+  let cycles_a, hits_a, misses_a = ca and cycles_b, hits_b, misses_b = cb in
+  if cycles_a <> cycles_b then
+    QCheck.Test.fail_reportf "%s: machine cycle meters diverged" what;
+  if (hits_a, misses_a) <> (hits_b, misses_b) then
+    QCheck.Test.fail_reportf "%s: cache hit/miss counts diverged" what;
+  let scratch f =
+    Memory.read_string (Machine.mem f.bmachine) ~addr:f.bscratch.Memory.base
+      ~len:scratch_len
+  in
+  if scratch fa <> scratch fb then
+    QCheck.Test.fail_reportf "%s: scratch memory diverged" what;
+  ra
+
+let block_case seed =
+  let rng = Rng.create (seed + 41) in
+  let fa = block_fixture seed and fb = block_fixture seed in
+  let p = gen_block_program rng fa in
+  (rng, fa, fb, p)
+
+(* Budgets that move the kill: a run under budget [g] stops just before
+   the first instruction whose starting spend exceeds [g] (or at a gas
+   probe that finds it exceeded), reporting that spend as [cycles]; so
+   chaining [g := cycles] from 0 visits every kill point in turn. *)
+let kill_points run =
+  let rec go g acc =
+    let r = run g in
+    match r.Interp.outcome with
+    | Interp.Killed Isa.Gas_exhausted when r.Interp.cycles > g ->
+      go r.Interp.cycles (r.Interp.cycles :: acc)
+    | _ -> acc
+  in
+  go 0 []
+
+(* Every budget from 0 to the full cost for short programs; otherwise
+   every kill point and its neighbours. *)
+let sweep_budgets ~full run =
+  if full <= 100 then List.init (full + 2) Fun.id
+  else
+    List.sort_uniq compare
+      (0 :: full
+       :: List.concat_map (fun k -> [ k - 1; k; k + 1 ]) (kill_points run))
+
+let prop_gas_sweep =
+  QCheck.Test.make ~name:"gas sweep: every kill point = interpreter" ~count:500
+    ~long_factor:20 QCheck.small_nat (fun seed ->
+      let rng, fa, fb, p = block_case seed in
+      let regs_init = gen_regs_init rng in
+      List.iter
+        (fun (what, prog) ->
+           let prepared = Exec.prepare prog in
+           let r =
+             agree_at ~what ~regs_init ~gas_cycles:Interp.default_gas fa fb
+               prog prepared
+           in
+           if r.Interp.outcome = Interp.Killed Isa.Gas_exhausted then
+             QCheck.Test.fail_reportf "%s: generated program does not terminate"
+               what;
+           let full = r.Interp.cycles in
+           let oracle g =
+             reset fa;
+             Interp.run (block_env ~gas_cycles:g fa) ~regs_init prog
+           in
+           List.iter
+             (fun gas_cycles ->
+                ignore
+                  (agree_at ~what ~regs_init ~gas_cycles fa fb prog prepared))
+             (sweep_budgets ~full oracle))
+        (block_variants p);
+      true)
+
+(* A kernel DILP call hands the transfer the caller's register file as
+   Interp holds it: the r0 slot carries what [regs_init] put there, and
+   what the transfer writes there is what the run returns. *)
+let test_dilp_sees_r0 () =
+  let p =
+    Program.make ~name:"dilp-r0"
+      [| Isa.Li (Isa.reg_arg3, 4); Isa.Call Isa.K_dilp; Isa.Mov (7, 0);
+         Isa.Halt |]
+  in
+  let run exec =
+    let f = block_fixture 0 in
+    let seen = ref (-1) in
+    let env =
+      {
+        (block_env f) with
+        Interp.allowed_calls = [ Isa.K_dilp ];
+        dilp =
+          (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs ->
+             seen := regs.(0);
+             regs.(0) <- 99;
+             true);
+      }
+    in
+    let r = exec env in
+    (!seen, r)
+  in
+  let regs_init = [ (0, 77) ] in
+  let seen_a, ra = run (fun env -> Interp.run env ~regs_init p) in
+  let seen_b, rb =
+    run (fun env -> Exec.run env ~regs_init (Exec.prepare p))
+  in
+  Alcotest.(check int) "transfer saw r0's slot" seen_a seen_b;
+  Alcotest.(check int) "r0 still reads 0" 0 rb.Interp.regs.(7);
+  Alcotest.(check int) "returned r0 slot" ra.Interp.regs.(0) rb.Interp.regs.(0);
+  check_results_equal ~what:"dilp-r0" ra rb
+
+(* With an unlimited cycle budget only [Interp.max_steps] stops a loop.
+   The loop's block is 3 instructions long and 3 does not divide
+   max_steps, so the last iteration no longer fits a whole block and
+   the executor must step it. *)
+let test_max_steps_boundary () =
+  let p =
+    Program.make ~name:"spin"
+      [| Isa.Addi (1, 1, 1); Isa.Addi (2, 2, 3); Isa.Jmp 0 |]
+  in
+  let fa = block_fixture 0 and fb = block_fixture 0 in
+  let r =
+    agree_at ~what:"spin" ~regs_init:[] ~gas_cycles:max_int fa fb p
+      (Exec.prepare p)
+  in
+  Alcotest.(check bool) "killed for steps" true
+    (r.Interp.outcome = Interp.Killed Isa.Gas_exhausted);
+  Alcotest.(check int) "exactly max_steps instructions" Interp.max_steps
+    r.Interp.insns
+
 let () =
   Alcotest.run "differential"
     [
@@ -582,5 +940,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_backends_agree;
           QCheck_alcotest.to_alcotest prop_dilp_backends_agree;
           QCheck_alcotest.to_alcotest prop_dpf_backends_agree;
+        ] );
+      ( "blocks",
+        [
+          QCheck_alcotest.to_alcotest prop_gas_sweep;
+          Alcotest.test_case "dilp sees r0" `Quick test_dilp_sees_r0;
+          Alcotest.test_case "max_steps boundary" `Quick
+            test_max_steps_boundary;
         ] );
     ]

@@ -208,6 +208,68 @@ let test_memory_many_regions_lookup () =
        Alcotest.(check int) "lookup" (i land 0xff) (Memory.load8 m r.Memory.base))
     regions
 
+let fault_reason f =
+  match f () with
+  | _ -> "no fault"
+  | exception Memory.Fault { reason; _ } -> reason
+
+(* Lookups memoize two regions. Taking a region away — freeing it or
+   paging it out — while it sits in either memo slot must still fault
+   at the very next access, and leave the other slot serving. *)
+let test_memory_memo_invalidation () =
+  List.iter
+    (fun (slot, action) ->
+       let m = Memory.create () in
+       let a = Memory.alloc m 64 and b = Memory.alloc m 64 in
+       ignore (Memory.load8 m a.Memory.base);
+       ignore (Memory.load8 m b.Memory.base);
+       (* Now b is the last hit and a the one before. *)
+       let target, other = if slot = "last" then (b, a) else (a, b) in
+       let expected =
+         match action with
+         | `Free ->
+           Memory.free m target;
+           "unmapped"
+         | `Page_out ->
+           Memory.set_resident target false;
+           "non-resident page"
+       in
+       let what = Printf.sprintf "%s slot, %s" slot expected in
+       Alcotest.(check string) (what ^ ": load") expected
+         (fault_reason (fun () -> Memory.load32 m (target.Memory.base + 4)));
+       Alcotest.(check string) (what ^ ": store") expected
+         (fault_reason (fun () -> Memory.store8 m target.Memory.base 1));
+       Alcotest.(check bool) (what ^ ": resident_at") false
+         (Memory.resident_at m ~addr:target.Memory.base ~size:1);
+       Memory.store8 m other.Memory.base 7;
+       Alcotest.(check int) (what ^ ": other region serves") 7
+         (Memory.load8 m other.Memory.base);
+       Alcotest.(check string) (what ^ ": still faults after a miss")
+         expected
+         (fault_reason (fun () -> Memory.load8 m target.Memory.base)))
+    [ ("last", `Free); ("last", `Page_out); ("prev", `Free);
+      ("prev", `Page_out) ]
+
+(* Allocate, touch and free a region in a frame of its own, so nothing
+   on the test's stack keeps it alive. *)
+let[@inline never] alloc_touch_free m weak =
+  let r = Memory.alloc m (1 lsl 20) in
+  ignore (Memory.load8 m r.Memory.base);
+  Weak.set weak 0 (Some r);
+  Memory.free m r
+
+let test_memory_free_releases_region () =
+  let m = Memory.create () in
+  let keep = Memory.alloc m 64 in
+  let weak = Weak.create 1 in
+  (* The freed region is the highest one: its lookup slot is the one
+     the blit vacates. *)
+  alloc_touch_free m weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "freed region collected" false (Weak.check weak 0);
+  Alcotest.(check int) "live regions" 1 (Memory.region_count m);
+  Alcotest.(check int) "survivor readable" 0 (Memory.load8 m keep.Memory.base)
+
 (* ------------------------------------------------------------------ *)
 (* Machine: cycle accounting and Table III calibration                 *)
 (* ------------------------------------------------------------------ *)
@@ -558,6 +620,37 @@ let lines_of ~addr ~len =
     ((len + (2 * Ref.line)) / Ref.line)
     (fun k -> (addr land lnot (Ref.line - 1)) + (k * Ref.line))
 
+(* One access on both sides: same value or fault, and the lines it
+   touched recorded for [same_state]. *)
+let access_agrees w touched op =
+  let real, expect, addr, size =
+    match op with
+    | Load (s, a) ->
+      let ld =
+        match s with
+        | 1 -> Machine.load8
+        | 2 -> Machine.load16
+        | _ -> Machine.load32
+      in
+      ( outcome (fun () -> ld w.m a),
+        outcome (fun () -> Ref.load w.rf s a),
+        a,
+        s )
+    | Store (s, a, v) ->
+      let st =
+        match s with
+        | 1 -> Machine.store8
+        | 2 -> Machine.store16
+        | _ -> Machine.store32
+      in
+      ( outcome (fun () -> st w.m a v; 0),
+        outcome (fun () -> Ref.store w.rf s a v; 0),
+        a,
+        s )
+  in
+  touched := lines_of ~addr ~len:size @ !touched;
+  real = expect
+
 let prop_accesses_match_reference =
   QCheck.Test.make ~name:"loads/stores = closure/option reference" ~count:300
     QCheck.(
@@ -566,36 +659,70 @@ let prop_accesses_match_reference =
     (fun ops ->
        let w = make_world () in
        let touched = ref [] in
+       List.for_all (access_agrees w touched) ops && same_state w !touched)
+
+(* Interleavings over two or three regions: what keeps both memo slots
+   busy (a DILP loop's source and destination, a handler's message and
+   TCB) and what evicts them (a third region). Regions are paged in and
+   out and freed between accesses, whichever memo slot they sit in. *)
+type step = Access of access | Set_resident of int * bool | Free of int
+
+let print_step = function
+  | Access a -> print_access a
+  | Set_resident (i, b) -> Printf.sprintf "set_resident r%d %b" i b
+  | Free i -> Printf.sprintf "free r%d" i
+
+let gen_interleaving =
+  let open QCheck.Gen in
+  let probe = make_world () in
+  let nregions = Array.length layout in
+  int_range 2 3 >>= fun k ->
+  shuffle_l (List.init nregions Fun.id) >>= fun order ->
+  let picks = Array.of_list (List.filteri (fun i _ -> i < k) order) in
+  let pick = map (fun i -> picks.(i)) (int_bound (k - 1)) in
+  let addr_in i =
+    let r = probe.real.(i) in
+    map (fun d -> r.Memory.base + d) (int_range (-4) (r.Memory.len + 4))
+  in
+  let size = oneofl [ 1; 2; 4 ] in
+  let access =
+    pick >>= fun i ->
+    addr_in i >>= fun a ->
+    size >>= fun s ->
+    map
+      (fun v -> Access (if v = 0 then Load (s, a) else Store (s, a, v)))
+      (int_bound 3)
+  in
+  list_size (int_range 2 60)
+    (frequency
+       [
+         (16, access);
+         (2, map2 (fun i b -> Set_resident (i, b)) pick bool);
+         (1, map (fun i -> Free i) pick);
+       ])
+
+let prop_interleavings_match_reference =
+  QCheck.Test.make ~name:"2-3 region interleavings = reference" ~count:300
+    QCheck.(make ~print:(Print.list print_step) gen_interleaving)
+    (fun steps ->
+       let w = make_world () in
+       let live = Array.init (Array.length layout) (fun i -> i <> freed) in
+       let touched = ref [] in
        List.for_all
-         (fun op ->
-            let real, expect, addr, size =
-              match op with
-              | Load (s, a) ->
-                let ld =
-                  match s with
-                  | 1 -> Machine.load8
-                  | 2 -> Machine.load16
-                  | _ -> Machine.load32
-                in
-                ( outcome (fun () -> ld w.m a),
-                  outcome (fun () -> Ref.load w.rf s a),
-                  a,
-                  s )
-              | Store (s, a, v) ->
-                let st =
-                  match s with
-                  | 1 -> Machine.store8
-                  | 2 -> Machine.store16
-                  | _ -> Machine.store32
-                in
-                ( outcome (fun () -> st w.m a v; 0),
-                  outcome (fun () -> Ref.store w.rf s a v; 0),
-                  a,
-                  s )
-            in
-            touched := lines_of ~addr ~len:size @ !touched;
-            real = expect)
-         ops
+         (function
+           | Set_resident (i, b) ->
+             Memory.set_resident w.real.(i) b;
+             Memory.set_resident w.refr.(i) b;
+             true
+           | Free i ->
+             if live.(i) then begin
+               live.(i) <- false;
+               Memory.free (Machine.mem w.m) w.real.(i);
+               Ref.free w.rf w.refr.(i)
+             end;
+             true
+           | Access op -> access_agrees w touched op)
+         steps
        && same_state w !touched)
 
 type copy = { src : int; dst : int; len : int }
@@ -658,7 +785,95 @@ let test_memory_path_allocation_free () =
   zero "Cache.store" (fun () -> ignore (Cache.store c ~addr:(b + 13) ~size:4));
   zero "Memory.resident_at" (fun () ->
       ignore (Memory.resident_at mem ~addr:(a + 100) ~size:64));
+  (* Two regions in turn hit both memo slots; a third evicts one on
+     every access. *)
+  let d = (Memory.alloc mem 4096).Memory.base in
+  zero "alternating Machine.load32/store32" (fun () ->
+      Machine.store32 m (b + 40) (Machine.load32 m (a + 40)));
+  zero "alternating Memory.resident_at" (fun () ->
+      ignore (Memory.resident_at mem ~addr:(a + 8) ~size:4);
+      ignore (Memory.resident_at mem ~addr:(b + 8) ~size:4));
+  zero "three-region Machine.load32/store32" (fun () ->
+      Machine.store32 m (b + 40) (Machine.load32 m (a + 40));
+      Machine.store32 m (d + 40) (Machine.load32 m (a + 44)));
+  zero "three-region Memory.resident_at" (fun () ->
+      ignore (Memory.resident_at mem ~addr:(a + 8) ~size:4);
+      ignore (Memory.resident_at mem ~addr:(b + 8) ~size:4);
+      ignore (Memory.resident_at mem ~addr:(d + 8) ~size:4));
   zero "Machine.copy 3 KiB" (fun () -> Machine.copy m ~src:a ~dst:b ~len:3072)
+
+(* One run of the sandboxed TCP fast-path handler (§V-B) on a data
+   segment and on a pure acknowledgment, straight through [Exec.run]:
+   the per-message VM cost the rpc benchmark pays. The per-instruction
+   executor this one replaced allocated 89 words per data-segment run
+   and 60 per pure-ack run (the register file, context and result, the
+   run's closures, and on data the ACK frame [K_send] hands the
+   kernel); block dispatch must not add to that. *)
+let test_fastpath_run_allocation () =
+  let module Tcb = Ash_proto.Tcb in
+  let module Tcp_hdr = Ash_proto.Packet.Tcp in
+  let module Interp = Ash_vm.Interp in
+  let m = mk_machine () in
+  let mem = Machine.mem m in
+  let tcb = (Memory.alloc mem ~name:"tcb" Tcb.size).Memory.base in
+  let ack_buf = Memory.alloc mem ~name:"ack" 64 in
+  let rcv_buf = Memory.alloc mem ~name:"rcv" 4096 in
+  let msg = (Memory.alloc mem ~name:"msg" 64).Memory.base in
+  let set off v = Tcb.set mem ~base:tcb off v in
+  set Tcb.off_state Tcb.st_established;
+  set Tcb.off_snd_nxt 1000;
+  set Tcb.off_snd_una 900;
+  set Tcb.off_rcv_buf_addr rcv_buf.Memory.base;
+  set Tcb.off_rcv_buf_size rcv_buf.Memory.len;
+  set Tcb.off_local_port 80;
+  set Tcb.off_remote_port 1234;
+  set Tcb.off_ack_buf_addr ack_buf.Memory.base;
+  let tcp = msg + Ash_proto.Packet.ip_header_len in
+  Memory.store16 mem (tcp + Tcp_hdr.off_src_port) 1234;
+  Memory.store16 mem (tcp + Tcp_hdr.off_dst_port) 80;
+  Memory.store32 mem (tcp + Tcp_hdr.off_seq) 5000;
+  Memory.store32 mem (tcp + Tcp_hdr.off_ack) 1000;
+  Memory.store16 mem (tcp + Tcp_hdr.off_dataoff_flags) 0x5010;
+  let program =
+    Ash_proto.Tcp_fastpath.program
+      { Ash_proto.Tcp_fastpath.tcb_addr = tcb; checksum = true; dilp_id = 0;
+        cksum_acc_reg = 20 }
+  in
+  let prepared = Ash_vm.Exec.prepare (fst (Ash_vm.Sandbox.apply program)) in
+  let env msg_len =
+    {
+      Interp.machine = m;
+      msg_addr = msg;
+      msg_len;
+      allowed_calls = Ash_vm.Isa.[ K_dilp; K_send ];
+      (* The copy succeeds and leaves the checksum accumulator at 0,
+         which matches the segment's zero checksum field. *)
+      dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> true);
+      send = ignore;
+      gas_cycles = Interp.default_gas;
+    }
+  in
+  let words_per_run ~msg_len =
+    let env = env msg_len in
+    let runs = 1000 and total = ref 0. in
+    for _ = 1 to runs do
+      set Tcb.off_rcv_nxt 5000;
+      set Tcb.off_rcv_off 0;
+      let before = Gc.minor_words () in
+      let r = Ash_vm.Exec.run env prepared in
+      total := !total +. (Gc.minor_words () -. before);
+      if r.Interp.outcome <> Interp.Committed then
+        Alcotest.fail "fast path did not commit"
+    done;
+    int_of_float !total / runs
+  in
+  List.iter
+    (fun (what, msg_len, bound) ->
+       let words = words_per_run ~msg_len in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d words per run, at most %d" what words bound)
+         true (words <= bound))
+    [ ("data segment", 44, 89); ("pure ack", 40, 60) ]
 
 let () =
   Alcotest.run "ash_sim"
@@ -697,6 +912,10 @@ let () =
           Alcotest.test_case "blit" `Quick test_memory_blit;
           Alcotest.test_case "many regions" `Quick
             test_memory_many_regions_lookup;
+          Alcotest.test_case "memo slots invalidated" `Quick
+            test_memory_memo_invalidation;
+          Alcotest.test_case "free releases region" `Quick
+            test_memory_free_releases_region;
         ] );
       ( "machine",
         [
@@ -712,11 +931,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_copy_preserves_content;
           QCheck_alcotest.to_alcotest prop_cache_load_cost_bounded;
           QCheck_alcotest.to_alcotest prop_accesses_match_reference;
+          QCheck_alcotest.to_alcotest prop_interleavings_match_reference;
           QCheck_alcotest.to_alcotest prop_copy_matches_reference;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "memory path allocation-free" `Quick
             test_memory_path_allocation_free;
+          Alcotest.test_case "fast-path run allocation" `Quick
+            test_fastpath_run_allocation;
         ] );
     ]
