@@ -41,7 +41,10 @@ let env_int name default =
   | Some s -> (try max 1 (int_of_string s) with _ -> default)
   | None -> default
 
-let default_spec =
+(* Read when called, not at start-up: [ashbench run --jobs] sets
+   ASH_JOBS (and ASH_SHARDS) from [main], after every module has been
+   initialized. *)
+let env_spec () =
   {
     connections = 64;
     client_hosts = 8;
@@ -60,6 +63,8 @@ let default_spec =
     shards = env_int "ASH_SHARDS" 1;
     jobs = env_int "ASH_JOBS" 1;
   }
+
+let default_spec = env_spec ()
 
 type churn_result = {
   completed : int;       (* connections fully closed on both sides *)
@@ -378,12 +383,13 @@ let run_churn ?(configure = fun (_ : Fabric.t) -> ()) spec =
 let conn_grid = [ 16; 64; 256; 1024 ]
 
 let scale () =
+  let base = env_spec () in
   let runs =
     List.map
       (fun n ->
          ( n,
            run_churn
-             { default_spec with
+             { base with
                connections = n;
                client_hosts = min 16 n } ))
       conn_grid

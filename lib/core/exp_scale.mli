@@ -25,13 +25,18 @@ type churn_spec = {
   jobs : int;           (** Worker domains executing the shards. *)
 }
 
-val default_spec : churn_spec
+val env_spec : unit -> churn_spec
 (** 64 connections over 8 client hosts, 4 rounds of 256-byte echoes,
     16-deep switch queues, 100 us connect / 250 us data stagger, no
     byte verification, 60 virtual-second deadline. [shards]/[jobs]
-    default from the [ASH_SHARDS]/[ASH_JOBS] environment variables
-    (else 1/1), so the whole scale suite can be re-run sharded without
-    touching any test. *)
+    come from the [ASH_SHARDS]/[ASH_JOBS] environment variables as they
+    are at the call (else 1/1), so a [putenv] made after start-up, as
+    by [ashbench run --jobs], takes effect. {!scale} and the registry's
+    churn kernel start from this. *)
+
+val default_spec : churn_spec
+(** {!env_spec} as the environment stood at start-up, so the whole
+    scale suite can be re-run sharded without touching any test. *)
 
 type churn_result = {
   completed : int;

@@ -92,7 +92,7 @@ let all =
           fun () ->
             ignore
               (Exp_scale.run_churn
-                 { Exp_scale.default_spec with
+                 { (Exp_scale.env_spec ()) with
                    connections = 8;
                    client_hosts = 4;
                    rounds = 2 }) )

@@ -156,16 +156,27 @@ let make_ctx ~first ~stride ~root =
     c_ambient = 0;
   }
 
-(* The root context lives on the main domain only: a worker domain's
-   default context is non-root, so taps (a main-domain-only mutable
-   list) are never touched from a worker. Shard events still reach the
-   taps — the cluster's barrier merge re-emits them into the root
-   context via [emit_at]. *)
+let root = make_ctx ~first:1 ~stride:1 ~root:true
+
+(* Each domain's current context. The root context belongs to the main
+   domain only: a worker domain's default context is non-root, so taps
+   (a main-domain-only mutable list) are never touched from a worker.
+   Shard events still reach the taps — the cluster's barrier merge
+   re-emits them into the root context via [emit_at]. *)
 let ctx_key : ctx Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-    make_ctx ~first:1 ~stride:1 ~root:(Domain.is_main_domain ()))
+    if Domain.is_main_domain () then root
+    else make_ctx ~first:1 ~stride:1 ~root:false)
 
-let cur () = Domain.DLS.get ctx_key
+(* Shard contexts installed right now, over all domains. While it is 0
+   no shard slice runs anywhere, so the only domain running simulation
+   code is the main one and its context is [root]: [cur] skips the
+   domain-local lookup. *)
+let shards_in = Atomic.make 0
+
+let[@inline] cur () =
+  if Atomic.get shards_in = 0 then root else Domain.DLS.get ctx_key
+
 let set_clock f = (cur ()).c_clock <- f
 
 let swap_clock f =
@@ -332,8 +343,14 @@ let shard_set_enabled sb on = sb.sb_ctx.c_on <- on
 let with_shard sb f =
   let prev = Domain.DLS.get ctx_key in
   Domain.DLS.set ctx_key sb.sb_ctx;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ctx_key prev) f
+  Atomic.incr shards_in;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.decr shards_in;
+      Domain.DLS.set ctx_key prev)
+    f
 
+let active_shards () = Atomic.get shards_in
 let shard_len sb = sb.sb_len
 
 let shard_get sb i =

@@ -1,12 +1,14 @@
 (** Structured event tracing for the whole stack.
 
     Every layer emits typed events through a single global sink. By
-    default the sink is a no-op (one flag load on the hot path; emission
-    sites guard on {!enabled} so event payloads are never allocated when
-    tracing is off). Installing a {!recorder} captures events into a
-    bounded in-memory ring, stamps them with virtual time and the
-    ambient correlation id, and derives named counters and histograms
-    from them.
+    default the sink is a no-op. Emission sites guard on {!enabled}, so
+    event payloads are never allocated when tracing is off. Outside
+    shard slices that check is a few loads, the shard count and then
+    the root context's flag, with no domain-local lookup (see
+    "Emission contexts" below). Installing a {!recorder} captures
+    events into a bounded in-memory ring, stamps them with virtual time
+    and the ambient correlation id, and derives named counters and
+    histograms from them.
 
     A recorded run is a replayable, assertable event stream: the
     determinism and differential test suites compare streams
@@ -135,12 +137,22 @@ type event = { seq : int; ts : int; corr : int; kind : kind }
 (** {1 Emission contexts}
 
     All ambient trace state — clock, sink, enabled flag, correlation
-    allocator — is domain-local (one emission context per OCaml
-    domain), so engine shards running on worker domains never race on
-    it. The main domain's context is the "root": recorders install
-    there, and on a single domain everything behaves exactly like the
-    historical process-global state. Shard execution swaps in a
-    {!shard_buf} context (see below). *)
+    allocator — lives in an emission context, so engine shards running
+    on worker domains never race on it. The main domain's context is
+    the "root": recorders install there, and on a single domain
+    everything behaves exactly like the historical process-global
+    state. Shard execution swaps in a {!shard_buf} context (see below)
+    for the calling domain only.
+
+    While no {!with_shard} slice is running on any domain, every call
+    here uses the root context directly, without a domain-local
+    lookup, so the off path of {!enabled}, {!current_corr} and
+    {!set_corr} is a few loads. This rests on one precondition:
+    {b outside a shard slice, only the main domain runs simulation
+    code.} The cluster's worker pool is the only code that spawns
+    domains, and its workers emit only inside {!with_shard}. Code that
+    runs simulation on another domain must do it inside a shard
+    slice. *)
 
 val set_clock : (unit -> int) -> unit
 (** Register the virtual-time source used to stamp events in the
@@ -219,7 +231,12 @@ val shard_set_enabled : shard_buf -> bool -> unit
 
 val with_shard : shard_buf -> (unit -> 'a) -> 'a
 (** Run [f] with the current domain's emission context swapped to the
-    shard's, restoring the previous context on exit. *)
+    shard's, restoring the previous context on exit, also when [f]
+    raises. Slices nest, and run on any number of domains at once. *)
+
+val active_shards : unit -> int
+(** {!with_shard} slices running now, over all domains (nested slices
+    count once each). 0 outside cluster epochs. *)
 
 val shard_len : shard_buf -> int
 (** Buffered events since the last {!shard_clear}. *)

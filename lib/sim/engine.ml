@@ -3,21 +3,61 @@ type event = {
   seq : int;
   corr : int; (* correlation id ambient when the event was scheduled *)
   action : unit -> unit;
-  mutable cancelled : bool;
+  mutable slot : int; (* index in the heap; -1 once fired or cancelled *)
 }
 
 type event_id = event
 
 module Heap = struct
-  (* Binary min-heap on (time, seq). *)
+  (* Binary min-heap on (time, seq) that keeps every queued event's
+     [slot] equal to its index, so [remove_at] can take an event out
+     from the middle. The key is unique (seq never repeats), so any valid
+     heap pops events in the same order: the layout of the array never
+     shows in a run. Events move by the hole method, one array store
+     per level. *)
   type t = { mutable arr : event array; mutable len : int }
 
   let dummy =
-    { time = 0; seq = 0; corr = 0; action = (fun () -> ()); cancelled = true }
+    { time = 0; seq = 0; corr = 0; action = (fun () -> ()); slot = -1 }
 
   let create () = { arr = Array.make 64 dummy; len = 0 }
 
   let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let[@inline] place h i e =
+    h.arr.(i) <- e;
+    e.slot <- i
+
+  (* Settle [e] into the hole at [i], moving up past later parents. *)
+  let sift_up h i e =
+    let i = ref i in
+    while !i > 0 && before e h.arr.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      place h !i h.arr.(p);
+      i := p
+    done;
+    place h !i e
+
+  (* Settle [e] into the hole at [i], moving down past earlier
+     children. *)
+  let sift_down h i e =
+    let i = ref i in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= h.len then continue := false
+      else begin
+        let c =
+          if l + 1 < h.len && before h.arr.(l + 1) h.arr.(l) then l + 1 else l
+        in
+        if before h.arr.(c) e then begin
+          place h !i h.arr.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    place h !i e
 
   let push h e =
     if h.len = Array.length h.arr then begin
@@ -25,49 +65,31 @@ module Heap = struct
       Array.blit h.arr 0 bigger 0 h.len;
       h.arr <- bigger
     end;
-    h.arr.(h.len) <- e;
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && before h.arr.(!i) h.arr.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.arr.(p) in
-      h.arr.(p) <- h.arr.(!i);
-      h.arr.(!i) <- tmp;
-      i := p
-    done
+    sift_up h (h.len - 1) e
 
-  let peek h = if h.len = 0 then None else Some h.arr.(0)
+  (* Take out the event at index [i]: the last event fills the hole and
+     settles up or down from there. *)
+  let remove_at h i =
+    let e = h.arr.(i) in
+    e.slot <- -1;
+    h.len <- h.len - 1;
+    let last = h.arr.(h.len) in
+    h.arr.(h.len) <- dummy;
+    if i < h.len then begin
+      if i > 0 && before last h.arr.((i - 1) / 2) then sift_up h i last
+      else sift_down h i last
+    end;
+    e
 
-  let pop h =
-    match peek h with
-    | None -> None
-    | Some top ->
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && before h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && before h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.arr.(!smallest) in
-          h.arr.(!smallest) <- h.arr.(!i);
-          h.arr.(!i) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top
+  (* The earliest event. The heap must not be empty. *)
+  let pop h = remove_at h 0
 end
 
 type t = {
   heap : Heap.t;
   mutable clock : Time.ns;
   mutable next_seq : int;
-  mutable live : int;
   (* Under a multi-shard cluster the per-step telemetry tick is
      suppressed: shards run on worker domains and at racy per-event
      points, so the cluster ticks once per epoch barrier instead (main
@@ -81,7 +103,6 @@ let create () =
       heap = Heap.create ();
       clock = 0;
       next_seq = 0;
-      live = 0;
       barrier_telemetry = false;
     }
   in
@@ -105,11 +126,10 @@ let schedule_at t ~at action =
       seq = t.next_seq;
       corr = Ash_obs.Trace.current_corr ();
       action;
-      cancelled = false;
+      slot = -1;
     }
   in
   t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
   Heap.push t.heap e;
   e
 
@@ -118,66 +138,59 @@ let schedule t ~delay action =
   schedule_at t ~at:(t.clock + delay) action
 
 let cancel t e =
-  if not e.cancelled then begin
-    e.cancelled <- true;
-    t.live <- t.live - 1
+  if e.slot >= 0 then begin
+    if e.slot >= t.heap.len || t.heap.arr.(e.slot) != e then
+      invalid_arg "Engine.cancel: event belongs to another engine";
+    ignore (Heap.remove_at t.heap e.slot : event)
   end
 
-let pending t = t.live
+let pending t = t.heap.len
 
-(* Bracket dispatch with this engine's clock so concurrent engines
-   stamp their own events, whatever order they were created in. *)
+(* The one exception frame of a run: bracket dispatch with this
+   engine's clock so concurrent engines stamp their own events, and
+   put back the ambient correlation id that an action raising out of
+   [step_unscoped] leaves installed. *)
 let with_clock t f =
   let prev = Ash_obs.Trace.swap_clock (fun () -> t.clock) in
+  let corr = Ash_obs.Trace.current_corr () in
   Fun.protect
     ~finally:(fun () ->
       let (_ : unit -> int) = Ash_obs.Trace.swap_clock prev in
-      ())
+      Ash_obs.Trace.set_corr corr)
     f
 
+(* Fire the earliest event; the heap must not be empty. *)
 let step_unscoped t =
-  match Heap.pop t.heap with
-  | None -> false
-  | Some e ->
-    if e.cancelled then true
-    else begin
-      t.live <- t.live - 1;
-      t.clock <- e.time;
-      if Ash_obs.Trace.enabled () then
-        Ash_obs.Trace.emit Ash_obs.Trace.Ev_fired;
-      (* Asynchronous continuations inherit the correlation id of the
-         message that scheduled them. *)
-      let prev = Ash_obs.Trace.current_corr () in
-      Ash_obs.Trace.set_corr e.corr;
-      Fun.protect
-        ~finally:(fun () -> Ash_obs.Trace.set_corr prev)
-        e.action;
-      (* Sample the ambient timeseries on the event grid: one option
-         read per step when telemetry is off. *)
-      if not t.barrier_telemetry then
-        Ash_obs.Timeseries.tick_current ~now:t.clock;
-      true
-    end
+  let e = Heap.pop t.heap in
+  t.clock <- e.time;
+  if Ash_obs.Trace.enabled () then Ash_obs.Trace.emit Ash_obs.Trace.Ev_fired;
+  (* Asynchronous continuations inherit the correlation id of the
+     message that scheduled them. *)
+  let prev = Ash_obs.Trace.current_corr () in
+  Ash_obs.Trace.set_corr e.corr;
+  e.action ();
+  Ash_obs.Trace.set_corr prev;
+  (* Sample the ambient timeseries on the event grid: one option
+     read per step when telemetry is off. *)
+  if not t.barrier_telemetry then
+    Ash_obs.Timeseries.tick_current ~now:t.clock
 
-let run t = with_clock t (fun () -> while step_unscoped t do () done)
+let run t =
+  with_clock t (fun () ->
+      while t.heap.len > 0 do
+        step_unscoped t
+      done)
+
+let run_due t deadline =
+  let h = t.heap in
+  while h.len > 0 && h.arr.(0).time <= deadline do
+    step_unscoped t
+  done
 
 let run_until t deadline =
   with_clock t (fun () ->
-      let continue = ref true in
-      while !continue do
-        match Heap.peek t.heap with
-        | Some e when e.time <= deadline ->
-          if not (step_unscoped t) then continue := false
-        | Some _ | None -> continue := false
-      done;
+      run_due t deadline;
       if t.clock < deadline then t.clock <- deadline)
-
-let run_while t pred =
-  with_clock t (fun () ->
-      let continue = ref true in
-      while !continue && pred () do
-        if not (step_unscoped t) then continue := false
-      done)
 
 (* ---------------------------------------------------------------- *)
 (* Sharded execution                                                 *)
@@ -185,30 +198,19 @@ let run_while t pred =
 
 type exec = at:Time.ns -> (unit -> unit) -> unit
 
-let exec_of t : exec = fun ~at action -> ignore (schedule_at t ~at action)
-
 (* Run events with timestamps <= deadline but do NOT jump the clock to
    the deadline afterwards: an epoch slice must leave the clock on the
    last executed event, exactly as [run] would, so the epoch-driven
    cluster produces the same final clocks as an unsharded run. *)
-let run_epoch t deadline =
-  with_clock t (fun () ->
-      let continue = ref true in
-      while !continue do
-        match Heap.peek t.heap with
-        | Some e when e.time <= deadline ->
-          if not (step_unscoped t) then continue := false
-        | Some _ | None -> continue := false
-      done)
+let run_epoch t deadline = with_clock t (fun () -> run_due t deadline)
 
 (* Enqueue without emitting Ev_scheduled and with an explicit
    correlation id: the epoch barrier uses this to transfer cross-shard
    posts, whose Ev_scheduled was already emitted on the source shard at
    post time. *)
 let schedule_quiet t ~at ~corr action =
-  let e = { time = at; seq = t.next_seq; corr; action; cancelled = false } in
+  let e = { time = at; seq = t.next_seq; corr; action; slot = -1 } in
   t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
   Heap.push t.heap e
 
 (* Which shard the current domain is executing, if any. Cross-shard
@@ -361,13 +363,14 @@ module Cluster = struct
       done
     done
 
+  (* The earliest queued event over all shards. Cancelled events have
+     left their heaps, so no epoch opens just to discard one. *)
   let next_time c =
     let best = ref max_int in
     Array.iter
       (fun e ->
-        match Heap.peek e.heap with
-        | Some ev when ev.time < !best -> best := ev.time
-        | _ -> ())
+        let h = e.heap in
+        if h.len > 0 && h.arr.(0).time < !best then best := h.arr.(0).time)
       c.engines;
     if !best = max_int then None else Some !best
 

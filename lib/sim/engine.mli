@@ -2,7 +2,9 @@
 
     A single global virtual clock with a pending-event priority queue.
     Events scheduled for the same instant fire in scheduling order
-    (FIFO), which keeps experiments deterministic. *)
+    (FIFO), which keeps experiments deterministic. The queue is an
+    indexed binary heap: {!cancel} takes the event out in O(log n), so
+    the heap holds only events that will fire. *)
 
 type t
 
@@ -23,20 +25,24 @@ val schedule_at : t -> at:Time.ns -> (unit -> unit) -> event_id
 (** Schedule at an absolute time, which must not be in the past. *)
 
 val cancel : t -> event_id -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
+(** Remove the event from the queue, dropping the queue's reference to
+    its action. Cancelling an already-fired or already-cancelled event
+    is a no-op; cancelling a queued event on an engine other than the
+    one it was scheduled on raises [Invalid_argument]. *)
 
 val run : t -> unit
-(** Run until the event queue drains. *)
+(** Run until the event queue drains. If an action raises, the
+    exception propagates out of [run] with the trace clock and the
+    ambient correlation id as they were before the call; the events
+    still queued fire on the next run. *)
 
 val run_until : t -> Time.ns -> unit
 (** Run events with timestamps [<= deadline]; afterwards [now t] is the
     deadline if the queue drained early or still has later events. *)
 
-val run_while : t -> (unit -> bool) -> unit
-(** Run events while the predicate holds (checked before each event). *)
-
 val pending : t -> int
-(** Number of scheduled, uncancelled events. *)
+(** Number of scheduled events that have neither fired nor been
+    cancelled: the heap length. *)
 
 (** {1 Sharded execution}
 
@@ -58,12 +64,8 @@ val pending : t -> int
 
 type exec = at:Time.ns -> (unit -> unit) -> unit
 (** An executor: schedule an action at absolute virtual time [at] on
-    some engine — either directly ({!exec_of}) or through a cluster's
-    cross-shard outboxes ({!Cluster.exec}). Posted actions cannot be
-    cancelled. *)
-
-val exec_of : t -> exec
-(** Schedule directly on [t]. *)
+    some shard's engine, through a cluster's cross-shard outboxes
+    ({!Cluster.exec}). Posted actions cannot be cancelled. *)
 
 val current_shard : unit -> int option
 (** The shard the calling domain is currently executing, or [None]

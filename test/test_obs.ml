@@ -520,6 +520,89 @@ let test_shard_corr_strided () =
   Alcotest.(check (list int)) "shard 0 stride" [ 1; 3; 5 ] (ids sb0 3);
   Alcotest.(check (list int)) "shard 1 stride" [ 2; 4; 6 ] (ids sb1 3)
 
+(* An exception out of a shard slice must put the root context back and
+   leave no slice counted as running; otherwise events after it would
+   land in the dead shard's buffer, or every later lookup would pay
+   for the domain-local path. *)
+let test_shard_exception_restores_root () =
+  let r = Trace.record () in
+  let sb = Trace.shard_buf ~shard:0 ~shards:1 in
+  Trace.shard_set_enabled sb true;
+  Alcotest.check_raises "exception escapes the slice" Exit (fun () ->
+      Trace.with_shard sb (fun () ->
+          Alcotest.(check int) "one slice running" 1 (Trace.active_shards ());
+          Trace.emit (Trace.Mark "in shard");
+          raise Exit));
+  Alcotest.(check int) "no slice running" 0 (Trace.active_shards ());
+  Alcotest.(check int) "shard kept its event" 1 (Trace.shard_len sb);
+  Trace.emit (Trace.Mark "after");
+  Alcotest.(check int) "root recorder gets the next event" 1 (Trace.total r);
+  Alcotest.(check bool) "and it is the right one" true
+    (List.map (fun (e : Trace.event) -> e.Trace.kind) (Trace.events r)
+     = [ Trace.Mark "after" ]);
+  Trace.stop r
+
+let test_shard_nested () =
+  let r = Trace.record () in
+  let sb0 = Trace.shard_buf ~shard:0 ~shards:2 in
+  let sb1 = Trace.shard_buf ~shard:1 ~shards:2 in
+  Trace.shard_set_enabled sb0 true;
+  Trace.shard_set_enabled sb1 true;
+  Trace.with_shard sb0 (fun () ->
+      Trace.emit (Trace.Mark "outer");
+      Trace.with_shard sb1 (fun () ->
+          Alcotest.(check int) "two slices" 2 (Trace.active_shards ());
+          Trace.emit (Trace.Mark "inner"));
+      Alcotest.(check int) "one slice" 1 (Trace.active_shards ());
+      Trace.emit (Trace.Mark "outer again"));
+  Alcotest.(check int) "none" 0 (Trace.active_shards ());
+  Trace.emit (Trace.Mark "root");
+  let kinds sb =
+    List.init (Trace.shard_len sb) (fun i ->
+        let _, _, k = Trace.shard_get sb i in
+        k)
+  in
+  Alcotest.(check bool) "outer buffer" true
+    (kinds sb0 = [ Trace.Mark "outer"; Trace.Mark "outer again" ]);
+  Alcotest.(check bool) "inner buffer" true (kinds sb1 = [ Trace.Mark "inner" ]);
+  Alcotest.(check int) "root saw only its own" 1 (Trace.total r);
+  Trace.stop r
+
+(* A recorder on the main domain, around a churn run whose second shard
+   executes on a worker domain: the worker emits only inside its shard
+   slices, so the merged stream is the one a single domain records. *)
+let test_two_domain_run_same_stream () =
+  let module Exp_scale = Ash_core.Exp_scale in
+  let record ~jobs =
+    let r = Trace.record () in
+    let res =
+      Exp_scale.run_churn
+        {
+          Exp_scale.default_spec with
+          connections = 8;
+          client_hosts = 4;
+          rounds = 2;
+          shards = 2;
+          jobs;
+        }
+    in
+    Trace.stop r;
+    (res, Trace.total r, Trace.events r)
+  in
+  let res1, n1, ev1 = record ~jobs:1 in
+  let res2, n2, ev2 = record ~jobs:2 in
+  Alcotest.(check int) "no slice left running" 0 (Trace.active_shards ());
+  Alcotest.(check bool) "run completed" true (res1.Exp_scale.completed = 8);
+  Alcotest.(check bool) "same result" true (res1 = res2);
+  Alcotest.(check bool) "stream non-trivial" true (n1 > 1000);
+  Alcotest.(check int) "same length" n1 n2;
+  List.iteri
+    (fun i ((a : Trace.event), (b : Trace.event)) ->
+       if a <> b then
+         Alcotest.failf "event %d diverged: %a vs %a" i Trace.pp_event a
+           Trace.pp_event b)
+    (List.combine ev1 ev2)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics gauges: registration collisions and snapshot-vs-reset       *)
 (* ------------------------------------------------------------------ *)
@@ -983,6 +1066,12 @@ let () =
             (isolated test_shard_buffers_isolated);
           Alcotest.test_case "strided correlation ids" `Quick
             (isolated test_shard_corr_strided);
+          Alcotest.test_case "exception restores root" `Quick
+            (isolated test_shard_exception_restores_root);
+          Alcotest.test_case "nested slices" `Quick
+            (isolated test_shard_nested);
+          Alcotest.test_case "two-domain run, same stream" `Quick
+            (isolated test_two_domain_run_same_stream);
         ] );
       ( "gauges",
         [

@@ -193,6 +193,33 @@ let test_churn_deterministic () =
   let r1 = Exp_scale.run_churn spec and r2 = Exp_scale.run_churn spec in
   Alcotest.(check bool) "same spec, same result" true (r1 = r2)
 
+(* [ashbench run --jobs N] sets ASH_JOBS (and ASH_SHARDS) with
+   [putenv] from [main], after module initialization. [env_spec] must
+   see those values; [default_spec], built at start-up, must not move.
+   The previous values are put back afterwards ([putenv] cannot unset,
+   so an unset variable comes back empty, which reads as the default). *)
+let test_env_spec_reads_putenv () =
+  let vars = [ "ASH_SHARDS"; "ASH_JOBS" ] in
+  let saved = List.map (fun v -> (v, Sys.getenv_opt v)) vars in
+  let before = Exp_scale.default_spec in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (v, old) -> Unix.putenv v (Option.value old ~default:""))
+        saved)
+    (fun () ->
+      Unix.putenv "ASH_SHARDS" "3";
+      Unix.putenv "ASH_JOBS" "2";
+      let spec = Exp_scale.env_spec () in
+      Alcotest.(check int) "shards from putenv" 3 spec.Exp_scale.shards;
+      Alcotest.(check int) "jobs from putenv" 2 spec.Exp_scale.jobs;
+      Alcotest.(check bool) "default_spec fixed at start-up" true
+        (Exp_scale.default_spec = before));
+  let restored = Exp_scale.env_spec () in
+  Alcotest.(check bool) "environment restored" true
+    (restored.Exp_scale.shards = before.Exp_scale.shards
+     && restored.Exp_scale.jobs = before.Exp_scale.jobs)
+
 (* ------------------------------------------------------------------ *)
 (* Demux at 4096 filters                                               *)
 (* ------------------------------------------------------------------ *)
@@ -400,6 +427,8 @@ let () =
             test_fairness_bounded;
           Alcotest.test_case "churn run deterministic" `Quick
             test_churn_deterministic;
+          Alcotest.test_case "env spec reads putenv" `Quick
+            test_env_spec_reads_putenv;
         ] );
       ( "demux-4096",
         [

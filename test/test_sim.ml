@@ -90,6 +90,77 @@ let test_engine_rejects_past () =
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
       ignore (Engine.schedule_at e ~at:5 ignore))
 
+(* A cancelled event leaves the queue at once: nothing the engine holds
+   keeps its action, or what the action captured, alive. *)
+let test_engine_cancel_releases_action () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  let[@inline never] schedule_and_cancel () =
+    let v = Bytes.make 64 'x' in
+    Weak.set w 0 (Some v);
+    let id =
+      Engine.schedule e ~delay:1_000_000_000 (fun () ->
+          ignore (Bytes.length v))
+    in
+    Engine.cancel e id
+  in
+  schedule_and_cancel ();
+  ignore (Engine.schedule e ~delay:10 ignore);
+  Gc.full_major ();
+  Alcotest.(check bool) "captured value collected" false (Weak.check w 0);
+  Alcotest.(check int) "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check int) "clock never reached the cancelled time" 10
+    (Engine.now e)
+
+let test_engine_cancel_foreign_event () =
+  let a = Engine.create () and b = Engine.create () in
+  let id = Engine.schedule a ~delay:10 ignore in
+  ignore (Engine.schedule b ~delay:10 ignore);
+  Alcotest.check_raises "cancel on the wrong engine"
+    (Invalid_argument "Engine.cancel: event belongs to another engine")
+    (fun () -> Engine.cancel b id);
+  Alcotest.(check int) "a keeps its event" 1 (Engine.pending a);
+  Alcotest.(check int) "b keeps its event" 1 (Engine.pending b)
+
+(* One exception frame covers a whole run. When an action raises, the
+   exception leaves [run] with the trace clock and the ambient
+   correlation id as they were before the call, and the events still
+   queued fire on the next run. *)
+let test_engine_raising_action () =
+  let module Trace = Ash_obs.Trace in
+  let e = Engine.create () in
+  let log = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_corr 0;
+      Trace.set_clock (fun () -> 0))
+    (fun () ->
+      Trace.set_corr 5;
+      ignore
+        (Engine.schedule e ~delay:10 (fun () ->
+             log := (10, Trace.current_corr ()) :: !log;
+             Trace.set_corr 6;
+             raise Exit));
+      ignore
+        (Engine.schedule e ~delay:20 (fun () ->
+             log := (20, Trace.current_corr ()) :: !log));
+      Trace.set_corr 77;
+      Trace.set_clock (fun () -> -7);
+      Alcotest.check_raises "exception leaves run" Exit (fun () ->
+          Engine.run e);
+      Alcotest.(check int) "ambient corr restored" 77 (Trace.current_corr ());
+      Alcotest.(check int) "trace clock restored" (-7) (Trace.now ());
+      Alcotest.(check int) "clock on the raising event" 10 (Engine.now e);
+      Alcotest.(check int) "one event left" 1 (Engine.pending e);
+      Engine.run e;
+      Alcotest.(check (list (pair int int)))
+        "each action ran under its scheduling corr" [ (10, 5); (20, 5) ]
+        (List.rev !log);
+      Alcotest.(check int) "corr after the second run" 77
+        (Trace.current_corr ());
+      Alcotest.(check int) "drained" 0 (Engine.pending e))
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -371,6 +442,131 @@ let prop_engine_monotonic_clock =
          delays;
        Engine.run e;
        !ok)
+
+(* The engine against a sorted-list model. A case is a sequence of
+   operations from outside the engine: schedule (with many time ties),
+   cancel any handle made so far (live, fired or already cancelled),
+   and run to a deadline. Scheduled actions may themselves schedule a
+   child or cancel another event. The model fires the least
+   (time, schedule order) entry; the engine must fire the same events
+   in the same order, and [pending] must equal the model's size after
+   every operation. *)
+type ev_act = Plain | Spawn of int | Kill of int
+type ev_op = Sched of int * ev_act | Cancel of int | Run_until of int
+
+let print_ev_op =
+  let act = function
+    | Plain -> "plain"
+    | Spawn d -> Printf.sprintf "spawn+%d" d
+    | Kill k -> Printf.sprintf "kill#%d" k
+  in
+  function
+  | Sched (d, a) -> Printf.sprintf "sched+%d(%s)" d (act a)
+  | Cancel k -> Printf.sprintf "cancel#%d" k
+  | Run_until d -> Printf.sprintf "run_until+%d" d
+
+let gen_ev_op =
+  let open QCheck.Gen in
+  let act =
+    frequency
+      [
+        (3, return Plain);
+        (1, map (fun d -> Spawn d) (int_bound 6));
+        (1, map (fun k -> Kill k) (int_bound 1000));
+      ]
+  in
+  frequency
+    [
+      (5, map2 (fun d a -> Sched (d, a)) (int_bound 8) act);
+      (2, map (fun k -> Cancel k) (int_bound 1000));
+      (2, map (fun d -> Run_until d) (int_bound 12));
+    ]
+
+type model_ev = { m_time : int; m_seq : int; m_act : ev_act }
+
+let engine_matches_model ops =
+  let e = Engine.create () in
+  let handles = ref [||] and fired = ref [] in
+  (* The model: a list of queued events sorted on (time, seq), where
+     seq is the schedule order, which is also the event's id. *)
+  let m_queue = ref [] and m_clock = ref 0 and m_fired = ref [] in
+  let m_next = ref 0 in
+  let ids () = Array.length !handles in
+  let rec engine_sched ~at act =
+    let id = ids () in
+    (* Register the handle before the action can run. *)
+    handles := Array.append !handles [| None |];
+    let h =
+      Engine.schedule_at e ~at (fun () ->
+          fired := id :: !fired;
+          match act with
+          | Plain -> ()
+          | Spawn d -> engine_sched ~at:(Engine.now e + d) Plain
+          | Kill k -> Option.iter (Engine.cancel e) !handles.(k mod ids ()))
+    in
+    !handles.(id) <- Some h
+  in
+  let m_sched ~at act =
+    let ev = { m_time = at; m_seq = !m_next; m_act = act } in
+    incr m_next;
+    m_queue :=
+      List.merge
+        (fun a b -> compare (a.m_time, a.m_seq) (b.m_time, b.m_seq))
+        !m_queue [ ev ]
+  in
+  let m_cancel id = m_queue := List.filter (fun ev -> ev.m_seq <> id) !m_queue in
+  let rec m_run_until deadline =
+    match !m_queue with
+    | ev :: rest when ev.m_time <= deadline ->
+      m_queue := rest;
+      m_clock := ev.m_time;
+      m_fired := ev.m_seq :: !m_fired;
+      (match ev.m_act with
+       | Plain -> ()
+       | Spawn d -> m_sched ~at:(!m_clock + d) Plain
+       | Kill k -> m_cancel (k mod !m_next));
+      m_run_until deadline
+    | _ -> ()
+  in
+  let ok = ref true in
+  let check () =
+    if !fired <> !m_fired || Engine.pending e <> List.length !m_queue then
+      ok := false
+  in
+  List.iter
+    (fun op ->
+       (match op with
+        | Sched (d, act) ->
+          let at = Engine.now e + d in
+          engine_sched ~at act;
+          m_sched ~at act
+        | Cancel k ->
+          if ids () > 0 then begin
+            let id = k mod ids () in
+            Option.iter (Engine.cancel e) !handles.(id);
+            m_cancel id
+          end
+        | Run_until d ->
+          let deadline = Engine.now e + d in
+          Engine.run_until e deadline;
+          m_run_until deadline;
+          m_clock := max !m_clock deadline);
+       check ())
+    ops;
+  Engine.run e;
+  m_run_until max_int;
+  check ();
+  !ok && Engine.now e = !m_clock
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine = sorted-list model (schedule/cancel/run)"
+    ~count:300 ~long_factor:20
+    QCheck.(
+      make
+        ~print:(Print.list print_ev_op)
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 60) gen_ev_op))
+    engine_matches_model
 
 let prop_copy_preserves_content =
   QCheck.Test.make ~name:"machine copy preserves content" ~count:50
@@ -888,6 +1084,12 @@ let () =
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+          Alcotest.test_case "cancel releases the action" `Quick
+            test_engine_cancel_releases_action;
+          Alcotest.test_case "cancel on another engine" `Quick
+            test_engine_cancel_foreign_event;
+          Alcotest.test_case "raising action" `Quick
+            test_engine_raising_action;
         ] );
       ( "cache",
         [
@@ -933,6 +1135,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_accesses_match_reference;
           QCheck_alcotest.to_alcotest prop_interleavings_match_reference;
           QCheck_alcotest.to_alcotest prop_copy_matches_reference;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
         ] );
       ( "allocation",
         [
