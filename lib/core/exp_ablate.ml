@@ -181,12 +181,7 @@ let destripe_then_dilp ~len () =
   let c = Dilp.compile pl Dilp.Write in
   Machine.flush_cache m;
   ignore (Machine.take_ns m);
-  let off = ref 0 in
-  while !off < len do
-    let chunk = min 16 (len - !off) in
-    Machine.copy m ~src:(src + (2 * !off)) ~dst:(mid + !off) ~len:chunk;
-    off := !off + chunk
-  done;
+  Machine.destripe m ~src ~dst:mid ~len ~stripe:16;
   ignore (Dilp.execute_exn m c ~init:[ (acc, 0) ] ~src:mid ~dst ~len);
   Ash_sim.Time.us_of_ns (Machine.take_ns m)
 

@@ -115,6 +115,7 @@ type producer = {
   mutable p_streak : int;  (* consecutive timeouts on p_target *)
   mutable p_gen : int;  (* invalidates retry timers on ack *)
   mutable p_acked : (int * int * int) list;  (* seq, offset, ts; newest first *)
+  mutable p_acked_n : int;  (* List.length p_acked, for [stats] *)
   mutable p_redeliveries : int;
   mutable p_max_attempt : int;
   mutable p_last_ack_ts : int;  (* -1 until the first send *)
@@ -135,6 +136,7 @@ type consumer = {
   mutable k_refetches : int;
   mutable k_delivered : (int * int * int * bool) list;
       (* offset, producer, seq, payload_ok; newest first *)
+  mutable k_delivered_n : int;  (* List.length k_delivered, for [stats] *)
 }
 
 type t = {
@@ -335,6 +337,7 @@ and on_ack t p ~seq ~offset =
       p.p_max_gap_ns <- max p.p_max_gap_ns (now - p.p_last_ack_ts);
     p.p_last_ack_ts <- now;
     p.p_acked <- (seq, offset, now) :: p.p_acked;
+    p.p_acked_n <- p.p_acked_n + 1;
     p.p_inflight <- 0;
     p.p_gen <- p.p_gen + 1;
     p.p_attempt <- 0;
@@ -440,6 +443,7 @@ let bind_consumer t c =
                   then ok := false
                 done;
               c.k_delivered <- (o, producer, seq, !ok) :: c.k_delivered;
+              c.k_delivered_n <- c.k_delivered_n + 1;
               c.k_cursor <- o + 1;
               c.k_await <- A_none
             | _ -> ()
@@ -473,6 +477,7 @@ let add_consumer t ~host ~start_at ~interval_ns ~until =
       k_attempt = 0;
       k_refetches = 0;
       k_delivered = [];
+      k_delivered_n = 0;
     }
   in
   bind_consumer t c;
@@ -679,6 +684,7 @@ let create fab spec =
               p_streak = 0;
               p_gen = 0;
               p_acked = [];
+              p_acked_n = 0;
               p_redeliveries = 0;
               p_max_attempt = 0;
               p_last_ack_ts = -1;
@@ -740,12 +746,12 @@ let stats t =
   {
     s_produced =
       Array.fold_left (fun a p -> a + (p.p_next_seq - 1)) 0 t.prods;
-    s_acked = Array.fold_left (fun a p -> a + List.length p.p_acked) 0 t.prods;
+    s_acked = Array.fold_left (fun a p -> a + p.p_acked_n) 0 t.prods;
     s_redeliveries =
       Array.fold_left (fun a p -> a + p.p_redeliveries) 0 t.prods;
     s_refetches = List.fold_left (fun a c -> a + c.k_refetches) 0 t.consumers;
     s_delivered =
-      List.fold_left (fun a c -> a + List.length c.k_delivered) 0 t.consumers;
+      List.fold_left (fun a c -> a + c.k_delivered_n) 0 t.consumers;
     s_appends = pair (fun bi -> ctr_total t bi Handlers.mq_ctr_appends);
     s_dedup = pair (fun bi -> ctr_total t bi Handlers.mq_ctr_dup);
     s_stale = pair (fun bi -> ctr_total t bi Handlers.mq_ctr_stale);

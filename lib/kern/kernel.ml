@@ -262,7 +262,7 @@ let set_eth_demux t d = t.demux <- d
    to this CPU (horizon backlog) plus the still-undrained meter. Each
    charge is counted exactly once. *)
 let span_off t =
-  max 0 (t.horizon - Engine.now t.engine) + Machine.pending_ns t.machine
+  Int.max 0 (t.horizon - Engine.now t.engine) + Machine.pending_ns t.machine
 
 (* Open a reply span under a fresh correlation id: called at the
    app-level send entry points, where a new message's causal chain
@@ -307,7 +307,7 @@ let do_transmit t (target, frame) =
 let settle t =
   let d = Machine.take_ns t.machine in
   let now = Engine.now t.engine in
-  let finish = max now t.horizon + d in
+  let finish = Int.max now t.horizon + d in
   t.horizon <- finish;
   let delay = finish - now in
   if not (Queue.is_empty t.pending_tx) then begin

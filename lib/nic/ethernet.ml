@@ -120,7 +120,7 @@ let dma_striped t ~slot ~payload =
   let len = Bytes.length payload in
   let off = ref 0 in
   while !off < len do
-    let chunk = min stripe (len - !off) in
+    let chunk = Int.min stripe (len - !off) in
     Memory.blit_from_bytes mem ~src:payload ~src_off:!off
       ~dst:(slot + (2 * !off)) ~len:chunk;
     off := !off + chunk
@@ -169,7 +169,7 @@ let transmit t payload =
     let costs = Machine.costs t.machine in
     (* Wire occupancy: preamble + header/CRC framing + padding to the
        64-byte minimum frame. *)
-    let wire_bytes = max (len + 18) costs.Costs.eth_min_frame + 8 in
+    let wire_bytes = Int.max (len + 18) costs.Costs.eth_min_frame + 8 in
     Faulty_link.transmit ?deliver_via link ~wire_bytes ~frame (handoff crc_sent)
   in
   match t.peer, t.tx_link, t.fabric with
@@ -196,13 +196,7 @@ let release_buffer t ~ring_addr =
   t.free_ring <- t.free_ring @ [ ring_addr ]
 
 let destripe t rx ~dst =
-  let off = ref 0 in
-  while !off < rx.len do
-    let chunk = min stripe (rx.len - !off) in
-    Machine.copy t.machine ~src:(rx.ring_addr + (2 * !off)) ~dst:(dst + !off)
-      ~len:chunk;
-    off := !off + chunk
-  done
+  Machine.destripe t.machine ~src:rx.ring_addr ~dst ~len:rx.len ~stripe
 
 let corrupt_next_frame t = t.corrupt_next <- true
 

@@ -15,7 +15,7 @@ let create engine ?(pkt_occupancy_ns = 0) ~fixed_ns ~ns_per_byte () =
 
 let transmit t ?deliver_via ?(extra_delay_ns = 0) ~bytes deliver =
   let now = Engine.now t.engine in
-  let start = max now t.free_at in
+  let start = Int.max now t.free_at in
   let wire =
     t.pkt_occupancy_ns
     + int_of_float (Float.round (float_of_int bytes *. t.ns_per_byte))

@@ -86,7 +86,7 @@ let check_port t port =
   t.ports.(port)
 
 let wire_bytes t frame =
-  max (Bytes.length frame + 18) t.costs.Costs.eth_min_frame + 8
+  Int.max (Bytes.length frame + 18) t.costs.Costs.eth_min_frame + 8
 
 (* Drain one egress queue: transmit the head, then come back when the
    wire frees. The queue bound lives here, not in the link — the link

@@ -1,13 +1,18 @@
 module Machine = Ash_sim.Machine
+module Memory = Ash_sim.Memory
+module Cache = Ash_sim.Cache
+module Costs = Ash_sim.Costs
 module Checksum = Ash_util.Checksum
 module Bytesx = Ash_util.Bytesx
 
 let copy m ~src ~dst ~len = Machine.copy m ~src ~dst ~len
 
-let cksum16_pass m ~addr ~len =
-  (* Per 16-bit word: load (charged via cache), add, periodic fold. We
-     charge two ALU cycles per word (add + carry handling) plus half a
-     loop-control cycle (unrolled by two words). *)
+(* Per 16-bit word: load (charged via cache), add, periodic fold. We
+   charge two ALU cycles per word (add + carry handling) plus half a
+   loop-control cycle (unrolled by two words). Each load charges before
+   it faults, so a pass over a hole stops at the halfword that first
+   touches it. *)
+let cksum16_checked m ~addr ~len =
   Machine.charge_cycles m 5;
   let sum = ref 0 in
   let i = ref 0 in
@@ -22,6 +27,41 @@ let cksum16_pass m ~addr ~len =
     Machine.charge_cycles m 2
   end;
   Checksum.fold16 !sum
+
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external bswap16 : int -> int = "%bswap16"
+
+(* Big-endian halfword, unchecked: callers read only inside a range
+   [Memory.locate] found wholly within the region's data. *)
+let[@inline] be16 b i =
+  let v = get16u b i in
+  if Sys.big_endian then v else bswap16 v
+
+(* The same pass over a range that cannot fault: its charge in one sum,
+   the halfword loads as one cache run and the odd byte as another, and
+   the same sum read straight from the region. *)
+let cksum16_pass m ~addr ~len =
+  if len <= 0 then cksum16_checked m ~addr ~len
+  else
+    match Memory.locate (Machine.mem m) addr len with
+    | exception Memory.Fault _ -> cksum16_checked m ~addr ~len
+    | r ->
+      let halves = len / 2 and odd = len land 1 in
+      let c = Machine.cache m in
+      Machine.charge_cycles m
+        (5
+         + ((halves + odd) * ((Machine.costs m).Costs.insn_cycles + 2))
+         + Cache.load_run c ~addr ~size:2 ~count:halves
+         + Cache.load_run c ~addr:(addr + len - odd) ~size:1 ~count:odd);
+      let data = r.Memory.data and off = addr - r.Memory.base in
+      let sum = ref 0 in
+      for k = 0 to halves - 1 do
+        sum := !sum + be16 data (off + (2 * k));
+        if !sum > 0xffff_ffff then sum := (!sum land 0xffff_ffff) + 1
+      done;
+      if odd = 1 then
+        sum := !sum + (Char.code (Bytes.get data (off + len - 1)) lsl 8);
+      Checksum.fold16 !sum
 
 let byteswap_pass m ~addr ~len =
   if len land 3 <> 0 then invalid_arg "Baseline.byteswap_pass";

@@ -388,7 +388,7 @@ let rec pump t =
     let remaining = w.src_len - w.sent in
     let room = t.cfg.window - inflight in
     if remaining > 0 && room > 0 then begin
-      let seg = min t.cfg.mss (min remaining room) in
+      let seg = Int.min t.cfg.mss (Int.min remaining room) in
       send_data_segment t ~src:(w.src_addr + w.sent) ~len:seg;
       w.sent <- w.sent + seg;
       pump t

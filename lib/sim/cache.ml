@@ -95,6 +95,50 @@ let[@inline] store t ~addr ~size =
     in
     lines * t.store_extra
 
+(* A run of [count] accesses of [size] bytes at [addr], [addr + size],
+   ... in ascending order touches every line of its span, and all the
+   touches of one line are consecutive: no access spans more than two
+   lines ([size] is at most a line) and nothing else loads in between.
+   So only a line's first touch can miss, and walking the span's lines
+   in order, checking and setting each tag once, leaves the tags and
+   counts a loop of [load]s would leave, even when the span wraps the
+   index space. [size] divides the line (both are powers of two), so an
+   aligned run straddles no line boundary and an unaligned one
+   straddles every boundary inside its span. *)
+
+let check_run t ~size =
+  if size <= 0 || size > t.line || size land (size - 1) <> 0 then
+    invalid_arg "Cache.load_run: size must be a power of two up to a line"
+
+let run_touches t ~addr ~size ~count =
+  let span = line_addr t (addr + (count * size) - 1) - line_addr t addr in
+  if addr land (size - 1) = 0 then count else count + (span asr t.line_shift)
+
+let load_run t ~addr ~size ~count =
+  check_run t ~size;
+  if count <= 0 then 0
+  else begin
+    let last = line_addr t (addr + (count * size) - 1) in
+    let misses = ref 0 in
+    let la = ref (line_addr t addr) in
+    while !la <= last do
+      let i = index t !la in
+      if t.tags.(i) <> !la then begin
+        incr misses;
+        t.tags.(i) <- !la
+      end;
+      la := !la + t.line
+    done;
+    let touches = run_touches t ~addr ~size ~count in
+    t.misses <- t.misses + !misses;
+    t.hits <- t.hits + touches - !misses;
+    (touches * t.load_extra) + (!misses * t.miss_penalty)
+  end
+
+let store_run t ~addr ~size ~count =
+  check_run t ~size;
+  if count <= 0 then 0 else run_touches t ~addr ~size ~count * t.store_extra
+
 let probe t ~addr =
   let la = line_addr t addr in
   if t.tags.(index t la) = la then Hit else Miss

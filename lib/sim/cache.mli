@@ -26,6 +26,19 @@ val load : t -> addr:int -> size:int -> int
 val store : t -> addr:int -> size:int -> int
 (** Simulate a store; returns the extra cycle cost. *)
 
+val load_run : t -> addr:int -> size:int -> count:int -> int
+(** [load_run t ~addr ~size ~count] is what [count] calls of {!load} of
+    [size] bytes at [addr], [addr + size], ... would return in total,
+    and it leaves the same tags and the same hit/miss counts. It checks
+    each line of the span once. Precondition: [size] is a power of two
+    no larger than one cache line ([Invalid_argument] otherwise).
+    [count <= 0] costs nothing. *)
+
+val store_run : t -> addr:int -> size:int -> count:int -> int
+(** The same for {!store}: [count] stores of [size] bytes at [addr],
+    [addr + size], ... Stores never read or write tags, so this is
+    arithmetic on the span. Same precondition as {!load_run}. *)
+
 val probe : t -> addr:int -> access
 (** Whether a load at [addr] would hit, without charging or refilling. *)
 

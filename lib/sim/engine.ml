@@ -392,7 +392,7 @@ module Cluster = struct
 
   let begin_epoch c tmin ~until =
     let e_end = tmin + c.epoch_ns in
-    let deadline = min (e_end - 1) until in
+    let deadline = Int.min (e_end - 1) until in
     c.epoch_end <- e_end;
     let on = Ash_obs.Trace.enabled () in
     Array.iter (fun b -> Ash_obs.Trace.shard_set_enabled b on) c.bufs;

@@ -78,7 +78,7 @@ let copy_checked t ~src ~dst ~len =
   let i = ref 0 in
   while !i < words do
     (* Unrolled by four: one loop-control instruction per group. *)
-    let group = min 4 (words - !i) in
+    let group = Int.min 4 (words - !i) in
     for k = 0 to group - 1 do
       let o = (!i + k) * 4 in
       let v = load32 t (src + o) in
@@ -93,36 +93,38 @@ let copy_checked t ~src ~dst ~len =
     charge_cycles t t.costs.insn_cycles
   done
 
-(* The same loop once both ranges are known to lie inside resident
-   regions, so no access can fault: identical cache walk, cycle total and
-   word order (overlapping ranges copy exactly as above), with each
-   region resolved once instead of per access. *)
-let copy_resident t ~src ~dst ~len (s : Memory.region) (d : Memory.region) =
-  let insn = t.costs.insn_cycles in
-  let sdata = s.data and soff = src - s.base in
-  let ddata = d.data and doff = dst - d.base in
-  let cycles = ref 0 in
-  let words = len / 4 in
-  let i = ref 0 in
-  while !i < words do
-    let group = min 4 (words - !i) in
-    for k = 0 to group - 1 do
-      let o = (!i + k) * 4 in
-      cycles :=
-        !cycles + insn + Cache.load t.cache ~addr:(src + o) ~size:4
-        + insn + Cache.store t.cache ~addr:(dst + o) ~size:4;
-      Bytes.set_int32_ne ddata (doff + o) (Bytes.get_int32_ne sdata (soff + o))
+(* [copy_checked]'s charge for a copy that cannot fault, in one sum:
+   loads and stores each form one run of words and one of tail bytes,
+   and stores touch no tags, so the interleaving does not matter. *)
+let copy_cycles t ~src ~dst ~len =
+  let insn = t.costs.insn_cycles and c = t.cache in
+  let words = len / 4 and tail = len land 3 in
+  let o = words * 4 in
+  (2 * insn * words) + (insn * ((words + 3) / 4)) + (3 * insn * tail)
+  + Cache.load_run c ~addr:src ~size:4 ~count:words
+  + Cache.store_run c ~addr:dst ~size:4 ~count:words
+  + Cache.load_run c ~addr:(src + o) ~size:1 ~count:tail
+  + Cache.store_run c ~addr:(dst + o) ~size:1 ~count:tail
+
+(* A copy with both ranges inside the resident regions [s] and [d].
+   [Bytes.blit] is memmove; the word loop differs from it only when the
+   destination starts inside the source in the same region, where each
+   word re-reads bytes an earlier word wrote, so that case keeps the
+   loop's order. *)
+let copy_in t ~src ~dst ~len (s : Memory.region) (d : Memory.region) =
+  charge_cycles t (copy_cycles t ~src ~dst ~len);
+  let soff = src - s.base and doff = dst - d.base in
+  if s == d && dst > src && dst < src + len then begin
+    let words = len / 4 in
+    for k = 0 to words - 1 do
+      Bytes.set_int32_ne d.data (doff + (4 * k))
+        (Bytes.get_int32_ne s.data (soff + (4 * k)))
     done;
-    cycles := !cycles + insn;
-    i := !i + group
-  done;
-  for o = words * 4 to len - 1 do
-    cycles :=
-      !cycles + insn + Cache.load t.cache ~addr:(src + o) ~size:1
-      + insn + Cache.store t.cache ~addr:(dst + o) ~size:1 + insn;
-    Bytes.set ddata (doff + o) (Bytes.get sdata (soff + o))
-  done;
-  charge_cycles t !cycles
+    for o = words * 4 to len - 1 do
+      Bytes.set d.data (doff + o) (Bytes.get s.data (soff + o))
+    done
+  end
+  else Bytes.blit s.data soff d.data doff len
 
 let copy t ~src ~dst ~len =
   if len < 0 then invalid_arg "Machine.copy";
@@ -133,7 +135,37 @@ let copy t ~src ~dst ~len =
     | s -> (
         match Memory.locate t.mem dst len with
         | exception Memory.Fault _ -> copy_checked t ~src ~dst ~len
-        | d -> copy_resident t ~src ~dst ~len s d)
+        | d -> copy_in t ~src ~dst ~len s d)
+
+(* Stripe [k] is bytes [k*stripe, (k+1)*stripe) of the data, at
+   [src + 2*k*stripe] in the source, so the striped span is [len + last]
+   bytes long, [last] being the data offset of the last stripe. *)
+let destripe_copies t ~src ~dst ~len ~stripe =
+  let off = ref 0 in
+  while !off < len do
+    copy t ~src:(src + (2 * !off)) ~dst:(dst + !off)
+      ~len:(Int.min stripe (len - !off));
+    off := !off + stripe
+  done
+
+let destripe t ~src ~dst ~len ~stripe =
+  if len < 0 || stripe <= 0 then invalid_arg "Machine.destripe";
+  if len > 0 then begin
+    let last = (len - 1) / stripe * stripe in
+    match Memory.locate t.mem src (len + last) with
+    | exception Memory.Fault _ -> destripe_copies t ~src ~dst ~len ~stripe
+    | s -> (
+        match Memory.locate t.mem dst len with
+        | exception Memory.Fault _ -> destripe_copies t ~src ~dst ~len ~stripe
+        | d ->
+          let off = ref 0 in
+          while !off < len do
+            charge_cycles t (5 * t.costs.insn_cycles); (* copy's setup *)
+            copy_in t ~src:(src + (2 * !off)) ~dst:(dst + !off)
+              ~len:(Int.min stripe (len - !off)) s d;
+            off := !off + stripe
+          done)
+  end
 
 let flush_cache t = Cache.flush_all t.cache
 let flush_range t ~addr ~len = Cache.flush_range t.cache ~addr ~len

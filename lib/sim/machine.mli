@@ -49,6 +49,14 @@ val copy : t -> src:int -> dst:int -> len:int -> unit
     charged through the cache model. Handles unaligned lengths with
     byte-sized tail operations. *)
 
+val destripe : t -> src:int -> dst:int -> len:int -> stripe:int -> unit
+(** Gather [len] bytes from a striped source — [stripe] bytes of data,
+    then [stripe] bytes of padding, repeating (§III-C) — into
+    [dst, dst+len). Charged and faulting exactly as one {!copy} per
+    stripe; when the striped span and the destination each lie in one
+    resident region, both are located once for all stripes. Raises
+    [Invalid_argument] if [len < 0] or [stripe <= 0]. *)
+
 val flush_cache : t -> unit
 val flush_range : t -> addr:int -> len:int -> unit
 val warm_range : t -> addr:int -> len:int -> unit

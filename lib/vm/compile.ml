@@ -103,7 +103,7 @@ let kcall c k =
   | Isa.K_copy ->
     bound a0 a2;
     charge c 10;
-    if not (addr_ok c a1 (max a2 1)) then raise (Kill (Isa.Mem_fault a1));
+    if not (addr_ok c a1 (Int.max a2 1)) then raise (Kill (Isa.Mem_fault a1));
     Machine.copy c.m ~src:(msg_addr + a0) ~dst:a1 ~len:a2
   | Isa.K_dilp ->
     bound a1 a3;

@@ -376,12 +376,7 @@ let test_striped_single_pass_beats_destripe_then_dilp () =
     Machine.flush_cache m;
     ignore (Machine.take_ns m);
     (* destripe with the trusted copy engine, 16 bytes at a time *)
-    let off = ref 0 in
-    while !off < len do
-      let chunk = min 16 (len - !off) in
-      Machine.copy m ~src:(src + (2 * !off)) ~dst:(mid + !off) ~len:chunk;
-      off := !off + chunk
-    done;
+    Machine.destripe m ~src ~dst:mid ~len ~stripe:16;
     ignore (Dilp.execute_exn m c ~init:[ (acc, 0) ] ~src:mid ~dst ~len);
     Machine.take_ns m
   in

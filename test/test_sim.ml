@@ -718,6 +718,24 @@ module Ref = struct
       store t 1 (dst + o) (load t 1 (src + o));
       charge t costs.Costs.insn_cycles
     done
+
+  (* The separate checksum pass, one accounted halfword load at a
+     time. *)
+  let cksum16 t ~addr ~len =
+    charge t 5;
+    let sum = ref 0 in
+    let i = ref 0 in
+    while !i + 1 < len do
+      sum := !sum + load t 2 (addr + !i);
+      charge t 2;
+      if !sum > 0xffff_ffff then sum := (!sum land 0xffff_ffff) + 1;
+      i := !i + 2
+    done;
+    if len land 1 = 1 then begin
+      sum := !sum + (load t 1 (addr + len - 1) lsl 8);
+      charge t 2
+    end;
+    Ash_util.Checksum.fold16 !sum
 end
 
 (* Region lengths and residency: region 2 is paged out and region 3 is
@@ -948,6 +966,153 @@ let prop_copy_matches_reference =
          copies
        && same_state w !touched)
 
+(* A run charge equals the loop of single accesses it replaces: same
+   total cost, same hit/miss counts, same tag on every line either side
+   touched. Tags are pre-warmed at random near the run and one cache
+   size away (the same index, another tag), so runs start on a mix of
+   hits, misses and conflicts. *)
+type run = { r_addr : int; r_size : int; r_count : int; r_warm : int list }
+
+let gen_run =
+  let open QCheck.Gen in
+  int_range 0 200_000 >>= fun r_addr ->
+  oneofl [ 1; 2; 4 ] >>= fun r_size ->
+  int_range 0 300 >>= fun r_count ->
+  let near = int_range (r_addr - 64) (r_addr + (r_size * r_count) + 64) in
+  let alias = map (fun a -> a + costs.Costs.cache_size) near in
+  list_size (int_range 0 40) (frequency [ (3, near); (1, alias) ])
+  >>= fun r_warm -> return { r_addr; r_size; r_count; r_warm }
+
+let print_run r =
+  Printf.sprintf "%d x %d bytes at %d, warm [%s]" r.r_count r.r_size r.r_addr
+    (String.concat "; " (List.map string_of_int r.r_warm))
+
+let prop_runs_match_single_accesses =
+  QCheck.Test.make ~name:"Cache load/store runs = single accesses" ~count:500
+    ~long_factor:20
+    (QCheck.make ~print:print_run gen_run)
+    (fun { r_addr = addr; r_size = size; r_count = count; r_warm } ->
+       let run = Cache.create costs and single = Cache.create costs in
+       List.iter
+         (fun a ->
+            Cache.warm_range run ~addr:a ~len:1;
+            Cache.warm_range single ~addr:a ~len:1)
+         r_warm;
+       let load_cost = Cache.load_run run ~addr ~size ~count in
+       let store_cost = Cache.store_run run ~addr ~size ~count in
+       let load_sum = ref 0 and store_sum = ref 0 in
+       for k = 0 to count - 1 do
+         let a = addr + (k * size) in
+         load_sum := !load_sum + Cache.load single ~addr:a ~size;
+         store_sum := !store_sum + Cache.store single ~addr:a ~size
+       done;
+       let touched =
+         lines_of ~addr ~len:(size * count)
+         @ List.concat_map
+             (fun a ->
+                [ a; a + costs.Costs.cache_size; a - costs.Costs.cache_size ])
+             r_warm
+       in
+       load_cost = !load_sum && store_cost = !store_sum
+       && Cache.stats run = Cache.stats single
+       && List.for_all
+            (fun la ->
+               Cache.probe run ~addr:la = Cache.probe single ~addr:la)
+            touched)
+
+let prop_cksum_matches_reference =
+  QCheck.Test.make ~name:"Baseline.cksum16_pass = per-halfword reference"
+    ~count:300 ~long_factor:20
+    QCheck.(
+      make
+        ~print:(Print.list (fun (a, l) -> Printf.sprintf "cksum 0x%x, %d" a l))
+        Gen.(list_size (int_range 1 4) (pair gen_addr (int_range 0 300))))
+    (fun passes ->
+       let w = make_world () in
+       let touched = ref [] in
+       List.for_all
+         (fun (addr, len) ->
+            touched := lines_of ~addr ~len @ !touched;
+            outcome (fun () -> Ash_pipes.Baseline.cksum16_pass w.m ~addr ~len)
+            = outcome (fun () -> Ref.cksum16 w.rf ~addr ~len))
+         passes
+       && same_state w !touched)
+
+(* The property above never wraps the cache (len <= 300): a copy longer
+   than the 64 KiB cache evicts its own first lines, twice over on the
+   second pass. *)
+let test_copy_longer_than_cache () =
+  let m = Machine.create costs and rf = Ref.create () in
+  let len = 70 * 1024 in
+  let alloc () =
+    let r = Memory.alloc (Machine.mem m) (len + 64)
+    and r' = Ref.alloc rf ~resident:true (len + 64) in
+    for j = 0 to r.Memory.len - 1 do
+      let c = Char.chr ((j * 13) land 0xff) in
+      Bytes.set r.Memory.data j c;
+      Bytes.set r'.Memory.data j c
+    done;
+    (r, r')
+  in
+  let a, a' = alloc () and b, b' = alloc () in
+  let w = { m; rf; real = [| a; b |]; refr = [| a'; b' |] } in
+  List.iter
+    (fun (src, dst) ->
+       Machine.copy m ~src ~dst ~len;
+       Ref.copy rf ~src ~dst ~len)
+    [ (a.Memory.base + 3, b.Memory.base + 1);
+      (a.Memory.base, b.Memory.base + 7) ];
+  Alcotest.(check bool) "cycles, stats, tags and data agree" true
+    (same_state w
+       (lines_of ~addr:a.Memory.base ~len:(len + 64)
+        @ lines_of ~addr:b.Memory.base ~len:(len + 64)))
+
+type destripe = { d_src : int; d_dst : int; d_len : int; d_stripe : int }
+
+let prop_destripe_matches_copies =
+  QCheck.Test.make ~name:"Machine.destripe = one copy per stripe" ~count:300
+    ~long_factor:20
+    QCheck.(
+      make
+        ~print:
+          (Print.list (fun d ->
+               Printf.sprintf "destripe 0x%x -> 0x%x, %d by %d" d.d_src d.d_dst
+                 d.d_len d.d_stripe))
+        Gen.(
+          list_size (int_range 1 4)
+            ( gen_addr >>= fun d_src ->
+              gen_addr >>= fun d_dst ->
+              frequency [ (3, int_range 0 80); (1, int_range 0 300) ]
+              >>= fun d_len ->
+              oneofl [ 1; 3; 4; 8; 16; 16; 16 ] >>= fun d_stripe ->
+              return { d_src; d_dst; d_len; d_stripe } )))
+    (fun ds ->
+       let w = make_world () and w' = make_world () in
+       let touched = ref [] in
+       List.for_all
+         (fun { d_src = src; d_dst = dst; d_len = len; d_stripe = stripe } ->
+            touched := lines_of ~addr:src ~len:(2 * len) @ !touched;
+            outcome (fun () -> Machine.destripe w.m ~src ~dst ~len ~stripe)
+            = outcome (fun () ->
+                let off = ref 0 in
+                while !off < len do
+                  Machine.copy w'.m ~src:(src + (2 * !off)) ~dst:(dst + !off)
+                    ~len:(min stripe (len - !off));
+                  off := !off + stripe
+                done))
+         ds
+       && Machine.consumed_cycles w.m = Machine.consumed_cycles w'.m
+       && Cache.stats (Machine.cache w.m) = Cache.stats (Machine.cache w'.m)
+       && List.for_all
+            (fun la ->
+               Cache.probe (Machine.cache w.m) ~addr:la
+               = Cache.probe (Machine.cache w'.m) ~addr:la)
+            !touched
+       && Array.for_all2
+            (fun (a : Memory.region) (b : Memory.region) ->
+               Bytes.equal a.Memory.data b.Memory.data)
+            w.real w'.real)
+
 (* ------------------------------------------------------------------ *)
 (* The simulated memory path allocates nothing                         *)
 (* ------------------------------------------------------------------ *)
@@ -996,7 +1161,21 @@ let test_memory_path_allocation_free () =
       ignore (Memory.resident_at mem ~addr:(a + 8) ~size:4);
       ignore (Memory.resident_at mem ~addr:(b + 8) ~size:4);
       ignore (Memory.resident_at mem ~addr:(d + 8) ~size:4));
-  zero "Machine.copy 3 KiB" (fun () -> Machine.copy m ~src:a ~dst:b ~len:3072)
+  zero "Machine.copy 3 KiB" (fun () -> Machine.copy m ~src:a ~dst:b ~len:3072);
+  zero "Baseline.cksum16_pass 3 KiB" (fun () ->
+      ignore (Ash_pipes.Baseline.cksum16_pass m ~addr:a ~len:3072));
+  zero "Machine.destripe 1500 B" (fun () ->
+      Machine.destripe m ~src:a ~dst:b ~len:1500 ~stripe:16);
+  (* The digest's only allocation is its boxed [int32] result. *)
+  let frame = Bytes.make 1500 'x' in
+  let words =
+    minor_words_over_10k (fun () ->
+        ignore (Ash_util.Crc32.digest frame ~off:0 ~len:1500))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Crc32.digest: %d minor words over 10k calls, at most 3 \
+                     per call" words)
+    true (words <= 30_000)
 
 (* One run of the sandboxed TCP fast-path handler (§V-B) on a data
    segment and on a pure acknowledgment, straight through [Exec.run]:
@@ -1126,6 +1305,8 @@ let () =
           Alcotest.test_case "Table III calibration" `Quick
             test_table3_calibration;
           Alcotest.test_case "meter drain" `Quick test_meter_drain;
+          Alcotest.test_case "copy longer than the cache" `Quick
+            test_copy_longer_than_cache;
         ] );
       ( "properties",
         [
@@ -1136,6 +1317,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_interleavings_match_reference;
           QCheck_alcotest.to_alcotest prop_copy_matches_reference;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
+          QCheck_alcotest.to_alcotest prop_runs_match_single_accesses;
+          QCheck_alcotest.to_alcotest prop_cksum_matches_reference;
+          QCheck_alcotest.to_alcotest prop_destripe_matches_copies;
         ] );
       ( "allocation",
         [
