@@ -3,7 +3,7 @@
    Examples:
      ashbench list
      ashbench run table5
-     ashbench run --markdown table1 table3
+     ashbench run table1 table3
      ashbench inspect echo           (disassemble a handler, plain + SFI) *)
 
 module Core = Ash_core
@@ -45,9 +45,6 @@ let run_cmd =
   in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT")
-  in
-  let markdown =
-    Arg.(value & flag & info [ "markdown" ] ~doc:"Also emit Markdown.")
   in
   let trace =
     Arg.(value & flag
@@ -128,7 +125,7 @@ let run_cmd =
                  produces byte-identical tables and trace streams at \
                  any $(b,--jobs).")
   in
-  let run markdown trace trace_json profile trace_sample trace_chrome
+  let run trace trace_json profile trace_sample trace_chrome
       no_absint telemetry prom no_flight flight_dump jobs ids =
     if no_absint then Ash_kern.Kernel.set_absint_default false;
     (match jobs with
@@ -175,7 +172,6 @@ let run_cmd =
         (fun (e : Registry.t) ->
            let table = e.table () in
            Format.printf "%a" Report.print table;
-           if markdown then print_string (Report.to_markdown table);
            Result.fold ~ok:(fun () -> None) ~error:Option.some
              (Registry.self_check e table))
         selected
@@ -249,7 +245,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ markdown $ trace $ trace_json $ profile $ trace_sample
+    Term.(const run $ trace $ trace_json $ profile $ trace_sample
           $ trace_chrome $ no_absint $ telemetry $ prom $ no_flight
           $ flight_dump $ jobs $ ids)
 
@@ -573,49 +569,6 @@ let top_cmd =
   in
   Cmd.v (Cmd.info "top" ~doc) Term.(const run $ file_arg $ last $ metrics)
 
-(* -- regress: compare BENCH_results.json against the recorded history - *)
-
-let regress_cmd =
-  let doc =
-    "Compare the headline benchmark metrics in a results file against \
-     the recorded baseline in the history file, with per-metric \
-     tolerance bands. Virtual-time metrics outside their band fail \
-     (exit 1); host wall-clock metrics warn unless $(b,--strict-host)."
-  in
-  let results =
-    Arg.(value & opt string "BENCH_results.json"
-         & info [ "results" ] ~docv:"FILE"
-           ~doc:"Results file to check (default BENCH_results.json).")
-  in
-  let history =
-    Arg.(value & opt string "BENCH_history.json"
-         & info [ "history" ] ~docv:"FILE"
-           ~doc:"History file with baseline entries (default \
-                 BENCH_history.json).")
-  in
-  let strict_host =
-    Arg.(value & flag
-         & info [ "strict-host" ]
-           ~doc:"Also fail on host wall-clock metrics outside their \
-                 band (off by default: host numbers move with the \
-                 machine).")
-  in
-  let run results history strict_host =
-    match
-      Ash_bench.History.regress ~strict_host ~results_path:results
-        ~history_path:history ()
-    with
-    | Error msg ->
-      Format.eprintf "regress: %s@." msg;
-      exit 1
-    | Ok report ->
-      Format.printf "%a" Ash_bench.History.print_report report;
-      if not report.Ash_bench.History.r_ok then exit 1
-  in
-  Cmd.v
-    (Cmd.info "regress" ~doc)
-    Term.(const run $ results $ history $ strict_host)
-
 let () =
   let doc = "ASHs reproduction experiment driver" in
   let info = Cmd.info "ashbench" ~version:"1.0.0" ~doc in
@@ -623,4 +576,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; inspect_cmd; assemble_cmd; chaos_cmd;
-            lint_cmd; top_cmd; regress_cmd ]))
+            lint_cmd; top_cmd ]))

@@ -30,4 +30,4 @@ val curves :
     {!chaos}; `ashbench chaos` prints these with retransmit counts). *)
 
 val chaos : ?seed:int -> ?total:int -> ?chunk:int -> unit -> Report.table
-(** The goodput-vs-loss table recorded into BENCH_results.json. *)
+(** The goodput-vs-loss table ([ashbench run chaos]). *)

@@ -81,16 +81,6 @@ let run_failover ?(seed = 42) () =
   in
   measure ~seed ~scenario ()
 
-(* A small clean-link run for smoke tests and the Bechamel section:
-   create, produce a handful, drain, audit. *)
-let smoke () =
-  let fab = Fabric.create ~hosts:4 () in
-  let q = Mq.create fab { spec with Mq.capacity = 64 } in
-  Mq.produce q ~producer:0 ~count:4 ~at:1_000_000;
-  Mq.produce q ~producer:1 ~count:4 ~at:1_000_000;
-  let drained = Mq.drain q ~deadline:500_000_000 in
-  drained && (Mq.audit ~check_prefix_equal:true q).Mq.a_ok
-
 let mq () =
   let losses = List.map (fun r -> run_loss r) loss_grid in
   let fo = run_failover () in

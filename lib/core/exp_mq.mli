@@ -27,10 +27,5 @@ val run_failover : ?seed:int -> unit -> mq_run
 (** Primary kernel crash (segments wiped) 8 ms in, heal at 60 ms;
     clients fail over to the replica and replay. *)
 
-val smoke : unit -> bool
-(** Small clean-link run (4 messages per producer): true when drained
-    with a clean audit and prefix-equal logs. The bench harness's
-    Bechamel kernel and quick CI smokes. *)
-
 val mq : unit -> Report.table
 (** The [exp_mq] bench table. *)

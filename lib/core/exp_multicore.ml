@@ -1,7 +1,5 @@
-(* The multicore experiment (`ashbench exp_multicore`): simulated
-   goodput versus server cores at a fixed offered load, plus the
-   harness's own wall-clock speedup when the scale suite runs on
-   worker domains.
+(* The multicore experiment (`ashbench run exp_multicore`): simulated
+   goodput versus server cores at a fixed offered load.
 
    Not a paper table — the paper's DECstation has one CPU — but the
    scaling counterpart of its per-message costs: with handler dispatch,
@@ -275,29 +273,6 @@ let run_mc spec =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Harness wall-clock: the scale suite on worker domains               *)
-(* ------------------------------------------------------------------ *)
-
-let wall f =
-  let w0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. w0)
-
-(* A churn load heavy enough that per-shard event work dominates the
-   epoch barriers. Client hosts spread over 16 shards; the server (the
-   serial fraction) stays on shard 0. *)
-let churn_for_timing ~jobs =
-  {
-    Exp_scale.default_spec with
-    connections = 256;
-    client_hosts = 16;
-    rounds = 4;
-    verify = true;
-    shards = 16;
-    jobs;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* The bench table                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -328,36 +303,6 @@ let multicore () =
   let offered =
     match runs with (_, r) :: _ -> r.offered_rps | [] -> 0.0
   in
-  let host_cores = Domain.recommended_domain_count () in
-  let timing_jobs = min 4 host_cores in
-  (* Untimed warm-up so neither timed pass pays compilation or cold
-     host caches. *)
-  ignore (Exp_scale.run_churn (churn_for_timing ~jobs:1));
-  let _, w1 = wall (fun () -> Exp_scale.run_churn (churn_for_timing ~jobs:1)) in
-  let wall_rows =
-    let base =
-      Report.row ~label:"scale suite | wall clock, jobs=1"
-        ~measured:(w1 *. 1e3) ~unit_:"ms" ()
-    in
-    if timing_jobs <= 1 then
-      (* One host core: a jobs=N pass would time the same serial
-         execution twice and report scheduler noise as a speedup. *)
-      [ base ]
-    else begin
-      let _, wn =
-        wall (fun () -> Exp_scale.run_churn (churn_for_timing ~jobs:timing_jobs))
-      in
-      [
-        base;
-        Report.row
-          ~label:(Printf.sprintf "scale suite | wall clock, jobs=%d" timing_jobs)
-          ~measured:(wn *. 1e3) ~unit_:"ms" ();
-        Report.row
-          ~label:(Printf.sprintf "scale suite | speedup at jobs=%d" timing_jobs)
-          ~measured:(w1 /. wn) ~unit_:"x" ();
-      ]
-    end
-  in
   let balance =
     let r4 = List.assoc_opt 4 runs in
     match r4 with
@@ -371,8 +316,8 @@ let multicore () =
     Report.id = "exp_multicore";
     title =
       "Multicore: RSS-sharded server goodput vs cores at fixed offered \
-       load; harness wall clock on worker domains";
-    rows = goodput_rows @ wall_rows;
+       load";
+    rows = goodput_rows;
     notes =
       [
         Printf.sprintf
@@ -381,12 +326,5 @@ let multicore () =
            1-core server saturates, RSS cores recover the rest"
           (offered /. 1e3);
         balance;
-        Printf.sprintf
-          "wall clock measured on this host (%d core%s available): \
-           simulated goodput is host-independent, the wall-clock rows \
-           are not — re-run on a multi-core host for the parallel \
-           harness speedup"
-          host_cores
-          (if host_cores = 1 then "" else "s");
       ];
   }

@@ -1,15 +1,11 @@
-(** Multicore scaling: RSS-sharded server goodput versus cores, and the
-    harness's own wall-clock speedup on worker domains.
+(** Multicore scaling: RSS-sharded server goodput versus cores.
 
     A fixed offered load of small UDP requests (each costing the
     handler a few checksum passes of CPU work) is aimed at host 0. With
     one simulated server CPU the service time saturates the core and
     goodput caps at its capacity; with [cores > 1] the RSS flow hash
-    spreads flows over per-core kernels and goodput recovers. Simulated
-    goodput is host-independent (it is virtual time); the wall-clock
-    rows time {!Exp_scale.run_churn} at [jobs = 1] versus
-    [jobs = min 4 host_cores] and are only meaningful on a multi-core
-    host — the table's notes record how many cores were available. *)
+    spreads flows over per-core kernels and goodput recovers. Goodput is
+    virtual time, so it is host-independent. *)
 
 type mc_spec = {
   cores : int;  (** Server cores = fabric shards. *)
@@ -45,5 +41,5 @@ val cores_grid : int list
 (** The core counts the bench table sweeps: [1; 2; 4]. *)
 
 val multicore : unit -> Report.table
-(** The [exp_multicore] bench table: goodput and speedup-vs-1-core at
-    each point of {!cores_grid}, then the scale-suite wall-clock rows. *)
+(** The [exp_multicore] table: goodput and speedup-vs-1-core at each
+    point of {!cores_grid}. *)

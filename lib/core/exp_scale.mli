@@ -74,4 +74,4 @@ val conn_grid : int list
 
 val scale : unit -> Report.table
 (** The goodput/latency-vs-connections and demux-flatness table
-    recorded into BENCH_results.json. *)
+    ([ashbench run exp_scale]). *)

@@ -45,6 +45,10 @@ let print ppf t =
     t.rows;
   List.iter (fun n -> Format.fprintf ppf "  note: %s@." n) t.notes
 
+(* A cell's own '|' would split it into two columns. *)
+let escape_cell s =
+  String.concat "\\|" (String.split_on_char '|' s)
+
 let to_markdown t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf "### %s — %s\n\n" t.id t.title);
@@ -58,9 +62,11 @@ let to_markdown t =
          | Some d -> Printf.sprintf "%.2fx" d
          | None -> "-"
        in
-       Buffer.add_string buf
-         (Printf.sprintf "| %s | %s | %s | %s | %s |\n" r.label paper
-            (fmt_value r.measured) ratio r.unit_))
+       Buffer.add_string buf "|";
+       List.iter
+         (fun cell -> Printf.bprintf buf " %s |" (escape_cell cell))
+         [ r.label; paper; fmt_value r.measured; ratio; r.unit_ ];
+       Buffer.add_char buf '\n')
     t.rows;
   List.iter
     (fun n -> Buffer.add_string buf (Printf.sprintf "\n_Note: %s_\n" n))

@@ -1,9 +1,9 @@
 (** Experiment result reporting: paper-vs-measured tables.
 
-    Every benchmark produces a {!table}; the bench harness prints them
-    all and EXPERIMENTS.md is generated from the same data. Rows carry
-    the paper's reported value when one exists so deviations are visible
-    at a glance. *)
+    Every experiment produces a {!table}; [ashbench run] prints them
+    and the golden test generates EXPERIMENTS.md from the same data.
+    Rows carry the paper's reported value when one exists so deviations
+    are visible at a glance. *)
 
 type row = {
   label : string;
@@ -26,7 +26,8 @@ val print : Format.formatter -> table -> unit
 (** Aligned textual table with a deviation column. *)
 
 val to_markdown : table -> string
-(** Markdown rendering for EXPERIMENTS.md. *)
+(** Markdown rendering for EXPERIMENTS.md. A ['|'] inside a cell is
+    escaped as ["\\|"], so every row has exactly five columns. *)
 
 val deviation : row -> float option
 (** measured/paper ratio, when the paper value exists and is nonzero. *)

@@ -173,17 +173,10 @@ let mem key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let get key v = match mem key v with Some x -> x | None -> raise Not_found
-
 let to_float = function Num f -> Some f | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_obj = function Obj l -> Some l | _ -> None
-
-let number f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in

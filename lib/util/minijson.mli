@@ -1,10 +1,10 @@
 (** A minimal dependency-free JSON reader.
 
-    Just enough to consume the files this repo writes itself
-    (BENCH_results.json, BENCH_history.json, telemetry exports):
-    objects, arrays, strings with the common escapes, numbers, bools,
-    null. Not a validator — it accepts what we emit and rejects with a
-    located error on anything it cannot parse. *)
+    Just enough to consume the JSON this repo writes and reads itself
+    (telemetry exports, flight dumps, BENCHMARK.json, the end-to-end
+    benchmark's results): objects, arrays, strings with the common
+    escapes, numbers, bools, null. Not a validator — it accepts what we
+    emit and rejects with a located error on anything it cannot parse. *)
 
 type t =
   | Null
@@ -27,9 +27,6 @@ val parse_file : string -> t
 val mem : string -> t -> t option
 (** Field of an object, [None] otherwise. *)
 
-val get : string -> t -> t
-(** Like {!mem} but raises [Not_found]. *)
-
 val to_float : t -> float option
 (** [Num]; also [Bool]/[Null] map to [None]. *)
 
@@ -41,7 +38,3 @@ val escape : string -> string
 (** JSON string-body escaping the way our writers do it: quote,
     backslash and newline get their short forms, other control
     characters [\u00XX]. *)
-
-val number : float -> string
-(** Render a float the way our writers do: integral values bare
-    (["42"]), others via [%g]-style shortest form. *)

@@ -13,7 +13,6 @@ module Engine = Ash_sim.Engine
 module Stats = Ash_util.Stats
 module Tcp = Ash_proto.Tcp
 module Registry = Ash_core.Registry
-module History = Ash_bench.History
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -30,7 +29,10 @@ let test_report_deviation () =
 let test_report_markdown () =
   let t =
     { Report.id = "t"; title = "T";
-      rows = [ Report.row ~label:"a" ~paper:1. ~measured:2. ~unit_:"x" () ];
+      rows =
+        [ Report.row ~label:"a" ~paper:1. ~measured:2. ~unit_:"x" ();
+          Report.row ~label:"sandboxed ASH | suspended" ~measured:3.
+            ~unit_:"us" () ];
       notes = [ "n" ] }
   in
   let md = Report.to_markdown t in
@@ -41,7 +43,25 @@ let test_report_markdown () =
        i + 1 <= String.length md - 1
        && (String.sub md i 1 = "n" || find (i + 1))
      in
-     find 0)
+     find 0);
+  (* Five columns: every table line has six column separators, however
+     many '|' its cells hold. *)
+  let unescaped_bars line =
+    let n = ref 0 in
+    String.iteri
+      (fun i c -> if c = '|' && (i = 0 || line.[i - 1] <> '\\') then incr n)
+      line;
+    !n
+  in
+  let rows =
+    List.filter
+      (fun l -> String.length l > 0 && l.[0] = '|')
+      (String.split_on_char '\n' md)
+  in
+  Alcotest.(check int) "header, rule and two rows" 4 (List.length rows);
+  List.iter
+    (fun l -> Alcotest.(check int) l 6 (unescaped_bars l))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Handlers end to end                                                 *)
@@ -335,8 +355,8 @@ let test_registry_ids_unique () =
   Alcotest.(check bool) "select rejects unknown" true
     (Result.is_error (Registry.select [ "table1"; "table7" ]))
 
-(* Every experiment the bench harness ran before the registry existed
-   keeps its id, so BENCH_history.json and CI invocations stay valid. *)
+(* Every experiment keeps its id, so golden lines, CI invocations and
+   scripts that name experiments stay valid. *)
 let test_registry_keeps_ids () =
   List.iter
     (fun id -> Alcotest.(check bool) id true (List.mem id ids))
@@ -354,48 +374,6 @@ let test_registry_self_check () =
   let table1 = get "table1" in
   Alcotest.(check bool) "table1 passes" true
     (Registry.self_check table1 (table1.Registry.table ()) = Ok ())
-
-(* ------------------------------------------------------------------ *)
-(* Bench history                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
-
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec at i =
-    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
-  in
-  at 0
-
-(* A merge-conflicted history must survive: append refuses to rewrite
-   it and regress reports where the parse failed. *)
-let test_history_unreadable () =
-  let results = Filename.temp_file "results" ".json" in
-  let history = Filename.temp_file "history" ".json" in
-  write_file results {|{"meta": {"git_rev": "abc"}, "tables": {}}|};
-  let broken = "{\"entries\": [\n<<<<<<< HEAD\n" in
-  write_file history broken;
-  (match History.append ~results_path:results ~history_path:history with
-   | _ -> Alcotest.fail "append accepted an unreadable history"
-   | exception Failure _ -> ());
-  Alcotest.(check string) "history untouched" broken (read_file history);
-  (match History.regress ~results_path:results ~history_path:history () with
-   | Ok _ -> Alcotest.fail "regress accepted an unreadable history"
-   | Error msg ->
-     Alcotest.(check bool) ("parse position in " ^ msg) true
-       (contains ~sub:"parse error at " msg));
-  Sys.remove results;
-  Sys.remove history
 
 let () =
   Alcotest.run "ash_core"
@@ -461,10 +439,5 @@ let () =
           Alcotest.test_case "keeps harness ids" `Quick
             test_registry_keeps_ids;
           Alcotest.test_case "self-check" `Quick test_registry_self_check;
-        ] );
-      ( "history",
-        [
-          Alcotest.test_case "unreadable history kept" `Quick
-            test_history_unreadable;
         ] );
     ]
