@@ -3,7 +3,9 @@
 
    - to stdout, the MD5 digest of every table and of the table5, table6
      and exp_mq traced event streams, then exp_scale's stream at one
-     shard and at two shards on one and two worker domains;
+     shard and at two shards on one and two worker domains, then the
+     {!Ash_vm.Program.digest} of every handler generator at fixed
+     arguments;
    - to the file named by its second argument, EXPERIMENTS.md
      regenerated: the committed file (its first argument) verbatim up to
      and including the "## Results" line, then every table in Markdown.
@@ -18,6 +20,9 @@
    as an exact hex float, unit) and its notes; no host-time text enters
    it. A stream's digest is that of the last stdout line of
    [ashbench run <id> --trace-json], recorded under a fresh recorder.
+   A handler's digest is its handler-cache key: the tables see a
+   handler only through the cycles it costs, so they can miss a change
+   to its code.
 
    Usage: test_golden.exe EXPERIMENTS.md OUT *)
 
@@ -25,6 +30,8 @@ module Registry = Ash_core.Registry
 module Report = Ash_core.Report
 module Exp_scale = Ash_core.Exp_scale
 module Trace = Ash_obs.Trace
+module Handlers = Ash_core.Handlers
+module Tcp_fastpath = Ash_proto.Tcp_fastpath
 
 let hex s = Digest.to_hex (Digest.string s)
 
@@ -68,6 +75,55 @@ let scale_stream (shards, jobs) =
   let r = Trace.record () in
   ignore (Exp_scale.scale ());
   stream_digest r
+
+let handlers =
+  let geo =
+    {
+      Handlers.mq_net_off = 28;
+      mq_capacity = 1024;
+      mq_producers = 2;
+      mq_slot_shift = 6;
+      mq_meta = 0x10000;
+      mq_log = 0x10010;
+      mq_sess = 0x20010;
+      mq_ctr = 0x20020;
+    }
+  in
+  let chain =
+    Handlers.Mq_chain
+      {
+        self_ip = 0x0a000001;
+        peer_ip = 0x0a000002;
+        produce_port = 8_100;
+        repl_port = 8_101;
+      }
+  in
+  [
+    ("echo", Handlers.echo ());
+    ("remote_increment", Handlers.remote_increment ~slot_addr:0x1000);
+    ("pingpong_client", Handlers.pingpong_client ~state_addr:0x1000);
+    ("dilp_deposit", Handlers.dilp_deposit ~dilp_id:1 ~dst_addr:0x2000);
+    ( "remote_write_generic/0",
+      Handlers.remote_write_generic ~table_addr:0x3000 ~entries:4 () );
+    ( "remote_write_generic/28",
+      Handlers.remote_write_generic ~msg_off:28 ~table_addr:0x3000 ~entries:4
+        () );
+    ("remote_write_specific", Handlers.remote_write_specific ());
+    ("remote_write_guarded", Handlers.remote_write_guarded ());
+    ("mq_produce/chain", Handlers.mq_produce geo chain);
+    ("mq_produce/solo", Handlers.mq_produce geo Handlers.Mq_solo);
+    ( "mq_replicate",
+      Handlers.mq_replicate geo ~self_ip:0x0a000002 ~produce_port:8_100 );
+    ("mq_fetch", Handlers.mq_fetch geo);
+    ( "tcp_fastpath",
+      Tcp_fastpath.program
+        {
+          Tcp_fastpath.tcb_addr = 0x4000;
+          checksum = true;
+          dilp_id = 1;
+          cksum_acc_reg = Ash_vm.Isa.reg_arg3;
+        } );
+  ]
 
 let () =
   let committed, out =
@@ -114,6 +170,10 @@ let () =
        Printf.printf "exp_scale trace-json shards=%d jobs=%d %s\n" shards jobs
          d)
     configs streams;
+  List.iter
+    (fun (name, prog) ->
+       Printf.printf "handler %s %s\n" name (Ash_vm.Program.digest prog))
+    handlers;
   match streams with
   | [ _; jobs1; jobs2 ] when jobs1 <> jobs2 ->
     prerr_endline
