@@ -25,8 +25,12 @@ let run_variant ~label ~specific =
   (* The DSM segment this node exports, plus its translation table. *)
   let segment = TB.alloc server ~name:"dsm-segment" 8192 in
   let table = TB.alloc server ~name:"dsm-table" 16 in
-  Memory.store32 mem table.Memory.base segment.Memory.base;
-  Memory.store32 mem (table.Memory.base + 4) segment.Memory.len;
+  Memory.store32 mem
+    (table.Memory.base + Handlers.seg_off_base)
+    segment.Memory.base;
+  Memory.store32 mem
+    (table.Memory.base + Handlers.seg_off_limit)
+    segment.Memory.len;
 
   let program =
     if specific then Handlers.remote_write_specific ()
@@ -46,21 +50,24 @@ let run_variant ~label ~specific =
   Kernel.set_app_state server.TB.kernel Kernel.Suspended;
 
   (* Build the write request: 40 bytes of data at offset 256. *)
-  let data = Bytes.init 40 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let dst_off = 256 and len = 40 in
+  let data = Bytes.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
   let msg =
     if specific then begin
-      let b = Bytes.create (8 + 40) in
-      Bytesx.set_u32 b 0 (segment.Memory.base + 256);
-      Bytesx.set_u32 b 4 40;
-      Bytes.blit data 0 b 8 40;
+      let hdr = Handlers.rw_spec_header in
+      let b = Bytes.create (hdr + len) in
+      Bytesx.set_u32 b Handlers.rw_spec_off_ptr (segment.Memory.base + dst_off);
+      Bytesx.set_u32 b Handlers.rw_spec_off_size len;
+      Bytes.blit data 0 b hdr len;
       b
     end
     else begin
-      let b = Bytes.create (12 + 40) in
-      Bytesx.set_u32 b 0 0;
-      Bytesx.set_u32 b 4 256;
-      Bytesx.set_u32 b 8 40;
-      Bytes.blit data 0 b 12 40;
+      let hdr = Handlers.rw_header in
+      let b = Bytes.create (hdr + len) in
+      Bytesx.set_u32 b Handlers.rw_off_seg 0;
+      Bytesx.set_u32 b Handlers.rw_off_offset dst_off;
+      Bytesx.set_u32 b Handlers.rw_off_size len;
+      Bytes.blit data 0 b hdr len;
       b
     end
   in
@@ -68,7 +75,7 @@ let run_variant ~label ~specific =
   Kernel.kernel_send client.TB.kernel ~vc msg;
   TB.run tb;
   let landed =
-    Memory.read_string mem ~addr:(segment.Memory.base + 256) ~len:40
+    Memory.read_string mem ~addr:(segment.Memory.base + dst_off) ~len
   in
   let r = Kernel.ash_last_result server.TB.kernel ash in
   (match r with

@@ -21,13 +21,12 @@ module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
 module Time = Ash_sim.Time
 module Kernel = Ash_kern.Kernel
-module Dpf = Ash_kern.Dpf
 module Rss = Ash_nic.Rss
 module Packet = Ash_proto.Packet
 module Bytesx = Ash_util.Bytesx
 
 let net_header = Packet.ip_header_len + Packet.udp_header_len (* 28 *)
-let req_header = 12 (* seg | off | size *)
+let data_off = net_header + Handlers.rw_header (* the request's data *)
 
 type t = {
   fab : Fabric.t;
@@ -44,27 +43,24 @@ type t = {
 let ncores t = Array.length t.cores
 let owner t ~seg = seg mod ncores t
 
-(* The per-core view of host 0: the RSS cores when the fabric has them,
-   else plain host 0 as a single "core 0". *)
-let host0_cores fab =
-  let cs = Fabric.cores fab in
-  if Array.length cs > 0 then cs
-  else begin
-    let n = Fabric.host fab 0 in
-    [|
-      {
-        Fabric.core_idx = 0;
-        core_shard = 0;
-        core_kernel = n.Fabric.kernel;
-        core_eth = n.Fabric.eth;
-      };
-    |]
-  end
+let committed_in_kernel t =
+  let sum = ref 0 in
+  Array.iteri
+    (fun c (core : Fabric.core) ->
+      sum :=
+        !sum
+        + (Kernel.stats core.Fabric.core_kernel).Kernel.ash_committed
+        - t.base_commits.(c))
+    t.cores;
+  !sum
+
+let forwards t = Array.fold_left ( + ) 0 t.forwarded
+let applied_forwards t = Array.fold_left ( + ) 0 t.applied
 
 let create ?(port = 9_000) ~segments ~segment_size fab =
   if segments < 1 then invalid_arg "Dsm_mc.create: segments";
   if segment_size < 4 then invalid_arg "Dsm_mc.create: segment_size";
-  let cores = host0_cores fab in
+  let cores = Fabric.cores fab in
   let n = Array.length cores in
   let segs =
     Array.init segments (fun i ->
@@ -96,14 +92,18 @@ let create ?(port = 9_000) ~segments ~segment_size fab =
       (* Translation table over ALL segments, but only the owned ones
          are mapped; the rest stay zeroed, so foreign ops fail the
          handler's bounds check and fall back to the forwarder. *)
-      let table = Memory.alloc mem ~name:"dsm-mc-table" (8 * segments) in
+      let table =
+        Memory.alloc mem ~name:"dsm-mc-table"
+          (segments * Handlers.seg_entry_len)
+      in
       for i = 0 to segments - 1 do
         if i mod n = c then begin
+          let entry = table.Memory.base + (i * Handlers.seg_entry_len) in
           Memory.store32 mem
-            (table.Memory.base + (8 * i))
+            (entry + Handlers.seg_off_base)
             t.segs.(i).Memory.base;
           Memory.store32 mem
-            (table.Memory.base + (8 * i) + 4)
+            (entry + Handlers.seg_off_limit)
             t.segs.(i).Memory.len
         end
       done;
@@ -119,14 +119,7 @@ let create ?(port = 9_000) ~segments ~segment_size fab =
             (Format.asprintf "Dsm_mc.create: %a" Ash_vm.Verify.pp_error e)
       in
       let vc =
-        Kernel.bind_eth_filter k
-          [
-            Dpf.atom ~offset:9 ~width:1 Packet.Ip.proto_udp;
-            Dpf.atom
-              ~offset:(Packet.ip_header_len + 2)
-              ~width:2 port;
-          ]
-          ~compiled:true delivery
+        Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter port) delivery
       in
       Kernel.set_auto_repost k ~vc true;
       t.base_commits.(c) <- (Kernel.stats k).Kernel.ash_committed;
@@ -134,21 +127,22 @@ let create ?(port = 9_000) ~segments ~segment_size fab =
          as a cluster message landing one epoch out (always beyond the
          current merge barrier). *)
       Kernel.set_user_handler k ~vc (fun ~addr ~len ->
-          if len >= net_header + req_header then begin
-            let seg = Memory.load32 mem (addr + net_header) in
-            let off = Memory.load32 mem (addr + net_header + 4) in
-            let size = Memory.load32 mem (addr + net_header + 8) in
+          if len >= data_off then begin
+            let field f = Memory.load32 mem (addr + net_header + f) in
+            let seg = field Handlers.rw_off_seg in
+            let off = field Handlers.rw_off_offset in
+            let size = field Handlers.rw_off_size in
             if
               seg >= 0
               && seg < segments
               && size >= 0
               && off >= 0
               && off + size <= segment_size
-              && len >= net_header + req_header + size
+              && len >= data_off + size
             then begin
               let data = Bytes.create size in
               Memory.blit_to_bytes mem
-                ~src:(addr + net_header + req_header)
+                ~src:(addr + data_off)
                 ~dst:data ~dst_off:0 ~len:size;
               let o = seg mod n in
               t.forwarded.(c) <- t.forwarded.(c) + 1;
@@ -172,20 +166,10 @@ let create ?(port = 9_000) ~segments ~segment_size fab =
    | None -> ()
    | Some ts ->
      Ash_obs.Timeseries.register_rate ts "dsm.commits" (fun () ->
-         (* committed_in_kernel, inlined (defined below create) *)
-         let sum = ref 0 in
-         Array.iteri
-           (fun c (core : Fabric.core) ->
-             sum :=
-               !sum
-               + (Kernel.stats core.Fabric.core_kernel).Kernel.ash_committed
-               - t.base_commits.(c))
-           t.cores;
-         !sum);
-     Ash_obs.Timeseries.register_rate ts "dsm.forwards" (fun () ->
-         Array.fold_left ( + ) 0 t.forwarded);
+         committed_in_kernel t);
+     Ash_obs.Timeseries.register_rate ts "dsm.forwards" (fun () -> forwards t);
      Ash_obs.Timeseries.register_rate ts "dsm.applied_forwards" (fun () ->
-         Array.fold_left ( + ) 0 t.applied));
+         applied_forwards t));
   t
 
 let ring_of t ~client ~sport =
@@ -210,7 +194,7 @@ let write_at t ~client ~sport ~at ~seg ~off ~data =
     invalid_arg "Dsm_mc.write_at: size must be word-aligned, in [4, 4096]";
   if off < 0 || off + size > t.seg_size then
     invalid_arg "Dsm_mc.write_at: out of bounds";
-  let total = net_header + req_header + size in
+  let total = data_off + size in
   let frame = Bytes.create total in
   Packet.Ip.write frame ~off:0
     {
@@ -225,33 +209,19 @@ let write_at t ~client ~sport ~at ~seg ~off ~data =
     {
       Packet.Udp.src_port = sport;
       dst_port = t.port;
-      length = Packet.udp_header_len + req_header + size;
+      length = total - Packet.ip_header_len;
       checksum = 0;
     };
-  Bytesx.set_u32 frame net_header seg;
-  Bytesx.set_u32 frame (net_header + 4) off;
-  Bytesx.set_u32 frame (net_header + 8) size;
-  Bytes.blit data 0 frame (net_header + req_header) size;
+  Bytesx.set_u32 frame (net_header + Handlers.rw_off_seg) seg;
+  Bytesx.set_u32 frame (net_header + Handlers.rw_off_offset) off;
+  Bytesx.set_u32 frame (net_header + Handlers.rw_off_size) size;
+  Bytes.blit data 0 frame data_off size;
   let kernel = (Fabric.host t.fab client).Fabric.kernel in
   ignore
     (Engine.schedule_at
        (Fabric.host_engine t.fab client)
        ~at
        (fun () -> Kernel.eth_kernel_send kernel frame))
-
-let committed_in_kernel t =
-  let sum = ref 0 in
-  Array.iteri
-    (fun c (core : Fabric.core) ->
-      sum :=
-        !sum
-        + (Kernel.stats core.Fabric.core_kernel).Kernel.ash_committed
-        - t.base_commits.(c))
-    t.cores;
-  !sum
-
-let forwards t = Array.fold_left ( + ) 0 t.forwarded
-let applied_forwards t = Array.fold_left ( + ) 0 t.applied
 
 let read_seg t ~seg ~off ~len =
   let core = t.cores.(owner t ~seg) in

@@ -8,19 +8,14 @@ module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
 module Costs = Ash_sim.Costs
 module Dpf = Ash_kern.Dpf
+module Packet = Ash_proto.Packet
 module Bytesx = Ash_util.Bytesx
 
-(* A UDP-port-style filter: IPv4 proto + destination port. *)
-let filter_for_port port =
-  [
-    Dpf.atom ~offset:9 ~width:1 17;
-    Dpf.atom ~offset:22 ~width:2 port;
-  ]
-
+(* A UDP datagram to [port], matched by [Packet.Udp.dst_port_filter]. *)
 let mk_packet ~port =
   let b = Bytes.make 64 '\000' in
-  Bytesx.set_u8 b 9 17;
-  Bytesx.set_u16 b 22 port;
+  Bytesx.set_u8 b Packet.Ip.off_proto Packet.Ip.proto_udp;
+  Bytesx.set_u16 b (Packet.ip_header_len + Packet.Udp.off_dst_port) port;
   b
 
 (* Demux one packet against n installed filters (worst case: match on
@@ -31,7 +26,9 @@ let demux_cycles ~compiled ~nfilters =
   let pkt = mk_packet ~port:(7000 + nfilters - 1) in
   let buf = Memory.alloc mem ~name:"pkt" 64 in
   Memory.blit_from_bytes mem ~src:pkt ~src_off:0 ~dst:buf.Memory.base ~len:64;
-  let filters = List.init nfilters (fun i -> filter_for_port (7000 + i)) in
+  let filters =
+    List.init nfilters (fun i -> Packet.Udp.dst_port_filter (7000 + i))
+  in
   let programs =
     if compiled then List.map (fun f -> Some (Dpf.compile f)) filters
     else List.map (fun _ -> None) filters
@@ -66,7 +63,7 @@ let demux_cycles_trie ~nfilters =
   let trie = Dpf_trie.create () in
   List.iteri
     (fun i f -> Dpf_trie.insert trie ~prio:i f i)
-    (List.init nfilters (fun i -> filter_for_port (7000 + i)));
+    (List.init nfilters (fun i -> Packet.Udp.dst_port_filter (7000 + i)));
   ignore (Machine.take_ns m);
   let r = Dpf_trie.lookup trie m ~msg_addr:buf.Memory.base ~msg_len:64 in
   assert (r = Some (nfilters - 1));

@@ -13,7 +13,6 @@ module Engine = Ash_sim.Engine
 module Costs = Ash_sim.Costs
 module Time = Ash_sim.Time
 module Kernel = Ash_kern.Kernel
-module Dpf = Ash_kern.Dpf
 module Rss = Ash_nic.Rss
 module Packet = Ash_proto.Packet
 module Bytesx = Ash_util.Bytesx
@@ -64,16 +63,7 @@ let echo_work ~work_loops =
   Builder.bne b cnt Isa.reg_zero inner;
   Builder.emit b (Isa.Addi (rep, rep, -1));
   Builder.bne b rep Isa.reg_zero outer;
-  (* Swap src/dst IP addresses (words 12 and 16). *)
-  Builder.emit b (Isa.Ld32 (a, Isa.reg_msg_addr, 12));
-  Builder.emit b (Isa.Ld32 (c, Isa.reg_msg_addr, 16));
-  Builder.emit b (Isa.St32 (a, Isa.reg_msg_addr, 16));
-  Builder.emit b (Isa.St32 (c, Isa.reg_msg_addr, 12));
-  (* Swap UDP ports (16-bit fields at 20 and 22). *)
-  Builder.emit b (Isa.Ld16 (a, Isa.reg_msg_addr, Packet.ip_header_len));
-  Builder.emit b (Isa.Ld16 (c, Isa.reg_msg_addr, Packet.ip_header_len + 2));
-  Builder.emit b (Isa.St16 (a, Isa.reg_msg_addr, Packet.ip_header_len + 2));
-  Builder.emit b (Isa.St16 (c, Isa.reg_msg_addr, Packet.ip_header_len));
+  Handlers.udp_swap_back b a c;
   (* Reply with the whole frame. *)
   Builder.emit b (Isa.Mov (Isa.reg_arg0, Isa.reg_msg_addr));
   Builder.emit b (Isa.Mov (Isa.reg_arg1, Isa.reg_msg_len));
@@ -133,27 +123,7 @@ let run_mc spec =
       ()
   in
   Fabric.warm_arp fab ~server:0;
-  let cores =
-    let cs = Fabric.cores fab in
-    if Array.length cs > 0 then cs
-    else begin
-      let n = Fabric.host fab 0 in
-      [|
-        {
-          Fabric.core_idx = 0;
-          core_shard = 0;
-          core_kernel = n.Fabric.kernel;
-          core_eth = n.Fabric.eth;
-        };
-      |]
-    end
-  in
-  let service_filter port =
-    [
-      Dpf.atom ~offset:9 ~width:1 Packet.Ip.proto_udp;
-      Dpf.atom ~offset:(Packet.ip_header_len + 2) ~width:2 port;
-    ]
-  in
+  let cores = Fabric.cores fab in
   let download k prog =
     match Kernel.download_ash k ~sandbox:true prog with
     | Ok id -> Kernel.Deliver_ash id
@@ -165,8 +135,9 @@ let run_mc spec =
     (fun (c : Fabric.core) ->
       let k = c.Fabric.core_kernel in
       let delivery = download k (echo_work ~work_loops:spec.work_loops) in
-      let vc = Kernel.bind_eth_filter k (service_filter service_port)
-          ~compiled:true delivery
+      let vc =
+        Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter service_port)
+          delivery
       in
       Kernel.set_auto_repost k ~vc true;
       Kernel.set_user_handler k ~vc (fun ~addr:_ ~len:_ -> ()))
@@ -181,7 +152,7 @@ let run_mc spec =
     let h = client_of g in
     let k = (Fabric.host fab h).Fabric.kernel in
     let vc =
-      Kernel.bind_eth_filter k (service_filter (sport g)) ~compiled:true
+      Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter (sport g))
         (download k (sink ()))
     in
     Kernel.set_auto_repost k ~vc true;

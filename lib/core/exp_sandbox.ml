@@ -13,6 +13,12 @@ module Bytesx = Ash_util.Bytesx
 
 type variant = Generic | Specific | Guarded
 
+let program ~variant ~table_addr =
+  match variant with
+  | Generic -> Handlers.remote_write_generic ~table_addr ~entries:1 ()
+  | Specific -> Handlers.remote_write_specific ()
+  | Guarded -> Handlers.remote_write_guarded ()
+
 (* Run one remote-write handler in isolation ("we take this measurement
    in isolation, without the cost of communication, but with both ASHs
    running in the kernel"). Returns (cycles, interp result). *)
@@ -23,30 +29,27 @@ let run_once ?(absint = false) ?(specialize_exit = false) ~variant ~sandboxed
   let seg = Memory.alloc mem ~name:"dsm-segment" 8192 in
   let table = Memory.alloc mem ~name:"dsm-table" 64 in
   (* One translation-table entry: segment 0 -> (base, limit). *)
-  Memory.store32 mem table.Memory.base seg.Memory.base;
-  Memory.store32 mem (table.Memory.base + 4) seg.Memory.len;
-  let hdr_len = match variant with Generic -> 12 | Specific | Guarded -> 8 in
+  let entry = table.Memory.base in
+  Memory.store32 mem (entry + Handlers.seg_off_base) seg.Memory.base;
+  Memory.store32 mem (entry + Handlers.seg_off_limit) seg.Memory.len;
+  let hdr_len =
+    if variant = Generic then Handlers.rw_header else Handlers.rw_spec_header
+  in
   let msg = Memory.alloc mem ~name:"msg" (hdr_len + payload_len) in
   let header = Bytes.create hdr_len in
+  let dst_off = 64 in
   (match variant with
    | Generic ->
-     Bytesx.set_u32 header 0 0; (* segment number *)
-     Bytesx.set_u32 header 4 64; (* offset *)
-     Bytesx.set_u32 header 8 payload_len
+     Bytesx.set_u32 header Handlers.rw_off_seg 0;
+     Bytesx.set_u32 header Handlers.rw_off_offset dst_off;
+     Bytesx.set_u32 header Handlers.rw_off_size payload_len
    | Specific | Guarded ->
-     Bytesx.set_u32 header 0 (seg.Memory.base + 64);
-     Bytesx.set_u32 header 4 payload_len);
+     Bytesx.set_u32 header Handlers.rw_spec_off_ptr (seg.Memory.base + dst_off);
+     Bytesx.set_u32 header Handlers.rw_spec_off_size payload_len);
   Memory.blit_from_bytes mem ~src:header ~src_off:0 ~dst:msg.Memory.base
     ~len:hdr_len;
   let program =
-    match variant with
-    | Generic ->
-      Handlers.remote_write_generic ~table_addr:table.Memory.base ~entries:1 ()
-    | Specific -> Handlers.remote_write_specific ()
-    | Guarded -> Handlers.remote_write_guarded ()
-  in
-  let program =
-    match Verify.check program with
+    match Verify.check (program ~variant ~table_addr:table.Memory.base) with
     | Ok p ->
       if sandboxed then fst (Sandbox.apply ~absint ~specialize_exit p)
       else p
@@ -89,13 +92,7 @@ let overhead_ratio ~variant ~payload_len =
 (* Static sandboxing cost of the remote-write handlers under a given
    analysis configuration, for the absint ablation. *)
 let sandbox_stats ?(absint = false) ?(specialize_exit = false) ~variant () =
-  let program =
-    match variant with
-    | Generic -> Handlers.remote_write_generic ~table_addr:0x3000 ~entries:1 ()
-    | Specific -> Handlers.remote_write_specific ()
-    | Guarded -> Handlers.remote_write_guarded ()
-  in
-  match Verify.check program with
+  match Verify.check (program ~variant ~table_addr:0x3000) with
   | Ok p -> snd (Sandbox.apply ~absint ~specialize_exit p)
   | Error e -> failwith (Format.asprintf "rejected: %a" Verify.pp_error e)
 

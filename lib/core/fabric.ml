@@ -34,7 +34,7 @@ type t = {
   nodes : node array;
   cluster : Engine.Cluster.t;
   jobs : int;
-  cores : core array; (* host 0's RSS cores; [||] unless server_cores > 1 *)
+  cores : core array; (* host 0's RSS cores, or host 0 alone as core 0 *)
 }
 
 let ip_of_index i = 0x0a00_0000 lor (i + 1)
@@ -50,7 +50,7 @@ let mac_of_index i = 0x0200_0000_0000 lor (i + 1)
 let route arp frame =
   let len = Bytes.length frame in
   if len >= Packet.ip_header_len && Bytesx.get_u8 frame 0 = 0x45 then
-    Arp.lookup arp ~ip:(Bytesx.get_u32 frame 16)
+    Arp.lookup arp ~ip:(Bytesx.get_u32 frame Packet.Ip.off_dst)
   else
     match Arp.Wire.read frame with
     | Ok p when p.Arp.Wire.op = Arp.Wire.op_reply ->
@@ -64,7 +64,7 @@ let route arp frame =
 let static_route ~hosts frame =
   let len = Bytes.length frame in
   if len >= Packet.ip_header_len && Bytesx.get_u8 frame 0 = 0x45 then begin
-    let dst = Bytesx.get_u32 frame 16 in
+    let dst = Bytesx.get_u32 frame Packet.Ip.off_dst in
     let i = (dst land 0x00ff_ffff) - 1 in
     if dst lsr 24 = 0x0a && i >= 0 && i < hosts then Some (mac_of_index i)
     else None
@@ -176,7 +176,14 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
             arp }
         end)
   in
-  { engine; costs; switch; nodes; cluster; jobs; cores = !cores }
+  let cores =
+    if Array.length !cores > 0 then !cores
+    else
+      let n = nodes.(0) in
+      [| { core_idx = 0; core_shard = 0; core_kernel = n.kernel;
+           core_eth = n.eth } |]
+  in
+  { engine; costs; switch; nodes; cluster; jobs; cores }
 
 let hosts t = Array.length t.nodes
 let host t i = t.nodes.(i)

@@ -48,8 +48,8 @@ type t = {
   cluster : Ash_sim.Engine.Cluster.t;
   jobs : int;
   cores : core array;
-      (** Host 0's RSS cores; [[||]] unless [server_cores > 1] (then
-          [cores.(0).core_kernel == (host t 0).kernel]). *)
+      (** Host 0's RSS cores, or host 0 itself as the one core 0 when
+          [server_cores = 1]; [cores.(0).core_kernel == (host t 0).kernel]. *)
 }
 
 val create :

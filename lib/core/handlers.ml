@@ -1,7 +1,43 @@
 module Isa = Ash_vm.Isa
 module Builder = Ash_vm.Builder
+module Packet = Ash_proto.Packet
 
-let magic = 0xA5A5A5A5
+(* Every message and state format a generator shares with OCaml code is
+   declared once below, as field offsets plus a length; the generators
+   emit them as immediates. *)
+
+let incr_magic = 0xA5A5A5A5
+let incr_off_magic = 0
+let incr_off_delta = 4
+let incr_len = 8 (* remote-increment request: [magic | delta] *)
+let pp_off_remaining = 0
+let pp_off_done = 4 (* ping-pong client state: [remaining | done] *)
+let rw_off_seg = 0
+let rw_off_offset = 4
+let rw_off_size = 8
+let rw_header = 12 (* generic remote write: [seg | offset | size | data] *)
+let seg_off_base = 0
+let seg_off_limit = 4
+let seg_entry_shift = 3
+let seg_entry_len = 1 lsl seg_entry_shift (* segment: [base | limit] *)
+let rw_spec_off_ptr = 0
+let rw_spec_off_size = 4
+let rw_spec_header = 8 (* specific remote write: [ptr | size | data] *)
+
+(* The UDP ports of an IP+UDP frame at the message start. *)
+let udp_src_port = Packet.ip_header_len + Packet.Udp.off_src_port
+let udp_dst_port = Packet.ip_header_len + Packet.Udp.off_dst_port
+
+(* Swapping two aligned words keeps the IP checksum valid. *)
+let udp_swap_back b ta tb =
+  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, Packet.Ip.off_src));
+  Builder.emit b (Isa.Ld32 (tb, Isa.reg_msg_addr, Packet.Ip.off_dst));
+  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, Packet.Ip.off_dst));
+  Builder.emit b (Isa.St32 (tb, Isa.reg_msg_addr, Packet.Ip.off_src));
+  Builder.emit b (Isa.Ld16 (ta, Isa.reg_msg_addr, udp_src_port));
+  Builder.emit b (Isa.Ld16 (tb, Isa.reg_msg_addr, udp_dst_port));
+  Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, udp_dst_port));
+  Builder.emit b (Isa.St16 (tb, Isa.reg_msg_addr, udp_src_port))
 
 let echo () =
   let b = Builder.create ~name:"echo" () in
@@ -21,16 +57,16 @@ let remote_increment ~slot_addr =
   and slot = Builder.temp b
   and cur = Builder.temp b in
   (* Protocol preamble: validate the message type word. *)
-  Builder.emit b (Isa.Ld32 (v, Isa.reg_msg_addr, 0));
-  Builder.li b want magic;
+  Builder.emit b (Isa.Ld32 (v, Isa.reg_msg_addr, incr_off_magic));
+  Builder.li b want incr_magic;
   Builder.bne b v want bad;
   (* Control initiation: the increment itself, on application state. *)
-  Builder.emit b (Isa.Ld32 (delta, Isa.reg_msg_addr, 4));
+  Builder.emit b (Isa.Ld32 (delta, Isa.reg_msg_addr, incr_off_delta));
   Builder.li b slot slot_addr;
   Builder.emit b (Isa.Ld32 (cur, slot, 0));
   Builder.emit b (Isa.Add (cur, cur, delta));
   Builder.emit b (Isa.St32 (cur, slot, 0));
-  (* Message initiation: reply with the new value. *)
+  (* Message initiation: reply with the new value in the first word. *)
   Builder.emit b (Isa.St32 (cur, Isa.reg_msg_addr, 0));
   Builder.emit b (Isa.Mov (Isa.reg_arg0, Isa.reg_msg_addr));
   Builder.li b Isa.reg_arg1 4;
@@ -47,11 +83,11 @@ let pingpong_client ~state_addr =
   and remaining = Builder.temp b
   and one = Builder.temp b in
   Builder.li b state state_addr;
-  Builder.emit b (Isa.Ld32 (remaining, state, 0));
+  Builder.emit b (Isa.Ld32 (remaining, state, pp_off_remaining));
   Builder.beq b remaining Isa.reg_zero done_l;
   Builder.li b one 1;
   Builder.emit b (Isa.Sub (remaining, remaining, one));
-  Builder.emit b (Isa.St32 (remaining, state, 0));
+  Builder.emit b (Isa.St32 (remaining, state, pp_off_remaining));
   Builder.call b Isa.K_msg_len;
   Builder.emit b (Isa.Mov (Isa.reg_arg1, Isa.reg_arg0));
   Builder.emit b (Isa.Mov (Isa.reg_arg0, Isa.reg_msg_addr));
@@ -59,7 +95,7 @@ let pingpong_client ~state_addr =
   Builder.commit b;
   Builder.place b done_l;
   Builder.li b one 1;
-  Builder.emit b (Isa.St32 (one, state, 4));
+  Builder.emit b (Isa.St32 (one, state, pp_off_done));
   Builder.commit b;
   Builder.assemble b
 
@@ -83,12 +119,12 @@ let remote_write_generic ?(msg_off = 0) ~table_addr ~entries () =
      [msg_off] shifts the whole request past any transport headers the
      raw message retains (e.g. IP+UDP when the handler is bound to an
      Ethernet DPF filter). *)
-  Builder.li b bound (msg_off + 12);
+  Builder.li b bound (msg_off + rw_header);
   Builder.bltu b Isa.reg_msg_len bound bad;
-  Builder.emit b (Isa.Ld32 (seg, Isa.reg_msg_addr, msg_off));
-  Builder.emit b (Isa.Ld32 (off, Isa.reg_msg_addr, msg_off + 4));
-  Builder.emit b (Isa.Ld32 (size, Isa.reg_msg_addr, msg_off + 8));
-  Builder.emit b (Isa.Addi (stop, size, msg_off + 12));
+  Builder.emit b (Isa.Ld32 (seg, Isa.reg_msg_addr, msg_off + rw_off_seg));
+  Builder.emit b (Isa.Ld32 (off, Isa.reg_msg_addr, msg_off + rw_off_offset));
+  Builder.emit b (Isa.Ld32 (size, Isa.reg_msg_addr, msg_off + rw_off_size));
+  Builder.emit b (Isa.Addi (stop, size, msg_off + rw_header));
   Builder.bltu b Isa.reg_msg_len stop bad;
   Builder.emit b (Isa.Andi (stop, size, 3));
   Builder.bne b stop Isa.reg_zero bad;
@@ -97,14 +133,14 @@ let remote_write_generic ?(msg_off = 0) ~table_addr ~entries () =
   (* Segment-table translation with bounds checks. *)
   Builder.li b bound entries;
   Builder.bgeu b seg bound bad;
-  Builder.emit b (Isa.Sll (entry, seg, 3));
+  Builder.emit b (Isa.Sll (entry, seg, seg_entry_shift));
   Builder.emit b (Isa.Addi (entry, entry, table_addr));
-  Builder.emit b (Isa.Ld32 (base, entry, 0));
-  Builder.emit b (Isa.Ld32 (limit, entry, 4));
+  Builder.emit b (Isa.Ld32 (base, entry, seg_off_base));
+  Builder.emit b (Isa.Ld32 (limit, entry, seg_off_limit));
   Builder.emit b (Isa.Add (stop, off, size));
   Builder.bltu b limit stop bad;
   (* Copy the data through the trusted engine. *)
-  Builder.li b Isa.reg_arg0 (msg_off + 12);
+  Builder.li b Isa.reg_arg0 (msg_off + rw_header);
   Builder.emit b (Isa.Add (Isa.reg_arg1, base, off));
   Builder.emit b (Isa.Mov (Isa.reg_arg2, size));
   Builder.call b Isa.K_copy;
@@ -116,9 +152,9 @@ let remote_write_generic ?(msg_off = 0) ~table_addr ~entries () =
 let remote_write_specific () =
   let b = Builder.create ~name:"remote-write-specific" () in
   let ptr = Builder.temp b and size = Builder.temp b in
-  Builder.emit b (Isa.Ld32 (ptr, Isa.reg_msg_addr, 0));
-  Builder.emit b (Isa.Ld32 (size, Isa.reg_msg_addr, 4));
-  Builder.li b Isa.reg_arg0 8;
+  Builder.emit b (Isa.Ld32 (ptr, Isa.reg_msg_addr, rw_spec_off_ptr));
+  Builder.emit b (Isa.Ld32 (size, Isa.reg_msg_addr, rw_spec_off_size));
+  Builder.li b Isa.reg_arg0 rw_spec_header;
   Builder.emit b (Isa.Mov (Isa.reg_arg1, ptr));
   Builder.emit b (Isa.Mov (Isa.reg_arg2, size));
   Builder.call b Isa.K_copy;
@@ -136,11 +172,11 @@ let remote_write_guarded () =
   let ptr = Builder.temp b
   and size = Builder.temp b
   and need = Builder.temp b in
-  Builder.li b need 8;
+  Builder.li b need rw_spec_header;
   Builder.bltu b Isa.reg_msg_len need bad;
-  Builder.emit b (Isa.Ld32 (ptr, Isa.reg_msg_addr, 0));
-  Builder.emit b (Isa.Ld32 (size, Isa.reg_msg_addr, 4));
-  Builder.li b Isa.reg_arg0 8;
+  Builder.emit b (Isa.Ld32 (ptr, Isa.reg_msg_addr, rw_spec_off_ptr));
+  Builder.emit b (Isa.Ld32 (size, Isa.reg_msg_addr, rw_spec_off_size));
+  Builder.li b Isa.reg_arg0 rw_spec_header;
   Builder.emit b (Isa.Mov (Isa.reg_arg1, ptr));
   Builder.emit b (Isa.Mov (Isa.reg_arg2, size));
   Builder.call b Isa.K_copy;
@@ -157,18 +193,28 @@ let remote_write_guarded () =
    replicate-apply, and fetch/poll all run in the kernel as ASHs over
    plain memory segments. The OCaml side ({!Mq}) only does control
    plane: building request frames, retrying on timeouts, and reading
-   the log for audits.
-
-   Wire format, after the transport header ([mq_net_off] bytes of
-   IP+UDP when bound to an Ethernet DPF filter):
-     +0  magic      +4  op         +8  producer   +12 seq
-     +16 offset     +20 client ip  +24 client udp port
-     +28 payload length (bytes)    +32 payload...
-   Log slot format ([1 lsl mq_slot_shift] bytes per slot):
-     +0 producer  +4 seq  +8 payload length  +12 reserved  +16 payload. *)
+   the log for audits. Below: the frame header (after [mq_net_off]
+   transport bytes), the log slot and the session-table entry. *)
 
 let mq_magic = 0x4D514C47
+let mq_off_magic = 0
+let mq_off_op = 4
+let mq_off_producer = 8
+let mq_off_seq = 12
+let mq_off_offset = 16
+let mq_off_client_ip = 20
+let mq_off_client_port = 24
+let mq_off_len = 28
 let mq_header = 32
+let mq_payload_min = 4 (* one word *)
+let mq_slot_off_producer = 0
+let mq_slot_off_seq = 4
+let mq_slot_off_len = 8
+let mq_slot_header = 16 (* [producer | seq | len | reserved] *)
+let mq_sess_off_seq = 0
+let mq_sess_off_offset = 4
+let mq_sess_shift = 3
+let mq_sess_len = 1 lsl mq_sess_shift (* [last seq | last offset] *)
 let mq_op_produce = 1
 let mq_op_produce_ack = 2
 let mq_op_fetch = 3
@@ -192,11 +238,11 @@ type mq_geometry = {
   mq_slot_shift : int;   (* log2 of the slot stride *)
   mq_meta : int;         (* address of the offset counter (one word) *)
   mq_log : int;          (* address of the log ring *)
-  mq_sess : int;         (* address of the session table (8 B/producer) *)
+  mq_sess : int;         (* address of the session table *)
   mq_ctr : int;          (* address of the counter segment *)
 }
 
-let mq_payload_max geo = (1 lsl geo.mq_slot_shift) - 16
+let mq_payload_max ~slot_shift = (1 lsl slot_shift) - mq_slot_header
 
 (* How a produce handler answers: the primary rewrites the frame into a
    replicate and chains it to the peer broker (the ack comes back from
@@ -214,52 +260,45 @@ type mq_route =
 (* Shared emission helpers. All field offsets are immediates, so every
    handler is specialized to its broker's segment addresses at
    download time — the paper's dynamic-code-generation idiom. *)
+let mq_ld b geo r field =
+  Builder.emit b (Isa.Ld32 (r, Isa.reg_msg_addr, geo.mq_net_off + field))
+
+let mq_st b geo r field =
+  Builder.emit b (Isa.St32 (r, Isa.reg_msg_addr, geo.mq_net_off + field))
+
 let mq_bump b geo tmp addr off =
   Builder.li b tmp (geo.mq_ctr + off);
   Builder.emit b (Isa.Ld32 (addr, tmp, 0));
   Builder.emit b (Isa.Addi (addr, addr, 1));
   Builder.emit b (Isa.St32 (addr, tmp, 0))
 
-(* Swap IP source/destination words and UDP ports in place: reroutes
-   the frame back to its sender without a header rebuild (swapping two
-   aligned words keeps the IP checksum valid). *)
-let mq_swap_back b ta tb =
-  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, 12));
-  Builder.emit b (Isa.Ld32 (tb, Isa.reg_msg_addr, 16));
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, 16));
-  Builder.emit b (Isa.St32 (tb, Isa.reg_msg_addr, 12));
-  Builder.emit b (Isa.Ld16 (ta, Isa.reg_msg_addr, 20));
-  Builder.emit b (Isa.Ld16 (tb, Isa.reg_msg_addr, 22));
-  Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, 22));
-  Builder.emit b (Isa.St16 (tb, Isa.reg_msg_addr, 20))
-
 (* Protocol preamble: runt guard (which also lets the download-time
    analyzer discharge the header-load checks), magic, expected op, and
    producer-id bounds check. Leaves the producer id in [p] and the
    producer's session-table address in [sp]. *)
 let mq_preamble b geo ~op ~bad ta p sp =
-  Builder.li b ta (geo.mq_net_off + mq_header + 4);
+  Builder.li b ta (geo.mq_net_off + mq_header + mq_payload_min);
   Builder.bltu b Isa.reg_msg_len ta bad;
-  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, geo.mq_net_off));
+  mq_ld b geo ta mq_off_magic;
   Builder.li b p mq_magic;
   Builder.bne b ta p bad;
-  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 4));
+  mq_ld b geo ta mq_off_op;
   Builder.li b p op;
   Builder.bne b ta p bad;
-  Builder.emit b (Isa.Ld32 (p, Isa.reg_msg_addr, geo.mq_net_off + 8));
+  mq_ld b geo p mq_off_producer;
   Builder.li b ta geo.mq_producers;
   Builder.bgeu b p ta bad;
-  Builder.emit b (Isa.Sll (sp, p, 3));
+  Builder.emit b (Isa.Sll (sp, p, mq_sess_shift));
   Builder.emit b (Isa.Addi (sp, sp, geo.mq_sess))
 
 (* Validate the payload length field against the slot geometry and the
    actual frame, then append the message at offset [c]: slot header,
    trusted payload copy, offset counter, session update. *)
 let mq_append b geo ~bad ta tb p s c len slot sp =
-  Builder.emit b (Isa.Ld32 (len, Isa.reg_msg_addr, geo.mq_net_off + 28));
-  Builder.li b ta 4;
+  mq_ld b geo len mq_off_len;
+  Builder.li b ta mq_payload_min;
   Builder.bltu b len ta bad;
-  Builder.li b ta (mq_payload_max geo);
+  Builder.li b ta (mq_payload_max ~slot_shift:geo.mq_slot_shift);
   Builder.bltu b ta len bad;
   Builder.emit b (Isa.Andi (ta, len, 3));
   Builder.bne b ta Isa.reg_zero bad;
@@ -267,18 +306,18 @@ let mq_append b geo ~bad ta tb p s c len slot sp =
   Builder.bltu b Isa.reg_msg_len ta bad;
   Builder.emit b (Isa.Sll (slot, c, geo.mq_slot_shift));
   Builder.emit b (Isa.Addi (slot, slot, geo.mq_log));
-  Builder.emit b (Isa.St32 (p, slot, 0));
-  Builder.emit b (Isa.St32 (s, slot, 4));
-  Builder.emit b (Isa.St32 (len, slot, 8));
+  Builder.emit b (Isa.St32 (p, slot, mq_slot_off_producer));
+  Builder.emit b (Isa.St32 (s, slot, mq_slot_off_seq));
+  Builder.emit b (Isa.St32 (len, slot, mq_slot_off_len));
   Builder.li b Isa.reg_arg0 (geo.mq_net_off + mq_header);
-  Builder.emit b (Isa.Addi (Isa.reg_arg1, slot, 16));
+  Builder.emit b (Isa.Addi (Isa.reg_arg1, slot, mq_slot_header));
   Builder.emit b (Isa.Mov (Isa.reg_arg2, len));
   Builder.call b Isa.K_copy;
   Builder.emit b (Isa.Addi (ta, c, 1));
   Builder.li b tb geo.mq_meta;
   Builder.emit b (Isa.St32 (ta, tb, 0));
-  Builder.emit b (Isa.St32 (s, sp, 0));
-  Builder.emit b (Isa.St32 (c, sp, 4));
+  Builder.emit b (Isa.St32 (s, sp, mq_sess_off_seq));
+  Builder.emit b (Isa.St32 (c, sp, mq_sess_off_offset));
   mq_bump b geo ta tb mq_ctr_appends
 
 (* Produce: dedup against the per-producer session, append in-sequence
@@ -302,8 +341,8 @@ let mq_produce geo route =
   let c = Builder.temp b and len = Builder.temp b in
   let slot = Builder.temp b in
   mq_preamble b geo ~op:mq_op_produce ~bad ta p sp;
-  Builder.emit b (Isa.Ld32 (l, sp, 0));
-  Builder.emit b (Isa.Ld32 (s, Isa.reg_msg_addr, geo.mq_net_off + 12));
+  Builder.emit b (Isa.Ld32 (l, sp, mq_sess_off_seq));
+  mq_ld b geo s mq_off_seq;
   Builder.beq b s l dup;
   Builder.emit b (Isa.Addi (ta, l, 1));
   Builder.bne b s ta stale;
@@ -314,33 +353,33 @@ let mq_produce geo route =
   mq_append b geo ~bad ta tb p s c len slot sp;
   Builder.jmp b respond;
   Builder.place b dup;
-  Builder.emit b (Isa.Ld32 (c, sp, 4));
+  Builder.emit b (Isa.Ld32 (c, sp, mq_sess_off_offset));
   mq_bump b geo ta tb mq_ctr_dup;
   Builder.jmp b respond;
   Builder.place b stale;
   mq_bump b geo ta tb mq_ctr_stale;
   Builder.commit b;
   Builder.place b respond;
-  Builder.emit b (Isa.St32 (c, Isa.reg_msg_addr, geo.mq_net_off + 16));
+  mq_st b geo c mq_off_offset;
   (match route with
    | Mq_solo ->
      Builder.li b ta mq_op_produce_ack;
-     Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 4));
-     mq_swap_back b ta tb;
+     mq_st b geo ta mq_off_op;
+     udp_swap_back b ta tb;
      Builder.emit b (Isa.Mov (Isa.reg_arg0, Isa.reg_msg_addr));
      Builder.li b Isa.reg_arg1 (geo.mq_net_off + mq_header);
      Builder.call b Isa.K_send
    | Mq_chain { self_ip; peer_ip; produce_port; repl_port } ->
      Builder.li b ta mq_op_replicate;
-     Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 4));
+     mq_st b geo ta mq_off_op;
      Builder.li b ta self_ip;
-     Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, 12));
+     Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, Packet.Ip.off_src));
      Builder.li b ta peer_ip;
-     Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, 16));
+     Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, Packet.Ip.off_dst));
      Builder.li b ta produce_port;
-     Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, 20));
+     Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, udp_src_port));
      Builder.li b ta repl_port;
-     Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, 22));
+     Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, udp_dst_port));
      (* Forward the whole frame: the replica appends from the same
         payload bytes. (Nothing in the fabric validates the stale IP
         checksum, so the rewrite skips recomputing it.) *)
@@ -381,9 +420,9 @@ let mq_replicate geo ~self_ip ~produce_port =
   let c = Builder.temp b and len = Builder.temp b in
   let slot = Builder.temp b and o = Builder.temp b in
   mq_preamble b geo ~op:mq_op_replicate ~bad ta p sp;
-  Builder.emit b (Isa.Ld32 (l, sp, 0));
-  Builder.emit b (Isa.Ld32 (s, Isa.reg_msg_addr, geo.mq_net_off + 12));
-  Builder.emit b (Isa.Ld32 (o, Isa.reg_msg_addr, geo.mq_net_off + 16));
+  Builder.emit b (Isa.Ld32 (l, sp, mq_sess_off_seq));
+  mq_ld b geo s mq_off_seq;
+  mq_ld b geo o mq_off_offset;
   Builder.beq b s l dup;
   Builder.bltu b s l stale;
   Builder.emit b (Isa.Addi (ta, l, 1));
@@ -396,8 +435,8 @@ let mq_replicate geo ~self_ip ~produce_port =
   mq_append b geo ~bad ta tb p s c len slot sp;
   Builder.jmp b ack;
   Builder.place b dup;
-  Builder.emit b (Isa.Ld32 (c, sp, 4));
-  Builder.emit b (Isa.St32 (c, Isa.reg_msg_addr, geo.mq_net_off + 16));
+  Builder.emit b (Isa.Ld32 (c, sp, mq_sess_off_offset));
+  mq_st b geo c mq_off_offset;
   mq_bump b geo ta tb mq_ctr_dup;
   Builder.jmp b ack;
   Builder.place b stale;
@@ -410,15 +449,15 @@ let mq_replicate geo ~self_ip ~produce_port =
   (* Ack straight to the client named in the frame (the chain's sender
      was the primary, so a plain swap would answer the wrong host). *)
   Builder.li b ta mq_op_produce_ack;
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 4));
+  mq_st b geo ta mq_off_op;
   Builder.li b ta self_ip;
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, 12));
-  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 20));
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, 16));
+  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, Packet.Ip.off_src));
+  mq_ld b geo ta mq_off_client_ip;
+  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, Packet.Ip.off_dst));
   Builder.li b ta produce_port;
-  Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, 20));
-  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 24));
-  Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, 22));
+  Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, udp_src_port));
+  mq_ld b geo ta mq_off_client_port;
+  Builder.emit b (Isa.St16 (ta, Isa.reg_msg_addr, udp_dst_port));
   Builder.emit b (Isa.Mov (Isa.reg_arg0, Isa.reg_msg_addr));
   Builder.li b Isa.reg_arg1 (geo.mq_net_off + mq_header);
   Builder.call b Isa.K_send;
@@ -445,30 +484,31 @@ let mq_fetch geo =
   let c = Builder.temp b and slot = Builder.temp b in
   let len = Builder.temp b and cnt = Builder.temp b in
   let ptr = Builder.temp b and mp = Builder.temp b in
-  Builder.li b ta (geo.mq_net_off + mq_header + mq_payload_max geo);
+  Builder.li b ta
+    (geo.mq_net_off + mq_header + mq_payload_max ~slot_shift:geo.mq_slot_shift);
   Builder.bltu b Isa.reg_msg_len ta bad;
-  Builder.emit b (Isa.Ld32 (ta, Isa.reg_msg_addr, geo.mq_net_off));
+  mq_ld b geo ta mq_off_magic;
   Builder.li b f mq_magic;
   Builder.bne b ta f bad;
-  Builder.emit b (Isa.Ld32 (f, Isa.reg_msg_addr, geo.mq_net_off + 4));
+  mq_ld b geo f mq_off_op;
   Builder.li b ta mq_op_poll;
   Builder.beq b f ta poll;
   Builder.li b ta mq_op_fetch;
   Builder.bne b f ta bad;
-  Builder.emit b (Isa.Ld32 (o, Isa.reg_msg_addr, geo.mq_net_off + 16));
+  mq_ld b geo o mq_off_offset;
   Builder.li b tb geo.mq_meta;
   Builder.emit b (Isa.Ld32 (c, tb, 0));
   Builder.bgeu b o c head;
   Builder.emit b (Isa.Sll (slot, o, geo.mq_slot_shift));
   Builder.emit b (Isa.Addi (slot, slot, geo.mq_log));
-  Builder.emit b (Isa.Ld32 (ta, slot, 0));
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 8));
-  Builder.emit b (Isa.Ld32 (ta, slot, 4));
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 12));
-  Builder.emit b (Isa.Ld32 (len, slot, 8));
-  Builder.emit b (Isa.St32 (len, Isa.reg_msg_addr, geo.mq_net_off + 28));
+  Builder.emit b (Isa.Ld32 (ta, slot, mq_slot_off_producer));
+  mq_st b geo ta mq_off_producer;
+  Builder.emit b (Isa.Ld32 (ta, slot, mq_slot_off_seq));
+  mq_st b geo ta mq_off_seq;
+  Builder.emit b (Isa.Ld32 (len, slot, mq_slot_off_len));
+  mq_st b geo len mq_off_len;
   Builder.emit b (Isa.Srl (cnt, len, 2));
-  Builder.emit b (Isa.Addi (ptr, slot, 16));
+  Builder.emit b (Isa.Addi (ptr, slot, mq_slot_header));
   Builder.emit b
     (Isa.Addi (mp, Isa.reg_msg_addr, geo.mq_net_off + mq_header));
   Builder.place b copy;
@@ -479,17 +519,17 @@ let mq_fetch geo =
   Builder.emit b (Isa.Addi (cnt, cnt, -1));
   Builder.bne b cnt Isa.reg_zero copy;
   Builder.li b ta mq_op_fetch_resp;
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 4));
+  mq_st b geo ta mq_off_op;
   Builder.jmp b send;
   Builder.place b poll;
   Builder.li b tb geo.mq_meta;
   Builder.emit b (Isa.Ld32 (c, tb, 0));
   Builder.place b head;
-  Builder.emit b (Isa.St32 (c, Isa.reg_msg_addr, geo.mq_net_off + 16));
+  mq_st b geo c mq_off_offset;
   Builder.li b ta mq_op_poll_resp;
-  Builder.emit b (Isa.St32 (ta, Isa.reg_msg_addr, geo.mq_net_off + 4));
+  mq_st b geo ta mq_off_op;
   Builder.place b send;
-  mq_swap_back b ta tb;
+  udp_swap_back b ta tb;
   Builder.emit b (Isa.Mov (Isa.reg_arg0, Isa.reg_msg_addr));
   Builder.emit b (Isa.Mov (Isa.reg_arg1, Isa.reg_msg_len));
   Builder.call b Isa.K_send;

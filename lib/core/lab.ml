@@ -4,7 +4,6 @@ module Machine = Ash_sim.Machine
 module Costs = Ash_sim.Costs
 module Kernel = Ash_kern.Kernel
 module Sched = Ash_kern.Sched
-module Dpf = Ash_kern.Dpf
 module Tcp = Ash_proto.Tcp
 module Udp = Ash_proto.Udp
 module Stats = Ash_util.Stats
@@ -17,6 +16,22 @@ type server_mode =
 
 let vc = 7
 
+(* Download [prog] as [mode] asks (any mode but [Srv_user]) and bind it
+   to [vc]. *)
+let bind_handler kernel mode prog =
+  let hardwired = mode = Srv_hardwired in
+  let sandbox = match mode with Srv_ash { sandbox } -> sandbox | _ -> false in
+  match Kernel.download_ash kernel ~sandbox ~hardwired prog with
+  | Error e ->
+    failwith
+      (Format.asprintf "%s rejected: %a" prog.Ash_vm.Program.name
+         Ash_vm.Verify.pp_error e)
+  | Ok id ->
+    Kernel.bind_vc kernel ~vc
+      (if mode = Srv_upcall then Kernel.Deliver_upcall id
+       else Kernel.Deliver_ash id);
+    id
+
 let install_echo_server node mode =
   let kernel = node.Testbed.kernel in
   match mode with
@@ -24,23 +39,8 @@ let install_echo_server node mode =
     Kernel.bind_vc kernel ~vc Kernel.Deliver_user;
     Kernel.set_user_handler kernel ~vc (fun ~addr:_ ~len ->
         Kernel.user_send kernel ~vc (Bytes.make len 'r'))
-  | Srv_ash _ | Srv_upcall | Srv_hardwired -> begin
-      let hardwired = mode = Srv_hardwired in
-      let sandbox =
-        match mode with Srv_ash { sandbox } -> sandbox | _ -> false
-      in
-      match Kernel.download_ash kernel ~sandbox ~hardwired (Handlers.echo ())
-      with
-      | Error e ->
-        failwith (Format.asprintf "echo rejected: %a" Ash_vm.Verify.pp_error e)
-      | Ok id ->
-        let delivery =
-          match mode with
-          | Srv_upcall -> Kernel.Deliver_upcall id
-          | _ -> Kernel.Deliver_ash id
-        in
-        Kernel.bind_vc kernel ~vc delivery
-    end
+  | Srv_ash _ | Srv_upcall | Srv_hardwired ->
+    ignore (bind_handler kernel mode (Handlers.echo ()))
 
 (* A user-level polling client that ping-pongs [iters] times and records
    per-round-trip samples. *)
@@ -94,7 +94,9 @@ let inkernel_pingpong ?(payload_len = 4) ?(iters = 10) () =
   (* Client: a hardwired handler that bounces until the counter drains. *)
   let state = Testbed.alloc client ~name:"pp-state" 16 in
   let mem = Machine.mem (Kernel.machine client.Testbed.kernel) in
-  Memory.store32 mem state.Memory.base (iters - 1);
+  Memory.store32 mem
+    (state.Memory.base + Handlers.pp_off_remaining)
+    (iters - 1);
   (match
      Kernel.download_ash client.Testbed.kernel ~sandbox:false ~hardwired:true
        (Handlers.pingpong_client ~state_addr:state.Memory.base)
@@ -108,7 +110,7 @@ let inkernel_pingpong ?(payload_len = 4) ?(iters = 10) () =
   Kernel.kernel_send client.Testbed.kernel ~vc (Bytes.make payload_len 'k');
   Testbed.run tb;
   let elapsed = Engine.now tb.Testbed.engine - start in
-  assert (Memory.load32 mem (state.Memory.base + 4) = 1);
+  assert (Memory.load32 mem (state.Memory.base + Handlers.pp_off_done) = 1);
   float_of_int elapsed /. 1000. /. float_of_int iters
 
 let remote_increment ?(iters = 11) ?(server_suspended = false) ?nprocs
@@ -126,37 +128,15 @@ let remote_increment ?(iters = 11) ?(server_suspended = false) ?nprocs
         as the handler, performed by the application. *)
      let mem = Machine.mem (Kernel.machine kernel) in
      Kernel.set_user_handler kernel ~vc (fun ~addr ~len:_ ->
-         let delta = Memory.load32 mem (addr + 4) in
+         let delta = Memory.load32 mem (addr + Handlers.incr_off_delta) in
          let cur = Memory.load32 mem slot.Memory.base in
          Memory.store32 mem slot.Memory.base (cur + delta);
          Kernel.app_compute kernel 1_000;
          let reply = Bytes.create 4 in
          Ash_util.Bytesx.set_u32 reply 0 (cur + delta);
          Kernel.user_send kernel ~vc reply)
-   | Srv_ash { sandbox } -> begin
-       match Kernel.download_ash kernel ~sandbox prog with
-       | Error e ->
-         failwith (Format.asprintf "rejected: %a" Ash_vm.Verify.pp_error e)
-       | Ok id ->
-         ash_id := Some id;
-         Kernel.bind_vc kernel ~vc (Kernel.Deliver_ash id)
-     end
-   | Srv_upcall -> begin
-       match Kernel.download_ash kernel ~sandbox:false prog with
-       | Error e ->
-         failwith (Format.asprintf "rejected: %a" Ash_vm.Verify.pp_error e)
-       | Ok id ->
-         ash_id := Some id;
-         Kernel.bind_vc kernel ~vc (Kernel.Deliver_upcall id)
-     end
-   | Srv_hardwired -> begin
-       match Kernel.download_ash kernel ~sandbox:false ~hardwired:true prog with
-       | Error e ->
-         failwith (Format.asprintf "rejected: %a" Ash_vm.Verify.pp_error e)
-       | Ok id ->
-         ash_id := Some id;
-         Kernel.bind_vc kernel ~vc (Kernel.Deliver_ash id)
-     end);
+   | Srv_ash _ | Srv_upcall | Srv_hardwired ->
+     ash_id := Some (bind_handler kernel mode prog));
   Kernel.set_auto_repost kernel ~vc true;
   Testbed.post_buffers server ~vc ~count:4 ~size:64;
   if server_suspended then Kernel.set_app_state kernel Kernel.Suspended;
@@ -173,9 +153,9 @@ let remote_increment ?(iters = 11) ?(server_suspended = false) ?nprocs
   let t0 = ref 0 in
   let remaining = ref iters in
   let request =
-    let b = Bytes.create 8 in
-    Ash_util.Bytesx.set_u32 b 0 0xA5A5A5A5;
-    Ash_util.Bytesx.set_u32 b 4 1;
+    let b = Bytes.create Handlers.incr_len in
+    Ash_util.Bytesx.set_u32 b Handlers.incr_off_magic Handlers.incr_magic;
+    Ash_util.Bytesx.set_u32 b Handlers.incr_off_delta 1;
     b
   in
   let send () =
@@ -222,16 +202,14 @@ let raw_train_throughput ~size ~count () =
 let eth_pingpong ?(payload_len = 4) ?(iters = 10) () =
   let tb = Testbed.create ~ethernet:true () in
   let client = tb.Testbed.client and server = tb.Testbed.server in
-  (* Trivial accept-all filters, compiled, on both sides. *)
+  (* Trivial accept-all filters on both sides. *)
   let svc =
-    Kernel.bind_eth_filter server.Testbed.kernel [] ~compiled:true
-      Kernel.Deliver_user
+    Kernel.bind_eth_filter server.Testbed.kernel [] Kernel.Deliver_user
   in
   Kernel.set_user_handler server.Testbed.kernel ~vc:svc (fun ~addr:_ ~len ->
       Kernel.eth_user_send server.Testbed.kernel (Bytes.make len 'r'));
   let cvc =
-    Kernel.bind_eth_filter client.Testbed.kernel [] ~compiled:true
-      Kernel.Deliver_user
+    Kernel.bind_eth_filter client.Testbed.kernel [] Kernel.Deliver_user
   in
   let samples = ref [] in
   let t0 = ref 0 in

@@ -30,7 +30,6 @@ module Memory = Ash_sim.Memory
 module Machine = Ash_sim.Machine
 module Fault = Ash_sim.Fault
 module Kernel = Ash_kern.Kernel
-module Dpf = Ash_kern.Dpf
 module Ethernet = Ash_nic.Ethernet
 module Switch = Ash_nic.Switch
 module Packet = Ash_proto.Packet
@@ -38,19 +37,13 @@ module Trace = Ash_obs.Trace
 module Timeseries = Ash_obs.Timeseries
 module Bytesx = Ash_util.Bytesx
 
+(* Frames carry the MQ header after IP+UDP; log slots are 64 bytes. *)
 let net_off = Packet.ip_header_len + Packet.udp_header_len
-let off_magic = net_off
-let off_op = net_off + 4
-let off_producer = net_off + 8
-let off_seq = net_off + 12
-let off_offset = net_off + 16
-let off_client_ip = net_off + 20
-let off_client_port = net_off + 24
-let off_len = net_off + 28
-let off_payload = net_off + Handlers.mq_header
+let payload_off = net_off + Handlers.mq_header
 let slot_shift = 6
 let slot_stride = 1 lsl slot_shift
-let payload_max = slot_stride - 16
+let payload_max = Handlers.mq_payload_max ~slot_shift
+let ctr_words = Handlers.mq_ctr_len / 4
 
 type spec = {
   producers : int;  (* one producer process per host, hosts 2.. *)
@@ -156,12 +149,6 @@ let payload_word ~producer ~seq ~w =
   (((producer + 1) * 0x9E3779B1) + (seq * 0x85EBCA6B) + (w * 0x27D4EB2F))
   land 0xFFFFFFFF
 
-let service_filter port =
-  [
-    Dpf.atom ~offset:9 ~width:1 Packet.Ip.proto_udp;
-    Dpf.atom ~offset:(Packet.ip_header_len + 2) ~width:2 port;
-  ]
-
 let geometry t bi =
   let b = t.brokers.(bi) in
   {
@@ -193,7 +180,7 @@ let install_handler k prog port =
   | Error e -> failwith ("Mq: handler rejected: " ^ e.Ash_vm.Verify.reason)
   | Ok id ->
     let vc =
-      Kernel.bind_eth_filter k (service_filter port) ~compiled:true
+      Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter port)
         (Kernel.Deliver_ash id)
     in
     Kernel.set_auto_repost k ~vc true;
@@ -235,7 +222,7 @@ let install_broker t bi =
 
 let base_frame t ~src ~dst ~src_port ~dst_port ~op ~producer ~seq ~offset
     ~payload_len =
-  let total = off_payload + payload_len in
+  let total = payload_off + payload_len in
   let fr = Bytes.make total '\000' in
   Packet.Ip.write fr ~off:0
     {
@@ -250,17 +237,18 @@ let base_frame t ~src ~dst ~src_port ~dst_port ~op ~producer ~seq ~offset
     {
       Packet.Udp.src_port;
       dst_port;
-      length = Packet.udp_header_len + Handlers.mq_header + payload_len;
+      length = total - Packet.ip_header_len;
       checksum = 0;
     };
-  Bytesx.set_u32 fr off_magic Handlers.mq_magic;
-  Bytesx.set_u32 fr off_op op;
-  Bytesx.set_u32 fr off_producer producer;
-  Bytesx.set_u32 fr off_seq seq;
-  Bytesx.set_u32 fr off_offset offset;
-  Bytesx.set_u32 fr off_client_ip (Fabric.host t.fab src).Fabric.ip;
-  Bytesx.set_u32 fr off_client_port src_port;
-  Bytesx.set_u32 fr off_len payload_len;
+  let set field v = Bytesx.set_u32 fr (net_off + field) v in
+  set Handlers.mq_off_magic Handlers.mq_magic;
+  set Handlers.mq_off_op op;
+  set Handlers.mq_off_producer producer;
+  set Handlers.mq_off_seq seq;
+  set Handlers.mq_off_offset offset;
+  set Handlers.mq_off_client_ip (Fabric.host t.fab src).Fabric.ip;
+  set Handlers.mq_off_client_port src_port;
+  set Handlers.mq_off_len payload_len;
   fr
 
 let produce_frame t p =
@@ -273,7 +261,7 @@ let produce_frame t p =
   in
   for w = 0 to t.spec.payload_words - 1 do
     Bytesx.set_u32 fr
-      (off_payload + (4 * w))
+      (payload_off + (4 * w))
       (payload_word ~producer:p.p_idx ~seq:p.p_inflight ~w)
   done;
   fr
@@ -352,18 +340,20 @@ let bind_producer t p =
   let k = node.Fabric.kernel in
   let mem = Machine.mem (Kernel.machine k) in
   let vc =
-    Kernel.bind_eth_filter k (service_filter p.p_port) ~compiled:true
+    Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter p.p_port)
       Kernel.Deliver_user
   in
   Kernel.set_auto_repost k ~vc true;
   Kernel.set_user_handler k ~vc (fun ~addr ~len ->
-      if len >= off_payload then begin
-        let g o = Memory.load32 mem (addr + o) in
+      if len >= payload_off then begin
+        let g field = Memory.load32 mem (addr + net_off + field) in
         if
-          g off_magic = Handlers.mq_magic
-          && g off_op = Handlers.mq_op_produce_ack
-          && g off_producer = p.p_idx
-        then on_ack t p ~seq:(g off_seq) ~offset:(g off_offset)
+          g Handlers.mq_off_magic = Handlers.mq_magic
+          && g Handlers.mq_off_op = Handlers.mq_op_produce_ack
+          && g Handlers.mq_off_producer = p.p_idx
+        then
+          on_ack t p ~seq:(g Handlers.mq_off_seq)
+            ~offset:(g Handlers.mq_off_offset)
       end)
 
 let produce t ~producer ~count ~at =
@@ -418,27 +408,28 @@ let bind_consumer t c =
   let k = node.Fabric.kernel in
   let mem = Machine.mem (Kernel.machine k) in
   let vc =
-    Kernel.bind_eth_filter k (service_filter c.k_port) ~compiled:true
+    Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter c.k_port)
       Kernel.Deliver_user
   in
   Kernel.set_auto_repost k ~vc true;
   Kernel.set_user_handler k ~vc (fun ~addr ~len ->
-      if len >= off_payload then begin
-        let g o = Memory.load32 mem (addr + o) in
-        if g off_magic = Handlers.mq_magic then
-          let op = g off_op in
+      if len >= payload_off then begin
+        let g field = Memory.load32 mem (addr + net_off + field) in
+        if g Handlers.mq_off_magic = Handlers.mq_magic then
+          let op = g Handlers.mq_off_op in
           if op = Handlers.mq_op_fetch_resp then begin
-            let o = g off_offset in
+            let o = g Handlers.mq_off_offset in
             c.k_head <- max c.k_head (o + 1);
             match c.k_await with
             | A_fetch e when e = o ->
-              let producer = g off_producer and seq = g off_seq in
-              let plen = g off_len in
+              let producer = g Handlers.mq_off_producer in
+              let seq = g Handlers.mq_off_seq in
+              let plen = g Handlers.mq_off_len in
               let ok = ref (plen = t.spec.payload_words * 4) in
               if !ok then
                 for w = 0 to t.spec.payload_words - 1 do
                   if
-                    g (off_payload + (4 * w))
+                    g (Handlers.mq_header + (4 * w))
                     <> payload_word ~producer ~seq ~w
                   then ok := false
                 done;
@@ -449,7 +440,7 @@ let bind_consumer t c =
             | _ -> ()
           end
           else if op = Handlers.mq_op_poll_resp then begin
-            let head = g off_offset in
+            let head = g Handlers.mq_off_offset in
             c.k_head <- max c.k_head head;
             match c.k_await with
             | A_poll -> c.k_await <- A_none
@@ -524,7 +515,7 @@ let clear_chaos t =
 let crash_broker t bi =
   let b = t.brokers.(bi) in
   let mem = broker_mem t bi in
-  for i = 0 to 3 do
+  for i = 0 to ctr_words - 1 do
     b.b_base.(i) <-
       b.b_base.(i) + Memory.load32 mem (b.b_ctr.Memory.base + (4 * i))
   done;
@@ -656,10 +647,12 @@ let create fab spec =
       b_host = host;
       b_meta = Fabric.alloc node ~name:"mq-meta" 16;
       b_log = Fabric.alloc node ~name:"mq-log" (spec.capacity * slot_stride);
-      b_sess = Fabric.alloc node ~name:"mq-sess" (spec.producers * 8);
+      b_sess =
+        Fabric.alloc node ~name:"mq-sess"
+          (spec.producers * Handlers.mq_sess_len);
       b_ctr = Fabric.alloc node ~name:"mq-ctr" Handlers.mq_ctr_len;
-      b_base = Array.make 4 0;
-      b_seen = Array.make 4 0;
+      b_base = Array.make ctr_words 0;
+      b_seen = Array.make ctr_words 0;
       b_down = false;
     }
   in
@@ -794,13 +787,15 @@ let audit ?(check_prefix_equal = false) t =
   if count < 0 || count > t.spec.capacity then
     err "replica log count %d outside [0, %d]" count t.spec.capacity;
   let count = max 0 (min count t.spec.capacity) in
-  let slot o = b.b_log.Memory.base + (o * slot_stride) in
+  let slot o field =
+    Memory.load32 mem (b.b_log.Memory.base + (o * slot_stride) + field)
+  in
   let seen = Hashtbl.create 256 in
   let last = Array.make t.spec.producers 0 in
   for o = 0 to count - 1 do
-    let p = Memory.load32 mem (slot o) in
-    let s = Memory.load32 mem (slot o + 4) in
-    let len = Memory.load32 mem (slot o + 8) in
+    let p = slot o Handlers.mq_slot_off_producer in
+    let s = slot o Handlers.mq_slot_off_seq in
+    let len = slot o Handlers.mq_slot_off_len in
     if p < 0 || p >= t.spec.producers then
       err "offset %d: producer %d out of range" o p
     else begin
@@ -816,7 +811,7 @@ let audit ?(check_prefix_equal = false) t =
       else
         for w = 0 to t.spec.payload_words - 1 do
           if
-            Memory.load32 mem (slot o + 16 + (4 * w))
+            slot o (Handlers.mq_slot_header + (4 * w))
             <> payload_word ~producer:p ~seq:s ~w
           then err "offset %d: payload word %d corrupt" o w
         done
@@ -869,7 +864,7 @@ let audit ?(check_prefix_equal = false) t =
       for w = 0 to (slot_stride / 4) - 1 do
         if
           Memory.load32 pmem (pb.b_log.Memory.base + (o * slot_stride) + (4 * w))
-          <> Memory.load32 mem (slot o + (4 * w))
+          <> slot o (4 * w)
         then err "logs differ at offset %d word %d" o w
       done
     done

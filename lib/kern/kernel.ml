@@ -84,7 +84,7 @@ type binding = {
   mutable ash_budget : int option;
   mutable ash_tick_start : Ash_sim.Time.ns;
   mutable ash_ran_this_tick : int;
-  filter : (Dpf.t * Exec.prepared option) option; (* Ethernet bindings only *)
+  filter : (Dpf.t * Exec.prepared) option; (* Ethernet bindings only *)
   prio : int; (* install order; lower wins on overlapping eth filters *)
 }
 
@@ -116,9 +116,6 @@ type t = {
      fallback needs the ordered list, so bind/unbind just invalidate the
      memo — O(1) churn on the hot path, rebuild on demand. *)
   eth_trie : binding Dpf_trie.t;
-  mutable eth_interp_count : int;
-  (* Bindings using the interpreted filter engine (ablation A1) force
-     the linear scan: the trie models merged *compiled* filters. *)
   mutable next_eth_vc : int;
   mutable next_eth_prio : int;
   mutable app_state : app_state;
@@ -159,7 +156,7 @@ let absint_default = ref true
 
 let set_absint_default b = absint_default := b
 
-let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
+let create ?(quarantine_threshold = 3)
     ?(notify_queue_limit = 256) engine costs ~name =
   if quarantine_threshold < 1 then invalid_arg "Kernel.create: threshold";
   if notify_queue_limit < 1 then invalid_arg "Kernel.create: queue limit";
@@ -170,7 +167,7 @@ let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
     machine = Machine.create costs;
     kname = name;
     absint_on = !absint_default;
-    demux;
+    demux = Demux_trie;
     an2 = None;
     eth = None;
     ashes = Hashtbl.create 8;
@@ -183,7 +180,6 @@ let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
     bindings = Hashtbl.create 8;
     eth_order = None;
     eth_trie = Dpf_trie.create ();
-    eth_interp_count = 0;
     next_eth_vc = 10_000;
     next_eth_prio = 0;
     app_state = Polling;
@@ -250,7 +246,6 @@ let set_notify_queue_limit t n =
 
 let costs t = t.costs
 let name t = t.kname
-let eth_demux_mode t = t.demux
 let set_eth_demux t d = t.demux <- d
 
 (* ---------------------------------------------------------------- *)
@@ -486,14 +481,12 @@ let rebind_vc t ~vc delivery =
   | Some b -> b.delivery <- delivery
   | None -> invalid_arg "Kernel.rebind_vc: unbound"
 
-let bind_eth_filter t filter ~compiled delivery =
+let bind_eth_filter t filter delivery =
   let vc = t.next_eth_vc in
   t.next_eth_vc <- vc + 1;
   let prio = t.next_eth_prio in
   t.next_eth_prio <- prio + 1;
-  let prog =
-    if compiled then Some (Exec.prepare (Dpf.compile filter)) else None
-  in
+  let prog = Exec.prepare (Dpf.compile filter) in
   let b =
     { bvc = vc; delivery; user_handler = None; commit_hook = None;
       auto_repost = false; inflight_notify = 0; ash_budget = None;
@@ -504,7 +497,6 @@ let bind_eth_filter t filter ~compiled delivery =
   t.eth_order <- None;
   t.s_demux_maint <- t.s_demux_maint + 1;
   Dpf_trie.insert t.eth_trie ~prio filter b;
-  if not compiled then t.eth_interp_count <- t.eth_interp_count + 1;
   vc
 
 let unbind_eth_filter t ~vc =
@@ -513,14 +505,11 @@ let unbind_eth_filter t ~vc =
   | Some b ->
     match b.filter with
     | None -> invalid_arg "Kernel.unbind_eth_filter: not an Ethernet binding"
-    | Some (spec, prog) ->
+    | Some (spec, _) ->
       Hashtbl.remove t.bindings vc;
       t.eth_order <- None;
       t.s_demux_maint <- t.s_demux_maint + 1;
-      Dpf_trie.remove t.eth_trie ~prio:b.prio spec;
-      (match prog with
-       | None -> t.eth_interp_count <- t.eth_interp_count - 1
-       | Some _ -> ())
+      Dpf_trie.remove t.eth_trie ~prio:b.prio spec
 
 let unbind_vc t ~vc =
   match Hashtbl.find_opt t.bindings vc with
@@ -937,20 +926,16 @@ let eth_order t =
     l
 
 (* DPF demultiplexing over the contiguous packet. Default: one walk of
-   the merged filter trie. Falls back to the linear scan when asked
-   ([Demux_linear]) or when any binding uses the interpreted filter
-   engine, whose per-filter cost the trie does not model. *)
+   the merged filter trie; [Demux_linear] runs each binding's compiled
+   filter in install order instead. *)
 let eth_demux t ~msg_addr ~msg_len =
-  if t.demux = Demux_trie && t.eth_interp_count = 0 then
+  if t.demux = Demux_trie then
     Dpf_trie.lookup t.eth_trie t.machine ~msg_addr ~msg_len
   else
     List.find_opt
       (fun b ->
          match b.filter with
-         | Some (_, Some prep) ->
-           Dpf.run_prepared t.machine prep ~msg_addr ~msg_len
-         | Some (spec, None) ->
-           Dpf.run_interpreted t.machine spec ~msg_addr ~msg_len
+         | Some (_, prep) -> Dpf.run_prepared t.machine prep ~msg_addr ~msg_len
          | None -> false)
       (eth_order t)
 

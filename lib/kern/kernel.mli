@@ -68,19 +68,13 @@ type demux =
                       ({!Dpf_trie}). *)
 
 val create :
-  ?demux:demux ->
   ?quarantine_threshold:int ->
   ?notify_queue_limit:int ->
   Ash_sim.Engine.t ->
   Ash_sim.Costs.t ->
   name:string ->
   t
-(** [demux] selects the Ethernet demultiplexing strategy (default
-    [Demux_trie]). It is a host-side choice: simulated numbers are
-    identical across demux modes whenever filters don't overlap in
-    cost-visible ways (a lone filter charges identically under both).
-
-    [quarantine_threshold] (default 3, must be ≥ 1) is the number of
+(** [quarantine_threshold] (default 3, must be ≥ 1) is the number of
     involuntary kills after which a handler is quarantined.
     [notify_queue_limit] (default 256, ≥ 1) bounds outstanding
     user-level notifications per VC. Both raise [Invalid_argument] on
@@ -96,9 +90,12 @@ val machine : t -> Ash_sim.Machine.t
 val costs : t -> Ash_sim.Costs.t
 val name : t -> string
 
-val eth_demux_mode : t -> demux
 val set_eth_demux : t -> demux -> unit
-(** Switch demux strategy (tests compare the two on live bindings). *)
+(** Switch the Ethernet demux strategy (default [Demux_trie]; tests
+    compare the two on live bindings). It is a host-side choice:
+    simulated numbers are identical across modes whenever filters don't
+    overlap in cost-visible ways (a lone filter charges identically
+    under both). *)
 
 val span_off : t -> int
 (** Span-clock offset for tracing on this node: work already charged to
@@ -234,12 +231,10 @@ val rebind_vc : t -> vc:int -> delivery -> unit
 (** Change the delivery mode of an existing binding (e.g. disable ASHs
     under load, §VI-4). *)
 
-val bind_eth_filter : t -> Dpf.t -> compiled:bool -> delivery -> int
-(** Install a packet filter for Ethernet demux; first installed match
-    wins. The filter is merged into the demux trie incrementally.
-    [compiled:false] uses the interpreted engine (ablation A1) and
-    forces the linear scan while any such binding exists. Returns the
-    binding's pseudo-vc (10000, 10001, ...), usable with
+val bind_eth_filter : t -> Dpf.t -> delivery -> int
+(** Install a compiled packet filter for Ethernet demux; first installed
+    match wins. The filter is merged into the demux trie incrementally.
+    Returns the binding's pseudo-vc (10000, 10001, ...), usable with
     {!set_user_handler}, {!rebind_vc} and {!unbind_eth_filter}. *)
 
 val unbind_eth_filter : t -> vc:int -> unit

@@ -1,6 +1,7 @@
 (* Text and JSON rendering of a recorder's trace ring and metrics. The
    JSON is hand-rolled so the library stays dependency-free. *)
 
+let json_escape = Ash_util.Minijson.escape
 let default_max_events = 200
 
 let pp_recorder ?(max_events = default_max_events) ppf r =
@@ -31,21 +32,6 @@ let pp_recorder ?(max_events = default_max_events) ppf r =
          Format.fprintf ppf "  %-28s %a@." name Metrics.pp_summary s)
       histos
   end
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let json_field_value v =
   (* Numeric and boolean field values pass through bare; everything else

@@ -18,6 +18,8 @@ module Wire = struct
   }
 
   let len = 28
+  let off_htype = 0
+  let htype_ethernet = 1
 
   let set_mac b off mac =
     Bytesx.set_u16 b off ((mac lsr 32) land 0xffff);
@@ -28,7 +30,7 @@ module Wire = struct
 
   let write p =
     let b = Bytes.create len in
-    Bytesx.set_u16 b 0 1; (* htype: Ethernet *)
+    Bytesx.set_u16 b off_htype htype_ethernet;
     Bytesx.set_u16 b 2 0x0800; (* ptype: IPv4 *)
     Bytesx.set_u8 b 4 6;
     Bytesx.set_u8 b 5 4;
@@ -41,7 +43,8 @@ module Wire = struct
 
   let read b =
     if Bytes.length b < len then Error "arp: truncated"
-    else if Bytesx.get_u16 b 0 <> 1 || Bytesx.get_u16 b 2 <> 0x0800 then
+    else if Bytesx.get_u16 b off_htype <> htype_ethernet
+         || Bytesx.get_u16 b 2 <> 0x0800 then
       Error "arp: not ethernet/ipv4"
     else if Bytesx.get_u8 b 4 <> 6 || Bytesx.get_u8 b 5 <> 4 then
       Error "arp: bad address lengths"
@@ -167,8 +170,8 @@ let create kernel ~my_ip ~my_mac =
      frame, whose first byte is 0x45. *)
   let vc =
     Kernel.bind_eth_filter kernel
-      [ Dpf.atom ~offset:0 ~width:2 1 ]
-      ~compiled:true Kernel.Deliver_user
+      [ Dpf.atom ~offset:Wire.off_htype ~width:2 Wire.htype_ethernet ]
+      Kernel.Deliver_user
   in
   Kernel.set_user_handler kernel ~vc (fun ~addr ~len ->
       on_packet t ~addr ~len);

@@ -22,30 +22,35 @@ let ipv4 ?src_ip ~proto () =
        Builder.emit b (Isa.Ld8 (r_v, Isa.reg_msg_addr, off));
        Builder.li b r_w 0x45;
        Builder.bne b r_v r_w reject;
-       Builder.emit b (Isa.Ld8 (r_v, Isa.reg_msg_addr, off + 9));
+       Builder.emit b
+         (Isa.Ld8 (r_v, Isa.reg_msg_addr, off + Packet.Ip.off_proto));
        Builder.li b r_w proto;
        Builder.bne b r_v r_w reject;
        match src_ip with
        | None -> ()
        | Some ip ->
-         Builder.emit b (Isa.Ld32 (r_v, Isa.reg_msg_addr, off + 12));
+         Builder.emit b
+           (Isa.Ld32 (r_v, Isa.reg_msg_addr, off + Packet.Ip.off_src));
          Builder.li b r_w ip;
          Builder.bne b r_v r_w reject)
 
 let udp ~dst_port =
   fragment ~name:"udp" ~header_len:Packet.udp_header_len
     (fun b ~off ~reject ->
-       Builder.emit b (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + 2));
+       Builder.emit b
+         (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + Packet.Udp.off_dst_port));
        Builder.li b r_w dst_port;
        Builder.bne b r_v r_w reject)
 
 let tcp_ports ~src_port ~dst_port =
   fragment ~name:"tcp" ~header_len:Packet.tcp_header_len
     (fun b ~off ~reject ->
-       Builder.emit b (Isa.Ld16 (r_v, Isa.reg_msg_addr, off));
+       Builder.emit b
+         (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + Packet.Tcp.off_src_port));
        Builder.li b r_w src_port;
        Builder.bne b r_v r_w reject;
-       Builder.emit b (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + 2));
+       Builder.emit b
+         (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + Packet.Tcp.off_dst_port));
        Builder.li b r_w dst_port;
        Builder.bne b r_v r_w reject)
 

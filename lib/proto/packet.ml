@@ -17,6 +17,9 @@ module Ip = struct
 
   let proto_udp = 17
   let proto_tcp = 6
+  let off_proto = 9
+  let off_src = 12
+  let off_dst = 16
 
   let write b ~off t =
     Bytesx.set_u8 b off 0x45; (* version 4, IHL 5 *)
@@ -25,10 +28,10 @@ module Ip = struct
     Bytesx.set_u16 b (off + 4) t.id;
     Bytesx.set_u16 b (off + 6) 0; (* flags/fragment *)
     Bytesx.set_u8 b (off + 8) t.ttl;
-    Bytesx.set_u8 b (off + 9) t.proto;
+    Bytesx.set_u8 b (off + off_proto) t.proto;
     Bytesx.set_u16 b (off + 10) 0; (* checksum placeholder *)
-    Bytesx.set_u32 b (off + 12) t.src;
-    Bytesx.set_u32 b (off + 16) t.dst;
+    Bytesx.set_u32 b (off + off_src) t.src;
+    Bytesx.set_u32 b (off + off_dst) t.dst;
     let c = Checksum.checksum b ~off ~len:ip_header_len in
     Bytesx.set_u16 b (off + 10) c
 
@@ -40,9 +43,9 @@ module Ip = struct
     else
       Ok
         {
-          src = Bytesx.get_u32 b (off + 12);
-          dst = Bytesx.get_u32 b (off + 16);
-          proto = Bytesx.get_u8 b (off + 9);
+          src = Bytesx.get_u32 b (off + off_src);
+          dst = Bytesx.get_u32 b (off + off_dst);
+          proto = Bytesx.get_u8 b (off + off_proto);
           total_len = Bytesx.get_u16 b (off + 2);
           ttl = Bytesx.get_u8 b (off + 8);
           id = Bytesx.get_u16 b (off + 4);
@@ -52,10 +55,14 @@ end
 module Udp = struct
   type t = { src_port : int; dst_port : int; length : int; checksum : int }
 
+  let off_src_port = 0
+  let off_dst_port = 2
+  let off_length = 4
+
   let write b ~off t =
-    Bytesx.set_u16 b off t.src_port;
-    Bytesx.set_u16 b (off + 2) t.dst_port;
-    Bytesx.set_u16 b (off + 4) t.length;
+    Bytesx.set_u16 b (off + off_src_port) t.src_port;
+    Bytesx.set_u16 b (off + off_dst_port) t.dst_port;
+    Bytesx.set_u16 b (off + off_length) t.length;
     Bytesx.set_u16 b (off + 6) t.checksum
 
   let read b ~off =
@@ -63,11 +70,17 @@ module Udp = struct
     else
       Ok
         {
-          src_port = Bytesx.get_u16 b off;
-          dst_port = Bytesx.get_u16 b (off + 2);
-          length = Bytesx.get_u16 b (off + 4);
+          src_port = Bytesx.get_u16 b (off + off_src_port);
+          dst_port = Bytesx.get_u16 b (off + off_dst_port);
+          length = Bytesx.get_u16 b (off + off_length);
           checksum = Bytesx.get_u16 b (off + 6);
         }
+
+  let dst_port_filter port =
+    [
+      Ash_kern.Dpf.atom ~offset:Ip.off_proto ~width:1 Ip.proto_udp;
+      Ash_kern.Dpf.atom ~offset:(ip_header_len + off_dst_port) ~width:2 port;
+    ]
 end
 
 module Tcp = struct

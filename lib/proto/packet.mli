@@ -24,6 +24,9 @@ module Ip : sig
 
   val proto_udp : int
   val proto_tcp : int
+  val off_proto : int (* field offsets: 8-bit protocol, 32-bit addresses *)
+  val off_src : int
+  val off_dst : int
 
   val write : Bytes.t -> off:int -> t -> unit
   (** Fills all 20 bytes including the header checksum. *)
@@ -42,6 +45,13 @@ module Udp : sig
 
   val write : Bytes.t -> off:int -> t -> unit
   val read : Bytes.t -> off:int -> (t, string) result
+
+  val off_src_port : int (* 16-bit field offsets *)
+  val off_dst_port : int
+  val off_length : int
+
+  val dst_port_filter : int -> Ash_kern.Dpf.t
+  (** The DPF filter that accepts IPv4 UDP datagrams to this port. *)
 end
 
 module Tcp : sig

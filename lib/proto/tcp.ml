@@ -884,14 +884,14 @@ let create kernel cfg =
         Ethernet equivalent of the AN2's VC demux. *)
      let filter =
        [
-         Dpf.atom ~offset:9 ~width:1 Packet.Ip.proto_tcp;
+         Dpf.atom ~offset:Packet.Ip.off_proto ~width:1 Packet.Ip.proto_tcp;
          Dpf.atom ~offset:(Packet.ip_header_len + Packet.Tcp.off_src_port)
            ~width:2 cfg.remote_port;
          Dpf.atom ~offset:(Packet.ip_header_len + Packet.Tcp.off_dst_port)
            ~width:2 cfg.local_port;
        ]
      in
-     t.bind_vc <- Kernel.bind_eth_filter kernel filter ~compiled:true delivery);
+     t.bind_vc <- Kernel.bind_eth_filter kernel filter delivery);
   Kernel.set_auto_repost kernel ~vc:t.bind_vc true;
   Kernel.set_user_handler kernel ~vc:t.bind_vc (fun ~addr ~len ->
       on_segment t ~addr ~len);

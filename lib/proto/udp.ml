@@ -1,5 +1,4 @@
 module Kernel = Ash_kern.Kernel
-module Dpf = Ash_kern.Dpf
 module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
 module Baseline = Ash_pipes.Baseline
@@ -66,10 +65,11 @@ let on_datagram_body t ~addr ~len =
   else begin
     (* Touch the header fields the real code reads (charged loads),
        then validate logically over a host-side view. *)
+    let udp = addr + Packet.ip_header_len in
     ignore (Machine.load16 m addr);
-    ignore (Machine.load32 m (addr + 12));
-    ignore (Machine.load16 m (addr + Packet.ip_header_len + 2));
-    ignore (Machine.load16 m (addr + Packet.ip_header_len + 4));
+    ignore (Machine.load32 m (addr + Packet.Ip.off_src));
+    ignore (Machine.load16 m (udp + Packet.Udp.off_dst_port));
+    ignore (Machine.load16 m (udp + Packet.Udp.off_length));
     let view = Bytes.create headers_len in
     Memory.blit_to_bytes (Machine.mem m) ~src:addr ~dst:view ~dst_off:0
       ~len:headers_len;
@@ -143,14 +143,9 @@ let create kernel cfg =
       Kernel.bind_vc kernel ~vc Kernel.Deliver_user;
       vc
     | Ethernet ->
-      (* DPF demux: IPv4 + UDP + our destination port. *)
-      let filter =
-        [
-          Dpf.atom ~offset:9 ~width:1 Packet.Ip.proto_udp;
-          Dpf.atom ~offset:(Packet.ip_header_len + 2) ~width:2 cfg.local_port;
-        ]
-      in
-      Kernel.bind_eth_filter kernel filter ~compiled:true Kernel.Deliver_user
+      Kernel.bind_eth_filter kernel
+        (Packet.Udp.dst_port_filter cfg.local_port)
+        Kernel.Deliver_user
   in
   let t =
     {

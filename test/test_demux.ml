@@ -47,7 +47,7 @@ let run_demux ~mode filters =
   let hits = ref [] in
   List.iter
     (fun (name, filter) ->
-       let pvc = Kernel.bind_eth_filter srv filter ~compiled:true Kernel.Deliver_user in
+       let pvc = Kernel.bind_eth_filter srv filter Kernel.Deliver_user in
        Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
            hits := name :: !hits))
     filters;
@@ -80,7 +80,7 @@ let test_unbind_removes_exactly_one () =
   let srv = tb.TB.server.TB.kernel in
   let hits = ref [] in
   let bind name filter =
-    let pvc = Kernel.bind_eth_filter srv filter ~compiled:true Kernel.Deliver_user in
+    let pvc = Kernel.bind_eth_filter srv filter Kernel.Deliver_user in
     Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
         hits := name :: !hits);
     pvc
@@ -120,8 +120,7 @@ let test_unbind_under_both_engines () =
          List.map
            (fun (_, filter) ->
               let pvc =
-                Kernel.bind_eth_filter srv filter ~compiled:true
-                  Kernel.Deliver_user
+                Kernel.bind_eth_filter srv filter Kernel.Deliver_user
               in
               Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
                   incr hits);

@@ -355,7 +355,7 @@ let test_kernel_eth_filter_dispatch () =
   let hits = ref [] in
   let bind_port port =
     let filter = [ Dpf.atom ~offset:0 ~width:2 port ] in
-    let pvc = Kernel.bind_eth_filter srv filter ~compiled:true Kernel.Deliver_user in
+    let pvc = Kernel.bind_eth_filter srv filter Kernel.Deliver_user in
     Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
         hits := port :: !hits)
   in
@@ -438,10 +438,9 @@ let test_kernel_eth_ash_delivery () =
   ignore
     (Kernel.bind_eth_filter srv
        [ Dpf.atom ~offset:0 ~width:1 0x7e ]
-       ~compiled:true (Kernel.Deliver_ash id));
+       (Kernel.Deliver_ash id));
   let cvc =
-    Kernel.bind_eth_filter tb.TB.client.TB.kernel [] ~compiled:true
-      Kernel.Deliver_user
+    Kernel.bind_eth_filter tb.TB.client.TB.kernel [] Kernel.Deliver_user
   in
   let reply = ref 0 in
   Kernel.set_user_handler tb.TB.client.TB.kernel ~vc:cvc
@@ -460,10 +459,9 @@ let test_kernel_eth_upcall_delivery () =
   ignore
     (Kernel.bind_eth_filter srv
        [ Dpf.atom ~offset:0 ~width:1 0x7d ]
-       ~compiled:true (Kernel.Deliver_upcall id));
+       (Kernel.Deliver_upcall id));
   let cvc =
-    Kernel.bind_eth_filter tb.TB.client.TB.kernel [] ~compiled:true
-      Kernel.Deliver_user
+    Kernel.bind_eth_filter tb.TB.client.TB.kernel [] Kernel.Deliver_user
   in
   let reply = ref 0 in
   Kernel.set_user_handler tb.TB.client.TB.kernel ~vc:cvc
@@ -488,7 +486,7 @@ let test_kernel_eth_ash_sees_destriped_packet () =
   let id =
     download srv (Handlers.dilp_deposit ~dilp_id ~dst_addr:landing.Memory.base)
   in
-  ignore (Kernel.bind_eth_filter srv [] ~compiled:true (Kernel.Deliver_ash id));
+  ignore (Kernel.bind_eth_filter srv [] (Kernel.Deliver_ash id));
   let payload = Bytes.create 100 in
   Ash_util.Rng.fill_bytes (Ash_util.Rng.create 44) payload;
   Kernel.eth_kernel_send tb.TB.client.TB.kernel payload;
