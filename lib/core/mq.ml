@@ -37,7 +37,6 @@ module Trace = Ash_obs.Trace
 module Timeseries = Ash_obs.Timeseries
 module Bytesx = Ash_util.Bytesx
 
-(* Frames carry the MQ header after IP+UDP; log slots are 64 bytes. *)
 let net_off = Packet.ip_header_len + Packet.udp_header_len
 let payload_off = net_off + Handlers.mq_header
 let slot_shift = 6

@@ -1,7 +1,8 @@
 (* Text and JSON rendering of a recorder's trace ring and metrics. The
    JSON is hand-rolled so the library stays dependency-free. *)
 
-let json_escape = Ash_util.Minijson.escape
+module Minijson = Ash_util.Minijson
+
 let default_max_events = 200
 
 let pp_recorder ?(max_events = default_max_events) ppf r =
@@ -50,7 +51,7 @@ let json_field_value v =
         !ok)
   in
   if numeric || v = "true" || v = "false" then v
-  else "\"" ^ json_escape v ^ "\""
+  else "\"" ^ Minijson.escape v ^ "\""
 
 let event_to_json (e : Trace.event) =
   let fields =
@@ -86,14 +87,14 @@ let to_json r =
   List.iteri
     (fun i (name, v) ->
        if i > 0 then Buffer.add_char buf ',';
-       Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+       Printf.bprintf buf "\"%s\":%d" (Minijson.escape name) v)
     (Metrics.counters m);
   Buffer.add_string buf "},\"histograms\":{";
   List.iteri
     (fun i (name, s) ->
        if i > 0 then Buffer.add_char buf ',';
-       Buffer.add_string buf
-         (Printf.sprintf "\"%s\":%s" (json_escape name) (summary_to_json s)))
+       Printf.bprintf buf "\"%s\":%s" (Minijson.escape name)
+         (summary_to_json s))
     (Metrics.histograms m);
   Buffer.add_string buf "}}";
   Buffer.contents buf
@@ -162,14 +163,14 @@ let to_chrome_json ?(shards = 1) ?(jobs = 1) ?host_cores r =
       add 0
         (Printf.sprintf
            "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"ts\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-           pid (json_escape name)))
+           pid (Minijson.escape name)))
     pids;
   List.iter
     (fun ((pid, tid), name) ->
       add 0
         (Printf.sprintf
            "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"ts\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-           pid tid (json_escape name)))
+           pid tid (Minijson.escape name)))
     thread_list;
   List.iter
     (fun (i : Span.interval) ->
@@ -193,7 +194,7 @@ let to_chrome_json ?(shards = 1) ?(jobs = 1) ?host_cores r =
           let args =
             List.map
               (fun (f, v) ->
-                Printf.sprintf "\"%s\":%s" (json_escape f)
+                Printf.sprintf "\"%s\":%s" (Minijson.escape f)
                   (json_field_value v))
               (Trace.fields k)
           in
