@@ -4,11 +4,10 @@
 
    Run with:  dune exec examples/active_messages.exe *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Kernel = Ash_kern.Kernel
 module Memory = Ash_sim.Memory
 module Machine = Ash_sim.Machine
-module Engine = Ash_sim.Engine
 module Builder = Ash_vm.Builder
 module Isa = Ash_vm.Isa
 module Bytesx = Ash_util.Bytesx
@@ -44,16 +43,16 @@ let lock_handler ~lock_addr =
   Builder.assemble b
 
 let () =
-  let tb = TB.create () in
-  let server = tb.TB.server and client = tb.TB.client in
-  let mem = Machine.mem (Kernel.machine server.TB.kernel) in
+  let tb = Fabric.pair () in
+  let server = Fabric.host tb 0 and client = Fabric.host tb 1 in
+  let mem = Machine.mem (Kernel.machine server.Fabric.kernel) in
 
   (* Application state the handlers act on directly. *)
-  let lock = TB.alloc server ~name:"lock-word" 4 in
+  let lock = Fabric.alloc server ~name:"lock-word" 4 in
 
   let ash =
     match
-      Kernel.download_ash server.TB.kernel ~sandbox:true
+      Kernel.download_ash server.Fabric.kernel ~sandbox:true
         (lock_handler ~lock_addr:lock.Memory.base)
     with
     | Ok id -> id
@@ -61,16 +60,16 @@ let () =
       Format.eprintf "rejected: %a@." Ash_vm.Verify.pp_error e;
       exit 1
   in
-  Kernel.bind_vc server.TB.kernel ~vc (Kernel.Deliver_ash ash);
-  Kernel.set_auto_repost server.TB.kernel ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:8 ~size:64;
+  Kernel.bind_vc server.Fabric.kernel ~vc (Kernel.Deliver_ash ash);
+  Kernel.set_auto_repost server.Fabric.kernel ~vc true;
+  Fabric.post_buffers server ~vc ~count:8 ~size:64;
   (* The server application is suspended: the whole point is that lock
      replies do not wait for it to be scheduled. *)
-  Kernel.set_app_state server.TB.kernel Kernel.Suspended;
+  Kernel.set_app_state server.Fabric.kernel Kernel.Suspended;
 
-  Kernel.bind_vc client.TB.kernel ~vc Kernel.Deliver_user;
-  Kernel.set_auto_repost client.TB.kernel ~vc true;
-  TB.post_buffers tb.TB.client ~vc ~count:8 ~size:64;
+  Kernel.bind_vc client.Fabric.kernel ~vc Kernel.Deliver_user;
+  Kernel.set_auto_repost client.Fabric.kernel ~vc true;
+  Fabric.post_buffers client ~vc ~count:8 ~size:64;
 
   let acquire_times = ref [] in
   let t0 = ref 0 in
@@ -82,23 +81,21 @@ let () =
     | [] -> ()
     | owner :: rest ->
       pending := rest;
-      t0 := Engine.now tb.TB.engine;
+      t0 := Fabric.now tb;
       let msg = Bytes.create 4 in
       Bytesx.set_u32 msg 0 owner;
-      Kernel.user_send client.TB.kernel ~vc msg
+      Kernel.user_send client.Fabric.kernel ~vc msg
   in
-  Kernel.set_user_handler client.TB.kernel ~vc (fun ~addr ~len:_ ->
-      let granted = Memory.load32 (Machine.mem (Kernel.machine client.TB.kernel)) addr in
-      ignore granted;
-      let cmem = Machine.mem (Kernel.machine client.TB.kernel) in
+  Kernel.set_user_handler client.Fabric.kernel ~vc (fun ~addr ~len:_ ->
+      let cmem = Machine.mem (Kernel.machine client.Fabric.kernel) in
       let got = Memory.load32 cmem addr = 1 in
       results := got :: !results;
       acquire_times :=
-        (float_of_int (Engine.now tb.TB.engine - !t0) /. 1000.)
+        (float_of_int (Fabric.now tb - !t0) /. 1000.)
         :: !acquire_times;
       send_next ());
   send_next ();
-  TB.run tb;
+  Fabric.run tb;
 
   List.iteri
     (fun i (granted, us) ->

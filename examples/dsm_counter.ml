@@ -6,21 +6,21 @@
 
    Run with:  dune exec examples/dsm_counter.exe *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Dsm = Ash_core.Dsm
 module Kernel = Ash_kern.Kernel
-module Engine = Ash_sim.Engine
 module Bytesx = Ash_util.Bytesx
 
 let rounds = 5
 
 let () =
-  let tb = TB.create () in
-  let server = Dsm.serve tb.TB.server ~vc:8 ~segments:1 ~segment_size:64 in
-  Kernel.set_app_state tb.TB.server.TB.kernel Kernel.Suspended;
-  let client = Dsm.connect tb.TB.client ~vc:8 in
+  let tb = Fabric.pair () in
+  let host0 = Fabric.host tb 0 in
+  let server = Dsm.serve host0 ~vc:8 ~segments:1 ~segment_size:64 in
+  Kernel.set_app_state host0.Fabric.kernel Kernel.Suspended;
+  let client = Dsm.connect (Fabric.host tb 1) ~vc:8 in
 
-  let t0 = Engine.now tb.TB.engine in
+  let t0 = Fabric.now tb in
   let rec round n =
     if n > rounds then begin
       Dsm.read client ~seg:0 ~off:0 ~len:4 (fun r ->
@@ -29,8 +29,8 @@ let () =
             Format.printf "@.final counter value: %d (after %d rounds)@."
               (Bytesx.get_u32 b 0) rounds;
             Format.printf "total simulated time: %.1f us (%.1f us/round)@."
-              (float_of_int (Engine.now tb.TB.engine - t0) /. 1000.)
-              (float_of_int (Engine.now tb.TB.engine - t0)
+              (float_of_int (Fabric.now tb - t0) /. 1000.)
+              (float_of_int (Fabric.now tb - t0)
                /. 1000. /. float_of_int rounds)
           | None -> Format.printf "final read failed@.")
     end
@@ -51,8 +51,8 @@ let () =
                     Dsm.unlock client ~seg:0 (fun _ -> round (n + 1)))))
   in
   round 1;
-  TB.run tb;
-  let ks = Kernel.stats tb.TB.server.TB.kernel in
+  Fabric.run tb;
+  let ks = Kernel.stats host0.Fabric.kernel in
   Format.printf
     "server kernel: %d DSM operations handled by the handler, %d reached \
      the (suspended) application@."

@@ -7,24 +7,23 @@
 
    Run with:  dune exec examples/dsm_remote_write.exe *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Kernel = Ash_kern.Kernel
 module Memory = Ash_sim.Memory
 module Machine = Ash_sim.Machine
-module Engine = Ash_sim.Engine
 module Handlers = Ash_core.Handlers
 module Bytesx = Ash_util.Bytesx
 
 let vc = 9
 
 let run_variant ~label ~specific =
-  let tb = TB.create () in
-  let server = tb.TB.server and client = tb.TB.client in
-  let mem = Machine.mem (Kernel.machine server.TB.kernel) in
+  let tb = Fabric.pair () in
+  let server = Fabric.host tb 0 and client = Fabric.host tb 1 in
+  let mem = Machine.mem (Kernel.machine server.Fabric.kernel) in
 
   (* The DSM segment this node exports, plus its translation table. *)
-  let segment = TB.alloc server ~name:"dsm-segment" 8192 in
-  let table = TB.alloc server ~name:"dsm-table" 16 in
+  let segment = Fabric.alloc server ~name:"dsm-segment" 8192 in
+  let table = Fabric.alloc server ~name:"dsm-table" 16 in
   Memory.store32 mem
     (table.Memory.base + Handlers.seg_off_base)
     segment.Memory.base;
@@ -38,16 +37,16 @@ let run_variant ~label ~specific =
       Handlers.remote_write_generic ~table_addr:table.Memory.base ~entries:1 ()
   in
   let ash =
-    match Kernel.download_ash server.TB.kernel ~sandbox:true program with
+    match Kernel.download_ash server.Fabric.kernel ~sandbox:true program with
     | Ok id -> id
     | Error e ->
       Format.eprintf "rejected: %a@." Ash_vm.Verify.pp_error e;
       exit 1
   in
-  Kernel.bind_vc server.TB.kernel ~vc (Kernel.Deliver_ash ash);
-  Kernel.set_auto_repost server.TB.kernel ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:4 ~size:256;
-  Kernel.set_app_state server.TB.kernel Kernel.Suspended;
+  Kernel.bind_vc server.Fabric.kernel ~vc (Kernel.Deliver_ash ash);
+  Kernel.set_auto_repost server.Fabric.kernel ~vc true;
+  Fabric.post_buffers server ~vc ~count:4 ~size:256;
+  Kernel.set_app_state server.Fabric.kernel Kernel.Suspended;
 
   (* Build the write request: 40 bytes of data at offset 256. *)
   let dst_off = 256 and len = 40 in
@@ -71,13 +70,13 @@ let run_variant ~label ~specific =
       b
     end
   in
-  let t0 = Engine.now tb.TB.engine in
-  Kernel.kernel_send client.TB.kernel ~vc msg;
-  TB.run tb;
+  let t0 = Fabric.now tb in
+  Kernel.kernel_send client.Fabric.kernel ~vc msg;
+  Fabric.run tb;
   let landed =
     Memory.read_string mem ~addr:(segment.Memory.base + dst_off) ~len
   in
-  let r = Kernel.ash_last_result server.TB.kernel ash in
+  let r = Kernel.ash_last_result server.Fabric.kernel ash in
   (match r with
    | Some r ->
      Format.printf
@@ -85,7 +84,7 @@ let run_variant ~label ~specific =
         (%d from the sandboxer)@."
        label
        (if landed = Bytes.to_string data then "LANDED" else "CORRUPT")
-       (float_of_int (Engine.now tb.TB.engine - t0) /. 1000.)
+       (float_of_int (Fabric.now tb - t0) /. 1000.)
        r.Ash_vm.Interp.insns r.Ash_vm.Interp.check_insns
    | None -> Format.printf "%s: handler never ran?@." label)
 

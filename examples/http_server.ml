@@ -5,9 +5,8 @@
 
    Run with:  dune exec examples/http_server.exe *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Lab = Ash_core.Lab
-module Engine = Ash_sim.Engine
 module Tcp = Ash_proto.Tcp
 
 let documents =
@@ -19,7 +18,7 @@ let documents =
   ]
 
 let () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let client, server =
     Lab.tcp_pair ~mode:(Tcp.Fast_ash { sandbox = true }) ~checksum:true
       ~in_place:false tb
@@ -31,7 +30,7 @@ let () =
   Tcp.set_reader server (fun ~addr ~len ->
       let mem =
         Ash_sim.Machine.mem
-          (Ash_kern.Kernel.machine tb.TB.server.TB.kernel)
+          (Ash_kern.Kernel.machine (Fabric.host tb 0).Fabric.kernel)
       in
       let req = Ash_sim.Memory.read_string mem ~addr ~len in
       let req = String.trim req in
@@ -63,14 +62,14 @@ let () =
   Tcp.set_reader client (fun ~addr ~len ->
       let mem =
         Ash_sim.Machine.mem
-          (Ash_kern.Kernel.machine tb.TB.client.TB.kernel)
+          (Ash_kern.Kernel.machine (Fabric.host tb 1).Fabric.kernel)
       in
       let body = Ash_sim.Memory.read_string mem ~addr ~len in
       Format.printf "  client: got %d bytes: %s@." len
         (String.sub (String.trim body) 0 (min 40 (String.length (String.trim body))));
       next ());
   next ();
-  TB.run tb;
+  Fabric.run tb;
 
   let st = Tcp.stats server in
   Format.printf
@@ -78,4 +77,4 @@ let () =
      fast path, %d fast-path fallbacks@."
     st.Tcp.segments_received st.Tcp.fast_path_data st.Tcp.fast_path_acks
     st.Tcp.fast_path_aborts;
-  Format.printf "simulated time: %.1f us@." (TB.now_us tb)
+  Format.printf "simulated time: %.1f us@." (Fabric.now_us tb)

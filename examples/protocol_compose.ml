@@ -6,7 +6,7 @@
 
    Run with:  dune exec examples/protocol_compose.exe *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Kernel = Ash_kern.Kernel
 module Memory = Ash_sim.Memory
 module Compose = Ash_proto.Compose
@@ -26,15 +26,16 @@ let mk_frame ~proto ~mk_l4 payload =
   frame
 
 let () =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair () in
+  let server = Fabric.host tb 0 and client = Fabric.host tb 1 in
+  let srv = server.Fabric.kernel and cli = client.Fabric.kernel in
 
   (* One IP routine, written once... *)
   let ip_udp = Compose.ipv4 ~proto:17 () in
   let ip_tcp = Compose.ipv4 ~proto:6 () in
 
   (* ...composed with UDP on VC 4 and with TCP ports on VC 5. *)
-  let udp_landing = TB.alloc tb.TB.server ~name:"udp-landing" 2048 in
+  let udp_landing = Fabric.alloc server ~name:"udp-landing" 2048 in
   let udp_stack =
     Compose.compose ~name:"ip|udp|deposit"
       [ ip_udp; Compose.udp ~dst_port:7001 ]
@@ -55,7 +56,7 @@ let () =
     | Ok id ->
       Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
       Kernel.set_auto_repost srv ~vc true;
-      TB.post_buffers tb.TB.server ~vc ~count:4 ~size:2048;
+      Fabric.post_buffers server ~vc ~count:4 ~size:2048;
       Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ ->
           Format.printf "  (a packet fell back to the library)@.")
     | Error e ->
@@ -66,10 +67,10 @@ let () =
   bind 5 tcp_stack;
 
   (* Client side: a raw listener on VC 5 for the TCP echo. *)
-  Kernel.bind_vc tb.TB.client.TB.kernel ~vc:5 Kernel.Deliver_user;
-  Kernel.set_auto_repost tb.TB.client.TB.kernel ~vc:5 true;
-  TB.post_buffers tb.TB.client ~vc:5 ~count:2 ~size:256;
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc:5 (fun ~addr:_ ~len ->
+  Kernel.bind_vc cli ~vc:5 Kernel.Deliver_user;
+  Kernel.set_auto_repost cli ~vc:5 true;
+  Fabric.post_buffers client ~vc:5 ~count:2 ~size:256;
+  Kernel.set_user_handler cli ~vc:5 (fun ~addr:_ ~len ->
       Format.printf "client: TCP-stack echo came back (%d bytes)@." len);
 
   (* Traffic: a matching UDP datagram, a matching TCP segment, and a
@@ -98,10 +99,10 @@ let () =
               checksum = 0 })
       "stray"
   in
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4 udp_frame;
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:5 tcp_frame;
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4 stray;
-  TB.run tb;
+  Kernel.kernel_send cli ~vc:4 udp_frame;
+  Kernel.kernel_send cli ~vc:5 tcp_frame;
+  Kernel.kernel_send cli ~vc:4 stray;
+  Fabric.run tb;
 
   let mem = Ash_sim.Machine.mem (Kernel.machine srv) in
   Format.printf "server: UDP-stack handler deposited %S@."

@@ -102,7 +102,7 @@ let handler ~table_addr ~segments =
   Builder.assemble b
 
 type server = {
-  node : Testbed.node;
+  node : Fabric.node;
   segs : Memory.region array;
   locks : Memory.region;
 }
@@ -112,14 +112,14 @@ type pending =
   | P_read of int * (Bytes.t option -> unit)
 
 type client = {
-  cnode : Testbed.node;
+  cnode : Fabric.node;
   cvc : int;
   queue : pending Queue.t;
 }
 
 let serve node ~vc ~segments ~segment_size =
   if segments <= 0 || segment_size <= 0 then invalid_arg "Dsm.serve";
-  let kernel = node.Testbed.kernel in
+  let kernel = node.Fabric.kernel in
   let mem = Machine.mem (Kernel.machine kernel) in
   let segs =
     Array.init segments (fun i ->
@@ -143,21 +143,21 @@ let serve node ~vc ~segments ~segment_size =
      failwith (Format.asprintf "Dsm.serve: %a" Ash_vm.Verify.pp_error e));
   Kernel.set_auto_repost kernel ~vc true;
   Kernel.set_user_handler kernel ~vc (fun ~addr:_ ~len:_ -> ());
-  Testbed.post_buffers node ~vc ~count:8 ~size:(header_len + segment_size);
+  Fabric.post_buffers node ~vc ~count:8 ~size:(header_len + segment_size);
   { node; segs; locks }
 
 let segment_addr t ~seg = t.segs.(seg).Memory.base
 
 let lock_holder t ~seg =
   Memory.load32
-    (Machine.mem (Kernel.machine t.node.Testbed.kernel))
+    (Machine.mem (Kernel.machine t.node.Fabric.kernel))
     (t.locks.Memory.base + (4 * seg))
 
 let connect node ~vc =
-  let kernel = node.Testbed.kernel in
+  let kernel = node.Fabric.kernel in
   Kernel.bind_vc kernel ~vc Kernel.Deliver_user;
   Kernel.set_auto_repost kernel ~vc true;
-  Testbed.post_buffers node ~vc ~count:8 ~size:4096;
+  Fabric.post_buffers node ~vc ~count:8 ~size:4096;
   let t = { cnode = node; cvc = vc; queue = Queue.create () } in
   Kernel.set_user_handler kernel ~vc (fun ~addr ~len ->
       match Queue.take_opt t.queue with
@@ -184,7 +184,7 @@ let request t ~op ~seg ~off ~len_field ~data =
   Bytesx.set_u32 msg 8 off;
   Bytesx.set_u32 msg 12 len_field;
   (match data with Some d -> Bytes.blit d 0 msg header_len dlen | None -> ());
-  Kernel.user_send t.cnode.Testbed.kernel ~vc:t.cvc msg
+  Kernel.user_send t.cnode.Fabric.kernel ~vc:t.cvc msg
 
 let write t ~seg ~off ~data k =
   Queue.add (P_status k) t.queue;

@@ -21,10 +21,12 @@ type server
 type client
 
 val serve :
-  Testbed.node -> vc:int -> segments:int -> segment_size:int -> server
-(** Export [segments] segments of [segment_size] bytes each, download
-    the DSM handler (sandboxed), and bind it to [vc]. The exporting
-    application may be suspended; the handler does all the work. *)
+  Fabric.node -> vc:int -> segments:int -> segment_size:int -> server
+(** Export [segments] segments of [segment_size] bytes each from
+    [node], download the DSM handler (sandboxed), and bind it to AN2
+    VC [vc]. [node] needs an AN2 board: host 0 of a {!Fabric.pair}
+    serves in the tests and examples. The exporting application may be
+    suspended; the handler does all the work. *)
 
 val segment_addr : server -> seg:int -> int
 (** Local address of an exported segment (for seeding/inspection). *)
@@ -32,9 +34,9 @@ val segment_addr : server -> seg:int -> int
 val lock_holder : server -> seg:int -> int
 (** Current holder id of the segment's lock, 0 when free. *)
 
-val connect : Testbed.node -> vc:int -> client
-(** Attach the client side on the peer node (binds the same VC for
-    replies). *)
+val connect : Fabric.node -> vc:int -> client
+(** Attach the client side on the peer node, host 1 of the pair (binds
+    the same VC for replies). *)
 
 (* All operations are asynchronous: the continuation fires when the
    reply arrives. Operations may be issued back to back; the channel

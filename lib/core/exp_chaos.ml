@@ -5,9 +5,9 @@
    historical fixed 20 ms retransmission timer against the adaptive
    (Jacobson/Karn + fast retransmit) policy at increasing loss rates. *)
 
-module Engine = Ash_sim.Engine
 module Memory = Ash_sim.Memory
 module Fault = Ash_sim.Fault
+module Kernel = Ash_kern.Kernel
 module An2 = Ash_nic.An2
 module Tcp = Ash_proto.Tcp
 
@@ -26,7 +26,7 @@ type run = {
    policies face the identical sequence of lost frames. *)
 let transfer ?(seed = 42) ?(total = 262_144) ?(chunk = 8192) ~rate ~rto
     ~fast_retransmit () =
-  let tb = Testbed.create () in
+  let tb = Fabric.pair () in
   (* mss 1024 keeps ~8 segments in flight (vs ~2 at the default 3072),
      so dup-ack fast retransmit can actually trigger, and the ~256-frame
      transfer sees losses even at the 1% rate. *)
@@ -34,12 +34,13 @@ let transfer ?(seed = 42) ?(total = 262_144) ?(chunk = 8192) ~rate ~rto
     Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false ~mss:1024
       ~rto ~fast_retransmit tb
   in
+  let client = Fabric.host tb 1 in
   if rate > 0.0 then
-    An2.set_fault_plan tb.Testbed.client.Testbed.an2
+    An2.set_fault_plan (Kernel.an2 client.Fabric.kernel)
       (Some (Fault.create (Fault.lossy ~seed rate)));
   Tcp.set_reader s (fun ~addr:_ ~len:_ -> ());
-  let src = Testbed.alloc_filled tb.Testbed.client ~seed:1 chunk in
-  let start = Engine.now tb.Testbed.engine in
+  let src = Fabric.alloc_filled client ~seed:1 chunk in
+  let start = Fabric.now tb in
   let sent = ref 0 in
   let rec send_chunk () =
     if !sent < total then begin
@@ -48,8 +49,8 @@ let transfer ?(seed = 42) ?(total = 262_144) ?(chunk = 8192) ~rate ~rto
     end
   in
   send_chunk ();
-  Testbed.run tb;
-  let dt = Engine.now tb.Testbed.engine - start in
+  Fabric.run tb;
+  let dt = Fabric.now tb - start in
   let st = Tcp.stats c in
   {
     rate;

@@ -3,11 +3,11 @@ module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
 module Costs = Ash_sim.Costs
 module Kernel = Ash_kern.Kernel
+module An2 = Ash_nic.An2
 module Ethernet = Ash_nic.Ethernet
 module Switch = Ash_nic.Switch
 module Arp = Ash_proto.Arp
 module Tcp = Ash_proto.Tcp
-module Udp = Ash_proto.Udp
 module Packet = Ash_proto.Packet
 module Bytesx = Ash_util.Bytesx
 
@@ -16,21 +16,13 @@ type node = {
   ip : int;
   mac : int;
   kernel : Kernel.t;
-  eth : Ethernet.t;
-  arp : Arp.t;
+  arp : Arp.t option;
 }
 
-type core = {
-  core_idx : int;
-  core_shard : int;
-  core_kernel : Kernel.t;
-  core_eth : Ethernet.t;
-}
+type core = { core_idx : int; core_shard : int; core_kernel : Kernel.t }
 
 type t = {
-  engine : Engine.t; (* shard 0's engine — the whole fabric when shards=1 *)
-  costs : Costs.t;
-  switch : Switch.t;
+  switch : Switch.t option; (* None on the back-to-back pair *)
   nodes : node array;
   cluster : Engine.Cluster.t;
   jobs : int;
@@ -75,9 +67,40 @@ let static_route ~hosts frame =
       Some p.Arp.Wire.target_mac
     | _ -> None
 
+let single_core n =
+  [| { core_idx = 0; core_shard = 0; core_kernel = n.kernel } |]
+
+(* The paper's testbed (§IV-A): host 0 serves, host 1 is the client,
+   their AN2 boards are connected back to back and, with [ethernet],
+   their Ethernet NICs by a cable. The client is built first, and on
+   each host the AN2 board before the Ethernet NIC: Ethernet rings
+   allocate simulated memory, so this order fixes every address. *)
+let pair ?(server_costs = Costs.decstation) ?(ethernet = false) () =
+  let cluster = Engine.Cluster.create ~shards:1 () in
+  let engine = Engine.Cluster.engine cluster 0 in
+  let make i costs =
+    let kernel =
+      Kernel.create engine costs ~name:(Printf.sprintf "host%d" i)
+    in
+    let machine = Kernel.machine kernel in
+    Kernel.attach_an2 kernel (An2.create engine machine);
+    if ethernet then
+      Kernel.attach_ethernet kernel (Ethernet.create engine machine);
+    { idx = i; ip = ip_of_index i; mac = mac_of_index i; kernel; arp = None }
+  in
+  let client = make 1 Costs.decstation in
+  let server = make 0 server_costs in
+  An2.connect (Kernel.an2 client.kernel) (Kernel.an2 server.kernel);
+  if ethernet then
+    Ethernet.connect
+      (Kernel.ethernet client.kernel)
+      (Kernel.ethernet server.kernel);
+  { switch = None; nodes = [| server; client |]; cluster; jobs = 1;
+    cores = single_core server }
+
 let create ?(costs = Costs.decstation) ?(queue_limit = 16)
-    ?notify_queue_limit ?(shards = 1) ?(jobs = 1) ?epoch_ns
-    ?(server_cores = 1) ~hosts () =
+    ?notify_queue_limit ?(shards = 1) ?(jobs = 1) ?(server_cores = 1) ~hosts
+    () =
   if hosts < 2 then invalid_arg "Fabric.create: need at least two hosts";
   if shards < 1 then invalid_arg "Fabric.create: shards must be >= 1";
   if server_cores < 1 then
@@ -87,14 +110,7 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
      [eth_hw_oneway_ns] of fixed delay, so events posted during an
      epoch always land beyond it and sharding cannot change virtual
      timing. *)
-  let epoch_ns =
-    match epoch_ns with
-    | None -> min 25_000 costs.Costs.eth_hw_oneway_ns
-    | Some e ->
-      if e < 1 || e > costs.Costs.eth_hw_oneway_ns then
-        invalid_arg "Fabric.create: epoch_ns must be in [1, eth_hw_oneway_ns]";
-      e
-  in
+  let epoch_ns = min 25_000 costs.Costs.eth_hw_oneway_ns in
   let cluster = Engine.Cluster.create ~epoch_ns ~shards () in
   (* Telemetry: per-shard event backlog — the load-balance view of a
      sharded run (all shards sampled together at the epoch barrier). *)
@@ -111,9 +127,9 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
   let shard_exec s =
     if shards > 1 then Some (Engine.Cluster.exec cluster s) else None
   in
-  let shard_of_host h = h mod shards in
-  let engine = shard_engine 0 in
-  let switch = Switch.create engine ~queue_limit ~costs ~ports:hosts () in
+  let switch =
+    Switch.create (shard_engine 0) ~queue_limit ~costs ~ports:hosts ()
+  in
   (match shard_exec 0 with
    | Some exec -> Switch.set_exec switch exec
    | None -> ());
@@ -125,7 +141,7 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
   let cores = ref [||] in
   let nodes =
     Array.init hosts (fun i ->
-        let s = shard_of_host i in
+        let s = i mod shards in
         let e = shard_engine s in
         if i = 0 && server_cores > 1 then begin
           (* Multi-queue server: one kernel + ring NIC per core, all
@@ -145,18 +161,17 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
                 Ethernet.set_mac ring (mac_of_index 0);
                 Ethernet.set_route ring (static_route ~hosts);
                 set_rx ring cs;
-                { core_idx = c; core_shard = cs; core_kernel = k;
-                  core_eth = ring })
+                { core_idx = c; core_shard = cs; core_kernel = k })
           in
           cores := built;
           Switch.attach_rss switch ~port:0
-            (Array.map (fun c -> c.core_eth) built);
+            (Array.map (fun c -> Kernel.ethernet c.core_kernel) built);
           let k0 = built.(0).core_kernel in
           let arp =
             Arp.create k0 ~my_ip:(ip_of_index 0) ~my_mac:(mac_of_index 0)
           in
           { idx = 0; ip = ip_of_index 0; mac = mac_of_index 0; kernel = k0;
-            eth = built.(0).core_eth; arp }
+            arp = Some arp }
         end
         else begin
           let kernel =
@@ -172,28 +187,29 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
             Arp.create kernel ~my_ip:(ip_of_index i) ~my_mac:(mac_of_index i)
           in
           Ethernet.set_route eth (route arp);
-          { idx = i; ip = ip_of_index i; mac = mac_of_index i; kernel; eth;
-            arp }
+          { idx = i; ip = ip_of_index i; mac = mac_of_index i; kernel;
+            arp = Some arp }
         end)
   in
   let cores =
-    if Array.length !cores > 0 then !cores
-    else
-      let n = nodes.(0) in
-      [| { core_idx = 0; core_shard = 0; core_kernel = n.kernel;
-           core_eth = n.eth } |]
+    if Array.length !cores > 0 then !cores else single_core nodes.(0)
   in
-  { engine; costs; switch; nodes; cluster; jobs; cores }
+  { switch = Some switch; nodes; cluster; jobs; cores }
 
 let hosts t = Array.length t.nodes
 let host t i = t.nodes.(i)
-let engine t = t.engine
-let switch t = t.switch
+let engine t = Engine.Cluster.engine t.cluster 0
+
+let switch t =
+  match t.switch with
+  | Some s -> s
+  | None -> invalid_arg "Fabric.switch: a back-to-back pair has no switch"
+
 let cluster t = t.cluster
-let shards t = Engine.Cluster.shards t.cluster
-let jobs t = t.jobs
-let shard_of_host t h = h mod shards t
-let host_engine t h = Engine.Cluster.engine t.cluster (shard_of_host t h)
+
+let host_engine t h =
+  Engine.Cluster.engine t.cluster (h mod Engine.Cluster.shards t.cluster)
+
 let cores t = t.cores
 let now t = Engine.Cluster.now t.cluster
 let run t = Engine.Cluster.run ~jobs:t.jobs t.cluster
@@ -213,6 +229,13 @@ let alloc_filled n ?(name = "payload") ~seed len =
     ~src:payload ~src_off:0 ~dst:r.Memory.base ~len;
   r
 
+let post_buffers n ~vc ~count ~size =
+  for i = 1 to count do
+    let r = alloc n ~name:(Printf.sprintf "rxbuf-%d-%d" vc i) size in
+    Kernel.post_receive_buffer n.kernel ~vc ~addr:r.Memory.base
+      ~len:r.Memory.len
+  done
+
 (* Pre-resolve the server's station address from every other host, one
    host per virtual millisecond so the request broadcasts don't pile up
    on the finite egress queues. The broadcasts teach the server (and
@@ -220,6 +243,11 @@ let alloc_filled n ?(name = "payload") ~seed len =
    fabric runs all-unicast. Each resolution is scheduled on its host's
    own shard. *)
 let warm_arp t ~server =
+  let arp n =
+    match n.arp with
+    | Some a -> a
+    | None -> invalid_arg "Fabric.warm_arp: a back-to-back pair has no ARP"
+  in
   let ip = t.nodes.(server).ip in
   Array.iter
     (fun n ->
@@ -228,12 +256,12 @@ let warm_arp t ~server =
            (Engine.schedule
               (host_engine t n.idx)
               ~delay:(n.idx * 1_000_000)
-              (fun () -> Arp.resolve n.arp ~ip (fun _ -> ()))))
+              (fun () -> Arp.resolve (arp n) ~ip (fun _ -> ()))))
     t.nodes;
   run t;
   Array.iter
     (fun n ->
-       if n.idx <> server && Arp.lookup n.arp ~ip = None then
+       if n.idx <> server && Arp.lookup (arp n) ~ip = None then
          failwith "Fabric.warm_arp: resolution failed")
     t.nodes
 
@@ -265,39 +293,3 @@ let tcp_server t ~client ~server ~client_port ~server_port
       local_ip = sn.ip; local_port = server_port;
       remote_ip = cn.ip; remote_port = client_port;
       iss = 5_000 + server_port }
-
-let tcp_pair t ~client ~server ~client_port ~server_port
-    ?(mss = 1460) ?(window = 4096) ?(checksum = false)
-    ?(rto = Tcp.default_rto) () =
-  let c =
-    tcp_client t ~client ~server ~client_port ~server_port ~mss ~window
-      ~checksum ~rto ()
-  in
-  let s =
-    tcp_server t ~client ~server ~client_port ~server_port ~mss ~window
-      ~checksum ~rto ()
-  in
-  (c, s)
-
-let udp_pair t ~client ~server ~client_port ~server_port
-    ?(checksum = false) () =
-  let cn = t.nodes.(client) and sn = t.nodes.(server) in
-  let base =
-    { Udp.default_config with
-      medium = Udp.Ethernet; checksum;
-      mtu_payload =
-        t.costs.Costs.eth_mtu - Packet.ip_header_len - Packet.udp_header_len }
-  in
-  let c =
-    Udp.create cn.kernel
-      { base with
-        local_ip = cn.ip; local_port = client_port;
-        remote_ip = sn.ip; remote_port = server_port }
-  in
-  let s =
-    Udp.create sn.kernel
-      { base with
-        local_ip = sn.ip; local_port = server_port;
-        remote_ip = cn.ip; remote_port = client_port }
-  in
-  (c, s)

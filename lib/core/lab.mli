@@ -1,7 +1,8 @@
 (** Shared experiment drivers.
 
-    Each function builds a fresh two-node testbed, runs one workload
-    from the paper's evaluation, and returns the measurement. The
+    Each function builds a fresh back-to-back pair ({!Fabric.pair}:
+    host 1 is the client, host 0 the server), runs one workload from
+    the paper's evaluation, and returns the measurement. The
     methodology follows §IV-B: several iterations, warmup discarded,
     statistics over the rest (the simulation is deterministic, so the
     confidence intervals mostly certify steady state was reached). *)
@@ -16,7 +17,6 @@ val raw_pingpong :
   ?payload_len:int ->
   ?iters:int ->
   ?server_suspended:bool ->
-  ?client_costs:Ash_sim.Costs.t ->
   server_mode ->
   Ash_util.Stats.summary
 (** Raw AN2 round-trip latency in microseconds (Tables I and V's
@@ -76,10 +76,10 @@ val tcp_pair :
   ?medium:[ `An2 | `Eth ] ->
   ?rto:Ash_proto.Tcp.rto_policy ->
   ?fast_retransmit:bool ->
-  Testbed.t ->
+  Fabric.t ->
   Ash_proto.Tcp.t * Ash_proto.Tcp.t
 (** Create, connect and (optionally) suspend a client/server connection
-    pair on an existing testbed. Returns (client, server). [rto] and
+    pair on an existing {!Fabric.pair}. Returns (client, server). [rto] and
     [fast_retransmit] (defaults: adaptive, on) select the loss-recovery
     policy — the chaos experiments compare policies under injected
     faults. *)

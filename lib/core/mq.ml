@@ -488,7 +488,8 @@ let add_consumer t ~host ~start_at ~interval_ns ~until =
 (* ------------------------------------------------------------------ *)
 
 let set_host_fault t ~host plan =
-  Ethernet.set_fault_plan (Fabric.host t.fab host).Fabric.eth
+  Ethernet.set_fault_plan
+    (Kernel.ethernet (Fabric.host t.fab host).Fabric.kernel)
     (Option.map Fault.create plan)
 
 let set_port_fault t ~host plan =

@@ -1011,6 +1011,16 @@ let attach_ethernet t nic =
           .Memory.base);
   Ethernet.set_rx_handler nic (on_eth_rx t)
 
+let an2 t =
+  match t.an2 with
+  | Some nic -> nic
+  | None -> invalid_arg "Kernel.an2: no AN2 board attached"
+
+let ethernet t =
+  match t.eth with
+  | Some nic -> nic
+  | None -> invalid_arg "Kernel.ethernet: no Ethernet NIC attached"
+
 let stats t =
   {
     rx_delivered = t.s_rx_delivered;

@@ -125,6 +125,10 @@ val attach_an2 : t -> Ash_nic.An2.t -> unit
 
 val attach_ethernet : t -> Ash_nic.Ethernet.t -> unit
 
+val an2 : t -> Ash_nic.An2.t
+val ethernet : t -> Ash_nic.Ethernet.t
+(** The attached NIC; raise [Invalid_argument] when none is. *)
+
 (* -- ASHs --------------------------------------------------------------- *)
 
 val set_absint_default : bool -> unit

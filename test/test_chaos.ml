@@ -8,7 +8,7 @@
    The seed matrix is overridable from the environment (CI runs the
    suite under several seeds): CHAOS_SEED=<n>. *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Lab = Ash_core.Lab
 module Dsm = Ash_core.Dsm
 module Handlers = Ash_core.Handlers
@@ -31,8 +31,14 @@ let seed =
   | None -> 42
 
 let read_mem tb side ~addr ~len =
-  let node = match side with `C -> tb.TB.client | `S -> tb.TB.server in
-  Memory.read_string (Machine.mem (Kernel.machine node.TB.kernel)) ~addr ~len
+  let node = Fabric.host tb (match side with `C -> 1 | `S -> 0) in
+  Memory.read_string
+    (Machine.mem (Kernel.machine node.Fabric.kernel))
+    ~addr ~len
+
+(* Host [h]'s AN2 board on the back-to-back pair (0 serves, 1 is the
+   client). *)
+let an2 tb h = Kernel.an2 (Fabric.host tb h).Fabric.kernel
 
 (* ------------------------------------------------------------------ *)
 (* The fault plan itself                                               *)
@@ -142,30 +148,33 @@ let udp_pair tb =
       { Udp.default_config with
         Udp.medium = Udp.An2 { vc }; local_port = local; remote_port = remote }
   in
-  ( mk 7000 7001 tb.TB.client.TB.kernel 5,
-    mk 7001 7000 tb.TB.server.TB.kernel 5 )
+  ( mk 7000 7001 (Fabric.host tb 1).Fabric.kernel 5,
+    mk 7001 7000 (Fabric.host tb 0).Fabric.kernel 5 )
 
 (* Send [n] distinct datagrams, paced so receive buffers never run out;
    return (received payload list, fault stats, server kernel stats). *)
 let udp_soak ~plan ~n () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = udp_pair tb in
-  An2.set_fault_plan tb.TB.client.TB.an2 (Some (Fault.create plan));
+  An2.set_fault_plan (an2 tb 1) (Some (Fault.create plan));
   let got = ref [] in
   Udp.set_receiver s (fun ~addr ~len ->
       got := read_mem tb `S ~addr ~len :: !got);
   for i = 0 to n - 1 do
     ignore
-      (Engine.schedule tb.TB.engine ~delay:(i * 100_000) (fun () ->
+      (Engine.schedule (Fabric.engine tb) ~delay:(i * 100_000) (fun () ->
            Udp.send_string c (Printf.sprintf "datagram-%04d-payload" i)))
   done;
-  TB.run tb;
+  Fabric.run tb;
   let plan_stats =
-    match An2.fault_plan tb.TB.client.TB.an2 with
+    match An2.fault_plan (an2 tb 1) with
     | Some p -> Fault.stats p
     | None -> assert false
   in
-  (List.rev !got, plan_stats, Kernel.stats tb.TB.server.TB.kernel, Udp.stats s)
+  ( List.rev !got,
+    plan_stats,
+    Kernel.stats (Fabric.host tb 0).Fabric.kernel,
+    Udp.stats s )
 
 let test_udp_under_loss () =
   let n = 40 in
@@ -212,16 +221,16 @@ let test_udp_under_storm () =
    returns (elapsed ns, client stats, delivered bytes, expected). *)
 let tcp_transfer ?(both_directions = false) ?rto ?fast_retransmit ~plan ~n ()
   =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false ?rto
       ?fast_retransmit tb
   in
   (* Install faults only after the handshake: connection setup under
      loss is a separate concern from steady-state recovery. *)
-  An2.set_fault_plan tb.TB.client.TB.an2 (Some (Fault.create plan));
+  An2.set_fault_plan (an2 tb 1) (Some (Fault.create plan));
   if both_directions then
-    An2.set_fault_plan tb.TB.server.TB.an2
+    An2.set_fault_plan (an2 tb 0)
       (Some (Fault.create { plan with Fault.seed = plan.Fault.seed + 1 }));
   let buf = Buffer.create (n * 32) in
   Tcp.set_reader s (fun ~addr ~len ->
@@ -230,7 +239,7 @@ let tcp_transfer ?(both_directions = false) ?rto ?fast_retransmit ~plan ~n ()
   for i = 0 to n - 1 do
     Buffer.add_string expected (Printf.sprintf "message-%04d|" i)
   done;
-  let start = Engine.now tb.TB.engine in
+  let start = Fabric.now tb in
   let completed = ref 0 in
   let rec send i =
     if i < n then
@@ -241,8 +250,8 @@ let tcp_transfer ?(both_directions = false) ?rto ?fast_retransmit ~plan ~n ()
           send (i + 1))
   in
   send 0;
-  TB.run tb;
-  ( Engine.now tb.TB.engine - start,
+  Fabric.run tb;
+  ( Fabric.now tb - start,
     Tcp.stats c,
     Buffer.contents buf,
     Buffer.contents expected,
@@ -293,12 +302,12 @@ let test_tcp_adaptive_beats_fixed () =
 let test_tcp_fastpath_under_loss () =
   (* The ASH fast path must fall back cleanly when faults break header
      prediction; end-to-end bytes stay correct. *)
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:(Tcp.Fast_ash { sandbox = true }) ~checksum:true
       ~in_place:false tb
   in
-  An2.set_fault_plan tb.TB.client.TB.an2
+  An2.set_fault_plan (an2 tb 1)
     (Some (Fault.create (Fault.lossy ~seed 0.1)));
   let buf = Buffer.create 1024 in
   Tcp.set_reader s (fun ~addr ~len ->
@@ -317,7 +326,7 @@ let test_tcp_fastpath_under_loss () =
           send (i + 1))
   in
   send 0;
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check int) "all writes completed" 50 !completed;
   Alcotest.(check string) "payload byte-identical" (Buffer.contents expected)
     (Buffer.contents buf);
@@ -345,18 +354,18 @@ let download k prog =
   | Error e -> Alcotest.failf "rejected: %a" Ash_vm.Verify.pp_error e
 
 let test_quarantine_demotes_after_n_kills () =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   Kernel.set_quarantine_threshold srv 2;
   let id = download srv (wild_handler ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:4 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:4 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
   for _ = 1 to 5 do
-    Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 8 'x');
-    TB.run tb
+    Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 'x');
+    Fabric.run tb
   done;
   let st = Kernel.stats srv in
   (* Two kills, then quarantine: later messages skip the handler. *)
@@ -370,43 +379,44 @@ let test_quarantine_demotes_after_n_kills () =
   Alcotest.(check int) "nothing lost" 5 st.Kernel.rx_delivered
 
 let test_rearm_gives_handler_another_chance () =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   Kernel.set_quarantine_threshold srv 1;
   let id = download srv (wild_handler ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:4 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:4 ~size:64;
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> ());
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 8 'x');
-  TB.run tb;
+  Kernel.kernel_send cli ~vc (Bytes.make 8 'x');
+  Fabric.run tb;
   Alcotest.(check bool) "quarantined after first kill" true
     (Kernel.ash_quarantined srv id);
   Kernel.rearm_ash srv id;
   Alcotest.(check bool) "re-armed" false (Kernel.ash_quarantined srv id);
   Alcotest.(check int) "kill count reset" 0 (Kernel.ash_kill_count srv id);
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 8 'x');
-  TB.run tb;
+  Kernel.kernel_send cli ~vc (Bytes.make 8 'x');
+  Fabric.run tb;
   (* It ran again (and was killed and re-quarantined). *)
   Alcotest.(check int) "ran again" 2
     (Kernel.stats srv).Kernel.ash_aborted_involuntary;
   Alcotest.(check bool) "quarantined again" true (Kernel.ash_quarantined srv id)
 
 let test_notify_queue_bound_sheds_load () =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   Kernel.set_notify_queue_limit srv 1;
   Kernel.set_app_state srv Kernel.Suspended;
   Kernel.bind_vc srv ~vc Kernel.Deliver_user;
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:8 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:8 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
   (* A burst: arrivals outpace the suspended application's wakeups. *)
   for _ = 1 to 6 do
-    Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 8 'b')
+    Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 'b')
   done;
-  TB.run tb;
+  Fabric.run tb;
   let st = Kernel.stats srv in
   Alcotest.(check bool)
     (Printf.sprintf "queue bound shed load (%d dropped)"
@@ -420,24 +430,24 @@ let test_notify_queue_bound_sheds_load () =
     (st.Kernel.rx_dropped_queue + st.Kernel.user_deliveries)
 
 let test_crc_drops_never_reach_dispatch () =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:4 ~size:64;
-  An2.set_fault_plan tb.TB.client.TB.an2
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:4 ~size:64;
+  An2.set_fault_plan (an2 tb 1)
     (Some (Fault.create { Fault.none with Fault.corrupt = 1.0; seed }));
   for _ = 1 to 5 do
-    Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 8 'c')
+    Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 'c')
   done;
-  TB.run tb;
+  Fabric.run tb;
   let st = Kernel.stats srv in
   Alcotest.(check int) "every frame dropped as crc" 5 st.Kernel.rx_dropped_crc;
   Alcotest.(check int) "none demuxed" 0 st.Kernel.rx_delivered;
   Alcotest.(check int) "handler never ran" 0 st.Kernel.ash_committed;
   Alcotest.(check int) "board saw the damage" 5
-    (An2.stats tb.TB.server.TB.an2).An2.rx_crc_errors
+    (An2.stats (an2 tb 0)).An2.rx_crc_errors
 
 (* ------------------------------------------------------------------ *)
 (* DSM soak                                                            *)
@@ -452,23 +462,23 @@ let test_dsm_converges_under_duplication_and_reorder () =
     { Fault.none with
       Fault.seed = s; duplicate = 0.15; reorder = 0.15; jitter = 0.2 }
   in
-  let tb = TB.create () in
-  let server = Dsm.serve tb.TB.server ~vc ~segments:2 ~segment_size:256 in
-  let client = Dsm.connect tb.TB.client ~vc in
-  An2.set_fault_plan tb.TB.client.TB.an2 (Some (Fault.create (plan seed)));
-  An2.set_fault_plan tb.TB.server.TB.an2
+  let tb = Fabric.pair () in
+  let server = Dsm.serve (Fabric.host tb 0) ~vc ~segments:2 ~segment_size:256 in
+  let client = Dsm.connect (Fabric.host tb 1) ~vc in
+  An2.set_fault_plan (an2 tb 1) (Some (Fault.create (plan seed)));
+  An2.set_fault_plan (an2 tb 0)
     (Some (Fault.create (plan (seed + 1))));
   let n = 32 in
   for i = 0 to n - 1 do
     ignore
-      (Engine.schedule tb.TB.engine ~delay:(i * 200_000) (fun () ->
+      (Engine.schedule (Fabric.engine tb) ~delay:(i * 200_000) (fun () ->
            Dsm.write client ~seg:(i mod 2)
              ~off:(i / 2 * 8)
              ~data:(Bytes.of_string (Printf.sprintf "w%06d!" i))
              (fun _ -> ())))
   done;
-  TB.run tb;
-  let mem = Machine.mem (Kernel.machine tb.TB.server.TB.kernel) in
+  Fabric.run tb;
+  let mem = Machine.mem (Kernel.machine (Fabric.host tb 0).Fabric.kernel) in
   for i = 0 to n - 1 do
     let addr = Dsm.segment_addr server ~seg:(i mod 2) + (i / 2 * 8) in
     Alcotest.(check string)
@@ -483,11 +493,11 @@ let test_dsm_converges_under_duplication_and_reorder () =
 
 let chaos_scenario ~seed () =
   let r = Trace.record () in
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb in
-  An2.set_fault_plan tb.TB.client.TB.an2
+  An2.set_fault_plan (an2 tb 1)
     (Some (Fault.create (Fault.storm ~seed 0.05)));
-  An2.set_fault_plan tb.TB.server.TB.an2
+  An2.set_fault_plan (an2 tb 0)
     (Some (Fault.create (Fault.lossy ~seed:(seed + 1) 0.05)));
   let buf = Buffer.create 512 in
   Tcp.set_reader s (fun ~addr ~len ->
@@ -499,7 +509,7 @@ let chaos_scenario ~seed () =
         ~on_complete:(fun () -> send (i + 1))
   in
   send 0;
-  TB.run tb;
+  Fabric.run tb;
   Trace.stop r;
   (r, Buffer.contents buf)
 
@@ -527,7 +537,6 @@ let test_same_seed_same_chaos_stream () =
 (* ------------------------------------------------------------------ *)
 
 module Switch = Ash_nic.Switch
-module Fabric = Ash_core.Fabric
 module Exp_scale = Ash_core.Exp_scale
 
 (* One switch egress port drops a tenth of its frames: every connection
@@ -650,16 +659,16 @@ module Rng = Ash_util.Rng
    near its 1 ms floor), so a delayed first copy lands after its
    retransmission was acked and its frame recycled. *)
 let tcp_bulk_under ?rto ~plan () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false ?rto tb
   in
-  An2.set_fault_plan tb.TB.client.TB.an2 (Some (Fault.create plan));
+  An2.set_fault_plan (an2 tb 1) (Some (Fault.create plan));
   let chunk = 24576 and chunks = 4 in
   let total = chunk * chunks in
   let data = Bytes.create total in
   Rng.fill_bytes (Rng.create (plan.Fault.seed + 1)) data;
-  let cmem = Machine.mem (Kernel.machine tb.TB.client.TB.kernel) in
+  let cmem = Machine.mem (Kernel.machine (Fabric.host tb 1).Fabric.kernel) in
   let src = Memory.alloc cmem ~name:"bulk-src" total in
   Memory.blit_from_bytes cmem ~src:data ~src_off:0 ~dst:src.Memory.base
     ~len:total;
@@ -675,11 +684,11 @@ let tcp_bulk_under ?rto ~plan () =
           send (i + 1))
   in
   send 0;
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check int) "all writes completed" chunks !completed;
   Alcotest.(check bool) "payload byte-identical" true
     (Buffer.contents got = Bytes.to_string data);
-  (Tcp.stats c, An2.stats tb.TB.server.TB.an2)
+  (Tcp.stats c, An2.stats (an2 tb 0))
 
 let late_reorder seed =
   { Fault.none with Fault.seed; reorder = 0.15; reorder_delay_ns = 30_000_000 }

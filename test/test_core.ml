@@ -2,7 +2,7 @@
    the experiment drivers, the reporting machinery, and the headline
    shape claims of the paper asserted as regressions. *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Lab = Ash_core.Lab
 module Report = Ash_core.Report
 module Handlers = Ash_core.Handlers
@@ -64,54 +64,81 @@ let test_report_markdown () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* The back-to-back pair                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_pair_wiring () =
+  let no_eth = Invalid_argument "Kernel.ethernet: no Ethernet NIC attached" in
+  let no_switch =
+    Invalid_argument "Fabric.switch: a back-to-back pair has no switch"
+  in
+  let tb = Fabric.pair () in
+  Alcotest.(check int) "two hosts" 2 (Fabric.hosts tb);
+  for h = 0 to 1 do
+    let k = (Fabric.host tb h).Fabric.kernel in
+    Alcotest.check_raises (Printf.sprintf "host %d: no Ethernet" h) no_eth
+      (fun () -> ignore (Kernel.ethernet k));
+    Alcotest.(check bool) (Printf.sprintf "host %d: no ARP" h) true
+      (Option.is_none (Fabric.host tb h).Fabric.arp)
+  done;
+  Alcotest.check_raises "no switch" no_switch (fun () ->
+      ignore (Fabric.switch tb));
+  let tb = Fabric.pair ~ethernet:true () in
+  let eth h = Kernel.ethernet (Fabric.host tb h).Fabric.kernel in
+  Alcotest.(check bool) "each host has its own Ethernet NIC" true
+    (eth 0 != eth 1);
+  Alcotest.check_raises "still no switch" no_switch (fun () ->
+      ignore (Fabric.switch tb))
+
+(* ------------------------------------------------------------------ *)
 (* Handlers end to end                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_remote_increment_applies_delta () =
-  let tb = TB.create () in
-  let server = tb.TB.server in
-  let slot = TB.alloc server ~name:"slot" 8 in
-  let mem = Machine.mem (Kernel.machine server.TB.kernel) in
+  let tb = Fabric.pair () in
+  let server = Fabric.host tb 0 in
+  let slot = Fabric.alloc server ~name:"slot" 8 in
+  let mem = Machine.mem (Kernel.machine server.Fabric.kernel) in
   Memory.store32 mem slot.Memory.base 40;
   (match
-     Kernel.download_ash server.TB.kernel
+     Kernel.download_ash server.Fabric.kernel
        (Handlers.remote_increment ~slot_addr:slot.Memory.base)
    with
-   | Ok id -> Kernel.bind_vc server.TB.kernel ~vc:7 (Kernel.Deliver_ash id)
+   | Ok id -> Kernel.bind_vc server.Fabric.kernel ~vc:7 (Kernel.Deliver_ash id)
    | Error e -> Alcotest.failf "rejected: %a" Ash_vm.Verify.pp_error e);
-  Kernel.set_auto_repost server.TB.kernel ~vc:7 true;
-  TB.post_buffers server ~vc:7 ~count:2 ~size:64;
+  Kernel.set_auto_repost server.Fabric.kernel ~vc:7 true;
+  Fabric.post_buffers server ~vc:7 ~count:2 ~size:64;
   let req = Bytes.create 8 in
   Ash_util.Bytesx.set_u32 req 0 0xA5A5A5A5;
   Ash_util.Bytesx.set_u32 req 4 2;
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:7 req;
-  TB.run tb;
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:7 req;
+  Fabric.run tb;
   Alcotest.(check int) "40 + 2" 42 (Memory.load32 mem slot.Memory.base)
 
 let test_dilp_deposit_handler () =
-  let tb = TB.create () in
-  let server = tb.TB.server in
-  let dst = TB.alloc server ~name:"deposit" 4096 in
+  let tb = Fabric.pair () in
+  let server = Fabric.host tb 0 in
+  let dst = Fabric.alloc server ~name:"deposit" 4096 in
   let pl = Ash_pipes.Pipe.Pipelist.create () in
   ignore (Ash_pipes.Pipelib.identity pl);
   let compiled = Ash_pipes.Dilp.compile pl Ash_pipes.Dilp.Write in
-  let dilp_id = Kernel.register_dilp server.TB.kernel compiled in
+  let dilp_id = Kernel.register_dilp server.Fabric.kernel compiled in
   (match
-     Kernel.download_ash server.TB.kernel
+     Kernel.download_ash server.Fabric.kernel
        (Handlers.dilp_deposit ~dilp_id ~dst_addr:dst.Memory.base)
    with
-   | Ok id -> Kernel.bind_vc server.TB.kernel ~vc:7 (Kernel.Deliver_ash id)
+   | Ok id -> Kernel.bind_vc server.Fabric.kernel ~vc:7 (Kernel.Deliver_ash id)
    | Error e -> Alcotest.failf "rejected: %a" Ash_vm.Verify.pp_error e);
-  Kernel.set_auto_repost server.TB.kernel ~vc:7 true;
-  TB.post_buffers server ~vc:7 ~count:2 ~size:256;
+  Kernel.set_auto_repost server.Fabric.kernel ~vc:7 true;
+  Fabric.post_buffers server ~vc:7 ~count:2 ~size:256;
   let payload = Bytes.create 128 in
   Ash_util.Rng.fill_bytes (Ash_util.Rng.create 8) payload;
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:7 payload;
-  TB.run tb;
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:7 payload;
+  Fabric.run tb;
   Alcotest.(check string) "message vectored to destination"
     (Bytes.to_string payload)
     (Memory.read_string
-       (Machine.mem (Kernel.machine server.TB.kernel))
+       (Machine.mem (Kernel.machine server.Fabric.kernel))
        ~addr:dst.Memory.base ~len:128)
 
 let test_pingpong_client_terminates () =
@@ -128,11 +155,11 @@ let test_pingpong_client_terminates () =
 module Dsm = Ash_core.Dsm
 
 let dsm_fixture () =
-  let tb = TB.create () in
-  let srv = Dsm.serve tb.TB.server ~vc:8 ~segments:3 ~segment_size:1024 in
+  let tb = Fabric.pair () in
+  let srv = Dsm.serve (Fabric.host tb 0) ~vc:8 ~segments:3 ~segment_size:1024 in
   (* The exporting application plays no part: suspend it. *)
-  Kernel.set_app_state tb.TB.server.TB.kernel Kernel.Suspended;
-  let cl = Dsm.connect tb.TB.client ~vc:8 in
+  Kernel.set_app_state (Fabric.host tb 0).Fabric.kernel Kernel.Suspended;
+  let cl = Dsm.connect (Fabric.host tb 1) ~vc:8 in
   (tb, srv, cl)
 
 let test_dsm_write_then_read_roundtrip () =
@@ -141,7 +168,7 @@ let test_dsm_write_then_read_roundtrip () =
   let wrote = ref false and got = ref None in
   Dsm.write cl ~seg:1 ~off:64 ~data:payload (fun ok -> wrote := ok);
   Dsm.read cl ~seg:1 ~off:64 ~len:(Bytes.length payload) (fun r -> got := r);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "write acked" true !wrote;
   (match !got with
    | Some b ->
@@ -149,7 +176,7 @@ let test_dsm_write_then_read_roundtrip () =
        (Bytes.to_string b)
    | None -> Alcotest.fail "read failed");
   (* And it really is the exported segment. *)
-  let mem = Machine.mem (Kernel.machine tb.TB.server.TB.kernel) in
+  let mem = Machine.mem (Kernel.machine (Fabric.host tb 0).Fabric.kernel) in
   Alcotest.(check string) "segment contents"
     (Bytes.to_string payload)
     (Memory.read_string mem
@@ -161,13 +188,13 @@ let test_dsm_lock_protocol () =
   let acq1 = ref false and acq2 = ref true and acq3 = ref false in
   Dsm.lock cl ~seg:0 ~owner:7 (fun ok -> acq1 := ok);
   Dsm.lock cl ~seg:0 ~owner:9 (fun ok -> acq2 := ok);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "first acquisition wins" true !acq1;
   Alcotest.(check bool) "second refused" false !acq2;
   Alcotest.(check int) "holder recorded" 7 (Dsm.lock_holder srv ~seg:0);
   Dsm.unlock cl ~seg:0 (fun _ -> ());
   Dsm.lock cl ~seg:0 ~owner:9 (fun ok -> acq3 := ok);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "free after unlock" true !acq3;
   Alcotest.(check int) "new holder" 9 (Dsm.lock_holder srv ~seg:0)
 
@@ -175,8 +202,8 @@ let test_dsm_segments_isolated () =
   let tb, srv, cl = dsm_fixture () in
   Dsm.write cl ~seg:0 ~off:0 ~data:(Bytes.make 16 'A') (fun _ -> ());
   Dsm.write cl ~seg:2 ~off:0 ~data:(Bytes.make 16 'C') (fun _ -> ());
-  TB.run tb;
-  let mem = Machine.mem (Kernel.machine tb.TB.server.TB.kernel) in
+  Fabric.run tb;
+  let mem = Machine.mem (Kernel.machine (Fabric.host tb 0).Fabric.kernel) in
   Alcotest.(check string) "seg 0" (String.make 16 'A')
     (Memory.read_string mem ~addr:(Dsm.segment_addr srv ~seg:0) ~len:16);
   Alcotest.(check string) "seg 1 untouched" (String.make 16 '\000')
@@ -191,9 +218,9 @@ let test_dsm_out_of_bounds_rejected () =
   let fired = ref false in
   Dsm.write cl ~seg:0 ~off:1020 ~data:(Bytes.make 16 'X') (fun _ ->
       fired := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "no reply for rejected op" false !fired;
-  let ks = Kernel.stats tb.TB.server.TB.kernel in
+  let ks = Kernel.stats (Fabric.host tb 0).Fabric.kernel in
   Alcotest.(check bool) "handler aborted" true
     (ks.Kernel.ash_aborted_voluntary >= 1)
 
@@ -204,9 +231,9 @@ let test_dsm_server_app_never_runs () =
     Dsm.write cl ~seg:0 ~off:(i * 8) ~data:(Bytes.make 8 'z') (fun _ ->
         incr done_)
   done;
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check int) "all ten acked" 10 !done_;
-  let ks = Kernel.stats tb.TB.server.TB.kernel in
+  let ks = Kernel.stats (Fabric.host tb 0).Fabric.kernel in
   Alcotest.(check int) "zero user-level deliveries" 0 ks.Kernel.user_deliveries;
   Alcotest.(check int) "all in the kernel" 10 ks.Kernel.ash_committed
 
@@ -383,6 +410,8 @@ let () =
           Alcotest.test_case "deviation" `Quick test_report_deviation;
           Alcotest.test_case "markdown" `Quick test_report_markdown;
         ] );
+      ( "fabric",
+        [ Alcotest.test_case "pair wiring" `Quick test_pair_wiring ] );
       ( "handlers",
         [
           Alcotest.test_case "remote increment" `Quick

@@ -13,7 +13,7 @@ module Dpf_trie = Ash_kern.Dpf_trie
 module Kernel = Ash_kern.Kernel
 module Rng = Ash_util.Rng
 module Bytesx = Ash_util.Bytesx
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-level: overlapping filters, linear scan vs trie              *)
@@ -41,8 +41,8 @@ let trial_frames =
    sequence of filter names that handled them (one entry per delivered
    frame; drops don't appear). *)
 let run_demux ~mode filters =
-  let tb = TB.create ~ethernet:true () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   Kernel.set_eth_demux srv mode;
   let hits = ref [] in
   List.iter
@@ -52,9 +52,9 @@ let run_demux ~mode filters =
            hits := name :: !hits))
     filters;
   List.iter
-    (fun f -> Kernel.eth_kernel_send tb.TB.client.TB.kernel f)
+    (fun f -> Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel f)
     trial_frames;
-  TB.run tb;
+  Fabric.run tb;
   List.rev !hits
 
 let test_overlap_install_order_trie_equals_linear () =
@@ -76,8 +76,8 @@ let test_overlap_install_order_trie_equals_linear () =
     (run_demux ~mode:Kernel.Demux_trie (List.rev overlap_filters))
 
 let test_unbind_removes_exactly_one () =
-  let tb = TB.create ~ethernet:true () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let hits = ref [] in
   let bind name filter =
     let pvc = Kernel.bind_eth_filter srv filter Kernel.Deliver_user in
@@ -88,8 +88,8 @@ let test_unbind_removes_exactly_one () =
   let vc1 = bind "f1" [ Dpf.atom ~offset:0 ~width:1 0xAA ] in
   let _vc2 = bind "f2" [ Dpf.atom ~offset:0 ~width:1 0xAA ] in
   let send () =
-    Kernel.eth_kernel_send tb.TB.client.TB.kernel (frame 0xAA 0);
-    TB.run tb
+    Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel (frame 0xAA 0);
+    Fabric.run tb
   in
   send ();
   Alcotest.(check (list string)) "first binding wins" [ "f1" ] !hits;
@@ -112,8 +112,8 @@ let test_unbind_removes_exactly_one () =
 let test_unbind_under_both_engines () =
   List.iter
     (fun mode ->
-       let tb = TB.create ~ethernet:true () in
-       let srv = tb.TB.server.TB.kernel in
+       let tb = Fabric.pair ~ethernet:true () in
+       let srv = (Fabric.host tb 0).Fabric.kernel in
        Kernel.set_eth_demux srv mode;
        let hits = ref 0 in
        let vcs =
@@ -128,8 +128,9 @@ let test_unbind_under_both_engines () =
            overlap_filters
        in
        List.iter (fun vc -> Kernel.unbind_eth_filter srv ~vc) vcs;
-       Kernel.eth_kernel_send tb.TB.client.TB.kernel (frame 0xAA 0xBB);
-       TB.run tb;
+       Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel
+         (frame 0xAA 0xBB);
+       Fabric.run tb;
        Alcotest.(check int) "all bindings gone: frame dropped" 0 !hits;
        Alcotest.(check bool) "drop counted" true
          ((Kernel.stats srv).Kernel.rx_dropped_unbound >= 1))

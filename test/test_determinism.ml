@@ -5,7 +5,7 @@
    property that makes trace-based debugging and the differential suites
    trustworthy. *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Handlers = Ash_core.Handlers
 module Kernel = Ash_kern.Kernel
 module Memory = Ash_sim.Memory
@@ -22,27 +22,27 @@ module Rng = Ash_util.Rng
    event taxonomy. *)
 let scenario ~seed ~requests () =
   let r = Trace.record () in
-  let tb = TB.create () in
-  let server = tb.TB.server in
-  let slot = TB.alloc server ~name:"slot" 8 in
-  let mem = Machine.mem (Kernel.machine server.TB.kernel) in
+  let tb = Fabric.pair () in
+  let server = Fabric.host tb 0 in
+  let slot = Fabric.alloc server ~name:"slot" 8 in
+  let mem = Machine.mem (Kernel.machine server.Fabric.kernel) in
   Memory.store32 mem slot.Memory.base 0;
   (match
-     Kernel.download_ash server.TB.kernel
+     Kernel.download_ash server.Fabric.kernel
        (Handlers.remote_increment ~slot_addr:slot.Memory.base)
    with
-   | Ok id -> Kernel.bind_vc server.TB.kernel ~vc:7 (Kernel.Deliver_ash id)
+   | Ok id -> Kernel.bind_vc server.Fabric.kernel ~vc:7 (Kernel.Deliver_ash id)
    | Error e -> Alcotest.failf "handler rejected: %a" Ash_vm.Verify.pp_error e);
-  Kernel.set_auto_repost server.TB.kernel ~vc:7 true;
-  TB.post_buffers server ~vc:7 ~count:4 ~size:64;
+  Kernel.set_auto_repost server.Fabric.kernel ~vc:7 true;
+  Fabric.post_buffers server ~vc:7 ~count:4 ~size:64;
   let rng = Rng.create seed in
   for _ = 1 to requests do
     let req = Bytes.create 8 in
     Bytesx.set_u32 req 0 0xA5A5A5A5;
     Bytesx.set_u32 req 4 (Rng.int rng 100);
-    Kernel.kernel_send tb.TB.client.TB.kernel ~vc:7 req
+    Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:7 req
   done;
-  TB.run tb;
+  Fabric.run tb;
   Trace.stop r;
   (r, Memory.load32 mem slot.Memory.base)
 

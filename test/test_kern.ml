@@ -194,12 +194,12 @@ let prop_dpf_compiled_equals_reference =
 (* Kernel delivery paths                                               *)
 (* ------------------------------------------------------------------ *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Handlers = Ash_core.Handlers
 
 let vc = 3
 
-let mk_pair () = TB.create ()
+let mk_pair () = Fabric.pair ()
 
 let download k ?(sandbox = true) prog =
   match Kernel.download_ash k ~sandbox prog with
@@ -209,21 +209,22 @@ let download k ?(sandbox = true) prog =
 
 let test_kernel_ash_commit_consumes () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:2 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
-  Kernel.bind_vc tb.TB.client.TB.kernel ~vc Kernel.Deliver_user;
-  Kernel.set_auto_repost tb.TB.client.TB.kernel ~vc true;
-  TB.post_buffers tb.TB.client ~vc ~count:2 ~size:64;
+  Kernel.bind_vc cli ~vc Kernel.Deliver_user;
+  Kernel.set_auto_repost cli ~vc true;
+  Fabric.post_buffers (Fabric.host tb 1) ~vc ~count:2 ~size:64;
   let reply = ref 0 in
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc (fun ~addr:_ ~len:_ ->
+  Kernel.set_user_handler cli ~vc (fun ~addr:_ ~len:_ ->
       incr reply);
-  Kernel.user_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'x');
-  TB.run tb;
+  Kernel.user_send cli ~vc (Bytes.make 4 'x');
+  Fabric.run tb;
   Alcotest.(check int) "ash consumed; user never ran" 0 !user_saw;
   Alcotest.(check int) "reply arrived" 1 !reply;
   let st = Kernel.stats srv in
@@ -231,18 +232,18 @@ let test_kernel_ash_commit_consumes () =
 
 let test_kernel_abort_falls_back_to_user () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   (* remote_increment aborts when the magic is wrong. *)
-  let slot = TB.alloc tb.TB.server 8 in
+  let slot = Fabric.alloc (Fabric.host tb 0) 8 in
   let id = download srv (Handlers.remote_increment ~slot_addr:slot.Memory.base) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:2 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
   (* Bad magic: voluntary abort -> default path. *)
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 8 '\x00');
-  TB.run tb;
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 '\x00');
+  Fabric.run tb;
   Alcotest.(check int) "fell back to user" 1 !user_saw;
   let st = Kernel.stats srv in
   Alcotest.(check int) "voluntary abort counted" 1
@@ -250,7 +251,7 @@ let test_kernel_abort_falls_back_to_user () =
 
 let test_kernel_killed_handler_falls_back () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   (* A handler that dereferences a wild pointer: involuntary abort. *)
   let b = Builder.create ~name:"wild" () in
   let r = Builder.temp b in
@@ -260,30 +261,31 @@ let test_kernel_killed_handler_falls_back () =
   let id = download srv (Builder.assemble b) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:2 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'x');
-  TB.run tb;
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 4 'x');
+  Fabric.run tb;
   Alcotest.(check int) "fell back" 1 !user_saw;
   Alcotest.(check int) "involuntary abort counted" 1
     (Kernel.stats srv).Kernel.ash_aborted_involuntary
 
 let test_kernel_upcall_runs_handler () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let id = download srv ~sandbox:false (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_upcall id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:2 ~size:64;
-  Kernel.bind_vc tb.TB.client.TB.kernel ~vc Kernel.Deliver_user;
-  Kernel.set_auto_repost tb.TB.client.TB.kernel ~vc true;
-  TB.post_buffers tb.TB.client ~vc ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:2 ~size:64;
+  Kernel.bind_vc cli ~vc Kernel.Deliver_user;
+  Kernel.set_auto_repost cli ~vc true;
+  Fabric.post_buffers (Fabric.host tb 1) ~vc ~count:2 ~size:64;
   let reply = ref false in
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc (fun ~addr:_ ~len:_ ->
+  Kernel.set_user_handler cli ~vc (fun ~addr:_ ~len:_ ->
       reply := true);
-  Kernel.user_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'x');
-  TB.run tb;
+  Kernel.user_send cli ~vc (Bytes.make 4 'x');
+  Fabric.run tb;
   Alcotest.(check bool) "echoed" true !reply;
   Alcotest.(check int) "upcall counted" 1 (Kernel.stats srv).Kernel.upcalls
 
@@ -319,39 +321,40 @@ let test_kernel_suspended_costs_more_for_user_only () =
 
 let test_kernel_rebind_changes_mode () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:4 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:4 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'a');
-  TB.run tb;
+  Kernel.kernel_send cli ~vc (Bytes.make 4 'a');
+  Fabric.run tb;
   Alcotest.(check int) "ash handled first" 0 !user_saw;
   (* Disable ASHs under load (paper §VI-4 scenario). *)
   Kernel.rebind_vc srv ~vc Kernel.Deliver_user;
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'b');
-  TB.run tb;
+  Kernel.kernel_send cli ~vc (Bytes.make 4 'b');
+  Fabric.run tb;
   Alcotest.(check int) "user handles after rebind" 1 !user_saw
 
 let test_kernel_commit_hook_fires () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:2 ~size:64;
   let hook_at = ref 0 in
   Kernel.set_commit_hook srv ~vc (fun () ->
-      hook_at := Engine.now tb.TB.engine);
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'x');
-  TB.run tb;
+      hook_at := Fabric.now tb);
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 4 'x');
+  Fabric.run tb;
   Alcotest.(check bool) "hook ran after commit" true (!hook_at > 0)
 
 let test_kernel_eth_filter_dispatch () =
-  let tb = TB.create ~ethernet:true () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let hits = ref [] in
   let bind_port port =
     let filter = [ Dpf.atom ~offset:0 ~width:2 port ] in
@@ -364,12 +367,12 @@ let test_kernel_eth_filter_dispatch () =
   let send port =
     let b = Bytes.make 32 '\000' in
     Bytesx.set_u16 b 0 port;
-    Kernel.eth_kernel_send tb.TB.client.TB.kernel b
+    Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel b
   in
   send 200;
   send 100;
   send 300; (* no match: dropped *)
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check (list int)) "filters demultiplex" [ 200; 100 ]
     (List.rev !hits);
   Alcotest.(check bool) "unmatched dropped" true
@@ -377,7 +380,7 @@ let test_kernel_eth_filter_dispatch () =
 
 let test_kernel_ash_sandbox_stats_exposed () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   (match Kernel.ash_sandbox_stats srv id with
    | Some s -> Alcotest.(check bool) "added > 0" true (s.Ash_vm.Sandbox.added > 0)
@@ -390,93 +393,95 @@ let test_kernel_ash_rate_limit_falls_back () =
   (* Receive-livelock protection (sec VI-4): beyond the per-tick budget,
      arrivals take the user-level path instead of running the ASH. *)
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
   Kernel.set_ash_rate_limit srv ~vc ~per_tick:3;
-  TB.post_buffers tb.TB.server ~vc ~count:16 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:16 ~size:64;
   let user_saw = ref 0 in
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> incr user_saw);
   (* A burst of 10 messages well inside one quantum. *)
   for _ = 1 to 10 do
-    Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'f')
+    Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 4 'f')
   done;
-  TB.run tb;
+  Fabric.run tb;
   let st = Kernel.stats srv in
   Alcotest.(check int) "three ran as ASHs" 3 st.Kernel.ash_committed;
   Alcotest.(check int) "the rest were delivered lazily" 7 !user_saw
 
 let test_kernel_ash_rate_limit_resets_next_tick () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc true;
   Kernel.set_ash_rate_limit srv ~vc ~per_tick:2;
-  TB.post_buffers tb.TB.server ~vc ~count:16 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:16 ~size:64;
   Kernel.set_user_handler srv ~vc (fun ~addr:_ ~len:_ -> ());
   let quantum = costs.Costs.quantum_ns in
   let send_burst () =
     for _ = 1 to 4 do
-      Kernel.kernel_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'f')
+      Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 4 'f')
     done
   in
   send_burst ();
   ignore
-    (Engine.schedule tb.TB.engine ~delay:(2 * quantum) send_burst);
-  TB.run tb;
+    (Engine.schedule (Fabric.engine tb) ~delay:(2 * quantum) send_burst);
+  Fabric.run tb;
   Alcotest.(check int) "budget refreshed across ticks" 4
     (Kernel.stats srv).Kernel.ash_committed
 
 let test_kernel_eth_ash_delivery () =
   (* An ASH bound behind a DPF filter on the Ethernet: the handler's
      reply goes back out the Ethernet too. *)
-  let tb = TB.create ~ethernet:true () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let id = download srv (Handlers.echo ()) in
   ignore
     (Kernel.bind_eth_filter srv
        [ Dpf.atom ~offset:0 ~width:1 0x7e ]
        (Kernel.Deliver_ash id));
   let cvc =
-    Kernel.bind_eth_filter tb.TB.client.TB.kernel [] Kernel.Deliver_user
+    Kernel.bind_eth_filter cli [] Kernel.Deliver_user
   in
   let reply = ref 0 in
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc:cvc
+  Kernel.set_user_handler cli ~vc:cvc
     (fun ~addr:_ ~len -> reply := len);
   let frame = Bytes.make 48 '\x7e' in
-  Kernel.eth_kernel_send tb.TB.client.TB.kernel frame;
-  TB.run tb;
+  Kernel.eth_kernel_send cli frame;
+  Fabric.run tb;
   Alcotest.(check int) "echoed over ethernet" 48 !reply;
   Alcotest.(check int) "handled in kernel" 1
     (Kernel.stats srv).Kernel.ash_committed
 
 let test_kernel_eth_upcall_delivery () =
-  let tb = TB.create ~ethernet:true () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let id = download srv ~sandbox:false (Handlers.echo ()) in
   ignore
     (Kernel.bind_eth_filter srv
        [ Dpf.atom ~offset:0 ~width:1 0x7d ]
        (Kernel.Deliver_upcall id));
   let cvc =
-    Kernel.bind_eth_filter tb.TB.client.TB.kernel [] Kernel.Deliver_user
+    Kernel.bind_eth_filter cli [] Kernel.Deliver_user
   in
   let reply = ref 0 in
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc:cvc
+  Kernel.set_user_handler cli ~vc:cvc
     (fun ~addr:_ ~len -> reply := len);
-  Kernel.eth_kernel_send tb.TB.client.TB.kernel (Bytes.make 32 '\x7d');
-  TB.run tb;
+  Kernel.eth_kernel_send cli (Bytes.make 32 '\x7d');
+  Fabric.run tb;
   Alcotest.(check int) "echoed via upcall" 32 !reply;
   Alcotest.(check int) "upcall counted" 1 (Kernel.stats srv).Kernel.upcalls
 
 let test_kernel_eth_ash_sees_destriped_packet () =
   (* The ASH must observe the packet contiguously (the kernel de-striped
      it before demux), not in the device's striped layout. *)
-  let tb = TB.create ~ethernet:true () in
-  let srv = tb.TB.server.TB.kernel in
-  let landing = TB.alloc tb.TB.server ~name:"landing" 256 in
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let landing = Fabric.alloc (Fabric.host tb 0) ~name:"landing" 256 in
   let pl = Ash_pipes.Pipe.Pipelist.create () in
   ignore (Ash_pipes.Pipelib.identity pl);
   let dilp_id =
@@ -489,8 +494,8 @@ let test_kernel_eth_ash_sees_destriped_packet () =
   ignore (Kernel.bind_eth_filter srv [] (Kernel.Deliver_ash id));
   let payload = Bytes.create 100 in
   Ash_util.Rng.fill_bytes (Ash_util.Rng.create 44) payload;
-  Kernel.eth_kernel_send tb.TB.client.TB.kernel payload;
-  TB.run tb;
+  Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel payload;
+  Fabric.run tb;
   Alcotest.(check string) "contiguous in the handler's view"
     (Bytes.to_string payload)
     (Memory.read_string
@@ -503,7 +508,7 @@ let test_kernel_eth_ash_sees_destriped_packet () =
 
 let test_kernel_handler_cache_shares_artifact () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let prog = Handlers.echo () in
   let id1 = download srv prog in
   let id2 = download srv prog in
@@ -519,7 +524,7 @@ let test_kernel_handler_cache_shares_artifact () =
 
 let test_kernel_handler_cache_key_includes_policy () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let prog = Handlers.echo () in
   let id_sand = download srv ~sandbox:true prog in
   (* Same program, different sandbox flag: must not false-hit. *)
@@ -550,7 +555,7 @@ let test_kernel_handler_cache_key_includes_policy () =
 
 let test_kernel_teardown_evicts_cache () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let prog = Handlers.echo () in
   let _ = download srv prog in
   let _ = download srv prog in
@@ -569,26 +574,27 @@ let test_kernel_teardown_evicts_cache () =
 let test_kernel_cached_handler_still_runs () =
   (* End to end: the second, cache-hitting download is a working handler. *)
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let _id1 = download srv (Handlers.echo ()) in
   let id2 = download srv (Handlers.echo ()) in
   Kernel.bind_vc srv ~vc (Kernel.Deliver_ash id2);
   Kernel.set_auto_repost srv ~vc true;
-  TB.post_buffers tb.TB.server ~vc ~count:2 ~size:64;
-  Kernel.bind_vc tb.TB.client.TB.kernel ~vc Kernel.Deliver_user;
-  Kernel.set_auto_repost tb.TB.client.TB.kernel ~vc true;
-  TB.post_buffers tb.TB.client ~vc ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:2 ~size:64;
+  Kernel.bind_vc cli ~vc Kernel.Deliver_user;
+  Kernel.set_auto_repost cli ~vc true;
+  Fabric.post_buffers (Fabric.host tb 1) ~vc ~count:2 ~size:64;
   let reply = ref 0 in
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc (fun ~addr:_ ~len:_ ->
+  Kernel.set_user_handler cli ~vc (fun ~addr:_ ~len:_ ->
       incr reply);
-  Kernel.user_send tb.TB.client.TB.kernel ~vc (Bytes.make 4 'x');
-  TB.run tb;
+  Kernel.user_send cli ~vc (Bytes.make 4 'x');
+  Fabric.run tb;
   Alcotest.(check int) "cache-hit handler echoed" 1 !reply;
   Alcotest.(check int) "committed" 1 (Kernel.stats srv).Kernel.ash_committed
 
 let test_kernel_download_rejects_bad_program () =
   let tb = mk_pair () in
-  let srv = tb.TB.server.TB.kernel in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
   let bad =
     Ash_vm.Program.make ~name:"fp" [| Isa.Fadd (1, 2, 3); Isa.Halt |]
   in

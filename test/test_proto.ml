@@ -2,7 +2,7 @@
    (handshake, transfer, segmentation, retransmission, teardown), and
    the TCP fast-path handler's equivalence with the library. *)
 
-module TB = Ash_core.Testbed
+module Fabric = Ash_core.Fabric
 module Lab = Ash_core.Lab
 module Kernel = Ash_kern.Kernel
 module Engine = Ash_sim.Engine
@@ -101,6 +101,10 @@ let prop_tcp_flags_roundtrip =
 (* UDP                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Host [h]'s AN2 board on the back-to-back pair (0 serves, 1 is the
+   client). *)
+let an2 tb h = Kernel.an2 (Fabric.host tb h).Fabric.kernel
+
 let udp_pair ?(checksum = false) ?(in_place = false) tb =
   let mk local remote kernel vc =
     Udp.create kernel
@@ -108,41 +112,41 @@ let udp_pair ?(checksum = false) ?(in_place = false) tb =
         Udp.medium = Udp.An2 { vc }; checksum; in_place;
         local_port = local; remote_port = remote }
   in
-  ( mk 7000 7001 tb.TB.client.TB.kernel 5,
-    mk 7001 7000 tb.TB.server.TB.kernel 5 )
+  ( mk 7000 7001 (Fabric.host tb 1).Fabric.kernel 5,
+    mk 7001 7000 (Fabric.host tb 0).Fabric.kernel 5 )
 
 let test_udp_datagram_delivery () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = udp_pair tb in
   let got = ref None in
   Udp.set_receiver s (fun ~addr ~len ->
       got :=
         Some
           (Memory.read_string
-             (Machine.mem (Kernel.machine tb.TB.server.TB.kernel))
+             (Machine.mem (Kernel.machine (Fabric.host tb 0).Fabric.kernel))
              ~addr ~len));
   Udp.send_string c "the quick brown fox!";
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check (option string)) "delivered" (Some "the quick brown fox!")
     !got;
   Alcotest.(check int) "stats rx" 1 (Udp.stats s).Udp.rx_datagrams
 
 let test_udp_bidirectional () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = udp_pair tb in
   Udp.set_receiver s (fun ~addr:_ ~len:_ -> Udp.send_string s "pong");
   let got = ref "" in
   Udp.set_receiver c (fun ~addr ~len ->
       got :=
         Memory.read_string
-          (Machine.mem (Kernel.machine tb.TB.client.TB.kernel))
+          (Machine.mem (Kernel.machine (Fabric.host tb 1).Fabric.kernel))
           ~addr ~len);
   Udp.send_string c "ping";
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check string) "reply" "pong" !got
 
 let test_udp_checksum_detects_corruption () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = udp_pair ~checksum:true tb in
   let delivered = ref 0 in
   Udp.set_receiver s (fun ~addr:_ ~len:_ -> incr delivered);
@@ -152,14 +156,14 @@ let test_udp_checksum_detects_corruption () =
      second socket with checksumming off and a bogus checksum field.
      Simpler: corrupt on the wire and verify the *driver* drops it
      before UDP (CRC), then send clean. *)
-  An2.corrupt_next_frame tb.TB.client.TB.an2;
+  An2.corrupt_next_frame (an2 tb 1);
   Udp.send_string c "dirty";
   Udp.send_string c "clean";
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check int) "only the clean datagram arrives" 1 !delivered
 
 let test_udp_wrong_port_ignored () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = udp_pair tb in
   ignore c;
   let delivered = ref 0 in
@@ -171,8 +175,8 @@ let test_udp_wrong_port_ignored () =
     { Packet.Ip.src = 1; dst = 2; proto = 17; total_len = 32; ttl = 9; id = 0 };
   Packet.Udp.write frame ~off:20
     { Packet.Udp.src_port = 7000; dst_port = 9999; length = 12; checksum = 0 };
-  Kernel.user_send tb.TB.client.TB.kernel ~vc:5 frame;
-  TB.run tb;
+  Kernel.user_send (Fabric.host tb 1).Fabric.kernel ~vc:5 frame;
+  Fabric.run tb;
   Alcotest.(check int) "not delivered" 0 !delivered;
   Alcotest.(check int) "counted bad header" 1 (Udp.stats s).Udp.rx_bad_header
 
@@ -181,15 +185,15 @@ let test_udp_in_place_skips_copy () =
      for a large datagram: measure a request/ack round trip so the
      receiver's copy work lands on the critical path. *)
   let lat in_place =
-    let tb = TB.create () in
+    let tb = Fabric.pair () in
     let c, s = udp_pair ~in_place tb in
     Udp.set_receiver s (fun ~addr:_ ~len:_ -> Udp.send_string s "ok!!");
     let done_at = ref 0 in
     Udp.set_receiver c (fun ~addr:_ ~len:_ ->
-        done_at := Engine.now tb.TB.engine);
-    let payload = TB.alloc_filled tb.TB.client ~seed:4 3000 in
+        done_at := Fabric.now tb);
+    let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:4 3000 in
     Udp.send c ~addr:payload.Memory.base ~len:3000;
-    TB.run tb;
+    Fabric.run tb;
     !done_at
   in
   let inplace = lat true and copy = lat false in
@@ -198,31 +202,31 @@ let test_udp_in_place_skips_copy () =
     true (inplace < copy)
 
 let test_udp_oversize_send_rejected () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, _ = udp_pair tb in
   Alcotest.check_raises "oversize" (Invalid_argument "Udp.send: length")
     (fun () ->
-       let r = TB.alloc tb.TB.client 4096 in
+       let r = Fabric.alloc (Fabric.host tb 1) 4096 in
        Udp.send c ~addr:r.Memory.base ~len:4000)
 
 let test_udp_over_ethernet () =
-  let tb = TB.create ~ethernet:true () in
+  let tb = Fabric.pair ~ethernet:true () in
   let mk local remote kernel =
     Udp.create kernel
       { Udp.default_config with
         Udp.medium = Udp.Ethernet; local_port = local; remote_port = remote;
         mtu_payload = 1472 }
   in
-  let c = mk 7000 7001 tb.TB.client.TB.kernel in
-  let s = mk 7001 7000 tb.TB.server.TB.kernel in
+  let c = mk 7000 7001 (Fabric.host tb 1).Fabric.kernel in
+  let s = mk 7001 7000 (Fabric.host tb 0).Fabric.kernel in
   let got = ref "" in
   Udp.set_receiver s (fun ~addr ~len ->
       got :=
         Memory.read_string
-          (Machine.mem (Kernel.machine tb.TB.server.TB.kernel))
+          (Machine.mem (Kernel.machine (Fabric.host tb 0).Fabric.kernel))
           ~addr ~len);
   Udp.send_string c "over ethernet, destriped";
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check string) "delivered via DPF demux" "over ethernet, destriped"
     !got
 
@@ -233,43 +237,43 @@ let test_udp_over_ethernet () =
 let read_mem tb node ~addr ~len =
   let kernel =
     match node with
-    | `C -> tb.TB.client.TB.kernel
-    | `S -> tb.TB.server.TB.kernel
+    | `C -> (Fabric.host tb 1).Fabric.kernel
+    | `S -> (Fabric.host tb 0).Fabric.kernel
   in
   Memory.read_string (Machine.mem (Kernel.machine kernel)) ~addr ~len
 
 let test_tcp_handshake () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb in
   Alcotest.(check bool) "client established" true (Tcp.established c);
   Alcotest.(check bool) "server established" true (Tcp.established s)
 
 let test_tcp_small_transfer () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb in
   let got = ref "" in
   Tcp.set_reader s (fun ~addr ~len -> got := read_mem tb `S ~addr ~len);
   let completed = ref false in
   Tcp.write_string c "data over tcp...' " ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check string) "payload intact" "data over tcp...' " !got;
   Alcotest.(check bool) "synchronous write completed" true !completed
 
 let test_tcp_segmentation () =
   (* 10000 bytes with MSS 3072 -> segments 3072/3072/2048(window)... the
      reader must see all bytes, in order. *)
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb in
   let buf = Buffer.create 10000 in
   Tcp.set_reader s (fun ~addr ~len ->
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
-  let payload = TB.alloc_filled tb.TB.client ~seed:9 10000 in
+  let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:9 10000 in
   let expected = read_mem tb `C ~addr:payload.Memory.base ~len:10000 in
   let completed = ref false in
   Tcp.write c ~addr:payload.Memory.base ~len:10000 ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "completed" true !completed;
   Alcotest.(check int) "all bytes" 10000 (Buffer.length buf);
   Alcotest.(check string) "in order, intact" expected (Buffer.contents buf);
@@ -283,31 +287,31 @@ let test_tcp_window_respected () =
      i.e. more segment batches than 32k/mss). Simpler invariant: the
      transfer completes and the sender never has more than window bytes
      unacked — checked indirectly through successful delivery. *)
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:false ~in_place:false tb in
   let total = ref 0 in
   Tcp.set_reader s (fun ~addr:_ ~len -> total := !total + len);
-  let payload = TB.alloc_filled tb.TB.client ~seed:2 32768 in
+  let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:2 32768 in
   let completed = ref false in
   Tcp.write c ~addr:payload.Memory.base ~len:32768 ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "completed" true !completed;
   Alcotest.(check int) "all delivered" 32768 !total
 
 let test_tcp_retransmission_recovers_loss () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb in
   let buf = Buffer.create 4096 in
   Tcp.set_reader s (fun ~addr ~len ->
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
   (* Corrupt the first data frame on the wire: the driver drops it, the
      retransmission timer must recover. *)
-  An2.corrupt_next_frame tb.TB.client.TB.an2;
+  An2.corrupt_next_frame (an2 tb 1);
   let completed = ref false in
   Tcp.write_string c "lost then found!" ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "completed despite loss" true !completed;
   Alcotest.(check string) "payload intact" "lost then found!"
     (Buffer.contents buf);
@@ -315,7 +319,7 @@ let test_tcp_retransmission_recovers_loss () =
     ((Tcp.stats c).Tcp.retransmits >= 1)
 
 let test_tcp_rt_timer_lifecycle () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:false ~in_place:false tb in
   Tcp.set_reader s (fun ~addr:_ ~len:_ -> ());
   Alcotest.(check bool) "idle: timer off" false (Tcp.rt_timer_armed c);
@@ -323,7 +327,7 @@ let test_tcp_rt_timer_lifecycle () =
     (Tcp.current_rto_ns c);
   Tcp.write_string c "armed?" ~on_complete:(fun () -> ());
   Alcotest.(check bool) "in flight: timer armed" true (Tcp.rt_timer_armed c);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "acked: timer cancelled" false (Tcp.rt_timer_armed c);
   (* A valid round-trip sample arrived, so the estimator is live and the
      adaptive RTO has collapsed far below the 20 ms bootstrap value. *)
@@ -333,23 +337,23 @@ let test_tcp_rt_timer_lifecycle () =
   (* Re-arm on the next write. *)
   Tcp.write_string c "again" ~on_complete:(fun () -> ());
   Alcotest.(check bool) "re-armed" true (Tcp.rt_timer_armed c);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "cancelled again" false (Tcp.rt_timer_armed c)
 
 let test_tcp_retransmit_stats () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb in
   Tcp.set_reader s (fun ~addr:_ ~len:_ -> ());
   (* Warm the estimator, then lose one frame: recovery must come from
      the retransmission timer (nothing in flight behind it to trigger
      dup acks), and the fresh ack must reset the backoff. *)
   Tcp.write_string c "warmup" ~on_complete:(fun () -> ());
-  TB.run tb;
+  Fabric.run tb;
   let rto_before = Tcp.current_rto_ns c in
-  An2.corrupt_next_frame tb.TB.client.TB.an2;
+  An2.corrupt_next_frame (an2 tb 1);
   let completed = ref false in
   Tcp.write_string c "lost once" ~on_complete:(fun () -> completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "completed" true !completed;
   let st = Tcp.stats c in
   Alcotest.(check bool) "timer fired" true (st.Tcp.timeout_retransmits >= 1);
@@ -364,20 +368,20 @@ let test_tcp_fast_retransmit_on_dup_acks () =
      lets the rest arrive out of order, producing dup acks at the sender
      and firing the fast retransmit well before the 20 ms bootstrap
      timer could. *)
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false ~mss:1024 tb
   in
   let buf = Buffer.create 16384 in
   Tcp.set_reader s (fun ~addr ~len ->
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
-  let payload = TB.alloc_filled tb.TB.client ~seed:5 16384 in
+  let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:5 16384 in
   let expected = read_mem tb `C ~addr:payload.Memory.base ~len:16384 in
-  An2.corrupt_next_frame tb.TB.client.TB.an2;
+  An2.corrupt_next_frame (an2 tb 1);
   let completed = ref false in
   Tcp.write c ~addr:payload.Memory.base ~len:16384 ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "completed" true !completed;
   Alcotest.(check string) "in order, intact" expected (Buffer.contents buf);
   let cs = Tcp.stats c and ss = Tcp.stats s in
@@ -392,11 +396,11 @@ let test_tcp_ooo_under_reorder_faults () =
   (* A seeded reorder plan delays frames past their successors: the
      receiver's out-of-order branch must dup-ack and the transfer must
      still deliver every byte in order. *)
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false ~mss:1024 tb
   in
-  An2.set_fault_plan tb.TB.client.TB.an2
+  An2.set_fault_plan (an2 tb 1)
     (Some
        (Fault.create
           { Fault.none with Fault.seed = 11; reorder = 0.3;
@@ -404,53 +408,53 @@ let test_tcp_ooo_under_reorder_faults () =
   let buf = Buffer.create 32768 in
   Tcp.set_reader s (fun ~addr ~len ->
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
-  let payload = TB.alloc_filled tb.TB.client ~seed:6 32768 in
+  let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:6 32768 in
   let expected = read_mem tb `C ~addr:payload.Memory.base ~len:32768 in
   let completed = ref false in
   Tcp.write c ~addr:payload.Memory.base ~len:32768 ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "completed" true !completed;
   Alcotest.(check string) "in order, intact" expected (Buffer.contents buf);
   Alcotest.(check bool) "out-of-order branch exercised" true
     ((Tcp.stats s).Tcp.out_of_order > 0)
 
 let test_tcp_close_sequence () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode:Tcp.Library ~checksum:false ~in_place:false tb in
   let client_closed = ref false and server_closed = ref false in
   Tcp.close c ~on_closed:(fun () -> client_closed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check string) "server saw fin" "CLOSE_WAIT" (Tcp.state_name s);
   Tcp.close s ~on_closed:(fun () -> server_closed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "client closed" true !client_closed;
   Alcotest.(check bool) "server closed" true !server_closed;
   Alcotest.(check string) "client state" "CLOSED" (Tcp.state_name c);
   Alcotest.(check string) "server state" "CLOSED" (Tcp.state_name s)
 
 let test_tcp_write_preconditions () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, _ = Lab.tcp_pair ~mode:Tcp.Library ~checksum:false ~in_place:false tb in
-  let payload = TB.alloc tb.TB.client 64 in
+  let payload = Fabric.alloc (Fabric.host tb 1) 64 in
   Tcp.write c ~addr:payload.Memory.base ~len:64 ~on_complete:(fun () -> ());
   Alcotest.check_raises "double write"
     (Invalid_argument "Tcp.write: write already in flight") (fun () ->
       Tcp.write c ~addr:payload.Memory.base ~len:64 ~on_complete:(fun () -> ()));
-  TB.run tb
+  Fabric.run tb
 
 (* -- ARP ---------------------------------------------------------------- *)
 
 module Arp = Ash_proto.Arp
 
 let arp_pair () =
-  let tb = TB.create ~ethernet:true () in
+  let tb = Fabric.pair ~ethernet:true () in
   let a =
-    Arp.create tb.TB.client.TB.kernel ~my_ip:0x0a000001
+    Arp.create (Fabric.host tb 1).Fabric.kernel ~my_ip:0x0a000001
       ~my_mac:0xaaaaaa000001
   in
   let b =
-    Arp.create tb.TB.server.TB.kernel ~my_ip:0x0a000002
+    Arp.create (Fabric.host tb 0).Fabric.kernel ~my_ip:0x0a000002
       ~my_mac:0xbbbbbb000002
   in
   (tb, a, b)
@@ -469,7 +473,7 @@ let test_arp_resolve () =
   let tb, a, _b = arp_pair () in
   let result = ref None in
   Arp.resolve a ~ip:0x0a000002 (fun r -> result := r);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "resolved to server mac" true
     (!result = Some 0xbbbbbb000002);
   Alcotest.(check bool) "cached" true
@@ -478,7 +482,7 @@ let test_arp_resolve () =
 let test_arp_responder_learns_requester () =
   let tb, a, b = arp_pair () in
   Arp.resolve a ~ip:0x0a000002 (fun _ -> ());
-  TB.run tb;
+  Fabric.run tb;
   (* The server answered a's request, so it learned a's mapping too. *)
   Alcotest.(check bool) "server learned client" true
     (Arp.lookup b ~ip:0x0a000001 = Some 0xaaaaaa000001)
@@ -486,7 +490,7 @@ let test_arp_responder_learns_requester () =
 let test_arp_cache_hit_is_immediate () =
   let tb, a, _ = arp_pair () in
   Arp.resolve a ~ip:0x0a000002 (fun _ -> ());
-  TB.run tb;
+  Fabric.run tb;
   let before = (Arp.stats a).Arp.requests_sent in
   let hit = ref false in
   Arp.resolve a ~ip:0x0a000002 (fun r -> hit := r <> None);
@@ -498,7 +502,7 @@ let test_arp_timeout () =
   let tb, a, _ = arp_pair () in
   let result = ref (Some 0) in
   Arp.resolve a ~ip:0x0a0000ff (fun r -> result := r);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "no such host" true (!result = None);
   Alcotest.(check int) "retried" 3 (Arp.stats a).Arp.requests_sent;
   Alcotest.(check int) "timeout counted" 1 (Arp.stats a).Arp.timeouts
@@ -506,12 +510,12 @@ let test_arp_timeout () =
 let test_arp_coexists_with_udp () =
   (* ARP demux and UDP demux share the Ethernet without stealing each
      other's frames. *)
-  let tb = TB.create ~ethernet:true () in
+  let tb = Fabric.pair ~ethernet:true () in
   let arp_c =
-    Arp.create tb.TB.client.TB.kernel ~my_ip:0x0a000001 ~my_mac:0x1111
+    Arp.create (Fabric.host tb 1).Fabric.kernel ~my_ip:0x0a000001 ~my_mac:0x1111
   in
   let _arp_s =
-    Arp.create tb.TB.server.TB.kernel ~my_ip:0x0a000002 ~my_mac:0x2222
+    Arp.create (Fabric.host tb 0).Fabric.kernel ~my_ip:0x0a000002 ~my_mac:0x2222
   in
   let mk local remote kernel =
     Udp.create kernel
@@ -519,14 +523,14 @@ let test_arp_coexists_with_udp () =
         Udp.medium = Udp.Ethernet; local_port = local; remote_port = remote;
         mtu_payload = 1024 }
   in
-  let uc = mk 7000 7001 tb.TB.client.TB.kernel in
-  let us = mk 7001 7000 tb.TB.server.TB.kernel in
+  let uc = mk 7000 7001 (Fabric.host tb 1).Fabric.kernel in
+  let us = mk 7001 7000 (Fabric.host tb 0).Fabric.kernel in
   let got = ref "" in
   Udp.set_receiver us (fun ~addr ~len -> got := read_mem tb `S ~addr ~len);
   let mac = ref None in
   Arp.resolve arp_c ~ip:0x0a000002 (fun r -> mac := r);
   Udp.send_string uc "alongside arp";
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check string) "udp unaffected" "alongside arp" !got;
   Alcotest.(check bool) "arp resolved" true (!mac = Some 0x2222)
 
@@ -540,15 +544,15 @@ let download k prog =
   | Error e -> Alcotest.failf "rejected: %a" Ash_vm.Verify.pp_error e
 
 let compose_fixture ~frags ~action =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
-  let dst = TB.alloc tb.TB.server ~name:"landing" 4096 in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let dst = Fabric.alloc (Fabric.host tb 0) ~name:"landing" 4096 in
   let action = action dst in
   let prog = Compose.compose ~name:"composed" frags action in
   let id = download srv prog in
   Kernel.bind_vc srv ~vc:4 (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc:4 true;
-  TB.post_buffers tb.TB.server ~vc:4 ~count:4 ~size:2048;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc:4 ~count:4 ~size:2048;
   let fallbacks = ref 0 in
   Kernel.set_user_handler srv ~vc:4 (fun ~addr:_ ~len:_ -> incr fallbacks);
   (tb, srv, dst, fallbacks)
@@ -571,9 +575,9 @@ let test_compose_ip_udp_deposit () =
     compose_fixture ~frags ~action:(fun dst ->
         Compose.Deposit { dst_addr = dst.Memory.base })
   in
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:4
     (mk_udp_frame ~proto:17 ~port:7001 "composed stacks!");
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check int) "no fallback" 0 !fallbacks;
   Alcotest.(check int) "committed" 1 (Kernel.stats srv).Kernel.ash_committed;
   Alcotest.(check string) "payload vectored" "composed stacks!"
@@ -586,12 +590,13 @@ let test_compose_rejects_wrong_layer () =
         Compose.Deposit { dst_addr = dst.Memory.base })
   in
   (* Wrong protocol; wrong port; too short. Each must fall back. *)
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:4
     (mk_udp_frame ~proto:6 ~port:7001 "x");
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:4
     (mk_udp_frame ~proto:17 ~port:9999 "x");
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4 (Bytes.make 8 '\000');
-  TB.run tb;
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:4
+    (Bytes.make 8 '\000');
+  Fabric.run tb;
   Alcotest.(check int) "all fell back" 3 !fallbacks;
   Alcotest.(check int) "none committed" 0 (Kernel.stats srv).Kernel.ash_committed
 
@@ -614,29 +619,30 @@ let test_compose_fragment_reuse () =
 
 let test_compose_echo_action () =
   let frags = [ Compose.magic32 0x1234abcd ] in
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
   let prog = Compose.compose ~name:"am-echo" frags Compose.Echo in
   let id = download srv prog in
   Kernel.bind_vc srv ~vc:4 (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc:4 true;
-  TB.post_buffers tb.TB.server ~vc:4 ~count:2 ~size:64;
-  Kernel.bind_vc tb.TB.client.TB.kernel ~vc:4 Kernel.Deliver_user;
-  Kernel.set_auto_repost tb.TB.client.TB.kernel ~vc:4 true;
-  TB.post_buffers tb.TB.client ~vc:4 ~count:2 ~size:64;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc:4 ~count:2 ~size:64;
+  Kernel.bind_vc cli ~vc:4 Kernel.Deliver_user;
+  Kernel.set_auto_repost cli ~vc:4 true;
+  Fabric.post_buffers (Fabric.host tb 1) ~vc:4 ~count:2 ~size:64;
   let got = ref 0 in
-  Kernel.set_user_handler tb.TB.client.TB.kernel ~vc:4 (fun ~addr:_ ~len ->
+  Kernel.set_user_handler cli ~vc:4 (fun ~addr:_ ~len ->
       got := len);
   let msg = Bytes.create 12 in
   Ash_util.Bytesx.set_u32 msg 0 0x1234abcd;
-  Kernel.user_send tb.TB.client.TB.kernel ~vc:4 msg;
-  TB.run tb;
+  Kernel.user_send cli ~vc:4 msg;
+  Fabric.run tb;
   Alcotest.(check int) "echoed whole message" 12 !got
 
 let test_compose_dilp_action_checksums () =
-  let tb = TB.create () in
-  let srv = tb.TB.server.TB.kernel in
-  let dst = TB.alloc tb.TB.server ~name:"landing" 4096 in
+  let tb = Fabric.pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let dst = Fabric.alloc (Fabric.host tb 0) ~name:"landing" 4096 in
   let pl = Ash_pipes.Pipe.Pipelist.create () in
   let _, _acc = Ash_pipes.Pipelib.cksum32 pl in
   let compiled = Ash_pipes.Dilp.compile pl Ash_pipes.Dilp.Write in
@@ -649,28 +655,28 @@ let test_compose_dilp_action_checksums () =
   let id = download srv prog in
   Kernel.bind_vc srv ~vc:4 (Kernel.Deliver_ash id);
   Kernel.set_auto_repost srv ~vc:4 true;
-  TB.post_buffers tb.TB.server ~vc:4 ~count:2 ~size:2048;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc:4 ~count:2 ~size:2048;
   Kernel.set_user_handler srv ~vc:4 (fun ~addr:_ ~len:_ -> ());
-  Kernel.kernel_send tb.TB.client.TB.kernel ~vc:4
+  Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc:4
     (mk_udp_frame ~proto:17 ~port:7001 "16-byte payload!");
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check string) "payload through the pipes" "16-byte payload!"
     (read_mem tb `S ~addr:dst.Memory.base ~len:16)
 
 (* -- fast path equivalence -------------------------------------------- *)
 
 let transfer_via mode =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s = Lab.tcp_pair ~mode ~checksum:true ~in_place:false tb in
   let buf = Buffer.create 8192 in
   Tcp.set_reader s (fun ~addr ~len ->
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
-  let payload = TB.alloc_filled tb.TB.client ~seed:77 8192 in
+  let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:77 8192 in
   let expected = read_mem tb `C ~addr:payload.Memory.base ~len:8192 in
   let completed = ref false in
   Tcp.write c ~addr:payload.Memory.base ~len:8192 ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   (Buffer.contents buf, expected, !completed, Tcp.stats s)
 
 let test_tcp_fastpath_ash_delivers_same_bytes () =
@@ -688,7 +694,7 @@ let test_tcp_fastpath_upcall_delivers_same_bytes () =
   Alcotest.(check string) "identical bytes" expected got
 
 let test_tcp_fastpath_rejects_bad_checksum () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:(Tcp.Fast_ash { sandbox = true }) ~checksum:true
       ~in_place:false tb
@@ -696,16 +702,16 @@ let test_tcp_fastpath_rejects_bad_checksum () =
   let buf = Buffer.create 64 in
   Tcp.set_reader s (fun ~addr ~len ->
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
-  An2.corrupt_next_frame tb.TB.client.TB.an2;
+  An2.corrupt_next_frame (an2 tb 1);
   let completed = ref false in
   Tcp.write_string c "survives corruption!" ~on_complete:(fun () ->
       completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "recovered" true !completed;
   Alcotest.(check string) "intact" "survives corruption!" (Buffer.contents buf)
 
 let test_tcp_fastpath_handles_pingpong () =
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:(Tcp.Fast_ash { sandbox = true }) ~checksum:true
       ~in_place:false tb
@@ -718,7 +724,7 @@ let test_tcp_fastpath_handles_pingpong () =
       incr replies;
       if !replies < 5 then ping ());
   ping ();
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check int) "five round trips" 5 !replies;
   let st = Tcp.stats s in
   Alcotest.(check bool) "fast path did the work" true
@@ -731,7 +737,7 @@ let test_tcp_fastpath_killed_falls_back () =
      be terminated"); the kernel falls back to the user-level library,
      which — being an in-place connection — delivers straight from the
      network buffer and never touches the absent page. *)
-  let tb = TB.create () in
+  let tb = Fabric.pair () in
   let c, s =
     Lab.tcp_pair ~mode:(Tcp.Fast_ash { sandbox = true }) ~checksum:true
       ~in_place:true tb
@@ -742,11 +748,11 @@ let test_tcp_fastpath_killed_falls_back () =
       Buffer.add_string buf (read_mem tb `S ~addr ~len));
   let completed = ref false in
   Tcp.write_string c "paged out!!!" ~on_complete:(fun () -> completed := true);
-  TB.run tb;
+  Fabric.run tb;
   Alcotest.(check bool) "write completed" true !completed;
   Alcotest.(check string) "delivered by the fallback path" "paged out!!!"
     (Buffer.contents buf);
-  let ks = Kernel.stats tb.TB.server.TB.kernel in
+  let ks = Kernel.stats (Fabric.host tb 0).Fabric.kernel in
   (* The trusted DILP engine detects the absent page and fails the
      transfer; the handler takes its abort path (voluntary), exactly as
      a direct wild store would have killed it (involuntary). Either way
@@ -795,17 +801,17 @@ let prop_tcp_transfer_integrity =
     QCheck.(int_range 1 5000)
     (fun n ->
        let len = n * 4 in
-       let tb = TB.create () in
+       let tb = Fabric.pair () in
        let c, s =
          Lab.tcp_pair ~mode:Tcp.Library ~checksum:true ~in_place:false tb
        in
        let buf = Buffer.create len in
        Tcp.set_reader s (fun ~addr ~len ->
            Buffer.add_string buf (read_mem tb `S ~addr ~len));
-       let payload = TB.alloc_filled tb.TB.client ~seed:n len in
+       let payload = Fabric.alloc_filled (Fabric.host tb 1) ~seed:n len in
        let expected = read_mem tb `C ~addr:payload.Memory.base ~len in
        Tcp.write c ~addr:payload.Memory.base ~len ~on_complete:(fun () -> ());
-       TB.run tb;
+       Fabric.run tb;
        Buffer.contents buf = expected)
 
 let () =

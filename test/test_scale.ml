@@ -116,7 +116,7 @@ let test_arp_through_switch () =
     Alcotest.(check (option int))
       (Printf.sprintf "host %d resolved the server" h)
       (Some (Fabric.host fab 0).Fabric.mac)
-      (Arp.lookup (Fabric.host fab h).Fabric.arp ~ip:server_ip)
+      (Arp.lookup (Option.get (Fabric.host fab h).Fabric.arp) ~ip:server_ip)
   done;
   (* The request broadcasts taught the switch every station. *)
   for h = 0 to 3 do
