@@ -12,7 +12,6 @@ module Packet = Ash_proto.Packet
 module Bytesx = Ash_util.Bytesx
 
 type node = {
-  idx : int;
   ip : int;
   mac : int;
   kernel : Kernel.t;
@@ -86,7 +85,7 @@ let pair ?(server_costs = Costs.decstation) ?(ethernet = false) () =
     Kernel.attach_an2 kernel (An2.create engine machine);
     if ethernet then
       Kernel.attach_ethernet kernel (Ethernet.create engine machine);
-    { idx = i; ip = ip_of_index i; mac = mac_of_index i; kernel; arp = None }
+    { ip = ip_of_index i; mac = mac_of_index i; kernel; arp = None }
   in
   let client = make 1 Costs.decstation in
   let server = make 0 server_costs in
@@ -170,7 +169,7 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
           let arp =
             Arp.create k0 ~my_ip:(ip_of_index 0) ~my_mac:(mac_of_index 0)
           in
-          { idx = 0; ip = ip_of_index 0; mac = mac_of_index 0; kernel = k0;
+          { ip = ip_of_index 0; mac = mac_of_index 0; kernel = k0;
             arp = Some arp }
         end
         else begin
@@ -187,7 +186,7 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
             Arp.create kernel ~my_ip:(ip_of_index i) ~my_mac:(mac_of_index i)
           in
           Ethernet.set_route eth (route arp);
-          { idx = i; ip = ip_of_index i; mac = mac_of_index i; kernel;
+          { ip = ip_of_index i; mac = mac_of_index i; kernel;
             arp = Some arp }
         end)
   in
@@ -243,27 +242,28 @@ let post_buffers n ~vc ~count ~size =
    fabric runs all-unicast. Each resolution is scheduled on its host's
    own shard. *)
 let warm_arp t ~server =
-  let arp n =
-    match n.arp with
-    | Some a -> a
-    | None -> invalid_arg "Fabric.warm_arp: a back-to-back pair has no ARP"
+  let arps =
+    Array.map
+      (fun n ->
+         match n.arp with
+         | Some a -> a
+         | None -> invalid_arg "Fabric.warm_arp: a back-to-back pair has no ARP")
+      t.nodes
   in
   let ip = t.nodes.(server).ip in
-  Array.iter
-    (fun n ->
-       if n.idx <> server then
+  Array.iteri
+    (fun h arp ->
+       if h <> server then
          ignore
-           (Engine.schedule
-              (host_engine t n.idx)
-              ~delay:(n.idx * 1_000_000)
-              (fun () -> Arp.resolve (arp n) ~ip (fun _ -> ()))))
-    t.nodes;
+           (Engine.schedule (host_engine t h) ~delay:(h * 1_000_000)
+              (fun () -> Arp.resolve arp ~ip (fun _ -> ()))))
+    arps;
   run t;
-  Array.iter
-    (fun n ->
-       if n.idx <> server && Arp.lookup (arp n) ~ip = None then
+  Array.iteri
+    (fun h arp ->
+       if h <> server && Arp.lookup arp ~ip = None then
          failwith "Fabric.warm_arp: resolution failed")
-    t.nodes
+    arps
 
 (* A connection's two endpoints, preconfigured for each other. Ports
    must be unique per live connection: Ethernet TCP demux filters match

@@ -37,7 +37,6 @@
     topology; see {!Exp_scale}. *)
 
 type node = {
-  idx : int;
   ip : int;
   mac : int;
   kernel : Ash_kern.Kernel.t;

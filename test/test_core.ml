@@ -83,6 +83,9 @@ let test_pair_wiring () =
   done;
   Alcotest.check_raises "no switch" no_switch (fun () ->
       ignore (Fabric.switch tb));
+  Alcotest.check_raises "no ARP to warm"
+    (Invalid_argument "Fabric.warm_arp: a back-to-back pair has no ARP")
+    (fun () -> Fabric.warm_arp tb ~server:0);
   let tb = Fabric.pair ~ethernet:true () in
   let eth h = Kernel.ethernet (Fabric.host tb h).Fabric.kernel in
   Alcotest.(check bool) "each host has its own Ethernet NIC" true
