@@ -46,7 +46,7 @@ let install_echo_server node mode =
    outstanding, [iters] round trips. [reply_hook k] installs [k] as the
    client's reply callback; each reply records the round trip in
    microseconds and sends the next request while iterations remain.
-   Runs the testbed to quiescence and summarizes the samples, dropping
+   Runs the pair to quiescence and summarizes the samples, dropping
    the first (cold) one when there are enough. *)
 let closed_loop tb ~iters ~reply_hook send =
   let samples = ref [] in
