@@ -5,7 +5,7 @@
      and exp_mq traced event streams, then exp_scale's stream at one
      shard and at two shards on one and two worker domains, then the
      {!Ash_vm.Program.digest} of every handler generator at fixed
-     arguments;
+     arguments and of four fused DILP loops;
    - to the file named by its second argument, EXPERIMENTS.md
      regenerated: the committed file (its first argument) verbatim up to
      and including the "## Results" line, then every table in Markdown.
@@ -22,7 +22,8 @@
    [ashbench run <id> --trace-json], recorded under a fresh recorder.
    A handler's digest is its handler-cache key: the tables see a
    handler only through the cycles it costs, so they can miss a change
-   to its code.
+   to its code. The same holds for a DILP loop, whose emitted shape is
+   also what a transfer is charged for.
 
    Usage: test_golden.exe EXPERIMENTS.md OUT *)
 
@@ -32,6 +33,9 @@ module Exp_scale = Ash_core.Exp_scale
 module Trace = Ash_obs.Trace
 module Handlers = Ash_core.Handlers
 module Tcp_fastpath = Ash_proto.Tcp_fastpath
+module Pipe = Ash_pipes.Pipe
+module Pipelib = Ash_pipes.Pipelib
+module Dilp = Ash_pipes.Dilp
 
 let hex s = Digest.to_hex (Digest.string s)
 
@@ -75,6 +79,14 @@ let scale_stream (shards, jobs) =
   let r = Trace.record () in
   ignore (Exp_scale.scale ());
   stream_digest r
+
+(* A Write-mode loop over the pipes [add] puts in a fresh list, named
+   by the program's own name. *)
+let dilp_loop ?layout add =
+  let pl = Pipe.Pipelist.create () in
+  add pl;
+  let p = (Dilp.compile ?layout pl Dilp.Write).Dilp.program in
+  (p.Ash_vm.Program.name, p)
 
 let handlers =
   let geo =
@@ -123,6 +135,15 @@ let handlers =
           dilp_id = 1;
           cksum_acc_reg = Ash_vm.Isa.reg_arg3;
         } );
+    (* TCP's fast-path transfers, with and without the checksum. *)
+    dilp_loop (fun pl -> ignore (Pipelib.cksum32 pl));
+    dilp_loop (fun pl -> ignore (Pipelib.identity pl));
+    (* Table IV's fused copy, checksum and byteswap. *)
+    dilp_loop (fun pl ->
+        ignore (Pipelib.cksum32 pl);
+        ignore (Pipelib.byteswap32 pl));
+    (* The striped Ethernet back end of ablation A3. *)
+    dilp_loop ~layout:Dilp.eth_striped (fun pl -> ignore (Pipelib.cksum32 pl));
   ]
 
 let () =
