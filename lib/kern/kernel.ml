@@ -446,20 +446,16 @@ let dilp_callback t ~id ~src ~dst ~len ~regs =
       let c0 = Machine.consumed_cycles t.machine in
       if Trace.enabled () then
         Span.begin_span ~corr ~off:(span_off t) Trace.Pipe;
-      let result =
-        match Dilp.execute ~init t.machine c ~src ~dst ~len with
-        | r -> Some r
-        | exception Invalid_argument _ -> None
-      in
+      let result = Dilp.execute ~init t.machine c ~src ~dst ~len in
       if Trace.enabled () then
         Span.end_span ~corr ~off:(span_off t)
           ~cycles:(Machine.consumed_cycles t.machine - c0)
           Trace.Pipe;
       match result with
-      | Some { Interp.outcome = Interp.Returned; regs = final; _ } ->
+      | { Interp.outcome = Interp.Returned; regs = final; _ } ->
         List.iter (fun r -> regs.(r) <- final.(r)) c.Dilp.persistent;
         true
-      | Some _ | None -> false
+      | _ -> false
     end
 
 (* ---------------------------------------------------------------- *)

@@ -1,8 +1,26 @@
+module Isa = Ash_vm.Isa
+module Interp = Ash_vm.Interp
+module Machine = Ash_sim.Machine
+module Memory = Ash_sim.Memory
+module Cache = Ash_sim.Cache
+
 type mode = Write | Sink
 
 type layout = Contiguous | Striped of { data : int; pad : int }
 
 let eth_striped = Striped { data = 16; pad = 16 }
+
+(* Instructions and fixed cycles of one part of the contiguous loop:
+   what Interp charges at dispatch. Loads and stores pay through the
+   cache model instead. *)
+type part = { insns : int; cycles : int }
+
+type native = {
+  body : int array -> unit; (* one word's pipe instructions *)
+  once : part; (* prologue, the two taken exit tests, Halt *)
+  group : part; (* one unrolled iteration *)
+  single : part; (* one tail iteration *)
+}
 
 type compiled = {
   program : Ash_vm.Program.t;
@@ -11,6 +29,7 @@ type compiled = {
   layout : layout;
   pipes : Pipe.t list;
   persistent : Ash_vm.Isa.reg list;
+  native : native option;
 }
 
 (* Fixed register plan for the generated loop:
@@ -82,11 +101,56 @@ let apply_pipe b (p : Pipe.t) =
        Ash_vm.Builder.emit b (Ash_vm.Isa.Or_ (reg_data, reg_data, l3))
      | _ -> assert false)
 
+let part (code : Isa.insn array) lo hi =
+  let cycles = ref 0 in
+  for pc = lo to hi - 1 do
+    match code.(pc) with
+    | Isa.Ld8 _ | Isa.Ld16 _ | Isa.Ld32 _ | Isa.St8 _ | Isa.St16 _ | Isa.St32 _
+      -> ()
+    | insn -> cycles := !cycles + Isa.base_cycles insn
+  done;
+  { insns = hi - lo; cycles = !cycles }
+
+let plus a b = { insns = a.insns + b.insns; cycles = a.cycles + b.cycles }
+
+(* A body that writes r0-r5 would move the loop's own registers. *)
+let writes_loop_regs insn =
+  match Ash_vm.Absint.defs insn with
+  | Some ds -> List.exists (fun r -> r <= reg_limit) ds
+  | None -> true
+
+(* The run-granular form of an assembled contiguous loop. [bodies] are
+   the pc spans of every word's pipe instructions, [group], [tail] and
+   [halt] the pcs where the unrolled loop, the tail loop and the exit
+   begin (each loop starts with its exit test). *)
+let native_of (p : Ash_vm.Program.t) ~bodies ~group ~tail ~halt =
+  let code = p.Ash_vm.Program.code in
+  match List.map (fun (lo, hi) -> Array.sub code lo (hi - lo)) bodies with
+  | body :: rest
+    when List.for_all (( = ) body) rest
+         && not (Array.exists writes_loop_regs body) ->
+    Option.map
+      (fun body ->
+         {
+           body;
+           once =
+             List.fold_left plus (part code 0 group)
+               [ part code group (group + 1); part code tail (tail + 1);
+                 part code halt (halt + 1) ];
+           group = part code group tail;
+           single = part code tail halt;
+         })
+      (Ash_vm.Compile.register_body body)
+  | _ -> None
+
 let compile_contiguous ~name pipes mode =
   let b = Ash_vm.Builder.create ~name () in
+  let bodies = ref [] in
   let word k =
     Ash_vm.Builder.emit b (Ash_vm.Isa.Ld32 (reg_data, reg_src, 4 * k));
+    let lo = Ash_vm.Builder.size b in
     List.iter (apply_pipe b) pipes;
+    bodies := (lo, Ash_vm.Builder.size b) :: !bodies;
     match mode with
     | Write -> Ash_vm.Builder.emit b (Ash_vm.Isa.St32 (reg_data, reg_dst, 4 * k))
     | Sink -> ()
@@ -95,6 +159,7 @@ let compile_contiguous ~name pipes mode =
   Ash_vm.Builder.emit b (Ash_vm.Isa.Addi (reg_limit, reg_end, -(4 * unroll) + 1));
   let tail_l = Ash_vm.Builder.fresh_label b in
   let done_l = Ash_vm.Builder.fresh_label b in
+  let group = Ash_vm.Builder.size b in
   let loop4 = Ash_vm.Builder.here b in
   Ash_vm.Builder.bgeu b reg_src reg_limit tail_l;
   for k = 0 to unroll - 1 do
@@ -105,6 +170,7 @@ let compile_contiguous ~name pipes mode =
    | Write -> Ash_vm.Builder.emit b (Ash_vm.Isa.Addi (reg_dst, reg_dst, 4 * unroll))
    | Sink -> ());
   Ash_vm.Builder.jmp b loop4;
+  let tail = Ash_vm.Builder.size b in
   Ash_vm.Builder.place b tail_l;
   Ash_vm.Builder.bgeu b reg_src reg_end done_l;
   word 0;
@@ -113,9 +179,11 @@ let compile_contiguous ~name pipes mode =
    | Write -> Ash_vm.Builder.emit b (Ash_vm.Isa.Addi (reg_dst, reg_dst, 4))
    | Sink -> ());
   Ash_vm.Builder.jmp b tail_l;
+  let halt = Ash_vm.Builder.size b in
   Ash_vm.Builder.place b done_l;
   Ash_vm.Builder.halt b;
-  Ash_vm.Builder.assemble b
+  let program = Ash_vm.Builder.assemble b in
+  (program, native_of program ~bodies:!bodies ~group ~tail ~halt)
 
 (* Striped back end: process [data] payload bytes, skip [pad], repeat.
    The loop walks whole stripes; a trailing partial stripe is handled by
@@ -177,7 +245,7 @@ let compile ?(layout = Contiguous) pl mode =
        | Contiguous -> ""
        | Striped { data; pad } -> Printf.sprintf ":striped%d/%d" data pad)
   in
-  let program =
+  let program, native =
     match layout with
     | Contiguous -> compile_contiguous ~name pipes mode
     | Striped { data; pad } ->
@@ -185,7 +253,7 @@ let compile ?(layout = Contiguous) pl mode =
         invalid_arg "Dilp.compile: bad stripe geometry";
       if not (is_pow2 data) then
         invalid_arg "Dilp.compile: stripe data size must be a power of two";
-      compile_striped ~name pipes mode ~data ~pad
+      (compile_striped ~name pipes mode ~data ~pad, None)
   in
   if Ash_obs.Trace.enabled () then
     Ash_obs.Trace.emit
@@ -198,7 +266,117 @@ let compile ?(layout = Contiguous) pl mode =
     layout;
     pipes;
     persistent = Pipe.Pipelist.persistent_regs pl;
+    native;
   }
+
+(* [addr, addr+len) lies in one resident region, below the 2^32 where
+   the loop's address registers would wrap. *)
+let in_region mem addr len =
+  addr + len <= 0xffff_ffff && Memory.resident_at mem ~addr ~size:len
+
+(* What [count] ascending word loads from [addr] charge the cache at
+   most: every line of the span a miss. An unaligned word straddles
+   each line boundary inside the span once. *)
+let worst_loads (costs : Ash_sim.Costs.t) ~addr ~count =
+  if count = 0 then 0
+  else
+    let line = costs.Ash_sim.Costs.cache_line in
+    let lines = ((addr + (4 * count) - 1) / line) - (addr / line) + 1 in
+    let touches = if addr land 3 = 0 then count else count + lines - 1 in
+    (touches * costs.Ash_sim.Costs.load_extra_cycles)
+    + (lines * costs.Ash_sim.Costs.miss_penalty_cycles)
+
+(* The contiguous loop at run granularity, or [None] when the transfer
+   must run the VM program. The register file starts as Compile.run
+   builds it, so the loop reads r1-r3 and any [init] from the same
+   place. The loop runs [n / unroll] unrolled iterations and
+   [n mod unroll] tail ones over its [n] words, as long as its end
+   registers do not wrap, so its instructions and fixed cycles are
+   known before it runs. Its loads are one ascending run of words,
+   since the body makes no memory access, and stores touch no cache
+   tags, so [Cache.load_run] and [Cache.store_run] charge exactly what
+   the word-by-word loop would. When even all-miss loads stay within
+   the gas budget the VM could not have been killed, and moving the
+   words in the VM's order leaves the bytes it would leave, overlapping
+   ranges included. *)
+let run_native machine t nat ~init ~src ~dst ~len =
+  let regs = Array.make Isa.num_regs 0 in
+  regs.(Isa.reg_msg_addr) <- src;
+  regs.(Isa.reg_msg_len) <- len;
+  regs.(reg_src) <- src land 0xffff_ffff;
+  regs.(reg_dst) <- dst land 0xffff_ffff;
+  regs.(reg_len) <- len land 0xffff_ffff;
+  List.iter (fun (r, v) -> regs.(r) <- v land 0xffff_ffff) init;
+  let s = regs.(reg_src) and d = regs.(reg_dst) and l = regs.(reg_len) in
+  let write = t.mode = Write in
+  let mem = Machine.mem machine in
+  if l land 3 <> 0
+     || s + l < (4 * unroll) - 1
+     || not (in_region mem s l)
+     || (write && not (in_region mem d l))
+  then None
+  else begin
+    let n = l / 4 in
+    let groups = n / unroll and singles = n mod unroll in
+    let insns =
+      nat.once.insns + (groups * nat.group.insns) + (singles * nat.single.insns)
+    in
+    let costs = Machine.costs machine and cache = Machine.cache machine in
+    (* Every cycle but the loads' cache charge. *)
+    let known =
+      nat.once.cycles + (groups * nat.group.cycles)
+      + (singles * nat.single.cycles)
+      + ((if write then 2 * n else n) * costs.Ash_sim.Costs.insn_cycles)
+      + if write then Cache.store_run cache ~addr:d ~size:4 ~count:n else 0
+    in
+    if insns > Interp.max_steps
+       || known + worst_loads costs ~addr:s ~count:n > Interp.default_gas
+    then None
+    else begin
+      let cycles = known + Cache.load_run cache ~addr:s ~size:4 ~count:n in
+      Machine.charge_cycles machine cycles;
+      let sr = Memory.locate mem s l in
+      let dr = if write then Memory.locate mem d l else sr in
+      let sdata = sr.Memory.data and soff = s - sr.Memory.base in
+      let ddata = dr.Memory.data and doff = d - dr.Memory.base in
+      let body = nat.body in
+      let word o =
+        regs.(reg_data) <-
+          Int32.to_int (Bytes.get_int32_be sdata (soff + o)) land 0xffff_ffff;
+        body regs;
+        if write then
+          Bytes.set_int32_be ddata (doff + o) (Int32.of_int regs.(reg_data))
+      in
+      let step o =
+        regs.(reg_src) <- s + o;
+        if write then regs.(reg_dst) <- d + o
+      in
+      let r0 = regs.(Isa.reg_zero) in
+      regs.(Isa.reg_zero) <- 0;
+      regs.(reg_end) <- s + l;
+      regs.(reg_limit) <- s + l - (4 * unroll) + 1;
+      for g = 0 to groups - 1 do
+        step (4 * unroll * g);
+        for k = 0 to unroll - 1 do
+          word ((4 * unroll * g) + (4 * k))
+        done
+      done;
+      for i = n - singles to n - 1 do
+        step (4 * i);
+        word (4 * i)
+      done;
+      step l;
+      regs.(Isa.reg_zero) <- r0;
+      if Ash_obs.Trace.enabled () then
+        Ash_obs.Trace.emit
+          (Ash_obs.Trace.Vm_run
+             { name = t.program.Ash_vm.Program.name; outcome = "return";
+               insns; check_insns = 0; cycles });
+      Some
+        { Interp.outcome = Interp.Returned; insns; check_insns = 0; cycles;
+          regs }
+    end
+  end
 
 let execute ?(init = []) machine t ~src ~dst ~len =
   if len < 0 || len land 3 <> 0 then
@@ -207,21 +385,29 @@ let execute ?(init = []) machine t ~src ~dst ~len =
     Ash_obs.Trace.emit
       (Ash_obs.Trace.Dilp_run
          { name = t.program.Ash_vm.Program.name; len });
-  let env =
-    {
-      Ash_vm.Interp.machine;
-      msg_addr = src;
-      msg_len = len;
-      allowed_calls = [];
-      dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
-      send = ignore;
-      gas_cycles = Ash_vm.Interp.default_gas;
-    }
+  let native =
+    match t.native with
+    | Some nat -> run_native machine t nat ~init ~src ~dst ~len
+    | None -> None
   in
-  let regs_init =
-    (reg_src, src) :: (reg_dst, dst) :: (reg_len, len) :: init
-  in
-  Ash_vm.Exec.run env ~regs_init t.exec
+  match native with
+  | Some r -> r
+  | None ->
+    let env =
+      {
+        Interp.machine;
+        msg_addr = src;
+        msg_len = len;
+        allowed_calls = [];
+        dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
+        send = ignore;
+        gas_cycles = Interp.default_gas;
+      }
+    in
+    let regs_init =
+      (reg_src, src) :: (reg_dst, dst) :: (reg_len, len) :: init
+    in
+    Ash_vm.Exec.run env ~regs_init t.exec
 
 let execute_exn ?init machine t ~src ~dst ~len =
   let r = execute ?init machine t ~src ~dst ~len in

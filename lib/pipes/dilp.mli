@@ -13,7 +13,38 @@
     mode), [r3] = length in bytes (must be a multiple of four — the
     paper's Fig. 2 makes the same assumption). Persistent registers are
     seeded via [init] (export) and read back from the returned register
-    file (import). *)
+    file (import).
+
+    {b Run-granular transfers.} The VM program is the specification;
+    {!execute} runs most contiguous transfers without it. Every word of
+    the loop gets the same pipe instructions, and {!compile} keeps that
+    one-word body as a single function when it only computes on
+    registers ({!Ash_vm.Compile.register_body}) and leaves [r0]-[r5] to
+    the loop. It also records each part of the emitted loop's
+    instruction count and fixed cycles: the prologue, one unrolled
+    iteration, one tail iteration, the two exit tests and the [Halt].
+    {!execute} then charges the whole transfer with one
+    {!Ash_sim.Machine.charge_cycles}: those fixed cycles, one
+    instruction's cycles per load and store, {!Ash_sim.Cache.load_run}
+    over the source and, in [Write] mode, {!Ash_sim.Cache.store_run}
+    over the destination. It moves the words in ascending order, runs
+    the body on each, and sets [r1]/[r2] at every iteration and
+    [r3]-[r5] before the loop, as the program does. The charge is exact
+    because stores touch no cache tags and the body makes no memory
+    access, so the loads form one ascending run, and the words move in
+    the VM's order even when the ranges overlap. The result and the
+    [Vm_run] trace event are the ones the VM run would have produced.
+
+    A transfer runs the VM program, unchanged, whenever one of these
+    holds: the layout is striped; the body touches memory or writes
+    [r0]-[r5]; the source or, in [Write] mode, the destination is not
+    inside one resident region below 2{^32}, or the loop's end registers
+    would wrap; the transfer's cycles with every load line a miss would
+    exceed {!Ash_vm.Interp.default_gas}; or its instruction count
+    exceeds {!Ash_vm.Interp.max_steps}. Each case is decided from the
+    input alone, with [r1]-[r3] read after [init] as the program reads
+    them. The VM then faults, runs out of gas or completes exactly as it
+    always did. *)
 
 type mode =
   | Write  (** Copy through the pipes ([PIPE_WRITE]). *)
@@ -37,6 +68,10 @@ type layout =
 val eth_striped : layout
 (** The Ethernet device's 16-data/16-pad layout. *)
 
+type native
+(** A contiguous loop's one-word body as a function, with the
+    instruction counts and fixed cycles of the loop's parts. *)
+
 type compiled = private {
   program : Ash_vm.Program.t;
   exec : Ash_vm.Exec.prepared;
@@ -45,6 +80,10 @@ type compiled = private {
   layout : layout;
   pipes : Pipe.t list;
   persistent : Ash_vm.Isa.reg list;
+  native : native option;
+  (** The run-granular form; [None] when every transfer runs the VM
+      program (a striped layout, or a body that touches memory, or
+      writes [r0]-[r5]). *)
 }
 
 val compile : ?layout:layout -> Pipe.Pipelist.t -> mode -> compiled
@@ -61,10 +100,13 @@ val execute :
   dst:int ->
   len:int ->
   Ash_vm.Interp.result
-(** Run the fused loop over [len] {e payload} bytes (the striped source
-    region is correspondingly longer), charging the machine. Raises
-    [Invalid_argument] if [len] is negative, not a multiple of four, or
-    (striped layouts) not a multiple of the stripe's data size. *)
+(** Run the fused loop over [len] {e payload} bytes, charging the
+    machine: at run granularity when it can (see above), otherwise on
+    the VM. A striped source spans [data + pad] bytes per stripe; a
+    [len] that is not a multiple of the stripe's data size ends in a
+    short stripe, which the loop's word-tail moves. Raises
+    [Invalid_argument] if [len] is negative or not a multiple of
+    four. *)
 
 val execute_exn :
   ?init:(Ash_vm.Isa.reg * int) list ->

@@ -18,6 +18,7 @@ module Sandbox = Ash_vm.Sandbox
 module Interp = Ash_vm.Interp
 module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
+module Cache = Ash_sim.Cache
 module Costs = Ash_sim.Costs
 module Rng = Ash_util.Rng
 module Checksum = Ash_util.Checksum
@@ -458,56 +459,268 @@ let prop_backends_agree =
         variants;
       true)
 
+(* [Dilp.execute] runs a contiguous transfer at run granularity when it
+   can and on the VM otherwise; either way it must match Interp running
+   the loop program. The cases cover both modes, lengths 0-4096 with
+   tails and a 128 KiB transfer the gas budget kills, unaligned ends,
+   overlapping ranges, warm, cold and aliased caches, paged-out and
+   freed ranges, an [init] that sets r0, and pipes whose body loads,
+   reads r1 or writes r2. Besides the result and the machine's meter,
+   the runs must leave the same cache counts and tags over both ranges,
+   the same bytes, and record the same [Vm_run] event. *)
+type odd_pipe = Loads | Reads_r1 | Writes_r2
+
+let odd_pipe pl = function
+  | Loads ->
+    Pipe.make ~name:"loads" ~gauge:Pipe.G32 (fun c ->
+        let t = c.Pipe.temp () in
+        c.Pipe.emit (Isa.Ld32 (t, 1, 0));
+        c.Pipe.emit (Isa.Xor_ (c.Pipe.data, c.Pipe.data, t)))
+    |> Pipe.Pipelist.add pl |> ignore
+  | Reads_r1 ->
+    Pipe.make ~name:"reads-r1" ~gauge:Pipe.G32 (fun c ->
+        c.Pipe.emit (Isa.Add (c.Pipe.data, c.Pipe.data, 1)))
+    |> Pipe.Pipelist.add pl |> ignore
+  | Writes_r2 ->
+    Pipe.make ~name:"writes-r2" ~gauge:Pipe.G32 (fun c ->
+        c.Pipe.emit (Isa.Or_ (2, 2, 0)))
+    |> Pipe.Pipelist.add pl |> ignore
+
+type dilp_case = {
+  mode : Dilp.mode;
+  stack : pd list;
+  odd : odd_pipe option;
+  len : int;
+  src_off : int;
+  dst_at : [ `Own of int | `In_src of int ];
+  warm : [ `Cold | `Ranges | `Aliases ];
+  gone : [ `Src_paged | `Src_freed | `Dst_paged | `Dst_freed ] option;
+  r0 : int option;
+  payload_seed : int;
+}
+
+let gen_dilp_case rng =
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let big = Rng.int rng 16 = 0 in
+  {
+    mode = (if big || Rng.int rng 2 = 0 then Dilp.Write else Dilp.Sink);
+    (* Cksum32 in every Write pass over 128 KiB makes gas run out even
+       with a warm cache. *)
+    stack = (if big then Cksum :: gen_stack rng else gen_stack rng);
+    odd =
+      (if Rng.int rng 2 = 0 then None
+       else Some (pick [| Loads; Reads_r1; Writes_r2 |]));
+    len = (if big then 128 * 1024 else 4 * Rng.int rng 1025);
+    src_off = Rng.int rng 16;
+    dst_at =
+      (if Rng.int rng 4 = 0 then `In_src (pick [| -12; -8; -4; 0; 4; 8; 12 |])
+       else `Own (Rng.int rng 16));
+    warm = pick [| `Cold; `Ranges; `Aliases |];
+    gone =
+      (if Rng.int rng 6 > 0 then None
+       else Some (pick [| `Src_paged; `Src_freed; `Dst_paged; `Dst_freed |]));
+    r0 = (if Rng.int rng 4 = 0 then Some (Rng.int rng 0x1_0000_0000) else None);
+    payload_seed = Rng.int rng 1_000_000;
+  }
+
+let dilp_case_name c =
+  Printf.sprintf "%s [%s%s] len %d src+%d dst %s"
+    (match c.mode with Dilp.Write -> "write" | Dilp.Sink -> "sink")
+    (String.concat ";" (List.map pd_name c.stack))
+    (match c.odd with
+     | None -> ""
+     | Some Loads -> ";loads"
+     | Some Reads_r1 -> ";reads-r1"
+     | Some Writes_r2 -> ";writes-r2")
+    c.len c.src_off
+    (match c.dst_at with
+     | `Own o -> Printf.sprintf "+%d" o
+     | `In_src d -> Printf.sprintf "src%+d" d)
+
+(* Both fixtures are built the same way, so their addresses agree. *)
+let dilp_fixture c =
+  let machine = Machine.create Costs.decstation in
+  let mem = Machine.mem machine in
+  let room = c.len + 32 in
+  let src_r = Memory.alloc mem ~name:"src" room in
+  let dst_r = Memory.alloc mem ~name:"dst" room in
+  let rng = Rng.create c.payload_seed in
+  List.iter
+    (fun (r : Memory.region) ->
+       let b = Bytes.create room in
+       Rng.fill_bytes rng b;
+       Memory.blit_from_bytes mem ~src:b ~src_off:0 ~dst:r.Memory.base
+         ~len:room)
+    [ src_r; dst_r ];
+  let src = src_r.Memory.base + c.src_off in
+  let dst =
+    match c.dst_at with
+    | `Own o -> dst_r.Memory.base + o
+    | `In_src d -> src + d
+  in
+  (match c.warm with
+   | `Cold -> ()
+   | `Ranges ->
+     Machine.warm_range machine ~addr:src ~len:c.len;
+     Machine.warm_range machine ~addr:dst ~len:c.len
+   | `Aliases ->
+     Machine.warm_range machine ~addr:(src + 65536) ~len:c.len;
+     Machine.warm_range machine ~addr:(dst + 65536) ~len:c.len);
+  (match c.gone with
+   | None -> ()
+   | Some `Src_paged -> Memory.set_resident src_r false
+   | Some `Src_freed -> Memory.free mem src_r
+   | Some `Dst_paged -> Memory.set_resident dst_r false
+   | Some `Dst_freed -> Memory.free mem dst_r);
+  (machine, src_r, dst_r, src, dst)
+
+(* Run [f] under a recorder; its result and the [Vm_run] events. *)
+let vm_runs f =
+  let r = Ash_obs.Trace.record ~capacity:64 () in
+  let res = Fun.protect ~finally:(fun () -> Ash_obs.Trace.stop r) f in
+  ( res,
+    List.filter_map
+      (fun (e : Ash_obs.Trace.event) ->
+         match e.Ash_obs.Trace.kind with
+         | Ash_obs.Trace.Vm_run _ as k -> Some k
+         | _ -> None)
+      (Ash_obs.Trace.events r) )
+
 let prop_dilp_backends_agree =
   QCheck.Test.make ~name:"DILP transfers agree across backends" ~count:80
-    QCheck.small_nat (fun seed ->
-      let rng = Rng.create (seed + 17) in
-      let stack = gen_stack rng in
-      let len = 4 * (1 + Rng.int rng 128) in
-      let payload = Bytes.create len in
-      Rng.fill_bytes rng payload;
+    ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
+      let c = gen_dilp_case (Rng.create (seed + 17)) in
+      let what = dilp_case_name c in
       let pl = Pipe.Pipelist.create () in
-      List.iter
-        (fun pd ->
-           match pd with
-           | Cksum -> ignore (Pipelib.cksum32 pl)
-           | Bswap32 -> ignore (Pipelib.byteswap32 pl)
-           | Bswap16 -> ignore (Pipelib.byteswap16 pl)
-           | Xor _ -> ignore (Pipelib.xor_cipher pl)
-           | Count -> ignore (Pipelib.word_count pl)
-           | Ident -> ignore (Pipelib.identity pl)
-           | Add8 c -> ignore (Pipelib.add_const8 pl c))
-        stack;
-      let compiled = Dilp.compile pl Dilp.Write in
-      let setup () =
-        let machine = Machine.create Costs.decstation in
-        let mem = Machine.mem machine in
-        let src = Memory.alloc mem ~name:"src" len in
-        let dst = Memory.alloc mem ~name:"dst" len in
-        Memory.blit_from_bytes mem ~src:payload ~src_off:0
-          ~dst:src.Memory.base ~len;
-        (machine, mem, src, dst)
+      let persistent =
+        List.filter_map
+          (fun pd ->
+             match pd with
+             | Cksum -> Some (snd (Pipelib.cksum32 pl))
+             | Bswap32 -> ignore (Pipelib.byteswap32 pl); None
+             | Bswap16 -> ignore (Pipelib.byteswap16 pl); None
+             | Xor _ -> Some (snd (Pipelib.xor_cipher pl))
+             | Count -> Some (snd (Pipelib.word_count pl))
+             | Ident -> ignore (Pipelib.identity pl); None
+             | Add8 k -> ignore (Pipelib.add_const8 pl k); None)
+          c.stack
       in
-      let ma, mema, srca, dsta = setup () in
-      let mb, memb, srcb, dstb = setup () in
+      Option.iter (odd_pipe pl) c.odd;
+      let compiled = Dilp.compile pl c.mode in
+      let init =
+        List.mapi (fun i r -> (r, (seed * (i + 7)) land 0xffff_ffff)) persistent
+        @ match c.r0 with Some v -> [ (0, v) ] | None -> []
+      in
+      let ((ma, srca, dsta, src, dst) as fa) = dilp_fixture c in
+      let ((mb, srcb, dstb, _, _) as fb) = dilp_fixture c in
+      let charged (m, _, _, _, _) run =
+        let h0, m0 = Cache.stats (Machine.cache m) in
+        let c0 = Machine.consumed_cycles m in
+        let r, events = vm_runs run in
+        let h1, m1 = Cache.stats (Machine.cache m) in
+        (r, events, (Machine.consumed_cycles m - c0, h1 - h0, m1 - m0))
+      in
       (* The oracle enters the loop by Dilp's documented convention:
          r1 = source, r2 = destination, r3 = length. *)
-      let ra =
-        Interp.run
-          (oracle_env ~allowed_calls:[] ma ~msg_addr:srca.Memory.base
-             ~msg_len:len)
-          ~regs_init:[ (1, srca.Memory.base); (2, dsta.Memory.base); (3, len) ]
-          compiled.Dilp.program
+      let ra, eva, cha =
+        charged fa (fun () ->
+            Interp.run
+              (oracle_env ~allowed_calls:[] ma ~msg_addr:src ~msg_len:c.len)
+              ~regs_init:((1, src) :: (2, dst) :: (3, c.len) :: init)
+              compiled.Dilp.program)
       in
-      let rb =
-        Dilp.execute mb compiled ~src:srcb.Memory.base ~dst:dstb.Memory.base
-          ~len
+      let rb, evb, chb =
+        charged fb (fun () ->
+            Dilp.execute ~init mb compiled ~src ~dst ~len:c.len)
       in
-      check_results_equal ~what:"dilp" ra rb;
-      if Machine.consumed_cycles ma <> Machine.consumed_cycles mb then
-        QCheck.Test.fail_report "dilp: machine cycle meters diverged";
-      Memory.read_string mema ~addr:dsta.Memory.base ~len
-      = Memory.read_string memb ~addr:dstb.Memory.base ~len)
+      check_results_equal ~what ra rb;
+      if cha <> chb then
+        QCheck.Test.fail_reportf "%s: cycles or cache counts diverged" what;
+      if eva <> evb then
+        QCheck.Test.fail_reportf "%s: Vm_run events differ" what;
+      let lines a = List.init ((c.len + 47) / 16) (fun i -> a - 16 + (16 * i)) in
+      List.iter
+        (fun la ->
+           if Cache.probe (Machine.cache ma) ~addr:la
+              <> Cache.probe (Machine.cache mb) ~addr:la
+           then QCheck.Test.fail_reportf "%s: tag at 0x%x differs" what la)
+        (lines src @ lines dst);
+      (* Straight from the backing store: a range may be paged out. *)
+      let same (a : Memory.region) (b : Memory.region) =
+        Bytes.equal a.Memory.data b.Memory.data
+      in
+      if not (same srca srcb && same dsta dstb) then
+        QCheck.Test.fail_reportf "%s: memory diverged" what;
+      true)
+
+(* [Compile.register_body] against Interp on random sequences that use
+   every register-only opcode at least once, from random registers that
+   include r0's slot; and [None] once any other instruction, or a write
+   to r0, is mixed in. *)
+let register_ops rng =
+  let rd () = 1 + Rng.int rng 31 and rs () = Rng.int rng 32 in
+  let imm () = Rng.int rng 0x2_0000 - 0x1_0000 in
+  let sh () = Rng.int rng 64 in
+  [ Isa.Li (rd (), imm ()); Isa.Mov (rd (), rs ());
+    Isa.Add (rd (), rs (), rs ()); Isa.Adds (rd (), rs (), rs ());
+    Isa.Addi (rd (), rs (), imm ()); Isa.Sub (rd (), rs (), rs ());
+    Isa.Mul (rd (), rs (), rs ()); Isa.And_ (rd (), rs (), rs ());
+    Isa.Or_ (rd (), rs (), rs ()); Isa.Xor_ (rd (), rs (), rs ());
+    Isa.Andi (rd (), rs (), imm ()); Isa.Ori (rd (), rs (), imm ());
+    Isa.Xori (rd (), rs (), imm ()); Isa.Sll (rd (), rs (), sh ());
+    Isa.Srl (rd (), rs (), sh ()); Isa.Sltu (rd (), rs (), rs ());
+    Isa.Cksum32 (rd (), rs ()); Isa.Bswap16 (rd (), rs ());
+    Isa.Bswap32 (rd (), rs ()) ]
+
+let not_register_only rng =
+  let ops =
+    [| Isa.Li (0, 1); Isa.Addi (0, 3, 1); Isa.Divu (1, 2, 3);
+       Isa.Remu (1, 2, 3); Isa.Fadd (1, 2, 3); Isa.Ld8 (1, 2, 0);
+       Isa.Ld16 (1, 2, 0); Isa.Ld32 (1, 2, 0); Isa.St8 (1, 2, 0);
+       Isa.St16 (1, 2, 0); Isa.St32 (1, 2, 0); Isa.Beq (1, 2, 0);
+       Isa.Bne (1, 2, 0); Isa.Bltu (1, 2, 0); Isa.Bgeu (1, 2, 0);
+       Isa.Jmp 0; Isa.Jr 1; Isa.Call Isa.K_msg_len; Isa.Commit; Isa.Abort;
+       Isa.Halt; Isa.Check_addr (1, 0, 4); Isa.Check_div 1;
+       Isa.Check_jump 1; Isa.Gas_probe |]
+  in
+  ops.(Rng.int rng (Array.length ops))
+
+let prop_register_body_matches_interp =
+  QCheck.Test.make ~name:"register-only bodies = interpreter" ~count:300
+    ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
+      let rng = Rng.create seed in
+      let extra = List.concat (List.init (Rng.int rng 3) (fun _ -> register_ops rng)) in
+      let keyed = List.map (fun i -> (Rng.int rng 1_000_000, i)) (register_ops rng @ extra) in
+      let body = Array.of_list (List.map snd (List.sort compare keyed)) in
+      let regs_init =
+        List.init 32 (fun r -> (r, Rng.int rng 0x1_0000_0000))
+        |> List.filter (fun _ -> Rng.int rng 4 > 0)
+      in
+      let machine = Machine.create Costs.decstation in
+      let env = oracle_env ~allowed_calls:[] machine ~msg_addr:0x1234 ~msg_len:64 in
+      let r =
+        Interp.run env ~regs_init
+          (Program.make ~name:"body" (Array.append body [| Isa.Halt |]))
+      in
+      let regs = Array.make Isa.num_regs 0 in
+      regs.(Isa.reg_msg_addr) <- 0x1234;
+      regs.(Isa.reg_msg_len) <- 64;
+      List.iter (fun (r, v) -> regs.(r) <- v) regs_init;
+      let r0 = regs.(0) in
+      regs.(0) <- 0;
+      (match Ash_vm.Compile.register_body body with
+       | Some f -> f regs
+       | None -> QCheck.Test.fail_report "a register-only body was refused");
+      regs.(0) <- r0;
+      if regs <> r.Interp.regs then
+        QCheck.Test.fail_report "registers differ from the interpreter's";
+      let at = Rng.int rng (Array.length body + 1) in
+      let bad =
+        Array.concat
+          [ Array.sub body 0 at; [| not_register_only rng |];
+            Array.sub body at (Array.length body - at) ]
+      in
+      Ash_vm.Compile.register_body bad = None)
 
 let gen_filter rng =
   let natoms = 1 + Rng.int rng 4 in
@@ -575,8 +788,6 @@ let prop_dpf_backends_agree =
    kills in the middle of a block — a load or store into the guard gap,
    a freed region or a paged-out one, a zero divisor, a wild jump — and
    they are run under every gas budget that changes where a kill lands. *)
-
-module Cache = Ash_sim.Cache
 
 type block_fixture = {
   bmachine : Machine.t;
@@ -940,6 +1151,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_backends_agree;
           QCheck_alcotest.to_alcotest prop_dilp_backends_agree;
           QCheck_alcotest.to_alcotest prop_dpf_backends_agree;
+          QCheck_alcotest.to_alcotest prop_register_body_matches_interp;
         ] );
       ( "blocks",
         [

@@ -266,6 +266,46 @@ let test_unaligned_length_rejected () =
     (Invalid_argument "Dilp.execute: length must be a non-negative multiple of 4")
     (fun () -> ignore (Dilp.execute b.m c ~src:b.src ~dst:b.dst ~len:10))
 
+(* Every library pipe alone, and TCP's checksum list, gets the
+   run-granular body in both modes: a pipe that starts using an
+   instruction the body cannot run would otherwise only move every
+   transfer back onto the VM, which no output shows. Striped loops and
+   bodies that load or move the loop's registers keep the VM. *)
+let test_run_granular_bodies () =
+  let native ?layout mode add =
+    let pl = Pipe.Pipelist.create () in
+    add pl;
+    Option.is_some (Dilp.compile ?layout pl mode).Dilp.native
+  in
+  List.iter
+    (fun (name, add) ->
+       List.iter
+         (fun (m, mode) ->
+            Alcotest.(check bool) (name ^ " " ^ m) true (native mode add))
+         [ ("write", Dilp.Write); ("sink", Dilp.Sink) ])
+    [ ("cksum32", fun pl -> ignore (Pipelib.cksum32 pl));
+      ("cksum16", fun pl -> ignore (Pipelib.cksum16 pl));
+      ("byteswap32", fun pl -> ignore (Pipelib.byteswap32 pl));
+      ("byteswap16", fun pl -> ignore (Pipelib.byteswap16 pl));
+      ("xor_cipher", fun pl -> ignore (Pipelib.xor_cipher pl));
+      ("word_count", fun pl -> ignore (Pipelib.word_count pl));
+      ("identity", fun pl -> ignore (Pipelib.identity pl));
+      ("add_const8", fun pl -> ignore (Pipelib.add_const8 pl 3)) ];
+  (* Tcp's fast path: a fresh list holding only the checksum pipe. *)
+  Alcotest.(check bool) "tcp cksum32 list" true
+    (native Dilp.Write (fun pl -> ignore (snd (Pipelib.cksum32 pl))));
+  Alcotest.(check bool) "striped keeps the VM" false
+    (native ~layout:Dilp.eth_striped Dilp.Write (fun pl ->
+         ignore (Pipelib.cksum32 pl)));
+  let odd name body =
+    Alcotest.(check bool) (name ^ " keeps the VM") false
+      (native Dilp.Write (fun pl ->
+           ignore (Pipe.Pipelist.add pl (Pipe.make ~name ~gauge:Pipe.G32 body))))
+  in
+  odd "a load" (fun c -> c.Pipe.emit (Isa.Ld32 (c.Pipe.temp (), 1, 0)));
+  odd "a write to r2" (fun c -> c.Pipe.emit (Isa.Addi (2, 2, 4)));
+  odd "a divide" (fun c -> c.Pipe.emit (Isa.Divu (c.Pipe.data, c.Pipe.data, 3)))
+
 let test_persistent_register_exhaustion () =
   let pl = Pipe.Pipelist.create () in
   match
@@ -822,6 +862,8 @@ let () =
             test_unaligned_length_rejected;
           Alcotest.test_case "persistent exhaustion" `Quick
             test_persistent_register_exhaustion;
+          Alcotest.test_case "run-granular bodies" `Quick
+            test_run_granular_bodies;
         ] );
       ( "striped layout",
         [
