@@ -274,18 +274,6 @@ let compile ?(layout = Contiguous) pl mode =
 let in_region mem addr len =
   addr + len <= 0xffff_ffff && Memory.resident_at mem ~addr ~size:len
 
-(* What [count] ascending word loads from [addr] charge the cache at
-   most: every line of the span a miss. An unaligned word straddles
-   each line boundary inside the span once. *)
-let worst_loads (costs : Ash_sim.Costs.t) ~addr ~count =
-  if count = 0 then 0
-  else
-    let line = costs.Ash_sim.Costs.cache_line in
-    let lines = ((addr + (4 * count) - 1) / line) - (addr / line) + 1 in
-    let touches = if addr land 3 = 0 then count else count + lines - 1 in
-    (touches * costs.Ash_sim.Costs.load_extra_cycles)
-    + (lines * costs.Ash_sim.Costs.miss_penalty_cycles)
-
 (* The contiguous loop at run granularity, or [None] when the transfer
    must run the VM program. The register file starts as Compile.run
    builds it, so the loop reads r1-r3 and any [init] from the same
@@ -330,7 +318,8 @@ let run_native machine t nat ~init ~src ~dst ~len =
       + if write then Cache.store_run cache ~addr:d ~size:4 ~count:n else 0
     in
     if insns > Interp.max_steps
-       || known + worst_loads costs ~addr:s ~count:n > Interp.default_gas
+       || known + Cache.load_run_worst cache ~addr:s ~size:4 ~count:n
+          > Interp.default_gas
     then None
     else begin
       let cycles = known + Cache.load_run cache ~addr:s ~size:4 ~count:n in

@@ -139,6 +139,14 @@ let store_run t ~addr ~size ~count =
   check_run t ~size;
   if count <= 0 then 0 else run_touches t ~addr ~size ~count * t.store_extra
 
+let load_run_worst t ~addr ~size ~count =
+  check_run t ~size;
+  if count <= 0 then 0
+  else
+    let span = line_addr t (addr + (count * size) - 1) - line_addr t addr in
+    (run_touches t ~addr ~size ~count * t.load_extra)
+    + (((span asr t.line_shift) + 1) * t.miss_penalty)
+
 let probe t ~addr =
   let la = line_addr t addr in
   if t.tags.(index t la) = la then Hit else Miss

@@ -39,6 +39,11 @@ val store_run : t -> addr:int -> size:int -> count:int -> int
     [addr + size], ... Stores never read or write tags, so this is
     arithmetic on the span. Same precondition as {!load_run}. *)
 
+val load_run_worst : t -> addr:int -> size:int -> count:int -> int
+(** The most {!load_run} can return for the same run: its cost with
+    every line of the span a miss. Reads and writes no tags. Same
+    precondition. *)
+
 val probe : t -> addr:int -> access
 (** Whether a load at [addr] would hit, without charging or refilling. *)
 

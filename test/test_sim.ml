@@ -970,7 +970,9 @@ let prop_copy_matches_reference =
    total cost, same hit/miss counts, same tag on every line either side
    touched. Tags are pre-warmed at random near the run and one cache
    size away (the same index, another tag), so runs start on a mix of
-   hits, misses and conflicts. *)
+   hits, misses and conflicts. The worst-case load charge, taken first
+   so a tag it wrote would show, bounds the run and is what the run
+   costs on a cold cache. *)
 type run = { r_addr : int; r_size : int; r_count : int; r_warm : int list }
 
 let gen_run =
@@ -998,6 +1000,7 @@ let prop_runs_match_single_accesses =
             Cache.warm_range run ~addr:a ~len:1;
             Cache.warm_range single ~addr:a ~len:1)
          r_warm;
+       let worst = Cache.load_run_worst run ~addr ~size ~count in
        let load_cost = Cache.load_run run ~addr ~size ~count in
        let store_cost = Cache.store_run run ~addr ~size ~count in
        let load_sum = ref 0 and store_sum = ref 0 in
@@ -1014,6 +1017,8 @@ let prop_runs_match_single_accesses =
              r_warm
        in
        load_cost = !load_sum && store_cost = !store_sum
+       && load_cost <= worst
+       && worst = Cache.load_run (Cache.create costs) ~addr ~size ~count
        && Cache.stats run = Cache.stats single
        && List.for_all
             (fun la ->
