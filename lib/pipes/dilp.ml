@@ -274,19 +274,13 @@ let compile ?(layout = Contiguous) pl mode =
 let in_region mem addr len =
   addr + len <= 0xffff_ffff && Memory.resident_at mem ~addr ~size:len
 
-(* The contiguous loop at run granularity, or [None] when the transfer
-   must run the VM program. The register file starts as Compile.run
-   builds it, so the loop reads r1-r3 and any [init] from the same
-   place. The loop runs [n / unroll] unrolled iterations and
-   [n mod unroll] tail ones over its [n] words, as long as its end
-   registers do not wrap, so its instructions and fixed cycles are
-   known before it runs. Its loads are one ascending run of words,
-   since the body makes no memory access, and stores touch no cache
-   tags, so [Cache.load_run] and [Cache.store_run] charge exactly what
-   the word-by-word loop would. When even all-miss loads stay within
-   the gas budget the VM could not have been killed, and moving the
-   words in the VM's order leaves the bytes it would leave, overlapping
-   ranges included. *)
+(* The contiguous loop at run granularity (see dilp.mli), or [None]
+   when the transfer must run the VM program. The register file starts
+   as Compile.run builds it, so r1-r3 are read after [init], as the
+   program reads them. While its end registers do not wrap, the loop
+   runs [n / unroll] unrolled and [n mod unroll] tail iterations over
+   [n] words, so its counts are known before it runs; when even
+   all-miss loads fit the gas budget, no gas check could have fired. *)
 let run_native machine t nat ~init ~src ~dst ~len =
   let regs = Array.make Isa.num_regs 0 in
   regs.(Isa.reg_msg_addr) <- src;

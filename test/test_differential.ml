@@ -470,21 +470,20 @@ let prop_backends_agree =
    the same bytes, and record the same [Vm_run] event. *)
 type odd_pipe = Loads | Reads_r1 | Writes_r2
 
-let odd_pipe pl = function
-  | Loads ->
-    Pipe.make ~name:"loads" ~gauge:Pipe.G32 (fun c ->
-        let t = c.Pipe.temp () in
-        c.Pipe.emit (Isa.Ld32 (t, 1, 0));
-        c.Pipe.emit (Isa.Xor_ (c.Pipe.data, c.Pipe.data, t)))
-    |> Pipe.Pipelist.add pl |> ignore
-  | Reads_r1 ->
-    Pipe.make ~name:"reads-r1" ~gauge:Pipe.G32 (fun c ->
-        c.Pipe.emit (Isa.Add (c.Pipe.data, c.Pipe.data, 1)))
-    |> Pipe.Pipelist.add pl |> ignore
-  | Writes_r2 ->
-    Pipe.make ~name:"writes-r2" ~gauge:Pipe.G32 (fun c ->
-        c.Pipe.emit (Isa.Or_ (2, 2, 0)))
-    |> Pipe.Pipelist.add pl |> ignore
+let odd_pipe pl odd =
+  let name, body =
+    match odd with
+    | Loads ->
+      ( "loads",
+        fun c ->
+          let t = c.Pipe.temp () in
+          c.Pipe.emit (Isa.Ld32 (t, 1, 0));
+          c.Pipe.emit (Isa.Xor_ (c.Pipe.data, c.Pipe.data, t)) )
+    | Reads_r1 ->
+      ("reads-r1", fun c -> c.Pipe.emit (Isa.Add (c.Pipe.data, c.Pipe.data, 1)))
+    | Writes_r2 -> ("writes-r2", fun c -> c.Pipe.emit (Isa.Or_ (2, 2, 0)))
+  in
+  ignore (Pipe.Pipelist.add pl (Pipe.make ~name ~gauge:Pipe.G32 body))
 
 type dilp_case = {
   mode : Dilp.mode;
