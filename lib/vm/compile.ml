@@ -303,15 +303,19 @@ let register_op (insn : Isa.insn) : (int array -> unit) option =
   | Isa.Srl (d, a, v) ->
     let sh = v land 31 in
     Some (fun r -> r.(d) <- mask32 (r.(a) lsr sh))
-  | Isa.Sltu (d, a, b) -> Some (fun r -> r.(d) <- (if r.(a) < r.(b) then 1 else 0))
+  | Isa.Sltu (d, a, b) ->
+    Some (fun r -> r.(d) <- (if r.(a) < r.(b) then 1 else 0))
   | Isa.Cksum32 (acc, s) ->
     Some
       (fun r ->
          let sum = r.(acc) + r.(s) in
          r.(acc) <-
-           mask32 (if sum > 0xffff_ffff then (sum land 0xffff_ffff) + 1 else sum))
-  | Isa.Bswap16 (d, s) -> Some (fun r -> r.(d) <- mask32 (Ash_util.Bytesx.bswap16 r.(s)))
-  | Isa.Bswap32 (d, s) -> Some (fun r -> r.(d) <- mask32 (Ash_util.Bytesx.bswap32 r.(s)))
+           mask32
+             (if sum > 0xffff_ffff then (sum land 0xffff_ffff) + 1 else sum))
+  | Isa.Bswap16 (d, s) ->
+    Some (fun r -> r.(d) <- mask32 (Ash_util.Bytesx.bswap16 r.(s)))
+  | Isa.Bswap32 (d, s) ->
+    Some (fun r -> r.(d) <- mask32 (Ash_util.Bytesx.bswap32 r.(s)))
   | Isa.Divu _ | Isa.Remu _ | Isa.Fadd _
   | Isa.Ld8 _ | Isa.Ld16 _ | Isa.Ld32 _ | Isa.St8 _ | Isa.St16 _ | Isa.St32 _
   | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ | Isa.Jmp _ | Isa.Jr _

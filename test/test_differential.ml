@@ -637,7 +637,9 @@ let prop_dilp_backends_agree =
         QCheck.Test.fail_reportf "%s: cycles or cache counts diverged" what;
       if eva <> evb then
         QCheck.Test.fail_reportf "%s: Vm_run events differ" what;
-      let lines a = List.init ((c.len + 47) / 16) (fun i -> a - 16 + (16 * i)) in
+      let lines a =
+        List.init ((c.len + 47) / 16) (fun i -> a - 16 + (16 * i))
+      in
       List.iter
         (fun la ->
            if Cache.probe (Machine.cache ma) ~addr:la
@@ -688,15 +690,20 @@ let prop_register_body_matches_interp =
   QCheck.Test.make ~name:"register-only bodies = interpreter" ~count:300
     ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create seed in
-      let extra = List.concat (List.init (Rng.int rng 3) (fun _ -> register_ops rng)) in
-      let keyed = List.map (fun i -> (Rng.int rng 1_000_000, i)) (register_ops rng @ extra) in
+      (* Every opcode once, up to two more of each, in random order. *)
+      let ops =
+        List.concat (List.init (1 + Rng.int rng 3) (fun _ -> register_ops rng))
+      in
+      let keyed = List.map (fun i -> (Rng.int rng 1_000_000, i)) ops in
       let body = Array.of_list (List.map snd (List.sort compare keyed)) in
       let regs_init =
         List.init 32 (fun r -> (r, Rng.int rng 0x1_0000_0000))
         |> List.filter (fun _ -> Rng.int rng 4 > 0)
       in
       let machine = Machine.create Costs.decstation in
-      let env = oracle_env ~allowed_calls:[] machine ~msg_addr:0x1234 ~msg_len:64 in
+      let env =
+        oracle_env ~allowed_calls:[] machine ~msg_addr:0x1234 ~msg_len:64
+      in
       let r =
         Interp.run env ~regs_init
           (Program.make ~name:"body" (Array.append body [| Isa.Halt |]))
