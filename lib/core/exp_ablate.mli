@@ -1,10 +1,6 @@
 (** Ablations: DPF compilation (A1) and interface-specific DILP back
     ends (A3). *)
 
-val demux_cycles : compiled:bool -> nfilters:int -> Ash_sim.Time.ns
-(** Worst-case demultiplexing cost of one packet against [nfilters]
-    installed filters. *)
-
 val demux_cycles_trie : nfilters:int -> Ash_sim.Time.ns
 (** Same worst case through the merged filter trie ({!Ash_kern.Dpf_trie}). *)
 
@@ -13,12 +9,6 @@ val dpf : unit -> Report.table
 val demux_scaling : unit -> Report.table
 (** Ablation A4: linear-scan vs merged-trie demux as installed filters
     grow. *)
-
-val striped_one_pass : len:int -> unit -> float
-(** Microseconds for the striped DILP back end to copy+checksum [len]
-    payload bytes out of a 16/16 striped buffer. *)
-
-val destripe_then_dilp : len:int -> unit -> float
 
 val striped : unit -> Report.table
 

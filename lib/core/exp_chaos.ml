@@ -20,12 +20,13 @@ type run = {
   fast_retransmits : int;
 }
 
+let chunk = 8192 (* bytes per write *)
+
 (* One bulk transfer over a lossy client->server direction. The fault
    plan is installed after the handshake so every run starts from an
    established connection; [seed] fixes the loss pattern, so the two
    policies face the identical sequence of lost frames. *)
-let transfer ?(seed = 42) ?(total = 262_144) ?(chunk = 8192) ~rate ~rto
-    ~fast_retransmit () =
+let transfer ?(seed = 42) ?(total = 262_144) ~rate ~rto ~fast_retransmit () =
   let tb = Fabric.pair () in
   (* mss 1024 keeps ~8 segments in flight (vs ~2 at the default 3072),
      so dup-ack fast retransmit can actually trigger, and the ~256-frame
@@ -65,18 +66,18 @@ let policies =
     ("adaptive+fr", Tcp.default_rto, true);
   ]
 
-let curves ?seed ?total ?chunk () =
+let curves ?seed ?total () =
   List.map
     (fun (label, rto, fast_retransmit) ->
        ( label,
          List.map
-           (fun rate -> transfer ?seed ?total ?chunk ~rate ~rto
+           (fun rate -> transfer ?seed ?total ~rate ~rto
                ~fast_retransmit ())
            loss_rates ))
     policies
 
-let chaos ?seed ?(total = 262_144) ?chunk () =
-  let by_policy = curves ?seed ~total ?chunk () in
+let chaos ?seed ?(total = 262_144) () =
+  let by_policy = curves ?seed ~total () in
   let rows =
     List.concat_map
       (fun (label, runs) ->

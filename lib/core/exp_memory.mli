@@ -1,8 +1,3 @@
 (** Table III: the cost of message copies (§V-A1). *)
 
-val single_copy : unit -> float
-(** MB/s for one cold 4096-byte copy. *)
-
-val double_copy : cached:bool -> unit -> float
-
 val table3 : unit -> Report.table

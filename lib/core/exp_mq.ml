@@ -23,18 +23,13 @@ let producers = 2
 
 let spec = { Mq.default_spec with Mq.producers }
 
-let mk ?(seed = 42) ?scenario () =
-  let fab = Fabric.create ~hosts:(2 + producers) () in
-  let q = Mq.create fab spec in
-  (match scenario with None -> () | Some f -> f q);
-  ignore seed;
-  (fab, q)
-
 (* Goodput over the span from the first enqueue to the last ack: the
    producers are stop-and-wait, so this measures the full produce →
-   chain → replica-ack round trip under whatever the links do. *)
-let measure ?seed ?scenario () =
-  let _fab, q = mk ?seed ?scenario () in
+   chain → replica-ack round trip under whatever the links do.
+   [scenario] sets up the faults on the fresh queue. *)
+let measure scenario =
+  let q = Mq.create (Fabric.create ~hosts:(2 + producers) ()) spec in
+  scenario q;
   let start = 1_000_000 in
   for p = 0 to producers - 1 do
     Mq.produce q ~producer:p ~count:msgs_per_producer ~at:start
@@ -62,27 +57,26 @@ let measure ?seed ?scenario () =
     audit_ok = drained && a.Mq.a_ok && st.Mq.s_acked = producers * msgs_per_producer;
   }
 
-let run_loss ?(seed = 42) rate =
+let run_loss rate =
+  let seed = 42 in
   let scenario q =
     if rate > 0.0 then
       Mq.install_chaos q
         ~config:{ Fault.none with Fault.seed; drop = rate; jitter = 0.2 }
         ~seed
   in
-  { (measure ~seed ~scenario ()) with loss = rate }
+  { (measure scenario) with loss = rate }
 
 (* Primary crash mid-stream with a scheduled heal: clients redirect to
    the replica and replay; the blackout is how long the slowest
    producer went unacknowledged. *)
-let run_failover ?(seed = 42) () =
-  let scenario q =
-    Mq.schedule_crash q ~broker:0
-      (Fault.outage ~down_at:8_000_000 ~heal_at:60_000_000)
-  in
-  measure ~seed ~scenario ()
+let run_failover () =
+  measure (fun q ->
+      Mq.schedule_crash q ~broker:0
+        (Fault.outage ~down_at:8_000_000 ~heal_at:60_000_000))
 
 let mq () =
-  let losses = List.map (fun r -> run_loss r) loss_grid in
+  let losses = List.map run_loss loss_grid in
   let fo = run_failover () in
   let all_ok = List.for_all (fun r -> r.audit_ok) losses && fo.audit_ok in
   let loss_rows =

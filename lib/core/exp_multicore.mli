@@ -37,9 +37,6 @@ val run_mc : mc_spec -> mc_result
     the number is end-to-end: request wire crossing, server demux +
     handler + serialized per-core CPU time, reply wire crossing. *)
 
-val cores_grid : int list
-(** The core counts the bench table sweeps: [1; 2; 4]. *)
-
 val multicore : unit -> Report.table
-(** The [exp_multicore] table: goodput and speedup-vs-1-core at each
-    point of {!cores_grid}. *)
+(** The [exp_multicore] table: goodput and speedup-vs-1-core at 1, 2
+    and 4 cores. *)

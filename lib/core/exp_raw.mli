@@ -3,7 +3,5 @@
 val table1 : unit -> Report.table
 (** Raw round-trip latency: in-kernel AN2, user-level AN2, Ethernet. *)
 
-val fig3_sizes : int list
-
 val fig3 : unit -> Report.table
 (** User-level AN2 packet-train throughput versus packet size. *)

@@ -69,9 +69,7 @@ val run_churn : ?configure:(Fabric.t -> unit) -> churn_spec -> churn_result
     [configure] runs on the warmed fabric before any connection opens —
     the chaos suite uses it to install switch-port fault plans. *)
 
-val conn_grid : int list
-(** The connection-count grid of the bench table: 16, 64, 256, 1024. *)
-
 val scale : unit -> Report.table
-(** The goodput/latency-vs-connections and demux-flatness table
-    ([ashbench run exp_scale]). *)
+(** The goodput/latency-vs-connections table at 16, 64, 256 and 1024
+    connections, and the demux-flatness table ([ashbench run
+    exp_scale]). *)

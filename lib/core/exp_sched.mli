@@ -1,5 +1,3 @@
 (** Fig. 4: round-trip latency versus competing processes (§V-C). *)
 
-val procs : int list
-
 val fig4 : unit -> Report.table

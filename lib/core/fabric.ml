@@ -204,8 +204,6 @@ let switch t =
   | Some s -> s
   | None -> invalid_arg "Fabric.switch: a back-to-back pair has no switch"
 
-let cluster t = t.cluster
-
 let host_engine t h =
   Engine.Cluster.engine t.cluster (h mod Engine.Cluster.shards t.cluster)
 

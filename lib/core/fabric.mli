@@ -84,8 +84,6 @@ val engine : t -> Ash_sim.Engine.t
 val switch : t -> Ash_nic.Switch.t
 (** Raises [Invalid_argument] on a pair. *)
 
-val cluster : t -> Ash_sim.Engine.Cluster.t
-
 val host_engine : t -> int -> Ash_sim.Engine.t
 (** The engine of host [h]'s shard: schedule a host's driver events
     here, never on another shard's engine. *)

@@ -18,8 +18,7 @@ let rw_off_size = 8
 let rw_header = 12 (* generic remote write: [seg | offset | size | data] *)
 let seg_off_base = 0
 let seg_off_limit = 4
-let seg_entry_shift = 3
-let seg_entry_len = 1 lsl seg_entry_shift (* segment: [base | limit] *)
+let seg_entry_shift = 3 (* segment: [base | limit] *)
 let rw_spec_off_ptr = 0
 let rw_spec_off_size = 4
 let rw_spec_header = 8 (* specific remote write: [ptr | size | data] *)

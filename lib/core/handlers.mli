@@ -29,7 +29,6 @@ val rw_header : int
 
 val seg_off_base : int
 val seg_off_limit : int
-val seg_entry_len : int
 (** A segment-table entry of the generic remote write: [base | limit]. *)
 
 val rw_spec_off_ptr : int
@@ -127,7 +126,6 @@ val mq_op_fetch : int
 val mq_op_fetch_resp : int
 val mq_op_poll : int
 val mq_op_poll_resp : int
-val mq_op_replicate : int
 
 val mq_ctr_appends : int
 (** Counter-segment offsets bumped by the handlers: appends, dedup

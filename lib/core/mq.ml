@@ -487,6 +487,8 @@ let add_consumer t ~host ~start_at ~interval_ns ~until =
 (* Chaos: faults, crash/restart, partition                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Install or clear a fault plan on [host]'s transmit direction (host
+   to switch); [set_port_fault] covers the switch-to-host direction. *)
 let set_host_fault t ~host plan =
   Ethernet.set_fault_plan
     (Kernel.ethernet (Fabric.host t.fab host).Fabric.kernel)
@@ -504,12 +506,6 @@ let install_chaos t ~config ~seed =
       (Some { config with Fault.seed = seed + (2 * h) });
     set_port_fault t ~host:h
       (Some { config with Fault.seed = seed + (2 * h) + 1 })
-  done
-
-let clear_chaos t =
-  for h = 0 to Fabric.hosts t.fab - 1 do
-    set_host_fault t ~host:h None;
-    set_port_fault t ~host:h None
   done
 
 let crash_broker t bi =

@@ -75,18 +75,10 @@ val add_consumer :
 
 (** {1 Chaos} *)
 
-val set_host_fault : t -> host:int -> Ash_sim.Fault.config option -> unit
-(** Install (or clear) a fault plan on [host]'s transmit direction
-    (host to switch). Setup-time or scheduled-callback use only. *)
-
-val set_port_fault : t -> host:int -> Ash_sim.Fault.config option -> unit
-(** Same for the switch-to-host direction. *)
-
 val install_chaos : t -> config:Ash_sim.Fault.config -> seed:int -> unit
 (** [config] on every link, both directions, each direction seeded
-    distinctly ([seed + 2h], [seed + 2h + 1]). *)
-
-val clear_chaos : t -> unit
+    distinctly ([seed + 2h], [seed + 2h + 1]). Setup-time or
+    scheduled-callback use only. *)
 
 val schedule_crash : t -> broker:int -> Ash_sim.Fault.outage -> unit
 (** Kernel crash with scheduled heal, on the broker's own engine: at

@@ -233,9 +233,6 @@ let create ?(quarantine_threshold = 3)
 let engine t = t.engine
 let machine t = t.machine
 
-let quarantine_threshold t = t.quarantine_threshold
-let notify_queue_limit t = t.notify_queue_limit
-
 let set_quarantine_threshold t n =
   if n < 1 then invalid_arg "Kernel.set_quarantine_threshold";
   t.quarantine_threshold <- n
@@ -244,7 +241,6 @@ let set_notify_queue_limit t n =
   if n < 1 then invalid_arg "Kernel.set_notify_queue_limit";
   t.notify_queue_limit <- n
 
-let costs t = t.costs
 let name t = t.kname
 let set_eth_demux t d = t.demux <- d
 

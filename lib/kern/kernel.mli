@@ -80,14 +80,11 @@ val create :
     user-level notifications per VC. Both raise [Invalid_argument] on
     non-positive values and can be adjusted later with the setters. *)
 
-val quarantine_threshold : t -> int
-val notify_queue_limit : t -> int
 val set_quarantine_threshold : t -> int -> unit
 val set_notify_queue_limit : t -> int -> unit
 
 val engine : t -> Ash_sim.Engine.t
 val machine : t -> Ash_sim.Machine.t
-val costs : t -> Ash_sim.Costs.t
 val name : t -> string
 
 val set_eth_demux : t -> demux -> unit

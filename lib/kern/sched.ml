@@ -31,8 +31,6 @@ let add_proc t ~name =
   t.count <- t.count + 1;
   p
 
-let proc_count t = t.count
-
 (* The rotation is computed arithmetically from the epoch: with [k]
    processes and quantum [q], process [(elapsed / q) mod k] holds the
    CPU. This keeps the event queue free of perpetual rotation events. *)

@@ -29,8 +29,6 @@ val policy : t -> policy
 val add_proc : t -> name:string -> proc
 (** Add a runnable process to the rotation. *)
 
-val proc_count : t -> int
-
 val is_current : t -> proc -> bool
 (** Whether the process holds the CPU right now. *)
 

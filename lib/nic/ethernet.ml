@@ -211,11 +211,6 @@ let set_fault_plan t plan =
   | Some link -> Faulty_link.set_plan link plan
   | None -> invalid_arg "Ethernet.set_fault_plan: not connected"
 
-let fault_plan t =
-  match out_link t with
-  | Some link -> Faulty_link.plan link
-  | None -> None
-
 let stats t =
   {
     tx_frames = t.tx_frames;

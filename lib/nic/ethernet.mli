@@ -108,7 +108,5 @@ val set_fault_plan : t -> Ash_sim.Fault.t option -> unit
     switch-to-host direction). Raises [Invalid_argument] if not
     connected. *)
 
-val fault_plan : t -> Ash_sim.Fault.t option
-
 val stats : t -> stats
 val outstanding_buffers : t -> int

@@ -3,9 +3,7 @@
 
 module Minijson = Ash_util.Minijson
 
-let default_max_events = 200
-
-let pp_recorder ?(max_events = default_max_events) ppf r =
+let pp_recorder ?(max_events = 200) ppf r =
   let events = Trace.events r in
   let n = List.length events in
   let shown = if max_events < 0 then events else

@@ -1,11 +1,9 @@
 (** Render a recorder's trace and metrics as text or JSON. *)
 
-val default_max_events : int
-
 val pp_recorder :
   ?max_events:int -> Format.formatter -> Trace.recorder -> unit
-(** Text dump: the most recent [max_events] events (negative = all),
-    then counters and histogram summaries. *)
+(** Text dump: the most recent [max_events] events (default 200,
+    negative = all), then counters and histogram summaries. *)
 
 val to_json : Trace.recorder -> string
 (** Full machine-readable dump: every retained event plus counters and

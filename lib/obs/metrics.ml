@@ -3,15 +3,9 @@ type histo = { mutable samples : float list; mutable count : int }
 type t = {
   counters : (string, int ref) Hashtbl.t;
   histos : (string, histo) Hashtbl.t;
-  gauges : (string, unit -> float) Hashtbl.t;
 }
 
-let create () =
-  {
-    counters = Hashtbl.create 32;
-    histos = Hashtbl.create 16;
-    gauges = Hashtbl.create 16;
-  }
+let create () = { counters = Hashtbl.create 32; histos = Hashtbl.create 16 }
 
 (* Hot path: called once per traced event. [Hashtbl.find] + handler
    avoids the option allocation of [find_opt]; the raise only happens
@@ -110,20 +104,6 @@ let clear t =
        h.samples <- [];
        h.count <- 0)
     t.histos
-
-(* Gauges are read functions, not stored values: registration is
-   last-wins (re-creating a component under the same name replaces its
-   predecessor's closure rather than double-reporting). *)
-let register_gauge t name f = Hashtbl.replace t.gauges name f
-
-let unregister_gauge t name = Hashtbl.remove t.gauges name
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some f -> Some (f ()) | None -> None
-
-let gauges t =
-  Hashtbl.fold (fun name f acc -> (name, f ()) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let pp_summary ppf s =
   Format.fprintf ppf

@@ -46,20 +46,4 @@ val histograms : t -> (string * summary) list
 
 val clear : t -> unit
 
-(** {1 Gauges}
-
-    A gauge is a registered read function sampled on demand (queue
-    depth, busy backlog, current RTO). Registration is last-wins:
-    registering an existing name replaces the previous closure, so a
-    component re-created under the same name never double-reports. *)
-
-val register_gauge : t -> string -> (unit -> float) -> unit
-val unregister_gauge : t -> string -> unit
-
-val gauge : t -> string -> float option
-(** Sample one gauge; [None] when unregistered. *)
-
-val gauges : t -> (string * float) list
-(** Sample every registered gauge, sorted by name. *)
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -304,7 +304,8 @@ let ash_rows evs =
     accs []
   |> List.sort (fun a b -> compare a.id b.id)
 
-let of_events events =
+let of_recorder r =
+  let events = Trace.events r in
   let spans = Span.intervals events in
   let unclosed = Span.unclosed events in
   let messages = messages_of_intervals spans in
@@ -315,8 +316,6 @@ let of_events events =
     spans;
     unclosed;
   }
-
-let of_recorder r = of_events (Trace.events r)
 
 (* -- rendering ------------------------------------------------------ *)
 

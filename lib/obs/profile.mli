@@ -55,7 +55,6 @@ type t = {
   unclosed : (int * Trace.stage * int) list;
 }
 
-val of_events : Trace.event list -> t
 val of_recorder : Trace.recorder -> t
 
 val pp : Format.formatter -> t -> unit

@@ -64,7 +64,3 @@ let intervals events = fst (fold events)
 let unclosed events = snd (fold events)
 
 let duration i = i.t1 - i.t0
-
-let pp_interval ppf i =
-  Format.fprintf ppf "corr=%d %s [%d, %d] %dns cycles=%d" i.corr
-    (Trace.stage_label i.stage) i.t0 i.t1 (duration i) i.cycles

@@ -33,4 +33,3 @@ val unclosed : Trace.event list -> (int * Trace.stage * int) list
     [(corr, stage, t0)], sorted. *)
 
 val duration : interval -> int
-val pp_interval : Format.formatter -> interval -> unit

@@ -25,10 +25,9 @@ type t
 val create : ?interval_ns:int -> ?capacity:int -> unit -> t
 (** [interval_ns] is the sampling-grid pitch in virtual ns (default
     {!default_interval_ns}); [capacity] bounds each per-metric ring
-    (default {!default_capacity}, oldest samples fall off). *)
+    (default 512, oldest samples fall off). *)
 
 val default_interval_ns : int
-val default_capacity : int
 
 val interval_ns : t -> int
 

@@ -45,9 +45,6 @@ let fault_kind_label = function
   | F_reorder -> "reorder"
   | F_jitter -> "jitter"
 
-let all_fault_kinds =
-  [ F_drop; F_corrupt; F_truncate; F_duplicate; F_reorder; F_jitter ]
-
 (* The causal stages one message passes through (the paper's Table 2/6
    decomposition). Every span event names one of these. *)
 type stage =
@@ -227,12 +224,6 @@ let emit_at ~ts ~corr k =
   c.c_sink_at ~ts ~corr k;
   if c.c_is_root && !taps != [] then run_taps ~ts ~corr k
 
-let set_sink f =
-  let c = cur () in
-  c.c_sink <- f;
-  c.c_sink_at <- (fun ~ts:_ ~corr:_ k -> f k);
-  c.c_on <- true
-
 let clear_sink () =
   let c = cur () in
   c.c_sink <- ignore;
@@ -283,8 +274,6 @@ let span_sample_every = ref 1
 let set_span_sample n =
   if n < 1 then invalid_arg "Trace.set_span_sample: n must be >= 1";
   span_sample_every := n
-
-let span_sample () = !span_sample_every
 
 let span_on corr =
   enabled () && corr > 0 && (corr - 1) mod !span_sample_every = 0

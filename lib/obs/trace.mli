@@ -15,8 +15,8 @@
     structurally, and [ashbench --trace] dumps them for inspection. *)
 
 (** Why a frame was dropped. A closed vocabulary so drop counters
-    cannot fragment on emission-site typos; {!drop_reason_label} gives
-    the stable rendered strings. *)
+    cannot fragment on emission-site typos; counters and dumps render
+    it as stable dashed labels, e.g. ["no-pktbuf"]. *)
 type drop_reason =
   | Crc  (** checksum failed on receive *)
   | Unbound  (** VC has no registered handler *)
@@ -30,9 +30,6 @@ type drop_reason =
   | Stale_seq  (** MQ produce below the dedup window — ignored *)
   | Repl_gap  (** MQ replicate above the replica's gapless prefix *)
 
-val drop_reason_label : drop_reason -> string
-(** Stable dashed label, e.g. ["no-pktbuf"]. *)
-
 (** What the deterministic fault-injection layer ({!Ash_sim.Fault} via
     the NIC faulty-link wrappers) did to a frame. Closed for the same
     reason as {!drop_reason}. *)
@@ -43,11 +40,6 @@ type fault_kind =
   | F_duplicate  (** delivered twice *)
   | F_reorder  (** delivery delayed so later frames overtake it *)
   | F_jitter  (** delivery delayed without reordering intent *)
-
-val fault_kind_label : fault_kind -> string
-(** Stable label, e.g. ["truncate"]. *)
-
-val all_fault_kinds : fault_kind list
 
 (** The causal stages one message passes through — the paper's
     Table 2/6 decomposition. Every span event names one of these. *)
@@ -175,7 +167,6 @@ val enabled : unit -> bool
 val emit : kind -> unit
 (** Send an event to the current sink (a no-op when tracing is off). *)
 
-val set_sink : (kind -> unit) -> unit
 val clear_sink : unit -> unit
 
 (** {1 Taps}
@@ -200,8 +191,7 @@ val emit_at : ts:int -> corr:int -> kind -> unit
 (** Deliver an already-stamped event to the current sink. Used by the
     cluster's epoch barrier to inject merged shard events into the
     root recorder with the timestamps and correlation ids they carried
-    on their home shard. With a plain {!set_sink} sink the stamps are
-    dropped (the sink only sees the kind). *)
+    on their home shard. *)
 
 (** {1 Shard buffers}
 
@@ -282,7 +272,6 @@ val with_corr : int -> (unit -> 'a) -> 'a
 val set_span_sample : int -> unit
 (** Raises [Invalid_argument] when [n < 1]. Default 1 (every message). *)
 
-val span_sample : unit -> int
 val span_on : int -> bool
 (** [span_on corr]: should spans for message [corr] be emitted now? *)
 
@@ -301,10 +290,9 @@ type recorder
 (** A bounded ring of the most recent events plus metrics derived from
     the full stream (counters per event type, cycle/size histograms). *)
 
-val default_capacity : int
-
 val record : ?capacity:int -> unit -> recorder
-(** Create a recorder and install it as the global sink. Also restarts
+(** Create a recorder holding the last [capacity] events (default
+    65536) and install it as the global sink. Also restarts
     correlation numbering so same-seed runs produce identical streams. *)
 
 val stop : recorder -> unit

@@ -1,7 +1,5 @@
 type gauge = G8 | G16 | G32
 
-let gauge_bits = function G8 -> 8 | G16 -> 16 | G32 -> 32
-
 type ctx = {
   emit : Ash_vm.Isa.insn -> unit;
   data : Ash_vm.Isa.reg;

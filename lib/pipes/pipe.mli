@@ -11,8 +11,6 @@
 
 type gauge = G8 | G16 | G32
 
-val gauge_bits : gauge -> int
-
 type ctx = {
   emit : Ash_vm.Isa.insn -> unit;
   (** Emit one instruction of the pipe body. *)

@@ -2,14 +2,11 @@ module Isa = Ash_vm.Isa
 module Builder = Ash_vm.Builder
 
 type fragment = {
-  frag_name : string;
   header_len : int;
   emit : Builder.t -> off:int -> reject:Builder.label -> unit;
 }
 
-let fragment ~name ~header_len emit =
-  if header_len < 0 then invalid_arg "Compose.fragment";
-  { frag_name = name; header_len; emit }
+let fragment ~header_len emit = { header_len; emit }
 
 (* Fragments may scratch r8/r9 (below the DILP pool, above the kcall
    argument registers). *)
@@ -17,7 +14,7 @@ let r_v = 8
 let r_w = 9
 
 let ipv4 ?src_ip ~proto () =
-  fragment ~name:"ipv4" ~header_len:Packet.ip_header_len
+  fragment ~header_len:Packet.ip_header_len
     (fun b ~off ~reject ->
        Builder.emit b (Isa.Ld8 (r_v, Isa.reg_msg_addr, off));
        Builder.li b r_w 0x45;
@@ -35,7 +32,7 @@ let ipv4 ?src_ip ~proto () =
          Builder.bne b r_v r_w reject)
 
 let udp ~dst_port =
-  fragment ~name:"udp" ~header_len:Packet.udp_header_len
+  fragment ~header_len:Packet.udp_header_len
     (fun b ~off ~reject ->
        Builder.emit b
          (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + Packet.Udp.off_dst_port));
@@ -43,7 +40,7 @@ let udp ~dst_port =
        Builder.bne b r_v r_w reject)
 
 let tcp_ports ~src_port ~dst_port =
-  fragment ~name:"tcp" ~header_len:Packet.tcp_header_len
+  fragment ~header_len:Packet.tcp_header_len
     (fun b ~off ~reject ->
        Builder.emit b
          (Isa.Ld16 (r_v, Isa.reg_msg_addr, off + Packet.Tcp.off_src_port));
@@ -55,7 +52,7 @@ let tcp_ports ~src_port ~dst_port =
        Builder.bne b r_v r_w reject)
 
 let magic32 value =
-  fragment ~name:"magic32" ~header_len:4 (fun b ~off ~reject ->
+  fragment ~header_len:4 (fun b ~off ~reject ->
       Builder.emit b (Isa.Ld32 (r_v, Isa.reg_msg_addr, off));
       Builder.li b r_w value;
       Builder.bne b r_v r_w reject)
@@ -66,14 +63,11 @@ type action =
   | Echo
   | Consume
 
-let total_header_len frags =
-  List.fold_left (fun acc f -> acc + f.header_len) 0 frags
-
 let compose ~name frags action =
   let b = Builder.create ~name () in
   let reject = Builder.fresh_label b in
   (* Whole-stack length check first: the message must hold every header. *)
-  let headers = total_header_len frags in
+  let headers = List.fold_left (fun acc f -> acc + f.header_len) 0 frags in
   Builder.li b r_v headers;
   Builder.bltu b Isa.reg_msg_len r_v reject;
   (* Each fragment validates its layer at its cumulative offset. *)

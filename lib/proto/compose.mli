@@ -15,21 +15,10 @@
     path, so composed handlers fall back to the user-level library
     exactly like the hand-written ones. *)
 
-type fragment = private {
-  frag_name : string;
-  header_len : int;
-  emit :
-    Ash_vm.Builder.t -> off:int -> reject:Ash_vm.Builder.label -> unit;
-}
-
-val fragment :
-  name:string ->
-  header_len:int ->
-  (Ash_vm.Builder.t -> off:int -> reject:Ash_vm.Builder.label -> unit) ->
-  fragment
-(** Define a fragment. [emit] receives the fragment's base offset within
-    the message and must branch to [reject] when the layer does not
-    match. Emitted code may use scratch registers r8 and r9 freely. *)
+type fragment
+(** One layer's header-validation code, emitted at the layer's base
+    offset within the message; it branches to the handler's reject path
+    when the layer does not match. *)
 
 (* -- The fragment library (one routine per protocol, written once) ---- *)
 
@@ -64,5 +53,3 @@ val compose : name:string -> fragment list -> action -> Ash_vm.Program.t
 (** Splice the fragments, in order, at their cumulative offsets, then
     the action, then [Commit]; any rejection becomes [Abort]. The result
     is ready for {!Ash_kern.Kernel.download_ash}. *)
-
-val total_header_len : fragment list -> int

@@ -57,7 +57,6 @@ end
 module Tcp : sig
   type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
 
-  val flags_none : flags
   val flag_ack : flags
   val flag_syn : flags
   val flag_synack : flags
@@ -83,10 +82,5 @@ module Tcp : sig
   val off_seq : int
   val off_ack : int
   val off_dataoff_flags : int (* 16-bit: data offset + reserved + flags *)
-  val off_window : int
   val off_checksum : int
-
-  val flags_bits : flags -> int
-  (** The low 6 flag bits as they appear in the [dataoff_flags] word
-      (data-offset bits excluded). *)
 end

@@ -41,7 +41,6 @@ type stats = {
 type t = {
   kernel : Kernel.t;
   cfg : config;
-  bind_vc : int; (* real vc or Ethernet pseudo-vc *)
   send_buf : Memory.region;
   staging : Memory.region;
   app_buf : Memory.region;
@@ -151,7 +150,6 @@ let create kernel cfg =
     {
       kernel;
       cfg;
-      bind_vc;
       send_buf = Memory.alloc mem ~name:"udp-sendbuf" frame_len;
       staging = Memory.alloc mem ~name:"udp-staging" (max cfg.mtu_payload 16);
       app_buf = Memory.alloc mem ~name:"udp-appbuf" (max cfg.mtu_payload 16);
@@ -179,17 +177,6 @@ let create kernel cfg =
   t
 
 let set_receiver t f = t.receiver <- Some f
-
-(* Mirror of {!Tcp.teardown}: drop the demux binding and free the
-   endpoint's regions (AN2 receive buffers stay allocated — the board
-   forgets them with the VC). *)
-let teardown t =
-  t.receiver <- None;
-  (match t.cfg.medium with
-   | Ethernet -> Kernel.unbind_eth_filter t.kernel ~vc:t.bind_vc
-   | An2 { vc } -> Kernel.unbind_vc t.kernel ~vc);
-  let mem = Machine.mem (Kernel.machine t.kernel) in
-  List.iter (Memory.free mem) [ t.app_buf; t.staging; t.send_buf ]
 
 let send t ~addr ~len =
   if len < 0 || len > t.cfg.mtu_payload then invalid_arg "Udp.send: length";

@@ -55,11 +55,6 @@ val set_receiver : t -> (addr:int -> len:int -> unit) -> unit
     read-interface copy otherwise. The buffer is valid until the handler
     returns. *)
 
-val teardown : t -> unit
-(** Remove the demux binding (Ethernet filter or AN2 VC) and free the
-    endpoint's memory regions. The endpoint must not be used
-    afterwards; late datagrams drop as demux misses. *)
-
 val send : t -> addr:int -> len:int -> unit
 (** Send [len] payload bytes from application memory: allocates a send
     buffer, copies the payload into it, fills IP/UDP headers, optionally

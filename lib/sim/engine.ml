@@ -214,12 +214,10 @@ let schedule_quiet t ~at ~corr action =
   Heap.push t.heap e
 
 (* Which shard the current domain is executing, if any. Cross-shard
-   posts consult this to tell "scheduling from inside shard s" apart
+   executors consult this to tell "scheduling from inside shard s" apart
    from "scheduling during setup on the main domain". *)
 let cur_shard_key : int option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
-
-let current_shard () = Domain.DLS.get cur_shard_key
 
 type engine = t
 
@@ -238,7 +236,7 @@ module Cluster = struct
      This is conservative parallel discrete-event simulation: it is
      only correct when every cross-shard interaction carries at least
      [epoch_ns] of virtual latency (here: the fabric's fixed one-way
-     wire latency), which [post] enforces with a lookahead check. *)
+     wire latency), which [exec] enforces with a lookahead check. *)
 
   type post_cell = { p_at : Time.ns; p_corr : int; p_act : unit -> unit }
 
@@ -282,7 +280,6 @@ module Cluster = struct
 
   let shards c = Array.length c.engines
   let engine c i = c.engines.(i)
-  let epoch_ns c = c.epoch_ns
 
   let now c =
     Array.fold_left (fun acc e -> max acc e.clock) c.engines.(0).clock c.engines
@@ -296,25 +293,21 @@ module Cluster = struct
     ob.o_items.(ob.o_len) <- cell;
     ob.o_len <- ob.o_len + 1
 
-  let post c ~dst ~at action =
-    if dst < 0 || dst >= Array.length c.engines then
-      invalid_arg "Engine.Cluster.post: shard out of range";
-    match current_shard () with
-    | Some src when src <> dst && c.running ->
-      if at < c.epoch_end then
-        invalid_arg
-          "Engine.Cluster.post: cross-shard event lands inside the current \
-           epoch (lookahead violation)";
-      if Ash_obs.Trace.enabled () then
-        Ash_obs.Trace.emit (Ash_obs.Trace.Ev_scheduled { at });
-      let corr = Ash_obs.Trace.current_corr () in
-      out_push c.out.(src).(dst) { p_at = at; p_corr = corr; p_act = action }
-    | _ -> ignore (schedule_at c.engines.(dst) ~at action : event_id)
-
   let exec c dst : exec =
     if dst < 0 || dst >= Array.length c.engines then
       invalid_arg "Engine.Cluster.exec: shard out of range";
-    fun ~at action -> post c ~dst ~at action
+    fun ~at action ->
+      match Domain.DLS.get cur_shard_key with
+      | Some src when src <> dst && c.running ->
+        if at < c.epoch_end then
+          invalid_arg
+            "Engine.Cluster.exec: cross-shard event lands inside the \
+             current epoch (lookahead violation)";
+        if Ash_obs.Trace.enabled () then
+          Ash_obs.Trace.emit (Ash_obs.Trace.Ev_scheduled { at });
+        let corr = Ash_obs.Trace.current_corr () in
+        out_push c.out.(src).(dst) { p_at = at; p_corr = corr; p_act = action }
+      | _ -> ignore (schedule_at c.engines.(dst) ~at action : event_id)
 
   (* Merge all shard buffers into the root recorder in (ts, shard)
      order, preserving each shard's append order. Runs on the main

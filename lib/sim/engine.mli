@@ -50,7 +50,7 @@ val pending : t -> int
     advance in lockstep through virtual-time epochs
     [[t_min, t_min + epoch_ns)]. Within an epoch each shard executes
     only its own events — on its own OCaml domain when [jobs > 1] —
-    and cross-shard work goes through {!Cluster.post}, which buffers
+    and cross-shard work goes through {!Cluster.exec}, which buffers
     it in per-(src, dst) outboxes that the epoch barrier drains in
     fixed src-major order. Shard trace events are buffered locally and
     merged at the barrier in (ts, shard) order. The result: the whole
@@ -59,17 +59,13 @@ val pending : t -> int
 
     Correctness requires every cross-shard interaction to carry at
     least [epoch_ns] of virtual latency (the fabric's fixed one-way
-    wire latency provides it); {!Cluster.post} enforces this with a
+    wire latency provides it); {!Cluster.exec} enforces this with a
     lookahead check. *)
 
 type exec = at:Time.ns -> (unit -> unit) -> unit
 (** An executor: schedule an action at absolute virtual time [at] on
     some shard's engine, through a cluster's cross-shard outboxes
     ({!Cluster.exec}). Posted actions cannot be cancelled. *)
-
-val current_shard : unit -> int option
-(** The shard the calling domain is currently executing, or [None]
-    outside cluster epoch slices (e.g. during setup). *)
 
 type engine = t
 
@@ -83,20 +79,16 @@ module Cluster : sig
 
   val shards : t -> int
   val engine : t -> int -> engine
-  val epoch_ns : t -> Time.ns
 
   val now : t -> Time.ns
   (** Max over shard clocks. *)
 
-  val post : t -> dst:int -> at:Time.ns -> (unit -> unit) -> unit
-  (** Schedule an action on shard [dst] at absolute time [at]. From
-      inside a different shard's slice this buffers into an outbox
-      (raising [Invalid_argument] if [at] lands inside the current
-      epoch); from shard [dst] itself, or outside any slice, it
-      schedules directly. *)
-
   val exec : t -> int -> exec
-  (** [exec c s] posts to shard [s]. *)
+  (** [exec c dst] schedules actions on shard [dst]. From inside a
+      different shard's slice it buffers into an outbox (raising
+      [Invalid_argument] if [at] lands inside the current epoch); from
+      shard [dst] itself, or outside any slice, it schedules
+      directly. *)
 
   val run : ?jobs:int -> t -> unit
   (** Run epochs until every shard's queue drains, executing shard

@@ -115,8 +115,6 @@ let create cfg =
     s_jitters = 0;
   }
 
-let config t = t.cfg
-
 (* One uniform draw selects the fault (cumulative thresholds); further
    draws only happen inside the selected branch, so the consumed stream
    depends solely on the seed and the frame-length sequence — two

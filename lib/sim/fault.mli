@@ -62,8 +62,6 @@ val create : config -> t
 (** Raises [Invalid_argument] if any rate is outside [0,1], the rates
     sum past 1, or a delay is negative. *)
 
-val config : t -> config
-
 type action =
   | Pass
   | Drop
@@ -76,8 +74,6 @@ type action =
 val decide : t -> len:int -> action
 (** Draw the fault verdict for the next [len]-byte frame. Exposed for
     unit tests; {!apply} is the normal entry point. *)
-
-val kind_of_action : action -> Ash_obs.Trace.fault_kind option
 
 val apply :
   t -> frame:Bytes.t -> (Bytes.t * int) list * Ash_obs.Trace.fault_kind option

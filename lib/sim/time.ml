@@ -2,7 +2,6 @@ type ns = int
 
 let ns_of_us us = int_of_float (Float.round (us *. 1_000.))
 let us_of_ns ns = float_of_int ns /. 1_000.
-let ns_of_ms ms = int_of_float (Float.round (ms *. 1_000_000.))
 let ms_of_ns ns = float_of_int ns /. 1_000_000.
 
 let ns_of_cycles ~cycle_ns n =
@@ -11,5 +10,3 @@ let ns_of_cycles ~cycle_ns n =
 let mbytes_per_sec ~bytes ns =
   if ns = 0 then infinity
   else float_of_int bytes /. (float_of_int ns /. 1e9) /. 1e6
-
-let pp_us ppf ns = Format.fprintf ppf "%.1f us" (us_of_ns ns)

@@ -9,7 +9,6 @@ type ns = int
 
 val ns_of_us : float -> ns
 val us_of_ns : ns -> float
-val ns_of_ms : float -> ns
 val ms_of_ns : ns -> float
 val ns_of_cycles : cycle_ns:float -> int -> ns
 (** [ns_of_cycles ~cycle_ns n] rounds to the nearest nanosecond. *)
@@ -18,6 +17,3 @@ val mbytes_per_sec : bytes:int -> ns -> float
 (** Throughput of moving [bytes] in the given duration, in MB/s
     (decimal megabytes, as the paper reports). Returns [infinity] for a
     zero duration. *)
-
-val pp_us : Format.formatter -> ns -> unit
-(** Prints e.g. ["151.9 us"]. *)

@@ -51,31 +51,6 @@ let bswap32 v =
   lor ((v lsr 8) land 0xff00)
   lor ((v lsr 24) land 0xff)
 
-let hexdump ?(width = 16) b =
-  let buf = Buffer.create (Bytes.length b * 4) in
-  let len = Bytes.length b in
-  let lines = (len + width - 1) / width in
-  for line = 0 to lines - 1 do
-    let off = line * width in
-    Buffer.add_string buf (Printf.sprintf "%08x  " off);
-    for i = 0 to width - 1 do
-      if off + i < len then
-        Buffer.add_string buf
-          (Printf.sprintf "%02x " (Char.code (Bytes.get b (off + i))))
-      else Buffer.add_string buf "   ";
-      if i = (width / 2) - 1 then Buffer.add_char buf ' '
-    done;
-    Buffer.add_char buf ' ';
-    for i = 0 to width - 1 do
-      if off + i < len then begin
-        let c = Bytes.get b (off + i) in
-        Buffer.add_char buf (if c >= ' ' && c <= '~' then c else '.')
-      end
-    done;
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
 let equal_slice a aoff b boff len =
   check a aoff len "Bytesx.equal_slice";
   check b boff len "Bytesx.equal_slice";

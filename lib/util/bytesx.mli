@@ -26,8 +26,5 @@ val bswap16 : int -> int
 val bswap32 : int -> int
 (** Reverse the four low bytes; input and output in [0, 0xffff_ffff]. *)
 
-val hexdump : ?width:int -> Bytes.t -> string
-(** Classic offset/hex/ASCII dump, for diagnostics. *)
-
 val equal_slice : Bytes.t -> int -> Bytes.t -> int -> int -> bool
 (** [equal_slice a aoff b boff len] compares slices without copying. *)

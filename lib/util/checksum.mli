@@ -25,12 +25,9 @@ val fold32_to16 : int -> int
 (** Fold a 32-bit one's-complement sum (as produced by [sum32]) to the
     16-bit Internet checksum sum: high half + low half, then [fold16]. *)
 
-val finish : int -> int
-(** [finish sum] is the one's complement of [fold16 sum], i.e. the value
-    stored in protocol header checksum fields. *)
-
 val checksum : Bytes.t -> off:int -> len:int -> int
-(** [checksum b ~off ~len = finish (ones_sum b ~off ~len)]. *)
+(** The one's complement of [fold16 (ones_sum b ~off ~len)], i.e. the
+    value stored in protocol header checksum fields. *)
 
 val verify : Bytes.t -> off:int -> len:int -> bool
 (** A packet whose checksum field is filled verifies iff the folded sum

@@ -26,8 +26,6 @@ let fill_bytes t b =
     Bytes.set b i (byte t)
   done
 
-let bool t = next t land 1 = 1
-
 let float t bound = Int64.to_float (Int64.shift_right_logical (next64 t) 11)
                     /. 9007199254740992. *. bound
 

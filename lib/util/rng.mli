@@ -17,12 +17,8 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument]
     if [bound <= 0]. *)
 
-val byte : t -> char
-
 val fill_bytes : t -> Bytes.t -> unit
 (** Overwrite all of the buffer with pseudo-random bytes. *)
-
-val bool : t -> bool
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)

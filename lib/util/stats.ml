@@ -61,7 +61,3 @@ let percentile p = function
     let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
     let idx = if rank <= 0 then 0 else Stdlib.min (rank - 1) (n - 1) in
     List.nth sorted idx
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%.2f +/- %.2f (n=%d, sd=%.2f, min=%.2f, max=%.2f)"
-    s.mean s.ci95 s.n s.stddev s.min s.max

@@ -21,5 +21,3 @@ val mean : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p samples] with [p] in [0, 100], nearest-rank method.
     Raises [Invalid_argument] on the empty list or out-of-range [p]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -71,8 +71,6 @@ val defs : Isa.insn -> int list option
     register (a [K_dilp] call exports arbitrary persistent registers
     back into the handler's file). Used by {!Bound} loop analysis. *)
 
-val pp_aval : Format.formatter -> aval -> unit
-
 val pp_facts : Format.formatter -> t -> unit
 (** The per-instruction fact table ([ashbench assemble] prints this):
     one line per instruction with the abstract values of its source

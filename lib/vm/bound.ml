@@ -183,7 +183,3 @@ let compute ~costs ~check_cycles ~overhead (a : Absint.t) =
       cfg.Cfg.rpo;
     Bounded (!longest + loop_extra + overhead)
   with Give_up why -> Unbounded why
-
-let pp ppf = function
-  | Bounded b -> Format.fprintf ppf "bounded: %d cycles worst case" b
-  | Unbounded why -> Format.fprintf ppf "unbounded (%s)" why

@@ -37,5 +37,3 @@ val compute :
     the sandboxer will emit in front of original instruction [i];
     [overhead] is the flat worst-case cost of the prologue and exit
     code. *)
-
-val pp : Format.formatter -> result -> unit

@@ -161,12 +161,3 @@ let natural_loop t ~tail ~head =
   add tail;
   List.filter (Hashtbl.mem in_loop)
     (List.init (Array.length t.blocks) (fun b -> b))
-
-let pp ppf t =
-  Array.iteri
-    (fun b blk ->
-       Format.fprintf ppf "B%d [%d..%d] -> %s%s@."
-         b blk.first blk.last
-         (String.concat "," (List.map (Printf.sprintf "B%d") blk.succs))
-         (if reachable t b then "" else " (unreachable)"))
-    t.blocks

@@ -47,5 +47,3 @@ val back_edges : t -> (int * int) list
 val natural_loop : t -> tail:int -> head:int -> int list
 (** Blocks of the natural loop of a back edge: [head] plus every block
     that reaches [tail] without passing through [head]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -46,8 +46,6 @@ type t = {
   max_base : int; (* largest Isa.base_cycles in the program *)
 }
 
-let program t = t.program
-
 let spent c = Machine.consumed_cycles c.m - c.start_cycles
 
 let charge c k = Machine.charge_cycles c.m k

@@ -21,8 +21,6 @@ type t
 val compile : Program.t -> t
 (** One-time translation. Pure: touches no machine state. *)
 
-val program : t -> Program.t
-
 val run : Interp.env -> ?regs_init:(Isa.reg * int) list -> t -> Interp.result
 (** Execute from instruction 0, exactly like {!Interp.run} on the
     source program. *)

@@ -1,5 +1,5 @@
 (* A fresh handle per [prepare], around a possibly shared artifact. *)
-type prepared = { program : Program.t; compiled : Compile.t }
+type prepared = { compiled : Compile.t }
 
 (* Process-wide artifact memo. Translation is a pure function of the
    program, so distinct kernels (each with its own per-kernel handler
@@ -32,8 +32,6 @@ let prepare program =
       let c = Compile.compile program in
       locked (fun () -> memo_add digest c)
   in
-  { program; compiled }
-
-let program p = p.program
+  { compiled }
 
 let run env ?regs_init p = Compile.run env ?regs_init p.compiled

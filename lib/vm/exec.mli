@@ -16,8 +16,6 @@ val prepare : Program.t -> prepared
 (** Compile now — the kernel prepares at download time, so no message
     ever pays the translation. *)
 
-val program : prepared -> Program.t
-
 val run :
   Interp.env ->
   ?regs_init:(Isa.reg * int) list ->

@@ -118,15 +118,13 @@ let kcall_name = function
   | K_send -> "send"
   | K_msg_len -> "msg_len"
 
-let pp_kcall ppf k = Format.pp_print_string ppf (kcall_name k)
-
 let pp_violation ppf = function
   | Gas_exhausted -> Format.pp_print_string ppf "gas exhausted"
   | Mem_fault a -> Format.fprintf ppf "memory fault at 0x%x" a
   | Wild_jump t -> Format.fprintf ppf "wild jump to %d" t
   | Div_by_zero -> Format.pp_print_string ppf "divide by zero"
   | Verifier_reject msg -> Format.fprintf ppf "verifier reject: %s" msg
-  | Call_denied k -> Format.fprintf ppf "kernel call denied: %a" pp_kcall k
+  | Call_denied k -> Format.fprintf ppf "kernel call denied: %s" (kcall_name k)
 
 let pp ppf insn =
   let f fmt = Format.fprintf ppf fmt in

@@ -141,7 +141,6 @@ val with_branch_target : insn -> int -> insn
 
 val is_sandbox_check : insn -> bool
 
-val pp_kcall : Format.formatter -> kcall -> unit
 val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> insn -> unit
 val to_string : insn -> string

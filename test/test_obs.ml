@@ -604,25 +604,8 @@ let test_two_domain_run_same_stream () =
     (List.combine ev1 ev2)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics gauges: registration collisions and snapshot-vs-reset       *)
+(* Metrics: counter snapshot-vs-reset, histogram edges                 *)
 (* ------------------------------------------------------------------ *)
-
-let test_gauge_registration_collision () =
-  let m = Metrics.create () in
-  Alcotest.(check bool) "unknown gauge is None" true (Metrics.gauge m "q" = None);
-  Metrics.register_gauge m "q" (fun () -> 1.);
-  Metrics.register_gauge m "q" (fun () -> 2.);
-  (* Last-wins: the second closure replaces the first, no double-report. *)
-  Alcotest.(check bool) "last registration wins" true
-    (Metrics.gauge m "q" = Some 2.);
-  Metrics.register_gauge m "a" (fun () -> 7.);
-  Alcotest.(check (list (pair string (float 1e-9)))) "sorted sample of all"
-    [ ("a", 7.); ("q", 2.) ]
-    (Metrics.gauges m);
-  Metrics.unregister_gauge m "q";
-  Alcotest.(check bool) "unregistered reads None" true
-    (Metrics.gauge m "q" = None);
-  Alcotest.(check int) "others survive" 1 (List.length (Metrics.gauges m))
 
 let test_counter_snapshot_vs_reset () =
   let m = Metrics.create () in
@@ -1075,8 +1058,6 @@ let () =
         ] );
       ( "gauges",
         [
-          Alcotest.test_case "registration collision" `Quick
-            (isolated test_gauge_registration_collision);
           Alcotest.test_case "snapshot vs reset" `Quick
             (isolated test_counter_snapshot_vs_reset);
           Alcotest.test_case "histogram edges" `Quick

@@ -4,17 +4,18 @@
    ring, always, whether hashed from the parsed tuple or the raw frame,
    so per-flow state never migrates between cores. Ownership — on a
    sharded fabric every frame is demuxed on the ring the hash predicts
-   and nowhere else, which {!Ash_core.Dsm_mc} makes observable: a write
-   landing on its segment's owner core commits in that core's kernel,
-   any other ring forwards it, and the commit/forward totals must match
-   the prediction exactly. *)
+   and nowhere else: with one receiver per core on the same UDP port,
+   each core sees exactly the flows the hash assigns it, and the split
+   is the same at any number of worker domains. *)
 
 module Rss = Ash_nic.Rss
 module Fabric = Ash_core.Fabric
-module Dsm_mc = Ash_core.Dsm_mc
+module Kernel = Ash_kern.Kernel
+module Engine = Ash_sim.Engine
+module Machine = Ash_sim.Machine
+module Memory = Ash_sim.Memory
 module Packet = Ash_proto.Packet
 module Rng = Ash_util.Rng
-module Bytesx = Ash_util.Bytesx
 
 let random_tuple rng =
   {
@@ -129,65 +130,76 @@ let test_parse_round_trip () =
 (* Per-ring ownership on a live sharded fabric                         *)
 (* ------------------------------------------------------------------ *)
 
-(* 4 clients write random segments through a 4-core server. For each
-   write we know the ring the hash will pick and the segment's owner;
-   the fabric must agree: owner-ring writes commit in-kernel (and only
-   those), the rest abort voluntarily and are forwarded, every forward
-   is applied, and the bytes land. *)
+(* Each of the server's 4 cores binds its own user-level receiver on
+   one UDP port, and 64 datagrams arrive from random clients and source
+   ports. Every core must receive exactly the flows whose hash names
+   its ring. Returns each core's (client address, source port) pairs in
+   arrival order. *)
 let ownership_run ~jobs =
-  let fab =
-    Fabric.create ~shards:4 ~jobs ~server_cores:4 ~hosts:5 ()
-  in
+  let fab = Fabric.create ~shards:4 ~jobs ~server_cores:4 ~hosts:5 () in
   Fabric.warm_arp fab ~server:0;
-  let dsm = Dsm_mc.create ~segments:8 ~segment_size:256 fab in
-  Alcotest.(check int) "four cores" 4 (Dsm_mc.ncores dsm);
+  let port = 9_000 in
+  let got = Array.make 4 [] in
+  Array.iter
+    (fun (core : Fabric.core) ->
+      let k = core.Fabric.core_kernel in
+      let mem = Machine.mem (Kernel.machine k) in
+      let vc =
+        Kernel.bind_eth_filter k (Packet.Udp.dst_port_filter port)
+          Kernel.Deliver_user
+      in
+      Kernel.set_user_handler k ~vc (fun ~addr ~len:_ ->
+          let src = Memory.load32 mem (addr + Packet.Ip.off_src) in
+          let sport =
+            Memory.load16 mem
+              (addr + Packet.ip_header_len + Packet.Udp.off_src_port)
+          in
+          let c = core.Fabric.core_idx in
+          got.(c) <- (src, sport) :: got.(c)))
+    (Fabric.cores fab);
   let rng = Rng.create 23 in
-  let expect_commit = ref 0 and expect_fwd = ref 0 in
-  (* Byte-level shadow of every segment, updated in send order; the
-     stagger (below) exceeds the epoch, so forwarded writes apply in
-     send order too and the shadow is the exact expected image. *)
-  let shadow = Array.init 8 (fun _ -> Bytes.make 256 '\000') in
+  let expect = Array.make 4 [] in
   let t0 = Fabric.now fab in
   for i = 0 to 63 do
     let client = 1 + Rng.int rng 4 in
-    let sport = 30_000 + (i mod 11) in
-    let seg = Rng.int rng 8 in
-    let off = 4 * Rng.int rng 32 in
-    let data = Bytes.make 8 (Char.chr (Char.code 'a' + (i mod 26))) in
-    Bytesx.set_u32 data 0 i;
-    let ring = Dsm_mc.ring_of dsm ~client ~sport in
-    let owner = Dsm_mc.owner dsm ~seg in
-    if ring = owner then incr expect_commit else incr expect_fwd;
+    let t =
+      {
+        Rss.src_addr = (Fabric.host fab client).Fabric.ip;
+        dst_addr = (Fabric.host fab 0).Fabric.ip;
+        proto = Packet.Ip.proto_udp;
+        src_port = 1_024 + Rng.int rng 60_000;
+        dst_port = port;
+      }
+    in
+    let ring = Rss.hash_tuple t mod 4 in
+    expect.(ring) <- (t.Rss.src_addr, t.Rss.src_port) :: expect.(ring);
+    let frame = frame_of t 8 in
+    let kernel = (Fabric.host fab client).Fabric.kernel in
     (* Min-frame serialization toward host 0 is ~58 us; keep the
        offered rate under line rate so nothing queues up and drops. *)
-    Dsm_mc.write_at dsm ~client ~sport
-      ~at:(t0 + 1_000 + (i * 100_000))
-      ~seg ~off ~data;
-    Bytes.blit data 0 shadow.(seg) off (Bytes.length data)
+    ignore
+      (Engine.schedule_at
+         (Fabric.host_engine fab client)
+         ~at:(t0 + 1_000 + (i * 100_000))
+         (fun () -> Kernel.eth_kernel_send kernel frame))
   done;
   Fabric.run_for fab 20_000_000;
-  Alcotest.(check int)
-    "in-kernel commits = writes that hit the owner ring" !expect_commit
-    (Dsm_mc.committed_in_kernel dsm);
-  Alcotest.(check int) "forwards = writes that missed" !expect_fwd
-    (Dsm_mc.forwards dsm);
-  Alcotest.(check int) "every forward applied" !expect_fwd
-    (Dsm_mc.applied_forwards dsm);
-  Alcotest.(check bool) "both paths exercised" true
-    (!expect_commit > 0 && !expect_fwd > 0);
-  for seg = 0 to 7 do
-    let got = Dsm_mc.read_seg dsm ~seg ~off:0 ~len:256 in
-    if got <> shadow.(seg) then
-      Alcotest.failf "seg %d contents diverge from the shadow image" seg
-  done;
-  (!expect_commit, !expect_fwd)
+  let sorted = List.sort compare in
+  Array.iteri
+    (fun c flows ->
+      if flows = [] then Alcotest.failf "core %d was never hashed to" c;
+      if sorted got.(c) <> sorted flows then
+        Alcotest.failf "core %d received %d datagrams, the hash names %d" c
+          (List.length got.(c)) (List.length flows))
+    expect;
+  Array.map List.rev got
 
 let test_ownership () = ignore (ownership_run ~jobs:1)
 
 let test_ownership_jobs_invariant () =
   let a = ownership_run ~jobs:1 in
   let b = ownership_run ~jobs:4 in
-  Alcotest.(check bool) "same commit/forward split at jobs=4" true (a = b)
+  Alcotest.(check bool) "same split at jobs=4" true (a = b)
 
 let () =
   Alcotest.run "rss"
