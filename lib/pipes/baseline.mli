@@ -16,7 +16,16 @@ val cksum16_pass : Ash_sim.Machine.t -> addr:int -> len:int -> int
     C library writes it: 16-bit loads, add, fold — the reason the paper's
     separate strategy is slower per word than the integrated
     add-with-carry idiom. Returns the folded 16-bit sum (not
-    complemented). [len] may be odd (trailing byte zero-padded). *)
+    complemented). [len] may be odd (trailing byte zero-padded).
+
+    The machine is charged per halfword. On the host, a range that
+    cannot fault is summed in 32-bit words, two per 64-bit load, then
+    the trailing word, halfword and odd byte, and folded once. That
+    gives the per-halfword result: 2{^16} = 1 (mod 0xffff), so a word
+    adds what its two halfwords do, and {!Ash_util.Checksum.fold16} maps
+    any positive sum to the one value in \[1, 0xffff\] with its residue
+    and 0 to 0. A range that faults takes the per-halfword loop and
+    stops at the halfword that first touches the hole. *)
 
 val byteswap_pass : Ash_sim.Machine.t -> addr:int -> len:int -> unit
 (** A separate in-place 32-bit byteswap pass. [len] must be a multiple

@@ -15,8 +15,15 @@ let eth_striped = Striped { data = 16; pad = 16 }
    cache model instead. *)
 type part = { insns : int; cycles : int }
 
+(* What a native transfer does with each word: TCP's two transfers run
+   as word kernels, any other register-only body as its function. *)
+type kernel =
+  | Sum of Isa.reg (* a lone [Cksum32 (acc, r30)]: add each word to acc *)
+  | Copy (* the empty body: move the words *)
+  | Body of (int array -> unit) (* one word's pipe instructions *)
+
 type native = {
-  body : int array -> unit; (* one word's pipe instructions *)
+  kernel : kernel;
   once : part; (* prologue, the two taken exit tests, Halt *)
   group : part; (* one unrolled iteration *)
   single : part; (* one tail iteration *)
@@ -119,6 +126,18 @@ let writes_loop_regs insn =
   | Some ds -> List.exists (fun r -> r <= reg_limit) ds
   | None -> true
 
+(* The native form of a one-word body that writes none of r0-r5. The
+   sum kernel's fold needs an accumulator that enters below 2^32, which
+   r28 and r29 (the caller's unmasked [src] and [len]) need not. *)
+let kernel_of body =
+  match body with
+  | [||] -> Some Copy
+  | [| Isa.Cksum32 (acc, s) |]
+    when s = reg_data && acc <> reg_data && acc <> Isa.reg_msg_addr
+         && acc <> Isa.reg_msg_len ->
+    Some (Sum acc)
+  | _ -> Option.map (fun f -> Body f) (Ash_vm.Compile.register_body body)
+
 (* The run-granular form of an assembled contiguous loop. [bodies] are
    the pc spans of every word's pipe instructions, [group], [tail] and
    [halt] the pcs where the unrolled loop, the tail loop and the exit
@@ -130,9 +149,9 @@ let native_of (p : Ash_vm.Program.t) ~bodies ~group ~tail ~halt =
     when List.for_all (( = ) body) rest
          && not (Array.exists writes_loop_regs body) ->
     Option.map
-      (fun body ->
+      (fun kernel ->
          {
-           body;
+           kernel;
            once =
              List.fold_left plus (part code 0 group)
                [ part code group (group + 1); part code tail (tail + 1);
@@ -140,7 +159,7 @@ let native_of (p : Ash_vm.Program.t) ~bodies ~group ~tail ~halt =
            group = part code group tail;
            single = part code tail halt;
          })
-      (Ash_vm.Compile.register_body body)
+      (kernel_of body)
   | _ -> None
 
 let compile_contiguous ~name pipes mode =
@@ -269,6 +288,45 @@ let compile ?(layout = Contiguous) pl mode =
     native;
   }
 
+let word_kernel t =
+  match t.native with
+  | Some { kernel = Sum _ | Copy; _ } -> true
+  | Some { kernel = Body _; _ } | None -> false
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* A sum of 32-bit values with end-around carry, folded once. Adding
+   them one at a time with [Cksum32] keeps the accumulator congruent to
+   their plain sum [s] modulo 2^32-1 and inside [0, 2^32-1], and it is 0
+   only while every value added was 0. So when the first value is below
+   2^32, the accumulator ends at the one value in [1, 2^32-1] congruent
+   to [s], or at 0 when [s] is 0: what folding [s] gives. A transfer the
+   gas budget admits adds fewer than [Interp.default_gas] words, so [s]
+   stays far below [max_int]. *)
+let rec fold32 s =
+  if s > 0xffff_ffff then fold32 ((s land 0xffff_ffff) + (s lsr 32)) else s
+
+(* The word kernels' pass over [n] words at [soff] and, in [Write] mode,
+   [doff]: each word is loaded big-endian and stored before the next
+   load, as on the VM. Unchecked: the caller has located both ranges
+   within their regions. Leaves the last word in r30 and returns the
+   plain sum of the words. *)
+let move_words regs ~write sdata soff ddata doff n =
+  let sum = ref 0 and last = ref regs.(reg_data) in
+  for i = 0 to n - 1 do
+    let v = get32u sdata (soff + (4 * i)) in
+    if write then set32u ddata (doff + (4 * i)) v;
+    let w =
+      Int32.to_int (if Sys.big_endian then v else swap32 v) land 0xffff_ffff
+    in
+    sum := !sum + w;
+    last := w
+  done;
+  regs.(reg_data) <- !last;
+  !sum
+
 (* [addr, addr+len) lies in one resident region, below the 2^32 where
    the loop's address registers would wrap. *)
 let in_region mem addr len =
@@ -322,34 +380,41 @@ let run_native machine t nat ~init ~src ~dst ~len =
       let dr = if write then Memory.locate mem d l else sr in
       let sdata = sr.Memory.data and soff = s - sr.Memory.base in
       let ddata = dr.Memory.data and doff = d - dr.Memory.base in
-      let body = nat.body in
-      let word o =
-        regs.(reg_data) <-
-          Int32.to_int (Bytes.get_int32_be sdata (soff + o)) land 0xffff_ffff;
-        body regs;
-        if write then
-          Bytes.set_int32_be ddata (doff + o) (Int32.of_int regs.(reg_data))
-      in
-      let step o =
-        regs.(reg_src) <- s + o;
-        if write then regs.(reg_dst) <- d + o
-      in
-      let r0 = regs.(Isa.reg_zero) in
-      regs.(Isa.reg_zero) <- 0;
       regs.(reg_end) <- s + l;
       regs.(reg_limit) <- s + l - (4 * unroll) + 1;
-      for g = 0 to groups - 1 do
-        step (4 * unroll * g);
-        for k = 0 to unroll - 1 do
-          word ((4 * unroll * g) + (4 * k))
-        done
-      done;
-      for i = n - singles to n - 1 do
-        step (4 * i);
-        word (4 * i)
-      done;
-      step l;
-      regs.(Isa.reg_zero) <- r0;
+      (match nat.kernel with
+       | Body body ->
+         let word o =
+           regs.(reg_data) <-
+             Int32.to_int (Bytes.get_int32_be sdata (soff + o))
+             land 0xffff_ffff;
+           body regs;
+           if write then
+             Bytes.set_int32_be ddata (doff + o) (Int32.of_int regs.(reg_data))
+         in
+         let step o =
+           regs.(reg_src) <- s + o;
+           if write then regs.(reg_dst) <- d + o
+         in
+         let r0 = regs.(Isa.reg_zero) in
+         regs.(Isa.reg_zero) <- 0;
+         for g = 0 to groups - 1 do
+           step (4 * unroll * g);
+           for k = 0 to unroll - 1 do
+             word ((4 * unroll * g) + (4 * k))
+           done
+         done;
+         for i = n - singles to n - 1 do
+           step (4 * i);
+           word (4 * i)
+         done;
+         regs.(Isa.reg_zero) <- r0
+       | Sum acc ->
+         let sum = move_words regs ~write sdata soff ddata doff n in
+         regs.(acc) <- fold32 (regs.(acc) + sum)
+       | Copy -> ignore (move_words regs ~write sdata soff ddata doff n));
+      regs.(reg_src) <- s + l;
+      if write then regs.(reg_dst) <- d + l;
       if Ash_obs.Trace.enabled () then
         Ash_obs.Trace.emit
           (Ash_obs.Trace.Vm_run

@@ -7,7 +7,6 @@ module Baseline = Ash_pipes.Baseline
 module Pipe = Ash_pipes.Pipe
 module Pipelib = Ash_pipes.Pipelib
 module Dilp = Ash_pipes.Dilp
-module Checksum = Ash_util.Checksum
 
 type mode = Library | Fast_ash of { sandbox : bool } | Fast_upcall
 
@@ -190,10 +189,8 @@ let build_segment t ~flags ~seq ~ack ~payload =
         else begin
           Kernel.app_compute t.kernel
             (Protocost.cksum_call_overhead_ns + Protocost.tcp_cksum_extra_ns);
-          Checksum.fold16
-            (Baseline.cksum16_pass m
-               ~addr:(t.snd_buf.Memory.base + headers_len)
-               ~len)
+          Baseline.cksum16_pass m ~addr:(t.snd_buf.Memory.base + headers_len)
+            ~len
         end
       in
       (len, c)
@@ -524,10 +521,7 @@ let verify_payload_cksum t (tcp : Packet.Tcp.t) ~payload_addr ~plen =
   else begin
     Kernel.app_compute t.kernel
       (Protocost.cksum_call_overhead_ns + Protocost.tcp_cksum_extra_ns);
-    let sum =
-      Checksum.fold16
-        (Baseline.cksum16_pass (machine t) ~addr:payload_addr ~len:plen)
-    in
+    let sum = Baseline.cksum16_pass (machine t) ~addr:payload_addr ~len:plen in
     if sum = tcp.Packet.Tcp.checksum then true
     else begin
       t.s_bad_cksum <- t.s_bad_cksum + 1;

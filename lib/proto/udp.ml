@@ -2,7 +2,6 @@ module Kernel = Ash_kern.Kernel
 module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
 module Baseline = Ash_pipes.Baseline
-module Checksum = Ash_util.Checksum
 
 type medium = An2 of { vc : int } | Ethernet
 
@@ -92,8 +91,7 @@ let on_datagram_body t ~addr ~len =
               if not t.cfg.checksum then true
               else begin
                 Kernel.app_compute t.kernel Protocost.cksum_call_overhead_ns;
-                let sum = Baseline.cksum16_pass m ~addr:payload ~len:plen in
-                Checksum.fold16 sum land 0xffff
+                Baseline.cksum16_pass m ~addr:payload ~len:plen
                 = udp.Packet.Udp.checksum
               end
             in
@@ -189,7 +187,7 @@ let send t ~addr ~len =
     if not t.cfg.checksum then 0
     else begin
       Kernel.app_compute t.kernel Protocost.cksum_call_overhead_ns;
-      Checksum.fold16 (Baseline.cksum16_pass m ~addr:(base + headers_len) ~len)
+      Baseline.cksum16_pass m ~addr:(base + headers_len) ~len
     end
   in
   (* Initialize IP and UDP fields (build on the host view, write the

@@ -10,7 +10,9 @@ val ones_sum : ?acc:int -> Bytes.t -> off:int -> len:int -> int
     sum of the 16-bit big-endian words of [b.[off .. off+len-1]]. An odd
     trailing byte is padded with a zero low byte, per RFC 1071. [?acc]
     threads a previous partial sum for incremental computation. The result
-    is in [0, 0xffff_ffff] but already folded below 2{^17}. *)
+    is in [0, 0xffff_ffff]: the carry is folded back only past 32 bits,
+    so a long buffer's sum is far above 16 bits (3072 bytes of [0xff]
+    give 100,661,760). {!fold16} folds it. *)
 
 val sum32 : ?acc:int -> Bytes.t -> off:int -> len:int -> int
 (** [sum32] accumulates 32-bit big-endian words with end-around carry,

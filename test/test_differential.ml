@@ -495,7 +495,7 @@ type dilp_case = {
   warm : [ `Cold | `Ranges | `Aliases ];
   gone : [ `Src_paged | `Src_freed | `Dst_paged | `Dst_freed ] option;
   r0 : int option;
-  payload_seed : int;
+  payload : [ `Seed of int | `Byte of char ];
 }
 
 let gen_dilp_case rng =
@@ -519,11 +519,11 @@ let gen_dilp_case rng =
       (if Rng.int rng 6 > 0 then None
        else Some (pick [| `Src_paged; `Src_freed; `Dst_paged; `Dst_freed |]));
     r0 = (if Rng.int rng 4 = 0 then Some (Rng.int rng 0x1_0000_0000) else None);
-    payload_seed = Rng.int rng 1_000_000;
+    payload = `Seed (Rng.int rng 1_000_000);
   }
 
 let dilp_case_name c =
-  Printf.sprintf "%s [%s%s] len %d src+%d dst %s"
+  Printf.sprintf "%s [%s%s] len %d src+%d dst %s%s"
     (match c.mode with Dilp.Write -> "write" | Dilp.Sink -> "sink")
     (String.concat ";" (List.map pd_name c.stack))
     (match c.odd with
@@ -535,6 +535,9 @@ let dilp_case_name c =
     (match c.dst_at with
      | `Own o -> Printf.sprintf "+%d" o
      | `In_src d -> Printf.sprintf "src%+d" d)
+    (match c.payload with
+     | `Seed _ -> ""
+     | `Byte b -> Printf.sprintf " all 0x%02x" (Char.code b))
 
 (* Both fixtures are built the same way, so their addresses agree. *)
 let dilp_fixture c =
@@ -543,11 +546,17 @@ let dilp_fixture c =
   let room = c.len + 32 in
   let src_r = Memory.alloc mem ~name:"src" room in
   let dst_r = Memory.alloc mem ~name:"dst" room in
-  let rng = Rng.create c.payload_seed in
+  let fill =
+    match c.payload with
+    | `Seed seed ->
+      let rng = Rng.create seed in
+      fun b -> Rng.fill_bytes rng b
+    | `Byte byte -> fun b -> Bytes.fill b 0 room byte
+  in
   List.iter
     (fun (r : Memory.region) ->
        let b = Bytes.create room in
-       Rng.fill_bytes rng b;
+       fill b;
        Memory.blit_from_bytes mem ~src:b ~src_off:0 ~dst:r.Memory.base
          ~len:room)
     [ src_r; dst_r ];
@@ -585,73 +594,118 @@ let vm_runs f =
          | _ -> None)
       (Ash_obs.Trace.events r) )
 
+(* [c]'s loop compiled, and its persistent registers in stack order. *)
+let dilp_compile c =
+  let pl = Pipe.Pipelist.create () in
+  let persistent =
+    List.filter_map
+      (fun pd ->
+         match pd with
+         | Cksum -> Some (snd (Pipelib.cksum32 pl))
+         | Bswap32 -> ignore (Pipelib.byteswap32 pl); None
+         | Bswap16 -> ignore (Pipelib.byteswap16 pl); None
+         | Xor _ -> Some (snd (Pipelib.xor_cipher pl))
+         | Count -> Some (snd (Pipelib.word_count pl))
+         | Ident -> ignore (Pipelib.identity pl); None
+         | Add8 k -> ignore (Pipelib.add_const8 pl k); None)
+      c.stack
+  in
+  Option.iter (odd_pipe pl) c.odd;
+  (Dilp.compile pl c.mode, persistent)
+
+(* Interp running [compiled]'s program and [Dilp.execute] on two
+   identical fixtures of [c], entered with [init]: every comparison the
+   comment above lists. *)
+let dilp_agree c compiled ~init =
+  let what = dilp_case_name c in
+  let ((ma, srca, dsta, src, dst) as fa) = dilp_fixture c in
+  let ((mb, srcb, dstb, _, _) as fb) = dilp_fixture c in
+  let charged (m, _, _, _, _) run =
+    let h0, m0 = Cache.stats (Machine.cache m) in
+    let c0 = Machine.consumed_cycles m in
+    let r, events = vm_runs run in
+    let h1, m1 = Cache.stats (Machine.cache m) in
+    (r, events, (Machine.consumed_cycles m - c0, h1 - h0, m1 - m0))
+  in
+  (* The oracle enters the loop by Dilp's documented convention:
+     r1 = source, r2 = destination, r3 = length. *)
+  let ra, eva, cha =
+    charged fa (fun () ->
+        Interp.run
+          (oracle_env ~allowed_calls:[] ma ~msg_addr:src ~msg_len:c.len)
+          ~regs_init:((1, src) :: (2, dst) :: (3, c.len) :: init)
+          compiled.Dilp.program)
+  in
+  let rb, evb, chb =
+    charged fb (fun () ->
+        Dilp.execute ~init mb compiled ~src ~dst ~len:c.len)
+  in
+  check_results_equal ~what ra rb;
+  if cha <> chb then
+    QCheck.Test.fail_reportf "%s: cycles or cache counts diverged" what;
+  if eva <> evb then
+    QCheck.Test.fail_reportf "%s: Vm_run events differ" what;
+  let lines a =
+    List.init ((c.len + 47) / 16) (fun i -> a - 16 + (16 * i))
+  in
+  List.iter
+    (fun la ->
+       if Cache.probe (Machine.cache ma) ~addr:la
+          <> Cache.probe (Machine.cache mb) ~addr:la
+       then QCheck.Test.fail_reportf "%s: tag at 0x%x differs" what la)
+    (lines src @ lines dst);
+  (* Straight from the backing store: a range may be paged out. *)
+  let same (a : Memory.region) (b : Memory.region) =
+    Bytes.equal a.Memory.data b.Memory.data
+  in
+  if not (same srca srcb && same dsta dstb) then
+    QCheck.Test.fail_reportf "%s: memory diverged" what
+
 let prop_dilp_backends_agree =
   QCheck.Test.make ~name:"DILP transfers agree across backends" ~count:80
     ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let c = gen_dilp_case (Rng.create (seed + 17)) in
-      let what = dilp_case_name c in
-      let pl = Pipe.Pipelist.create () in
-      let persistent =
-        List.filter_map
-          (fun pd ->
-             match pd with
-             | Cksum -> Some (snd (Pipelib.cksum32 pl))
-             | Bswap32 -> ignore (Pipelib.byteswap32 pl); None
-             | Bswap16 -> ignore (Pipelib.byteswap16 pl); None
-             | Xor _ -> Some (snd (Pipelib.xor_cipher pl))
-             | Count -> Some (snd (Pipelib.word_count pl))
-             | Ident -> ignore (Pipelib.identity pl); None
-             | Add8 k -> ignore (Pipelib.add_const8 pl k); None)
-          c.stack
-      in
-      Option.iter (odd_pipe pl) c.odd;
-      let compiled = Dilp.compile pl c.mode in
+      let compiled, persistent = dilp_compile c in
       let init =
         List.mapi (fun i r -> (r, (seed * (i + 7)) land 0xffff_ffff)) persistent
         @ match c.r0 with Some v -> [ (0, v) ] | None -> []
       in
-      let ((ma, srca, dsta, src, dst) as fa) = dilp_fixture c in
-      let ((mb, srcb, dstb, _, _) as fb) = dilp_fixture c in
-      let charged (m, _, _, _, _) run =
-        let h0, m0 = Cache.stats (Machine.cache m) in
-        let c0 = Machine.consumed_cycles m in
-        let r, events = vm_runs run in
-        let h1, m1 = Cache.stats (Machine.cache m) in
-        (r, events, (Machine.consumed_cycles m - c0, h1 - h0, m1 - m0))
-      in
-      (* The oracle enters the loop by Dilp's documented convention:
-         r1 = source, r2 = destination, r3 = length. *)
-      let ra, eva, cha =
-        charged fa (fun () ->
-            Interp.run
-              (oracle_env ~allowed_calls:[] ma ~msg_addr:src ~msg_len:c.len)
-              ~regs_init:((1, src) :: (2, dst) :: (3, c.len) :: init)
-              compiled.Dilp.program)
-      in
-      let rb, evb, chb =
-        charged fb (fun () ->
-            Dilp.execute ~init mb compiled ~src ~dst ~len:c.len)
-      in
-      check_results_equal ~what ra rb;
-      if cha <> chb then
-        QCheck.Test.fail_reportf "%s: cycles or cache counts diverged" what;
-      if eva <> evb then
-        QCheck.Test.fail_reportf "%s: Vm_run events differ" what;
-      let lines a =
-        List.init ((c.len + 47) / 16) (fun i -> a - 16 + (16 * i))
-      in
+      dilp_agree c compiled ~init;
+      true)
+
+(* TCP's two transfers, [cksum32] and [identity], take the word kernels
+   (see dilp.mli). Every mode, a length of 0, one word, a tail, a
+   segment and a transfer past the gas budget, and a destination in its
+   own region and overlapping either way: at src+4 each word is stored
+   where the next is loaded. The sum kernel folds once at the end, so it
+   gets an accumulator near 2^32 over all-ones words, which carry on
+   every word, 0 over all-zero words, which must stay 0, and a random
+   one over random words, which also tell the overlap orders apart. *)
+let kernel_cases rng =
+  let ( let* ) l f = List.concat_map f l in
+  let* stack = [ [ Cksum ]; [ Ident ] ] in
+  let* mode = [ Dilp.Write; Dilp.Sink ] in
+  let* len = [ 0; 4; 12; 3072; 65536 ] in
+  let* dst_at = [ `Own 0; `In_src 4; `In_src (-4) ] in
+  let* payload, acc =
+    [ (`Byte '\xff', 0xffff_ff00 + Rng.int rng 0x100); (`Byte '\000', 0);
+      (`Seed (Rng.int rng 1_000_000), Rng.int rng 0x1_0000_0000) ]
+  in
+  [ ( { mode; stack; odd = None; len; src_off = 0; dst_at; warm = `Cold;
+        gone = None; r0 = None; payload },
+      acc ) ]
+
+let prop_dilp_kernels_agree =
+  QCheck.Test.make ~name:"DILP word kernels agree across backends" ~count:4
+    ~long_factor:5 (QCheck.int_bound 1_000_000_000) (fun seed ->
       List.iter
-        (fun la ->
-           if Cache.probe (Machine.cache ma) ~addr:la
-              <> Cache.probe (Machine.cache mb) ~addr:la
-           then QCheck.Test.fail_reportf "%s: tag at 0x%x differs" what la)
-        (lines src @ lines dst);
-      (* Straight from the backing store: a range may be paged out. *)
-      let same (a : Memory.region) (b : Memory.region) =
-        Bytes.equal a.Memory.data b.Memory.data
-      in
-      if not (same srca srcb && same dsta dstb) then
-        QCheck.Test.fail_reportf "%s: memory diverged" what;
+        (fun (c, acc) ->
+           let compiled, persistent = dilp_compile c in
+           if not (Dilp.word_kernel compiled) then
+             QCheck.Test.fail_reportf "%s: no word kernel" (dilp_case_name c);
+           dilp_agree c compiled
+             ~init:(List.map (fun r -> (r, acc)) persistent))
+        (kernel_cases (Rng.create (seed + 23)));
       true)
 
 (* [Compile.register_body] against Interp on random sequences that use
@@ -1156,6 +1210,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_backends_agree;
           QCheck_alcotest.to_alcotest prop_dilp_backends_agree;
+          QCheck_alcotest.to_alcotest prop_dilp_kernels_agree;
           QCheck_alcotest.to_alcotest prop_dpf_backends_agree;
           QCheck_alcotest.to_alcotest prop_register_body_matches_interp;
         ] );

@@ -385,6 +385,25 @@ let test_copy_odd_length () =
   Alcotest.(check string) "17 bytes copied" "0123456789abcdefg"
     (Memory.read_string mem ~addr:b.Memory.base ~len:17)
 
+(* Exact sums from the checksum pass: zero words, a halfword and an odd
+   byte; a lone halfword; a word whose halfwords carry out of 16 bits;
+   and a segment of ones, whose every word carries. *)
+let test_cksum_pass_values () =
+  let m = mk_machine () in
+  let mem = Machine.mem m in
+  List.iter
+    (fun (name, data, expect) ->
+       let len = String.length data in
+       let a = (Memory.alloc mem len).Memory.base in
+       Memory.blit_from_bytes mem ~src:(Bytes.of_string data) ~src_off:0
+         ~dst:a ~len;
+       Alcotest.(check int) name expect
+         (Ash_pipes.Baseline.cksum16_pass m ~addr:a ~len))
+    [ ("3071 zero bytes", String.make 3071 '\000', 0);
+      ("ff ff", "\xff\xff", 0xffff);
+      ("80 00 80 00", "\x80\x00\x80\x00", 1);
+      ("3072 x ff", String.make 3072 '\xff', 0xffff) ]
+
 let test_table3_calibration () =
   (* Table III: single 20 MB/s, double (cached) 14, double (uncached) 11.
      We assert the calibrated model lands within 20% of each and that the
@@ -747,6 +766,10 @@ let layout =
 
 let freed = 3
 
+(* The checksum property's world adds a region that holds a pass of up
+   to 4 KiB. *)
+let cksum_layout = Array.append layout [| (4111, true) |]
+
 type world = {
   m : Machine.t;
   rf : Ref.t;
@@ -754,7 +777,7 @@ type world = {
   refr : Memory.region array;
 }
 
-let make_world () =
+let make_world ?(layout = layout) () =
   let m = Machine.create costs and rf = Ref.create () in
   let real =
     Array.map
@@ -778,9 +801,9 @@ let make_world () =
 
 (* An address near a region (from 8 bytes before it to 8 bytes past its
    end), or anywhere in the whole span the regions occupy. *)
-let gen_addr =
+let gen_addr_in layout =
   let open QCheck.Gen in
-  let probe = make_world () in
+  let probe = make_world ~layout () in
   let first = probe.real.(0) in
   let last = probe.real.(Array.length layout - 1) in
   frequency
@@ -793,6 +816,8 @@ let gen_addr =
         int_range (first.Memory.base - 64)
           (last.Memory.base + last.Memory.len + 64) );
     ]
+
+let gen_addr = gen_addr_in layout
 
 type access = Load of int * int | Store of int * int * int
 
@@ -1031,9 +1056,11 @@ let prop_cksum_matches_reference =
     QCheck.(
       make
         ~print:(Print.list (fun (a, l) -> Printf.sprintf "cksum 0x%x, %d" a l))
-        Gen.(list_size (int_range 1 4) (pair gen_addr (int_range 0 300))))
+        Gen.(
+          list_size (int_range 1 4)
+            (pair (gen_addr_in cksum_layout) (int_range 0 4096))))
     (fun passes ->
-       let w = make_world () in
+       let w = make_world ~layout:cksum_layout () in
        let touched = ref [] in
        List.for_all
          (fun (addr, len) ->
@@ -1043,7 +1070,7 @@ let prop_cksum_matches_reference =
          passes
        && same_state w !touched)
 
-(* The property above never wraps the cache (len <= 300): a copy longer
+(* The copy property never wraps the cache (len <= 300): a copy longer
    than the 64 KiB cache evicts its own first lines, twice over on the
    second pass. *)
 let test_copy_longer_than_cache () =
@@ -1332,6 +1359,8 @@ let () =
         [
           Alcotest.test_case "copy moves data" `Quick test_copy_moves_data;
           Alcotest.test_case "copy odd length" `Quick test_copy_odd_length;
+          Alcotest.test_case "checksum pass values" `Quick
+            test_cksum_pass_values;
           Alcotest.test_case "Table III calibration" `Quick
             test_table3_calibration;
           Alcotest.test_case "meter drain" `Quick test_meter_drain;
