@@ -31,37 +31,41 @@ let cksum16_checked m ~addr ~len =
 external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external bswap16 : int -> int = "%bswap16"
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external swap64 : int64 -> int64 = "%bswap_int64"
 
-(* Big-endian halfword, word and pair of words, unchecked: callers read
-   only inside a range [Memory.locate] found wholly within the region's
-   data. *)
-let[@inline] be16 b i =
+(* Big-endian halfword and word, unchecked: callers read only inside a
+   range [Memory.locate] found wholly within the region's data. *)
+let[@inline] unsafe_be16 b i =
   let v = get16u b i in
   if Sys.big_endian then v else bswap16 v
 
-let[@inline] be32 b i =
-  let v = get32u b i in
+let[@inline] word v =
   Int32.to_int (if Sys.big_endian then v else swap32 v) land 0xffff_ffff
 
-(* The sum of the two big-endian words at [i], read with one load. *)
-let[@inline] be32_pair_sum b i =
-  let v = get64u b i in
-  let v = if Sys.big_endian then v else swap64 v in
-  Int64.to_int (Int64.shift_right_logical v 32)
-  + (Int64.to_int v land 0xffff_ffff)
+let unsafe_be32 b i = word (get32u b i)
+
+(* Each word moves as its raw bytes; only the sum needs its value. The
+   loop is here, not at its callers, so that the loads inline: dune's
+   default profile compiles each module opaque to the others. *)
+let unsafe_sum_be32 src soff n ~write dst doff =
+  let sum = ref 0 in
+  for i = 0 to n - 1 do
+    let v = get32u src (soff + (4 * i)) in
+    if write then set32u dst (doff + (4 * i)) v;
+    sum := !sum + word v
+  done;
+  !sum
 
 (* The same pass over a range that cannot fault: its charge in one sum,
    the halfword loads as one cache run and the odd byte as another, and
-   the same sum read straight from the region in 32-bit words, two per
-   load. Since 2^16 = 1 (mod 0xffff), a word adds what its two halfwords
-   do, so the plain sum of the words, the trailing halfword and the odd
-   byte has the residue of the per-halfword sum; both are 0 only when
-   every halfword is, and [fold16] maps each to the one value in
-   [1, 0xffff] with that residue. The plain sum cannot overflow: a
-   region would need 2^32 bytes. *)
+   the same sum read straight from the region in 32-bit words. Since
+   2^16 = 1 (mod 0xffff), a word adds what its two halfwords do, so the
+   plain sum of the words, the trailing halfword and the odd byte has
+   the residue of the per-halfword sum; both are 0 only when every
+   halfword is, and [fold16] maps each to the one value in [1, 0xffff]
+   with that residue. The plain sum cannot overflow: a region would need
+   2^32 bytes. *)
 let cksum16_pass m ~addr ~len =
   if len <= 0 then cksum16_checked m ~addr ~len
   else
@@ -76,14 +80,10 @@ let cksum16_pass m ~addr ~len =
          + Cache.load_run c ~addr ~size:2 ~count:halves
          + Cache.load_run c ~addr:(addr + len - odd) ~size:1 ~count:odd);
       let data = r.Memory.data and off = addr - r.Memory.base in
-      let pairs = len / 8 in
-      let sum = ref 0 in
-      for k = 0 to pairs - 1 do
-        sum := !sum + be32_pair_sum data (off + (8 * k))
-      done;
-      if len land 4 <> 0 then sum := !sum + be32 data (off + (8 * pairs));
+      let words = unsafe_sum_be32 data off (len / 4) ~write:false data off in
+      let sum = ref words in
       if len land 2 <> 0 then
-        sum := !sum + be16 data (off + (len land lnot 3));
+        sum := !sum + unsafe_be16 data (off + (len land lnot 3));
       if odd = 1 then
         sum := !sum + (Char.code (Bytes.get data (off + len - 1)) lsl 8);
       Checksum.fold16 !sum

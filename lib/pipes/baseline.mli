@@ -19,13 +19,30 @@ val cksum16_pass : Ash_sim.Machine.t -> addr:int -> len:int -> int
     complemented). [len] may be odd (trailing byte zero-padded).
 
     The machine is charged per halfword. On the host, a range that
-    cannot fault is summed in 32-bit words, two per 64-bit load, then
-    the trailing word, halfword and odd byte, and folded once. That
-    gives the per-halfword result: 2{^16} = 1 (mod 0xffff), so a word
-    adds what its two halfwords do, and {!Ash_util.Checksum.fold16} maps
-    any positive sum to the one value in \[1, 0xffff\] with its residue
-    and 0 to 0. A range that faults takes the per-halfword loop and
-    stops at the halfword that first touches the hole. *)
+    cannot fault is summed in 32-bit words ({!unsafe_sum_be32}), then the
+    trailing halfword and odd byte, and folded once. That gives the
+    per-halfword result: 2{^16} = 1 (mod 0xffff), so a word adds what
+    its two halfwords do, and {!Ash_util.Checksum.fold16} maps any
+    positive sum to the one value in \[1, 0xffff\] with its residue and 0
+    to 0. A range that faults takes the per-halfword loop and stops at
+    the halfword that first touches the hole. *)
+
+val unsafe_be32 : Bytes.t -> int -> int
+(** [unsafe_be32 b i] is the big-endian 32-bit word at [b.[i..i+3]], in
+    \[0, 0xffff_ffff\], read without a bounds check. The caller must
+    know the four bytes lie within [b]: the host-side word loops read
+    only inside a range {!Ash_sim.Memory.locate} found wholly within a
+    region's data. *)
+
+val unsafe_sum_be32 :
+  Bytes.t -> int -> int -> write:bool -> Bytes.t -> int -> int
+(** [unsafe_sum_be32 src soff n ~write dst doff] is the plain sum of the
+    [n] big-endian words at [src.[soff..]], loaded in ascending order, as
+    {!unsafe_be32} reads them. With [~write:true] each word is also
+    stored at [dst.[doff..]] before the next is loaded, so overlapping
+    ranges read their own writes, as on the VM. Unchecked like
+    {!unsafe_be32}, for both ranges. The checksum pass and
+    {!Dilp.execute}'s word kernel run on it. *)
 
 val byteswap_pass : Ash_sim.Machine.t -> addr:int -> len:int -> unit
 (** A separate in-place 32-bit byteswap pass. [len] must be a multiple

@@ -15,11 +15,11 @@ let eth_striped = Striped { data = 16; pad = 16 }
    cache model instead. *)
 type part = { insns : int; cycles : int }
 
-(* What a native transfer does with each word: TCP's two transfers run
-   as word kernels, any other register-only body as its function. *)
+(* What a native transfer does with each word: TCP's checksumming
+   transfer runs as a word kernel, any other register-only body as its
+   function. *)
 type kernel =
   | Sum of Isa.reg (* a lone [Cksum32 (acc, r30)]: add each word to acc *)
-  | Copy (* the empty body: move the words *)
   | Body of (int array -> unit) (* one word's pipe instructions *)
 
 type native = {
@@ -131,7 +131,6 @@ let writes_loop_regs insn =
    r28 and r29 (the caller's unmasked [src] and [len]) need not. *)
 let kernel_of body =
   match body with
-  | [||] -> Some Copy
   | [| Isa.Cksum32 (acc, s) |]
     when s = reg_data && acc <> reg_data && acc <> Isa.reg_msg_addr
          && acc <> Isa.reg_msg_len ->
@@ -290,12 +289,8 @@ let compile ?(layout = Contiguous) pl mode =
 
 let word_kernel t =
   match t.native with
-  | Some { kernel = Sum _ | Copy; _ } -> true
+  | Some { kernel = Sum _; _ } -> true
   | Some { kernel = Body _; _ } | None -> false
-
-external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external swap32 : int32 -> int32 = "%bswap_int32"
 
 (* A sum of 32-bit values with end-around carry, folded once. Adding
    them one at a time with [Cksum32] keeps the accumulator congruent to
@@ -307,25 +302,6 @@ external swap32 : int32 -> int32 = "%bswap_int32"
    stays far below [max_int]. *)
 let rec fold32 s =
   if s > 0xffff_ffff then fold32 ((s land 0xffff_ffff) + (s lsr 32)) else s
-
-(* The word kernels' pass over [n] words at [soff] and, in [Write] mode,
-   [doff]: each word is loaded big-endian and stored before the next
-   load, as on the VM. Unchecked: the caller has located both ranges
-   within their regions. Leaves the last word in r30 and returns the
-   plain sum of the words. *)
-let move_words regs ~write sdata soff ddata doff n =
-  let sum = ref 0 and last = ref regs.(reg_data) in
-  for i = 0 to n - 1 do
-    let v = get32u sdata (soff + (4 * i)) in
-    if write then set32u ddata (doff + (4 * i)) v;
-    let w =
-      Int32.to_int (if Sys.big_endian then v else swap32 v) land 0xffff_ffff
-    in
-    sum := !sum + w;
-    last := w
-  done;
-  regs.(reg_data) <- !last;
-  !sum
 
 (* [addr, addr+len) lies in one resident region, below the 2^32 where
    the loop's address registers would wrap. *)
@@ -385,9 +361,7 @@ let run_native machine t nat ~init ~src ~dst ~len =
       (match nat.kernel with
        | Body body ->
          let word o =
-           regs.(reg_data) <-
-             Int32.to_int (Bytes.get_int32_be sdata (soff + o))
-             land 0xffff_ffff;
+           regs.(reg_data) <- Baseline.unsafe_be32 sdata (soff + o);
            body regs;
            if write then
              Bytes.set_int32_be ddata (doff + o) (Int32.of_int regs.(reg_data))
@@ -410,9 +384,14 @@ let run_native machine t nat ~init ~src ~dst ~len =
          done;
          regs.(Isa.reg_zero) <- r0
        | Sum acc ->
-         let sum = move_words regs ~write sdata soff ddata doff n in
-         regs.(acc) <- fold32 (regs.(acc) + sum)
-       | Copy -> ignore (move_words regs ~write sdata soff ddata doff n));
+         let sum = Baseline.unsafe_sum_be32 sdata soff n ~write ddata doff in
+         regs.(acc) <- fold32 (regs.(acc) + sum);
+         (* The last word loaded: in Write mode the last store wrote it
+            and nothing followed, in Sink mode nothing was stored. *)
+         if n > 0 then
+           regs.(reg_data) <-
+             (if write then Baseline.unsafe_be32 ddata (doff + l - 4)
+              else Baseline.unsafe_be32 sdata (soff + l - 4)));
       regs.(reg_src) <- s + l;
       if write then regs.(reg_dst) <- d + l;
       if Ash_obs.Trace.enabled () then

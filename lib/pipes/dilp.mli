@@ -35,23 +35,25 @@
     the VM's order even when the ranges overlap. The result and the
     [Vm_run] trace event are the ones the VM run would have produced.
 
-    {b Word kernels.} Two bodies run without a call per word: a lone
+    {b Word kernel.} One body runs without a call per word: a lone
     [Cksum32 (acc, r30)] ({!Pipelib.cksum32} alone, TCP's checksumming
-    transfer), whose [acc] is none of [r0]-[r5] and [r28]-[r30], and the
-    empty body ({!Pipelib.identity}, TCP's transfer without a checksum).
-    A kernel loads each word in ascending order and, in [Write] mode,
+    transfer), whose [acc] is none of [r0]-[r5] and [r28]-[r30]. The
+    kernel loads each word in ascending order and, in [Write] mode,
     stores it before it loads the next, so overlapping ranges read their
-    own writes as on the VM. The sum kernel adds the words to a plain
-    integer and folds [acc] plus that total once, with end-around carry
-    at 32 bits. That fold is exact: adding one word at a time with
-    end-around carry keeps [acc] congruent to the plain sum [S] modulo
-    2{^32}-1 and inside \[0, 2{^32}-1\], and leaves it 0 only when [S]
-    is 0, so both end at the one such value with [S]'s residue. [acc]
-    enters below 2{^32} ([r28] and [r29] need not), and [S] cannot
-    overflow for a transfer the gas budget admits. Afterwards [r30]
-    holds the last word (unchanged when [len] is 0), [r1] ends at
-    [src + len] and, in [Write] mode, [r2] at [dst + len], as the
-    program leaves them.
+    own writes as on the VM. It adds the words to a plain integer
+    ({!Baseline.unsafe_sum_be32}, the loop the checksum pass runs too)
+    and folds [acc] plus that total once, with end-around carry at 32
+    bits. That fold is exact: adding one word at a time with end-around
+    carry keeps [acc] congruent to the plain sum [S] modulo 2{^32}-1 and
+    inside \[0, 2{^32}-1\], and leaves it 0 only when [S] is 0, so both
+    end at the one such value with [S]'s residue. [acc] enters below
+    2{^32} ([r28] and [r29] need not), and [S] cannot overflow for a
+    transfer the gas budget admits. Afterwards [r30] holds the last word
+    (unchanged when [len] is 0), read back from where the last store put
+    it in [Write] mode; [r1] ends at [src + len] and, in [Write] mode,
+    [r2] at [dst + len], as the program leaves them. Every other body,
+    the identity pipe's empty one included, runs as its function once
+    per word.
 
     A transfer runs the VM program, unchanged, whenever one of these
     holds: the layout is striped; the body touches memory or writes
@@ -127,7 +129,7 @@ val execute :
     four. *)
 
 val word_kernel : compiled -> bool
-(** Whether the contiguous transfers of this loop run as a word kernel
+(** Whether the contiguous transfers of this loop run as the word kernel
     (see above). *)
 
 val execute_exn :

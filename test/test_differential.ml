@@ -615,7 +615,7 @@ let dilp_compile c =
 
 (* Interp running [compiled]'s program and [Dilp.execute] on two
    identical fixtures of [c], entered with [init]: every comparison the
-   comment above lists. *)
+   comment above lists. Returns [Dilp.execute]'s result. *)
 let dilp_agree c compiled ~init =
   let what = dilp_case_name c in
   let ((ma, srca, dsta, src, dst) as fa) = dilp_fixture c in
@@ -659,7 +659,8 @@ let dilp_agree c compiled ~init =
     Bytes.equal a.Memory.data b.Memory.data
   in
   if not (same srca srcb && same dsta dstb) then
-    QCheck.Test.fail_reportf "%s: memory diverged" what
+    QCheck.Test.fail_reportf "%s: memory diverged" what;
+  rb
 
 let prop_dilp_backends_agree =
   QCheck.Test.make ~name:"DILP transfers agree across backends" ~count:80
@@ -670,41 +671,53 @@ let prop_dilp_backends_agree =
         List.mapi (fun i r -> (r, (seed * (i + 7)) land 0xffff_ffff)) persistent
         @ match c.r0 with Some v -> [ (0, v) ] | None -> []
       in
-      dilp_agree c compiled ~init;
+      ignore (dilp_agree c compiled ~init);
       true)
 
-(* TCP's two transfers, [cksum32] and [identity], take the word kernels
+(* TCP's checksumming transfer, [cksum32] alone, takes the word kernel
    (see dilp.mli). Every mode, a length of 0, one word, a tail, a
-   segment and a transfer past the gas budget, and a destination in its
-   own region and overlapping either way: at src+4 each word is stored
-   where the next is loaded. The sum kernel folds once at the end, so it
-   gets an accumulator near 2^32 over all-ones words, which carry on
-   every word, 0 over all-zero words, which must stay 0, and a random
-   one over random words, which also tell the overlap orders apart. *)
+   segment and a transfer as large as the cache, and a destination in
+   its own region and overlapping either way inside the source's region:
+   at src+4 each word is stored where the next is loaded, at src-4 where
+   the one before it was, and at src+2 and src-2 each store also
+   rewrites half of the word it was loaded from, the last one included.
+   The kernel folds once at the end, so it gets an accumulator near 2^32
+   over all-ones words, which carry on every word, 0 over all-zero
+   words, which must stay 0, and a random one over random words, which
+   also tell the overlap orders apart. *)
 let kernel_cases rng =
   let ( let* ) l f = List.concat_map f l in
-  let* stack = [ [ Cksum ]; [ Ident ] ] in
   let* mode = [ Dilp.Write; Dilp.Sink ] in
   let* len = [ 0; 4; 12; 3072; 65536 ] in
-  let* dst_at = [ `Own 0; `In_src 4; `In_src (-4) ] in
+  let* dst_at =
+    [ `Own 0; `In_src 4; `In_src (-4); `In_src 2; `In_src (-2) ]
+  in
   let* payload, acc =
     [ (`Byte '\xff', 0xffff_ff00 + Rng.int rng 0x100); (`Byte '\000', 0);
       (`Seed (Rng.int rng 1_000_000), Rng.int rng 0x1_0000_0000) ]
   in
-  [ ( { mode; stack; odd = None; len; src_off = 0; dst_at; warm = `Cold;
-        gone = None; r0 = None; payload },
+  [ ( { mode; stack = [ Cksum ]; odd = None; len; src_off = 16; dst_at;
+        warm = `Cold; gone = None; r0 = None; payload },
       acc ) ]
 
+(* Every case lies in mapped regions and fits the gas budget, so it
+   must return: one that faulted or ran out of gas on both sides would
+   agree without reaching the kernel. *)
 let prop_dilp_kernels_agree =
-  QCheck.Test.make ~name:"DILP word kernels agree across backends" ~count:4
+  QCheck.Test.make ~name:"DILP word kernel agrees across backends" ~count:4
     ~long_factor:5 (QCheck.int_bound 1_000_000_000) (fun seed ->
       List.iter
         (fun (c, acc) ->
+           let what = dilp_case_name c in
            let compiled, persistent = dilp_compile c in
            if not (Dilp.word_kernel compiled) then
-             QCheck.Test.fail_reportf "%s: no word kernel" (dilp_case_name c);
-           dilp_agree c compiled
-             ~init:(List.map (fun r -> (r, acc)) persistent))
+             QCheck.Test.fail_reportf "%s: no word kernel" what;
+           let r =
+             dilp_agree c compiled
+               ~init:(List.map (fun r -> (r, acc)) persistent)
+           in
+           if r.Interp.outcome <> Interp.Returned then
+             QCheck.Test.fail_reportf "%s: did not return" what)
         (kernel_cases (Rng.create (seed + 23)));
       true)
 
