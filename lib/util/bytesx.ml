@@ -1,5 +1,5 @@
 let check b off len name =
-  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg name
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg name
 
 let get_u8 b off =
   check b off 1 "Bytesx.get_u8";

@@ -9,7 +9,7 @@ let fold32_to16 sum32 =
   fold16 ((sum32 lsr 16) + (sum32 land 0xffff))
 
 let ones_sum ?(acc = 0) b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Checksum.ones_sum";
   let sum = ref acc in
   let i = ref off in
@@ -28,7 +28,7 @@ let ones_sum ?(acc = 0) b ~off ~len =
 
 let sum32 ?(acc = 0) b ~off ~len =
   if len land 3 <> 0 then invalid_arg "Checksum.sum32: len not multiple of 4";
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Checksum.sum32";
   let sum = ref acc in
   let i = ref off in

@@ -34,12 +34,30 @@ let[@inline] le32 b i =
 
 let[@inline] slice k n = Array.unsafe_get slices ((256 * k) + (n land 0xff))
 
+(* [fold b off len crc] (crc32_stubs.c) is the register after the [len]
+   bytes at [off], from register [crc], by carry-less multiplication;
+   [len] is a multiple of 16 and at least 64, the four 16-byte lanes it
+   starts from. Unchecked: [digest] checks the bounds first. *)
+external clmul_available : unit -> bool = "ash_crc32_clmul_available"
+
+external fold : Bytes.t -> int -> int -> int -> int = "ash_crc32_fold"
+[@@noalloc]
+
+let clmul = clmul_available ()
+
 let digest b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  (* No sum here can wrap: the fold and the loops read unchecked. *)
+  if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Crc32.digest";
-  let crc = ref 0xffffffff in
-  let i = ref off in
-  let stop8 = off + (len land lnot 7) in
+  (* The fold takes the largest 16-byte multiple; the slicing loops
+     finish the tail, or run the whole slice without it. *)
+  let folded = if clmul && len >= 64 then len land lnot 15 else 0 in
+  let crc =
+    ref (if folded = 0 then 0xffffffff else fold b off folded 0xffffffff)
+  in
+  let start = off + folded in
+  let i = ref start in
+  let stop8 = start + ((len - folded) land lnot 7) in
   while !i < stop8 do
     let lo = !crc lxor le32 b !i and hi = le32 b (!i + 4) in
     crc :=

@@ -165,20 +165,28 @@ let test_an2_oversize_frame_dropped () =
   Alcotest.(check int) "counted as drop" 1
     (An2.stats p.b).An2.rx_dropped_no_buffer
 
+(* At 16 bytes the CRC runs bytewise; at 3 KiB the flipped middle byte
+   lies in the prefix the carry-less fold takes on a PCLMULQDQ host. *)
 let test_an2_crc_catches_corruption () =
-  let p = an2_pair () in
-  An2.bind_vc p.b ~vc:1;
-  ignore (post p p.b p.mb 64);
-  ignore (post p p.b p.mb 64);
-  let crc_flags = ref [] in
-  An2.set_rx_handler p.b (fun rx -> crc_flags := rx.An2.crc_ok :: !crc_flags);
-  An2.corrupt_next_frame p.a;
-  An2.transmit p.a ~vc:1 (Bytes.make 16 'x');
-  An2.transmit p.a ~vc:1 (Bytes.make 16 'x');
-  Engine.run p.engine;
-  Alcotest.(check (list bool)) "first corrupt, second clean" [ false; true ]
-    (List.rev !crc_flags);
-  Alcotest.(check int) "crc error counted" 1 (An2.stats p.b).An2.rx_crc_errors
+  List.iter
+    (fun size ->
+       let p = an2_pair () in
+       An2.bind_vc p.b ~vc:1;
+       ignore (post p p.b p.mb size);
+       ignore (post p p.b p.mb size);
+       let crc_flags = ref [] in
+       An2.set_rx_handler p.b (fun rx ->
+           crc_flags := rx.An2.crc_ok :: !crc_flags);
+       An2.corrupt_next_frame p.a;
+       An2.transmit p.a ~vc:1 (Bytes.make size 'x');
+       An2.transmit p.a ~vc:1 (Bytes.make size 'x');
+       Engine.run p.engine;
+       let name = Printf.sprintf "%d B: " size in
+       Alcotest.(check (list bool)) (name ^ "first corrupt, second clean")
+         [ false; true ] (List.rev !crc_flags);
+       Alcotest.(check int) (name ^ "crc error counted") 1
+         (An2.stats p.b).An2.rx_crc_errors)
+    [ 16; 3072 ]
 
 let test_an2_rejects_bad_frames () =
   let p = an2_pair () in
@@ -307,17 +315,21 @@ let test_eth_wire_slower_than_an2 () =
     (Ash_sim.Time.ms_of_ns !arrival > 1.0)
 
 let test_eth_crc () =
-  let p = eth_pair () in
-  let flags = ref [] in
-  Ethernet.set_rx_handler p.eb (fun rx ->
-      flags := rx.Ethernet.crc_ok :: !flags;
-      Ethernet.release_buffer p.eb ~ring_addr:rx.Ethernet.ring_addr);
-  Ethernet.corrupt_next_frame p.ea;
-  Ethernet.transmit p.ea (Bytes.make 32 'x');
-  Ethernet.transmit p.ea (Bytes.make 32 'x');
-  Engine.run p.e_engine;
-  Alcotest.(check (list bool)) "corruption flagged" [ false; true ]
-    (List.rev !flags)
+  List.iter
+    (fun size ->
+       let p = eth_pair () in
+       let flags = ref [] in
+       Ethernet.set_rx_handler p.eb (fun rx ->
+           flags := rx.Ethernet.crc_ok :: !flags;
+           Ethernet.release_buffer p.eb ~ring_addr:rx.Ethernet.ring_addr);
+       Ethernet.corrupt_next_frame p.ea;
+       Ethernet.transmit p.ea (Bytes.make size 'x');
+       Ethernet.transmit p.ea (Bytes.make size 'x');
+       Engine.run p.e_engine;
+       Alcotest.(check (list bool))
+         (Printf.sprintf "%d B: corruption flagged" size)
+         [ false; true ] (List.rev !flags))
+    [ 32; 1500 ]
 
 let () =
   Alcotest.run "ash_nic"

@@ -117,6 +117,16 @@ let test_sum32_rejects_unaligned () =
     (Invalid_argument "Checksum.sum32: len not multiple of 4") (fun () ->
       ignore (Checksum.sum32 (Bytes.create 6) ~off:0 ~len:6))
 
+(* [off + len] wraps past [max_int] here; the check must not. *)
+let test_cksum_bounds_wrap () =
+  let b = Bytes.create 8 in
+  Alcotest.check_raises "ones_sum" (Invalid_argument "Checksum.ones_sum")
+    (fun () -> ignore (Checksum.ones_sum b ~off:(max_int - 2) ~len:4));
+  Alcotest.check_raises "ones_sum, odd" (Invalid_argument "Checksum.ones_sum")
+    (fun () -> ignore (Checksum.ones_sum b ~off:(max_int - 2) ~len:3));
+  Alcotest.check_raises "sum32" (Invalid_argument "Checksum.sum32") (fun () ->
+      ignore (Checksum.sum32 b ~off:(max_int - 2) ~len:4))
+
 let test_incremental_sum () =
   let b = Bytes.create 32 in
   Rng.fill_bytes (Rng.create 3) b;
@@ -130,22 +140,8 @@ let test_incremental_sum () =
 (* CRC-32                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_crc32_known () =
-  (* Standard test vector: CRC-32("123456789") = 0xCBF43926. *)
-  Alcotest.(check int32) "123456789" 0xCBF43926l
-    (Crc32.digest_string "123456789");
-  Alcotest.(check int32) "empty" 0l (Crc32.digest_string "")
-
-let test_crc32_detects_corruption () =
-  let b = Bytes.of_string "the quick brown fox jumps over the lazy dog" in
-  let c = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
-  Bytes.set b 7 'X';
-  let c' = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
-  Alcotest.(check bool) "differs" true (c <> c')
-
 (* The textbook bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320)
-   on [Int32], the reference the table-driven native-int digest must
-   match on every slice. *)
+   on [Int32], the reference the digest must match on every slice. *)
 let crc32_bitwise b ~off ~len =
   let crc = ref 0xffffffffl in
   for i = off to off + len - 1 do
@@ -158,9 +154,56 @@ let crc32_bitwise b ~off ~len =
   done;
   Int32.logxor !crc 0xffffffffl
 
+let test_crc32_known () =
+  (* Standard test vector: CRC-32("123456789") = 0xCBF43926. *)
+  Alcotest.(check int32) "123456789" 0xCBF43926l
+    (Crc32.digest_string "123456789");
+  Alcotest.(check int32) "empty" 0l (Crc32.digest_string "");
+  (* Every length to 200 at every start offset to 17: each [len mod 16],
+     the 63/64/65 edge where the fold starts on a PCLMULQDQ host, and
+     every alignment of the first byte. *)
+  let b = Bytes.create 218 in
+  Rng.fill_bytes (Rng.create 24) b;
+  for off = 0 to 17 do
+    for len = 0 to 200 do
+      Alcotest.(check int32)
+        (Printf.sprintf "off %d len %d" off len)
+        (crc32_bitwise b ~off ~len) (Crc32.digest b ~off ~len)
+    done
+  done;
+  let whole b = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
+  let ones = Bytes.make 65_536 '\xff' in
+  Alcotest.(check int32) "64 KiB of 0xff"
+    (crc32_bitwise ones ~off:0 ~len:65_536) (whole ones);
+  let frame = Bytes.create 3112 in
+  Rng.fill_bytes (Rng.create 3112) frame;
+  Alcotest.(check int32) "3112-byte frame"
+    (crc32_bitwise frame ~off:0 ~len:3112) (whole frame)
+
+let test_crc32_detects_corruption () =
+  let b = Bytes.of_string "the quick brown fox jumps over the lazy dog" in
+  let c = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
+  Bytes.set b 7 'X';
+  let c' = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
+  Alcotest.(check bool) "differs" true (c <> c')
+
+(* [off + len] wraps past [max_int] here; the check must not, since the
+   digest reads unchecked. A wrapping check reads no byte at [max_int - 2]
+   but reads byte [max_int] at [(max_int, 1)], so that case goes last. *)
+let test_crc32_bounds_wrap () =
+  let b = Bytes.create 8 in
+  List.iter
+    (fun (off, len) ->
+       Alcotest.check_raises
+         (Printf.sprintf "off max_int - %d len %d" (max_int - off) len)
+         (Invalid_argument "Crc32.digest")
+         (fun () -> ignore (Crc32.digest b ~off ~len)))
+    [ (max_int - 2, 4); (max_int, 1) ]
+
 let prop_crc32_matches_bitwise =
   QCheck.Test.make ~name:"crc32 digest = bit-at-a-time reference" ~count:300
-    QCheck.(triple (bytes_of_size (Gen.int_range 0 600)) small_nat small_nat)
+    ~long_factor:10
+    QCheck.(triple (bytes_of_size (Gen.int_range 0 4096)) small_nat small_nat)
     (fun (b, a, c) ->
        let n = Bytes.length b in
        let off = if n = 0 then 0 else a mod (n + 1) in
@@ -268,6 +311,9 @@ let test_bytesx_error_messages () =
       ("set_u16_le", fun () -> Bytesx.set_u16_le b (-1) 0);
       ("get_u32_le", fun () -> ignore (Bytesx.get_u32_le b 2));
       ("set_u32_le", fun () -> Bytesx.set_u32_le b 4 0);
+      (* [off + len] wraps past [max_int]. *)
+      ("get_u8", fun () -> ignore (Bytesx.get_u8 b max_int));
+      ("equal_slice", fun () -> ignore (Bytesx.equal_slice b max_int b 0 1));
     ]
 
 let test_equal_slice () =
@@ -492,10 +538,12 @@ let () =
           Alcotest.test_case "sum32 unaligned" `Quick
             test_sum32_rejects_unaligned;
           Alcotest.test_case "incremental" `Quick test_incremental_sum;
+          Alcotest.test_case "bounds that wrap" `Quick test_cksum_bounds_wrap;
         ] );
       ( "crc32",
         [
           Alcotest.test_case "known vectors" `Quick test_crc32_known;
+          Alcotest.test_case "bounds that wrap" `Quick test_crc32_bounds_wrap;
           Alcotest.test_case "detects corruption" `Quick
             test_crc32_detects_corruption;
           QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
