@@ -34,12 +34,13 @@ let[@inline] le32 b i =
 
 let[@inline] slice k n = Array.unsafe_get slices ((256 * k) + (n land 0xff))
 
-(* [fold b off len crc] (crc32_stubs.c) is the register after the [len]
-   bytes at [off], from register [crc], by carry-less multiplication;
-   [len] is a multiple of 16 and at least 64, the four 16-byte lanes it
-   starts from. Unchecked: [digest] checks the bounds first. *)
+(* True on an x86-64 host with PCLMULQDQ and SSE4.1 (crc32_stubs.c). *)
 external clmul_available : unit -> bool = "ash_crc32_clmul_available"
 
+(* [fold b off len crc] is the register after the [len] bytes at [off],
+   from register [crc], by carry-less multiplication; [len] is a
+   multiple of 16 and at least 64, the four 16-byte lanes it starts
+   from. Unchecked: [digest] checks the bounds first. *)
 external fold : Bytes.t -> int -> int -> int -> int = "ash_crc32_fold"
 [@@noalloc]
 

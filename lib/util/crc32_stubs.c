@@ -83,7 +83,6 @@ value ash_crc32_clmul_available(value unit)
 {
   (void)unit;
 #ifdef ASH_CRC32_CLMUL
-  __builtin_cpu_init();
   return Val_bool(__builtin_cpu_supports("pclmul")
                   && __builtin_cpu_supports("sse4.1"));
 #else
