@@ -52,8 +52,9 @@ let () =
   in
   round 1;
   Fabric.run tb;
-  let ks = Kernel.stats host0.Fabric.kernel in
+  let k = host0.Fabric.kernel in
   Format.printf
     "server kernel: %d DSM operations handled by the handler, %d reached \
      the (suspended) application@."
-    ks.Kernel.ash_committed ks.Kernel.user_deliveries
+    (Kernel.stats k).Kernel.ash_committed
+    (Ash_obs.Hop.frames_out (Kernel.an2_hops k).Kernel.notify)

@@ -65,7 +65,8 @@ let () =
 
   (* 6. Run the simulation to completion. *)
   Fabric.run tb;
-  let stats = Kernel.stats server.Fabric.kernel in
+  let k = server.Fabric.kernel in
   Format.printf "Server: %d message(s) handled by the ASH, %d reached the \
                  application.@."
-    stats.Kernel.ash_committed stats.Kernel.user_deliveries
+    (Kernel.stats k).Kernel.ash_committed
+    (Ash_obs.Hop.frames_out (Kernel.an2_hops k).Kernel.notify)

@@ -352,9 +352,8 @@ let run_churn ?(configure = fun (_ : Fabric.t) -> ()) spec =
   in
   let switch_drops = ref 0 in
   let sw = Fabric.switch fab in
-  for p = 0 to Switch.num_ports sw - 1 do
-    switch_drops :=
-      !switch_drops + (Switch.port_stats sw ~port:p).Switch.tx_dropped_overflow
+  for port = 0 to Switch.num_ports sw - 1 do
+    switch_drops := !switch_drops + Ash_obs.Hop.drops (Switch.port_hop sw ~port)
   done;
   {
     completed;

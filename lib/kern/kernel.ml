@@ -13,6 +13,7 @@ module An2 = Ash_nic.An2
 module Ethernet = Ash_nic.Ethernet
 module Trace = Ash_obs.Trace
 module Span = Ash_obs.Span
+module Hop = Ash_obs.Hop
 
 type ash_id = int
 
@@ -24,18 +25,14 @@ type delivery =
 type app_state = Polling | Suspended
 
 type stats = {
-  rx_delivered : int;
-  rx_dropped_unbound : int;
-  rx_dropped_crc : int;
-  rx_dropped_queue : int;
   ash_committed : int;
   ash_aborted_voluntary : int;
   ash_aborted_involuntary : int;
   ash_quarantined : int;
   upcalls : int;
-  user_deliveries : int;
-  tx_frames : int;
 }
+
+type hops = { rx : Hop.t; notify : Hop.t }
 
 type ash = {
   exec : Exec.prepared;
@@ -103,6 +100,8 @@ type t = {
   mutable demux : demux;
   mutable an2 : An2.t option;
   mutable eth : Ethernet.t option;
+  mutable an2_hops : hops option;
+  mutable eth_hops : hops option;
   ashes : (int, ash) Hashtbl.t;
   mutable next_ash : int;
   handler_cache : (cache_key, cached_handler) Hashtbl.t;
@@ -131,17 +130,11 @@ type t = {
   mutable quarantine_threshold : int;
   mutable notify_queue_limit : int;
   (* stats *)
-  mutable s_rx_delivered : int;
-  mutable s_rx_dropped_unbound : int;
-  mutable s_rx_dropped_crc : int;
-  mutable s_rx_dropped_queue : int;
   mutable s_ash_committed : int;
   mutable s_ash_vol : int;
   mutable s_ash_invol : int;
   mutable s_ash_quarantined : int;
   mutable s_upcalls : int;
-  mutable s_user : int;
-  mutable s_tx : int;
   mutable s_demux_maint : int;
   (* Host-side work units spent maintaining the demux structures:
      constant per bind/unbind plus the length of any ordered-list
@@ -170,6 +163,8 @@ let create ?(quarantine_threshold = 3)
     demux = Demux_trie;
     an2 = None;
     eth = None;
+    an2_hops = None;
+    eth_hops = None;
     ashes = Hashtbl.create 8;
     next_ash = 0;
     handler_cache = Hashtbl.create 8;
@@ -190,30 +185,28 @@ let create ?(quarantine_threshold = 3)
     eth_pktbufs = [];
     quarantine_threshold;
     notify_queue_limit;
-    s_rx_delivered = 0;
-    s_rx_dropped_unbound = 0;
-    s_rx_dropped_crc = 0;
-    s_rx_dropped_queue = 0;
     s_ash_committed = 0;
     s_ash_vol = 0;
     s_ash_invol = 0;
     s_ash_quarantined = 0;
     s_upcalls = 0;
-    s_user = 0;
-    s_tx = 0;
     s_demux_maint = 0;
     }
   in
   (* Telemetry sources, when an ambient timeseries is installed. Rates
-     read cumulative stats (the sampler takes deltas); gauges read
+     read cumulative counts (the sampler takes deltas); gauges read
      instantaneous backlog. Registration is last-wins per name, so a
      kernel re-created under the same name continues its series. *)
   (match Ash_obs.Timeseries.current () with
    | None -> ()
    | Some ts ->
      let pre = "kern." ^ name ^ "." in
+     let sum f =
+       let of_medium = function None -> 0 | Some h -> f h in
+       of_medium t.an2_hops + of_medium t.eth_hops
+     in
      Ash_obs.Timeseries.register_rate ts (pre ^ "dispatch") (fun () ->
-         t.s_rx_delivered);
+         sum (fun h -> Hop.frames_out h.rx));
      Ash_obs.Timeseries.register_rate ts (pre ^ "commits") (fun () ->
          t.s_ash_committed);
      Ash_obs.Timeseries.register_rate ts (pre ^ "aborts") (fun () ->
@@ -221,7 +214,7 @@ let create ?(quarantine_threshold = 3)
      Ash_obs.Timeseries.register_rate ts (pre ^ "cache_hits") (fun () ->
          t.cache_hits);
      Ash_obs.Timeseries.register_rate ts (pre ^ "drops") (fun () ->
-         t.s_rx_dropped_unbound + t.s_rx_dropped_crc + t.s_rx_dropped_queue);
+         sum (fun h -> Hop.drops h.rx + Hop.drops h.notify));
      Ash_obs.Timeseries.register_gauge ts (pre ^ "busy_ns") (fun () ->
          float_of_int (max 0 (t.horizon - Engine.now t.engine)));
      Ash_obs.Timeseries.register_gauge ts (pre ^ "notify_occupancy")
@@ -275,7 +268,6 @@ let begin_reply_inherit t =
       Trace.Reply
 
 let do_transmit t (target, frame) =
-  t.s_tx <- t.s_tx + 1;
   if Trace.enabled () then
     Span.end_span ~corr:(Trace.current_corr ()) ~off:(span_off t) Trace.Reply;
   match target with
@@ -666,22 +658,26 @@ let wakeup_wait t =
         + c.Costs.context_switch_ns
     end
 
-let binding_nic b = if b.filter <> None then "eth" else "an2"
+(* The notification queue of a binding's medium, which is attached
+   before any frame reaches the binding. *)
+let notify_hop t b =
+  match if b.filter <> None then t.eth_hops else t.an2_hops with
+  | Some h -> h.notify
+  | None -> assert false
 
 let user_path t b ~addr ~len ~release =
+  let hop = notify_hop t b in
+  Hop.frame_in hop;
   if b.inflight_notify >= t.notify_queue_limit then begin
     (* The application is not draining its notifications: shed the
        message here, recycle the buffer, and let the protocols recover
        end to end — an unbounded queue would only defer the failure. *)
-    t.s_rx_dropped_queue <- t.s_rx_dropped_queue + 1;
-    if Trace.enabled () then
-      Trace.emit (Trace.Pkt_drop { nic = binding_nic b;
-                                   reason = Trace.Queue_full });
+    Hop.drop hop Trace.Queue_full;
     release ();
     ignore (settle t)
   end
   else begin
-    t.s_user <- t.s_user + 1;
+    Hop.frame_out hop;
     b.inflight_notify <- b.inflight_notify + 1;
     if Trace.enabled () then
       Trace.emit (Trace.User_deliver { vc = b.bvc });
@@ -842,7 +838,6 @@ let upcall_path t b id ~eth ~addr ~len ~release =
   charge_ns t t.costs.Costs.crossing_ns
 
 let dispatch t b ~eth ~addr ~len ~release =
-  t.s_rx_delivered <- t.s_rx_delivered + 1;
   match b.delivery with
   (* Quarantine wins before any budget bookkeeping: a demoted handler
      must not run, and [ash_over_budget] has side effects. *)
@@ -857,14 +852,10 @@ let dispatch t b ~eth ~addr ~len ~release =
 (* Driver receive hooks                                              *)
 (* ---------------------------------------------------------------- *)
 
-let kern_drop nic reason =
-  if Trace.enabled () then Trace.emit (Trace.Pkt_drop { nic; reason })
-
-let on_an2_rx t (rx : An2.rx) =
+let on_an2_rx t hops (rx : An2.rx) =
+  Hop.frame_in hops.rx;
   match Hashtbl.find_opt t.bindings rx.An2.vc with
-  | None ->
-    t.s_rx_dropped_unbound <- t.s_rx_dropped_unbound + 1;
-    kern_drop "an2" Trace.Unbound
+  | None -> Hop.drop hops.rx Trace.Unbound
   | Some b ->
     let corr = Trace.current_corr () in
     if Trace.enabled () then
@@ -878,8 +869,7 @@ let on_an2_rx t (rx : An2.rx) =
       (* Link-level corruption: the driver drops the frame at the rx
          boundary — it never reaches demux or handler dispatch — and
          recycles the buffer; protocols recover end to end. *)
-      t.s_rx_dropped_crc <- t.s_rx_dropped_crc + 1;
-      kern_drop "an2" Trace.Crc;
+      Hop.drop hops.rx Trace.Crc;
       if b.auto_repost then
         post_receive_buffer t ~vc:rx.An2.vc ~addr:rx.An2.addr
           ~len:rx.An2.buf_len;
@@ -891,6 +881,7 @@ let on_an2_rx t (rx : An2.rx) =
           post_receive_buffer t ~vc:rx.An2.vc ~addr:rx.An2.addr
             ~len:rx.An2.buf_len
       in
+      Hop.frame_out hops.rx;
       dispatch t b ~eth:false ~addr:rx.An2.addr ~len:rx.An2.len ~release
     end
 
@@ -931,8 +922,8 @@ let eth_demux t ~msg_addr ~msg_len =
          | None -> false)
       (eth_order t)
 
-let on_eth_rx t (rx : Ethernet.rx) =
-  let eth = match t.eth with Some e -> e | None -> assert false in
+let on_eth_rx t eth hops (rx : Ethernet.rx) =
+  Hop.frame_in hops.rx;
   let corr = Trace.current_corr () in
   let end_rx_dma () =
     if Trace.enabled () then
@@ -945,8 +936,7 @@ let on_eth_rx t (rx : Ethernet.rx) =
     (* Corrupt frame: dropped before DPF demux ever sees it. *)
     Ethernet.release_buffer eth ~ring_addr:rx.Ethernet.ring_addr;
     end_rx_dma ();
-    t.s_rx_dropped_crc <- t.s_rx_dropped_crc + 1;
-    kern_drop "eth" Trace.Crc;
+    Hop.drop hops.rx Trace.Crc;
     ignore (settle t)
   end
   else begin
@@ -954,8 +944,7 @@ let on_eth_rx t (rx : Ethernet.rx) =
     | None ->
       Ethernet.release_buffer eth ~ring_addr:rx.Ethernet.ring_addr;
       end_rx_dma ();
-      t.s_rx_dropped_unbound <- t.s_rx_dropped_unbound + 1;
-      kern_drop "eth" Trace.No_pktbuf;
+      Hop.drop hops.rx Trace.No_pktbuf;
       ignore (settle t)
     | Some pktbuf ->
       (* The mandatory copy out of the device's limited buffers
@@ -976,24 +965,30 @@ let on_eth_rx t (rx : Ethernet.rx) =
       (match matching with
        | None ->
          release ();
-         t.s_rx_dropped_unbound <- t.s_rx_dropped_unbound + 1;
          if Trace.enabled () then Trace.emit Trace.Dpf_miss;
-         kern_drop "eth" Trace.Dpf_miss;
+         Hop.drop hops.rx Trace.Dpf_miss;
          ignore (settle t)
        | Some b ->
          if Trace.enabled () then
            Trace.emit (Trace.Dpf_match { vc = b.bvc });
+         Hop.frame_out hops.rx;
          dispatch t b ~eth:true ~addr:pktbuf ~len ~release)
   end
+
+let medium_hops nic = { rx = Hop.create nic; notify = Hop.create nic }
 
 let attach_an2 t nic =
   if t.an2 <> None then invalid_arg "Kernel.attach_an2: already attached";
   t.an2 <- Some nic;
-  An2.set_rx_handler nic (on_an2_rx t)
+  let hops = medium_hops "an2" in
+  t.an2_hops <- Some hops;
+  An2.set_rx_handler nic (on_an2_rx t hops)
 
 let attach_ethernet t nic =
   if t.eth <> None then invalid_arg "Kernel.attach_ethernet: already attached";
   t.eth <- Some nic;
+  let hops = medium_hops "eth" in
+  t.eth_hops <- Some hops;
   let mem = Machine.mem t.machine in
   t.eth_pktbufs <-
     List.init eth_pktbuf_count (fun i ->
@@ -1001,7 +996,7 @@ let attach_ethernet t nic =
            ~name:(Printf.sprintf "eth-pktbuf-%d" i)
            t.costs.Costs.eth_mtu)
           .Memory.base);
-  Ethernet.set_rx_handler nic (on_eth_rx t)
+  Ethernet.set_rx_handler nic (on_eth_rx t nic hops)
 
 let an2 t =
   match t.an2 with
@@ -1013,17 +1008,21 @@ let ethernet t =
   | Some nic -> nic
   | None -> invalid_arg "Kernel.ethernet: no Ethernet NIC attached"
 
+let an2_hops t =
+  match t.an2_hops with
+  | Some h -> h
+  | None -> invalid_arg "Kernel.an2_hops: no AN2 board attached"
+
+let eth_hops t =
+  match t.eth_hops with
+  | Some h -> h
+  | None -> invalid_arg "Kernel.eth_hops: no Ethernet NIC attached"
+
 let stats t =
   {
-    rx_delivered = t.s_rx_delivered;
-    rx_dropped_unbound = t.s_rx_dropped_unbound;
-    rx_dropped_crc = t.s_rx_dropped_crc;
-    rx_dropped_queue = t.s_rx_dropped_queue;
     ash_committed = t.s_ash_committed;
     ash_aborted_voluntary = t.s_ash_vol;
     ash_aborted_involuntary = t.s_ash_invol;
     ash_quarantined = t.s_ash_quarantined;
     upcalls = t.s_upcalls;
-    user_deliveries = t.s_user;
-    tx_frames = t.s_tx;
   }

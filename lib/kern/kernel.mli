@@ -27,11 +27,12 @@
     prediction fails.
 
     Graceful degradation under faults: frames whose link CRC fails are
-    dropped at the receive boundary (before demux or dispatch) with a
-    dedicated counter; per-VC user notifications are bounded, shedding
-    load with an accounted drop when the application stops draining
-    them; and a handler killed [quarantine_threshold] times is
-    quarantined — demoted to the plain user path — until {!rearm_ash}. *)
+    dropped at the receive boundary (before demux or dispatch) as
+    [Crc]; per-VC user notifications are bounded, shedding load as a
+    [Queue_full] drop when the application stops draining them (both
+    counted at the medium's {!hops}); and a handler killed
+    [quarantine_threshold] times is quarantined — demoted to the plain
+    user path — until {!rearm_ash}. *)
 
 type t
 
@@ -48,17 +49,28 @@ type app_state =
                    interrupt with a polling dummy process that yields). *)
 
 type stats = {
-  rx_delivered : int;
-  rx_dropped_unbound : int;   (** No binding / no DPF match. *)
-  rx_dropped_crc : int;       (** Link CRC failed; never demuxed. *)
-  rx_dropped_queue : int;     (** Notification queue at its bound. *)
   ash_committed : int;
   ash_aborted_voluntary : int;
   ash_aborted_involuntary : int;
   ash_quarantined : int;      (** Quarantine demotions so far. *)
   upcalls : int;
-  user_deliveries : int;
-  tx_frames : int;
+}
+
+(** The two hops a kernel owns for each attached medium, both traced
+    under the medium's label (["an2"] or ["eth"]). *)
+type hops = {
+  rx : Ash_obs.Hop.t;
+      (** The receive boundary: in, every driver-hook call; out, every
+          frame dispatched to a binding. Dropped as [Crc] (link CRC
+          failed; never demuxed) and, on the AN2, [Unbound] (no
+          binding for the VC) or, on the Ethernet, [No_pktbuf] (no
+          packet buffer to copy the ring slot into) and [Dpf_miss] (no
+          filter matched). *)
+  notify : Ash_obs.Hop.t;
+      (** The user-level notification queues of the medium's bindings:
+          in, every message taking the user path (an ASH's abort or
+          kill included); out, every notification accepted; dropped as
+          [Queue_full] at a binding's [notify_queue_limit]. *)
 }
 
 type demux =
@@ -109,8 +121,9 @@ val reboot : t -> unit
 (** Simulate a kernel crash/reboot: {!teardown} plus removal of every
     demux binding (Ethernet filters and AN2 VCs) and of any queued
     transmissions. Unlike after a bare [teardown], the kernel stays
-    safe to receive on: arrivals drop at the demux boundary with the
-    unbound counters until a service re-downloads and re-binds.
+    safe to receive on: arrivals drop as [No_vc] at the AN2 board or
+    [Dpf_miss] at the Ethernet demux until a service re-downloads and
+    re-binds.
     Machine memory is not cleared — wiping segments is the service's
     part of the crash model. *)
 
@@ -125,6 +138,11 @@ val attach_ethernet : t -> Ash_nic.Ethernet.t -> unit
 val an2 : t -> Ash_nic.An2.t
 val ethernet : t -> Ash_nic.Ethernet.t
 (** The attached NIC; raise [Invalid_argument] when none is. *)
+
+val an2_hops : t -> hops
+val eth_hops : t -> hops
+(** The medium's hops, created when its NIC is attached; raise
+    [Invalid_argument] when none is. *)
 
 (* -- ASHs --------------------------------------------------------------- *)
 

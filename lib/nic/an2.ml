@@ -5,22 +5,11 @@ module Costs = Ash_sim.Costs
 module Crc32 = Ash_util.Crc32
 module Trace = Ash_obs.Trace
 module Span = Ash_obs.Span
+module Hop = Ash_obs.Hop
 
 let max_frame = 4096
 
-let drop reason =
-  if Trace.enabled () then
-    Trace.emit (Trace.Pkt_drop { nic = "an2"; reason })
-
 type rx = { vc : int; addr : int; len : int; buf_len : int; crc_ok : bool }
-
-type stats = {
-  tx_frames : int;
-  rx_frames : int;
-  rx_dropped_no_buffer : int;
-  rx_dropped_no_vc : int;
-  rx_crc_errors : int;
-}
 
 type vc_state = {
   mutable buffers : (int * int) list; (* (addr, len), FIFO *)
@@ -32,12 +21,9 @@ type t = {
   vcs : (int, vc_state) Hashtbl.t;
   mutable rx_handler : rx -> unit;
   mutable peer : t option;
-  mutable tx_link : Faulty_link.t option; (* our transmit direction *)
+  mutable tx_link : Link.t option; (* our transmit direction *)
   mutable corrupt_next : bool;
-  mutable tx_frames : int;
-  mutable rx_frames : int;
-  mutable rx_dropped_no_buffer : int;
-  mutable rx_dropped_no_vc : int;
+  rx_hop : Hop.t;
   mutable rx_crc_errors : int;
 }
 
@@ -50,10 +36,7 @@ let create engine machine =
     peer = None;
     tx_link = None;
     corrupt_next = false;
-    tx_frames = 0;
-    rx_frames = 0;
-    rx_dropped_no_buffer = 0;
-    rx_dropped_no_vc = 0;
+    rx_hop = Hop.create "an2";
     rx_crc_errors = 0;
   }
 
@@ -62,11 +45,10 @@ let connect a b =
     invalid_arg "An2.connect: already connected";
   let costs = Machine.costs a.machine in
   let mk () =
-    Faulty_link.wrap ~nic:"an2"
-      (Link.create a.engine
-         ~pkt_occupancy_ns:costs.Costs.an2_pkt_occupancy_ns
-         ~fixed_ns:costs.Costs.an2_hw_oneway_ns
-         ~ns_per_byte:costs.Costs.an2_ns_per_byte ())
+    Link.create a.engine ~nic:"an2"
+      ~pkt_occupancy_ns:costs.Costs.an2_pkt_occupancy_ns
+      ~fixed_ns:costs.Costs.an2_hw_oneway_ns
+      ~ns_per_byte:costs.Costs.an2_ns_per_byte ()
   in
   a.peer <- Some b;
   b.peer <- Some a;
@@ -96,6 +78,7 @@ let set_rx_handler t f = t.rx_handler <- f
 (* Deliver a frame that has finished crossing the wire: board-side VC
    demux, DMA into the next posted buffer, CRC verdict, driver upcall. *)
 let deliver t ~vc ~payload ~crc_sent =
+  Hop.frame_in t.rx_hop;
   (* The board's VC table lookup is the AN2's entire demux stage: the
      sender named the channel, so the span is zero-width on the span
      clock (no CPU charged). *)
@@ -104,29 +87,23 @@ let deliver t ~vc ~payload ~crc_sent =
   let binding = Hashtbl.find_opt t.vcs vc in
   Span.end_span ~corr Trace.Demux;
   match binding with
-  | None ->
-    t.rx_dropped_no_vc <- t.rx_dropped_no_vc + 1;
-    drop Trace.No_vc
+  | None -> Hop.drop t.rx_hop Trace.No_vc
   | Some s -> begin
       match s.buffers with
-      | [] ->
-        t.rx_dropped_no_buffer <- t.rx_dropped_no_buffer + 1;
-        drop Trace.No_buffer
+      | [] -> Hop.drop t.rx_hop Trace.No_buffer
       | (addr, buf_len) :: rest ->
         let len = Bytes.length payload in
-        if len > buf_len then begin
+        if len > buf_len then
           (* A frame bigger than the posted buffer is a binding error;
              the board drops it rather than overrunning memory. *)
-          t.rx_dropped_no_buffer <- t.rx_dropped_no_buffer + 1;
-          drop Trace.Too_big
-        end
+          Hop.drop t.rx_hop Trace.Too_big
         else begin
           s.buffers <- rest;
           Memory.blit_from_bytes (Machine.mem t.machine) ~src:payload
             ~src_off:0 ~dst:addr ~len;
           let crc_ok = Crc32.digest payload ~off:0 ~len = crc_sent in
           if not crc_ok then t.rx_crc_errors <- t.rx_crc_errors + 1;
-          t.rx_frames <- t.rx_frames + 1;
+          Hop.frame_out t.rx_hop;
           if Trace.enabled () then
             Trace.emit (Trace.Pkt_rx { nic = "an2"; bytes = len });
           t.rx_handler { vc; addr; len; buf_len; crc_ok }
@@ -139,13 +116,12 @@ let transmit t ~vc payload =
     invalid_arg "An2.transmit: bad frame length";
   match t.peer, t.tx_link with
   | Some peer, Some link ->
-    t.tx_frames <- t.tx_frames + 1;
     if Trace.enabled () then
       Trace.emit (Trace.Pkt_tx { nic = "an2"; bytes = len });
     (* The CRC is computed by the board over the bytes as sent. The
        stack owns [payload] from here on, so the fault-free path puts
        the caller's bytes on the wire; only an injected bit flip (and a
-       fault plan, in [Faulty_link]) works on a copy. *)
+       fault plan, in [Link]) works on a copy. *)
     let crc_sent = Crc32.digest payload ~off:0 ~len in
     let frame =
       if t.corrupt_next then begin
@@ -157,7 +133,7 @@ let transmit t ~vc payload =
       end
       else payload
     in
-    Faulty_link.transmit link ~wire_bytes:len ~frame (fun payload ->
+    Link.transmit link ~wire_bytes:len ~frame (fun payload ->
         deliver peer ~vc ~payload ~crc_sent)
   | _ -> failwith "An2.transmit: not connected"
 
@@ -165,19 +141,13 @@ let corrupt_next_frame t = t.corrupt_next <- true
 
 let set_fault_plan t plan =
   match t.tx_link with
-  | Some link -> Faulty_link.set_plan link plan
+  | Some link -> Link.set_plan link plan
   | None -> invalid_arg "An2.set_fault_plan: not connected"
 
 let fault_plan t =
   match t.tx_link with
-  | Some link -> Faulty_link.plan link
+  | Some link -> Link.plan link
   | None -> None
 
-let stats t =
-  {
-    tx_frames = t.tx_frames;
-    rx_frames = t.rx_frames;
-    rx_dropped_no_buffer = t.rx_dropped_no_buffer;
-    rx_dropped_no_vc = t.rx_dropped_no_vc;
-    rx_crc_errors = t.rx_crc_errors;
-  }
+let rx_hop t = t.rx_hop
+let rx_crc_errors t = t.rx_crc_errors

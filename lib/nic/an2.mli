@@ -27,14 +27,6 @@ type rx = {
   crc_ok : bool;   (** Board-computed CRC verdict. *)
 }
 
-type stats = {
-  tx_frames : int;
-  rx_frames : int;
-  rx_dropped_no_buffer : int;
-  rx_dropped_no_vc : int;
-  rx_crc_errors : int;
-}
-
 val create : Ash_sim.Engine.t -> Ash_sim.Machine.t -> t
 (** A NIC attached to the given machine; link parameters come from the
     machine's cost profile. *)
@@ -49,8 +41,8 @@ val bind_vc : t -> vc:int -> unit
     already bound. *)
 
 val unbind_vc : t -> vc:int -> unit
-(** Close a virtual circuit: subsequent arrivals on it drop with the
-    no-VC counter, and still-posted buffers are forgotten. Raises
+(** Close a virtual circuit: subsequent arrivals on it drop as
+    [No_vc] at {!rx_hop}, and still-posted buffers are forgotten. Raises
     [Invalid_argument] if not bound. *)
 
 val post_buffer : t -> vc:int -> addr:int -> len:int -> unit
@@ -85,4 +77,13 @@ val set_fault_plan : t -> Ash_sim.Fault.t option -> unit
 
 val fault_plan : t -> Ash_sim.Fault.t option
 
-val stats : t -> stats
+val rx_hop : t -> Ash_obs.Hop.t
+(** The board's receive side: in, every frame off the wire; out, every
+    frame DMA'd into a posted buffer and handed to the driver (a CRC
+    failure included); dropped as [No_vc] (closed VC), [No_buffer]
+    (nothing posted) or [Too_big] (frame larger than the next posted
+    buffer). *)
+
+val rx_crc_errors : t -> int
+(** Frames handed to the driver with a failed CRC verdict. The kernel
+    drops them at its receive boundary, not the board. *)

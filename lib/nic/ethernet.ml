@@ -4,17 +4,11 @@ module Memory = Ash_sim.Memory
 module Costs = Ash_sim.Costs
 module Crc32 = Ash_util.Crc32
 module Trace = Ash_obs.Trace
+module Hop = Ash_obs.Hop
 
 let stripe = 16
 
 type rx = { ring_addr : int; len : int; crc_ok : bool }
-
-type stats = {
-  tx_frames : int;
-  rx_frames : int;
-  rx_dropped_no_buffer : int;
-  rx_crc_errors : int;
-}
 
 let broadcast_mac = 0xffff_ffff_ffff
 
@@ -24,7 +18,7 @@ let broadcast_mac = 0xffff_ffff_ffff
 type fabric_port = {
   f_ingress :
     src_mac:int -> dst_mac:int -> frame:Bytes.t -> crc_sent:int32 -> unit;
-  f_link : Faulty_link.t; (* host -> switch direction *)
+  f_link : Link.t; (* host -> switch direction *)
   f_via : Engine.exec option; (* runs [f_ingress] on the switch's shard *)
 }
 
@@ -37,15 +31,13 @@ type t = {
   ring_slots : int list;               (* all slot base addresses *)
   mutable rx_handler : rx -> unit;
   mutable peer : t option;
-  mutable tx_link : Faulty_link.t option;
+  mutable tx_link : Link.t option;
   mutable fabric : fabric_port option;
   mutable mac : int;
   mutable route : (Bytes.t -> int option) option;
   mutable rx_exec : Engine.exec option;
   mutable corrupt_next : bool;
-  mutable tx_frames : int;
-  mutable rx_frames : int;
-  mutable rx_dropped_no_buffer : int;
+  rx_hop : Hop.t;
   mutable rx_crc_errors : int;
 }
 
@@ -74,9 +66,7 @@ let create engine machine =
     route = None;
     rx_exec = None;
     corrupt_next = false;
-    tx_frames = 0;
-    rx_frames = 0;
-    rx_dropped_no_buffer = 0;
+    rx_hop = Hop.create "eth";
     rx_crc_errors = 0;
   }
 
@@ -85,9 +75,8 @@ let connect a b =
   then invalid_arg "Ethernet.connect: already connected";
   let costs = Machine.costs a.machine in
   let mk () =
-    Faulty_link.wrap ~nic:"eth"
-      (Link.create a.engine ~fixed_ns:costs.Costs.eth_hw_oneway_ns
-         ~ns_per_byte:costs.Costs.eth_ns_per_byte ())
+    Link.create a.engine ~nic:"eth" ~fixed_ns:costs.Costs.eth_hw_oneway_ns
+      ~ns_per_byte:costs.Costs.eth_ns_per_byte ()
   in
   a.peer <- Some b;
   b.peer <- Some a;
@@ -105,9 +94,8 @@ let attach_fabric ?ingress_via t ~ingress =
     invalid_arg "Ethernet.attach_fabric: already connected";
   let costs = Machine.costs t.machine in
   let link =
-    Faulty_link.wrap ~nic:"eth"
-      (Link.create t.engine ~fixed_ns:costs.Costs.eth_hw_oneway_ns
-         ~ns_per_byte:costs.Costs.eth_ns_per_byte ())
+    Link.create t.engine ~nic:"eth" ~fixed_ns:costs.Costs.eth_hw_oneway_ns
+      ~ns_per_byte:costs.Costs.eth_ns_per_byte ()
   in
   t.fabric <- Some { f_ingress = ingress; f_link = link; f_via = ingress_via }
 
@@ -127,11 +115,9 @@ let dma_striped t ~slot ~payload =
   done
 
 let deliver t ~payload ~crc_sent =
+  Hop.frame_in t.rx_hop;
   match t.free_ring with
-  | [] ->
-    t.rx_dropped_no_buffer <- t.rx_dropped_no_buffer + 1;
-    if Trace.enabled () then
-      Trace.emit (Trace.Pkt_drop { nic = "eth"; reason = Trace.No_buffer })
+  | [] -> Hop.drop t.rx_hop Trace.No_buffer
   | slot :: rest ->
     t.free_ring <- rest;
     t.outstanding <- slot :: t.outstanding;
@@ -139,7 +125,7 @@ let deliver t ~payload ~crc_sent =
     let len = Bytes.length payload in
     let crc_ok = Crc32.digest payload ~off:0 ~len = crc_sent in
     if not crc_ok then t.rx_crc_errors <- t.rx_crc_errors + 1;
-    t.rx_frames <- t.rx_frames + 1;
+    Hop.frame_out t.rx_hop;
     if Trace.enabled () then
       Trace.emit (Trace.Pkt_rx { nic = "eth"; bytes = len });
     t.rx_handler { ring_addr = slot; len; crc_ok }
@@ -150,11 +136,10 @@ let transmit t payload =
   let len = Bytes.length payload in
   if len = 0 || len > t.mtu then invalid_arg "Ethernet.transmit: bad length";
   let put_on_wire ?deliver_via link handoff =
-    t.tx_frames <- t.tx_frames + 1;
     if Trace.enabled () then
       Trace.emit (Trace.Pkt_tx { nic = "eth"; bytes = len });
     (* As on the AN2: the caller's bytes go on the wire unless a bit
-       flip is injected (a fault plan copies in [Faulty_link]). *)
+       flip is injected (a fault plan copies in [Link]). *)
     let crc_sent = Crc32.digest payload ~off:0 ~len in
     let frame =
       if t.corrupt_next then begin
@@ -170,7 +155,7 @@ let transmit t payload =
     (* Wire occupancy: preamble + header/CRC framing + padding to the
        64-byte minimum frame. *)
     let wire_bytes = Int.max (len + 18) costs.Costs.eth_min_frame + 8 in
-    Faulty_link.transmit ?deliver_via link ~wire_bytes ~frame (handoff crc_sent)
+    Link.transmit ?deliver_via link ~wire_bytes ~frame (handoff crc_sent)
   in
   match t.peer, t.tx_link, t.fabric with
   | Some peer, Some link, _ ->
@@ -208,15 +193,10 @@ let out_link t =
 
 let set_fault_plan t plan =
   match out_link t with
-  | Some link -> Faulty_link.set_plan link plan
+  | Some link -> Link.set_plan link plan
   | None -> invalid_arg "Ethernet.set_fault_plan: not connected"
 
-let stats t =
-  {
-    tx_frames = t.tx_frames;
-    rx_frames = t.rx_frames;
-    rx_dropped_no_buffer = t.rx_dropped_no_buffer;
-    rx_crc_errors = t.rx_crc_errors;
-  }
+let rx_hop t = t.rx_hop
+let rx_crc_errors t = t.rx_crc_errors
 
 let outstanding_buffers t = List.length t.outstanding

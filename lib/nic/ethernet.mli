@@ -22,13 +22,6 @@ type rx = {
   crc_ok : bool;
 }
 
-type stats = {
-  tx_frames : int;
-  rx_frames : int;
-  rx_dropped_no_buffer : int;
-  rx_crc_errors : int;
-}
-
 val create : Ash_sim.Engine.t -> Ash_sim.Machine.t -> t
 (** Allocates the device's receive ring ([eth_rx_ring_slots] buffers of
     [2 * eth_mtu] bytes) out of the machine's memory. *)
@@ -108,5 +101,13 @@ val set_fault_plan : t -> Ash_sim.Fault.t option -> unit
     switch-to-host direction). Raises [Invalid_argument] if not
     connected. *)
 
-val stats : t -> stats
+val rx_hop : t -> Ash_obs.Hop.t
+(** The device's receive side: in, every frame off the wire; out,
+    every frame DMA'd into a ring slot and handed to the driver (a CRC
+    failure included); dropped as [No_buffer] when every slot is still
+    held by the driver. *)
+
+val rx_crc_errors : t -> int
+(** Frames handed to the driver with a failed CRC verdict. *)
+
 val outstanding_buffers : t -> int

@@ -1,19 +1,31 @@
 module Engine = Ash_sim.Engine
+module Fault = Ash_sim.Fault
 module Trace = Ash_obs.Trace
 module Span = Ash_obs.Span
 
 type t = {
   engine : Engine.t;
+  nic : string;
   fixed_ns : int;
   pkt_occupancy_ns : int;
   ns_per_byte : float;
   mutable free_at : Ash_sim.Time.ns;
+  mutable plan : Fault.t option;
 }
 
-let create engine ?(pkt_occupancy_ns = 0) ~fixed_ns ~ns_per_byte () =
-  { engine; fixed_ns; pkt_occupancy_ns; ns_per_byte; free_at = 0 }
+let create engine ~nic ?(pkt_occupancy_ns = 0) ~fixed_ns ~ns_per_byte () =
+  { engine; nic; fixed_ns; pkt_occupancy_ns; ns_per_byte; free_at = 0;
+    plan = None }
 
-let transmit t ?deliver_via ?(extra_delay_ns = 0) ~bytes deliver =
+let set_plan t p = t.plan <- p
+let plan t = t.plan
+let busy_until t = t.free_at
+
+(* Occupy the wire for [bytes] and run [deliver] when the frame has
+   crossed it. [extra_delay_ns] postpones delivery only — the occupancy
+   window is unchanged — so a fault plan's reordering and jitter leave
+   link utilization alone. *)
+let send t ?deliver_via ?(extra_delay_ns = 0) ~bytes deliver =
   let now = Engine.now t.engine in
   let start = Int.max now t.free_at in
   let wire =
@@ -44,4 +56,27 @@ let transmit t ?deliver_via ?(extra_delay_ns = 0) ~bytes deliver =
        under the frame's own id. *)
     exec ~at:arrival arrive
 
-let busy_until t = t.free_at
+let transmit t ?deliver_via ~wire_bytes ~frame deliver =
+  match t.plan with
+  | None ->
+    send t ?deliver_via ~bytes:wire_bytes (fun () -> deliver frame)
+  | Some plan ->
+    (* The plan may damage the frame in place or deliver it late (after
+       the sender has been acked and reused its buffer), so it works on
+       a private copy; the fault-free path above shares the sender's. *)
+    let copies, injected = Fault.apply plan ~frame:(Bytes.copy frame) in
+    (match injected with
+     | Some fault when Trace.enabled () ->
+       Trace.emit (Trace.Fault_injected { nic = t.nic; fault })
+     | Some _ | None -> ());
+    (match copies with
+     | [] ->
+       (* Lost mid-flight: the frame consumed its wire time; nothing
+          arrives. *)
+       send t ~bytes:wire_bytes (fun () -> ())
+     | copies ->
+       List.iter
+         (fun (bytes', extra_delay_ns) ->
+            send t ?deliver_via ~extra_delay_ns ~bytes:wire_bytes
+              (fun () -> deliver bytes'))
+         copies)

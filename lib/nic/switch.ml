@@ -1,30 +1,18 @@
 module Engine = Ash_sim.Engine
 module Costs = Ash_sim.Costs
 module Trace = Ash_obs.Trace
+module Hop = Ash_obs.Hop
 
-type port_stats = {
-  tx_enqueued : int;
-  tx_dropped_overflow : int;
-  queue_peak : int;
-}
-
-type stats = {
-  frames_in : int;
-  forwarded : int;
-  flooded : int;
-  filtered : int;
-  macs_learned : int;
-}
+type stats = { forwarded : int; flooded : int }
 
 type port = {
   pid : int;
   mutable nic : Ethernet.t option;
   mutable rings : Ethernet.t array; (* RSS rings; [||] = single NIC *)
-  mutable link : Faulty_link.t option; (* switch -> host direction *)
+  mutable link : Link.t option; (* switch -> host direction *)
   queue : (Bytes.t * int32) Queue.t;   (* (frame, sender CRC) *)
   mutable pumping : bool;
-  mutable s_enq : int;
-  mutable s_drop : int;
+  hop : Hop.t;
   mutable s_peak : int;
 }
 
@@ -35,10 +23,8 @@ type t = {
   ports : port array;
   mac_table : (int, int) Hashtbl.t;
   mutable exec : Engine.exec option; (* this switch's shard executor *)
-  mutable s_in : int;
   mutable s_fwd : int;
   mutable s_flood : int;
-  mutable s_filtered : int;
 }
 
 let create engine ?(queue_limit = 16) ~costs ~ports () =
@@ -52,14 +38,12 @@ let create engine ?(queue_limit = 16) ~costs ~ports () =
       ports =
         Array.init ports (fun pid ->
             { pid; nic = None; rings = [||]; link = None;
-              queue = Queue.create (); pumping = false; s_enq = 0; s_drop = 0;
-              s_peak = 0 });
+              queue = Queue.create (); pumping = false;
+              hop = Hop.create "switch"; s_peak = 0 });
       mac_table = Hashtbl.create 16;
       exec = None;
-      s_in = 0;
       s_fwd = 0;
       s_flood = 0;
-      s_filtered = 0;
     }
   in
   (* Telemetry: aggregate egress-queue depth (the congestion signal),
@@ -73,7 +57,7 @@ let create engine ?(queue_limit = 16) ~costs ~ports () =
            (Array.fold_left (fun acc p -> acc + Queue.length p.queue) 0
               t.ports));
      Ash_obs.Timeseries.register_rate ts "switch.drops" (fun () ->
-         Array.fold_left (fun acc p -> acc + p.s_drop) 0 t.ports);
+         Array.fold_left (fun acc p -> acc + Hop.drops p.hop) 0 t.ports);
      Ash_obs.Timeseries.register_rate ts "switch.forwarded" (fun () ->
          t.s_fwd + t.s_flood));
   t
@@ -106,26 +90,24 @@ let rec pump t p =
         p.rings.(Rss.ring_index ~rings:(Array.length p.rings) frame)
       else match p.nic with Some n -> n | None -> assert false
     in
-    Faulty_link.transmit link
+    Hop.frame_out p.hop;
+    Link.transmit link
       ?deliver_via:(Ethernet.rx_exec nic)
       ~wire_bytes:(wire_bytes t frame) ~frame (fun payload ->
         Ethernet.deliver_frame nic ~payload ~crc_sent);
-    let at = Faulty_link.busy_until link in
+    let at = Link.busy_until link in
     ignore (Engine.schedule_at t.engine ~at (fun () -> pump t p))
 
 let enqueue t p ~frame ~crc_sent =
   match p.nic with
   | None -> () (* nothing attached: the frame falls off the fabric *)
   | Some _ ->
-    if Queue.length p.queue >= t.queue_limit then begin
-      p.s_drop <- p.s_drop + 1;
-      if Trace.enabled () then
-        Trace.emit (Trace.Pkt_drop { nic = "switch"; reason = Trace.Queue_full })
-    end
+    Hop.frame_in p.hop;
+    if Queue.length p.queue >= t.queue_limit then
+      Hop.drop p.hop Trace.Queue_full
     else begin
       Queue.add (frame, crc_sent) p.queue;
       if Queue.length p.queue > p.s_peak then p.s_peak <- Queue.length p.queue;
-      p.s_enq <- p.s_enq + 1;
       if not p.pumping then begin
         p.pumping <- true;
         pump t p
@@ -139,9 +121,8 @@ let enqueue t p ~frame ~crc_sent =
    filtered. The sender's CRC rides along unrecomputed, so corruption
    injected on either hop surfaces as a receiver CRC failure. Flooded
    ports share one frame: nothing downstream writes to it (a port's
-   fault plan damages a private copy in [Faulty_link]). *)
+   fault plan damages a private copy in [Link]). *)
 let ingress t ~in_port ~src_mac ~dst_mac ~frame ~crc_sent =
-  t.s_in <- t.s_in + 1;
   if src_mac <> Ethernet.broadcast_mac then
     Hashtbl.replace t.mac_table src_mac in_port;
   let known =
@@ -149,7 +130,7 @@ let ingress t ~in_port ~src_mac ~dst_mac ~frame ~crc_sent =
     else Hashtbl.find_opt t.mac_table dst_mac
   in
   match known with
-  | Some p when p = in_port -> t.s_filtered <- t.s_filtered + 1
+  | Some p when p = in_port -> ()
   | Some p ->
     t.s_fwd <- t.s_fwd + 1;
     enqueue t t.ports.(p) ~frame ~crc_sent
@@ -164,9 +145,8 @@ let ingress t ~in_port ~src_mac ~dst_mac ~frame ~crc_sent =
 let set_exec t exec = t.exec <- Some exec
 
 let make_port_link t =
-  Faulty_link.wrap ~nic:"switch"
-    (Link.create t.engine ~fixed_ns:t.costs.Costs.eth_hw_oneway_ns
-       ~ns_per_byte:t.costs.Costs.eth_ns_per_byte ())
+  Link.create t.engine ~nic:"switch" ~fixed_ns:t.costs.Costs.eth_hw_oneway_ns
+    ~ns_per_byte:t.costs.Costs.eth_ns_per_byte ()
 
 let attach t ~port nic =
   let p = check_port t port in
@@ -203,24 +183,11 @@ let attach_rss t ~port rings =
 let set_fault_plan t ~port plan =
   let p = check_port t port in
   match p.link with
-  | Some link -> Faulty_link.set_plan link plan
+  | Some link -> Link.set_plan link plan
   | None -> invalid_arg "Switch.set_fault_plan: port not attached"
 
 let lookup_port t ~mac = Hashtbl.find_opt t.mac_table mac
 
-let port_stats t ~port =
-  let p = check_port t port in
-  {
-    tx_enqueued = p.s_enq;
-    tx_dropped_overflow = p.s_drop;
-    queue_peak = p.s_peak;
-  }
-
-let stats t =
-  {
-    frames_in = t.s_in;
-    forwarded = t.s_fwd;
-    flooded = t.s_flood;
-    filtered = t.s_filtered;
-    macs_learned = Hashtbl.length t.mac_table;
-  }
+let port_hop t ~port = (check_port t port).hop
+let queue_peak t ~port = (check_port t port).s_peak
+let stats t = { forwarded = t.s_fwd; flooded = t.s_flood }

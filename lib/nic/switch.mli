@@ -7,8 +7,8 @@
     attached port when the destination is unknown or broadcast.
 
     Each egress port has a {e finite} output queue ([queue_limit]
-    frames): a frame arriving at a full queue is tail-dropped with a
-    per-port counter and a [Pkt_drop]/[Queue_full] trace event —
+    frames): a frame arriving at a full queue is tail-dropped as
+    [Queue_full] at the port's {!port_hop} —
     congestion at a shared destination (the scale suite's single server
     host) shows up here, and the transports recover end to end.
 
@@ -22,19 +22,10 @@
 
 type t
 
-type port_stats = {
-  tx_enqueued : int;          (** Frames accepted into this egress queue. *)
-  tx_dropped_overflow : int;  (** Tail drops at the queue bound. *)
-  queue_peak : int;           (** High-water mark of the queue depth. *)
-}
-
 type stats = {
-  frames_in : int;   (** Frames received from all ports. *)
   forwarded : int;   (** Known-unicast relays. *)
   flooded : int;     (** Unknown-destination or broadcast frames (counted
                          once per ingress frame, not per copy). *)
-  filtered : int;    (** Destination learned on the ingress port itself. *)
-  macs_learned : int;
 }
 
 val create :
@@ -75,5 +66,14 @@ val set_fault_plan : t -> port:int -> Ash_sim.Fault.t option -> unit
 val lookup_port : t -> mac:int -> int option
 (** The learned station table (for tests). *)
 
-val port_stats : t -> port:int -> port_stats
+val port_hop : t -> port:int -> Ash_obs.Hop.t
+(** A port's egress: in, every frame offered to the attached port
+    (one per flooded copy); out, every frame put on its switch-to-host
+    wire; dropped as [Queue_full] at the queue bound. The difference
+    [in - out - drops] is the queue length, zero once the fabric has
+    run to quiescence. An unattached port's hop stays at zero. *)
+
+val queue_peak : t -> port:int -> int
+(** High-water mark of a port's egress queue depth. *)
+
 val stats : t -> stats

@@ -28,7 +28,6 @@ type t = {
   an2_pkt_occupancy_ns : int;
   an2_ns_per_byte : float;
   an2_mtu : int;
-  an2_rx_ring_slots : int;
   eth_hw_oneway_ns : int;
   eth_ns_per_byte : float;
   eth_min_frame : int;
@@ -66,7 +65,6 @@ let decstation = {
   an2_pkt_occupancy_ns = 10_000;
   an2_ns_per_byte = 59.5;
   an2_mtu = 3072;
-  an2_rx_ring_slots = 64;
   eth_hw_oneway_ns = 50_000;
   eth_ns_per_byte = 800.0;
   eth_min_frame = 64;

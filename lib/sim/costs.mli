@@ -92,7 +92,6 @@ type t = {
   an2_ns_per_byte : float;
   (** 59.5 ns/byte: the 16.8-MB/s maximum per-link bandwidth (§IV-C). *)
   an2_mtu : int;          (** 3072-byte maximum segment the paper uses. *)
-  an2_rx_ring_slots : int;(** Notification-ring depth per virtual circuit. *)
   (* -- Ethernet ---------------------------------------------------------- *)
   eth_hw_oneway_ns : int;
   (** Fixed per-packet hardware cost for the Lance-style Ethernet: 50 us

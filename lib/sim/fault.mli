@@ -12,7 +12,7 @@
     The plan itself only decides and mutates bytes; wiring it onto a
     link (wire occupancy for dropped frames, delayed delivery for
     reorder/jitter, the {!Ash_obs.Trace.kind.Fault_injected} event) is
-    the NIC layer's job ({!Ash_nic.Faulty_link}). Corruption and
+    the NIC layer's job ({!Ash_nic.Link}). Corruption and
     truncation are applied to the frame after the sender's link CRC is
     computed, so they surface at the receiver exactly like real wire
     damage: as a CRC mismatch. *)

@@ -22,6 +22,7 @@ module Udp = Ash_proto.Udp
 module Tcp = Ash_proto.Tcp
 module Trace = Ash_obs.Trace
 module Metrics = Ash_obs.Metrics
+module Hop = Ash_obs.Hop
 module Isa = Ash_vm.Isa
 module Builder = Ash_vm.Builder
 
@@ -152,7 +153,8 @@ let udp_pair tb =
     mk 7001 7000 (Fabric.host tb 0).Fabric.kernel 5 )
 
 (* Send [n] distinct datagrams, paced so receive buffers never run out;
-   return (received payload list, fault stats, server kernel stats). *)
+   return (received payload list, fault stats, the server kernel's AN2
+   receive hop, server UDP stats). *)
 let udp_soak ~plan ~n () =
   let tb = Fabric.pair () in
   let c, s = udp_pair tb in
@@ -166,6 +168,7 @@ let udp_soak ~plan ~n () =
            Udp.send_string c (Printf.sprintf "datagram-%04d-payload" i)))
   done;
   Fabric.run tb;
+  Balance.fabric tb;
   let plan_stats =
     match An2.fault_plan (an2 tb 1) with
     | Some p -> Fault.stats p
@@ -173,7 +176,7 @@ let udp_soak ~plan ~n () =
   in
   ( List.rev !got,
     plan_stats,
-    Kernel.stats (Fabric.host tb 0).Fabric.kernel,
+    (Kernel.an2_hops (Fabric.host tb 0).Fabric.kernel).Kernel.rx,
     Udp.stats s )
 
 let test_udp_under_loss () =
@@ -194,13 +197,13 @@ let test_udp_under_loss () =
 
 let test_udp_under_storm () =
   let n = 40 in
-  let got, fs, ks, us = udp_soak ~plan:(Fault.storm ~seed 0.05) ~n () in
+  let got, fs, rx, us = udp_soak ~plan:(Fault.storm ~seed 0.05) ~n () in
   Alcotest.(check bool) "faults injected" true (fs.Fault.injected > 0);
-  (* Corrupted and truncated frames die at the kernel rx boundary with
-     the CRC counter; duplicates arrive twice; drops never arrive. *)
+  (* Corrupted and truncated frames die at the kernel rx boundary as
+     CRC drops; duplicates arrive twice; drops never arrive. *)
   Alcotest.(check int) "crc drops accounted"
     (fs.Fault.corrupts + fs.Fault.truncates)
-    ks.Kernel.rx_dropped_crc;
+    (Hop.dropped rx Trace.Crc);
   Alcotest.(check int) "delivery count"
     (n - fs.Fault.drops - fs.Fault.corrupts - fs.Fault.truncates
      + fs.Fault.duplicates)
@@ -251,6 +254,7 @@ let tcp_transfer ?(both_directions = false) ?rto ?fast_retransmit ~plan ~n ()
   in
   send 0;
   Fabric.run tb;
+  Balance.fabric tb;
   ( Fabric.now tb - start,
     Tcp.stats c,
     Buffer.contents buf,
@@ -327,6 +331,7 @@ let test_tcp_fastpath_under_loss () =
   in
   send 0;
   Fabric.run tb;
+  Balance.fabric tb;
   Alcotest.(check int) "all writes completed" 50 !completed;
   Alcotest.(check string) "payload byte-identical" (Buffer.contents expected)
     (Buffer.contents buf);
@@ -376,7 +381,9 @@ let test_quarantine_demotes_after_n_kills () =
   Alcotest.(check int) "kill count retained" 2 (Kernel.ash_kill_count srv id);
   (* Traffic kept flowing throughout. *)
   Alcotest.(check int) "every message delivered to the app" 5 !user_saw;
-  Alcotest.(check int) "nothing lost" 5 st.Kernel.rx_delivered
+  Alcotest.(check int) "nothing lost" 5
+    (Hop.frames_out (Kernel.an2_hops srv).Kernel.rx);
+  Balance.fabric tb
 
 let test_rearm_gives_handler_another_chance () =
   let tb = Fabric.pair () in
@@ -400,7 +407,8 @@ let test_rearm_gives_handler_another_chance () =
   (* It ran again (and was killed and re-quarantined). *)
   Alcotest.(check int) "ran again" 2
     (Kernel.stats srv).Kernel.ash_aborted_involuntary;
-  Alcotest.(check bool) "quarantined again" true (Kernel.ash_quarantined srv id)
+  Alcotest.(check bool) "quarantined again" true (Kernel.ash_quarantined srv id);
+  Balance.fabric tb
 
 let test_notify_queue_bound_sheds_load () =
   let tb = Fabric.pair () in
@@ -417,17 +425,14 @@ let test_notify_queue_bound_sheds_load () =
     Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 'b')
   done;
   Fabric.run tb;
-  let st = Kernel.stats srv in
+  let notify = (Kernel.an2_hops srv).Kernel.notify in
+  let shed = Hop.dropped notify Trace.Queue_full in
   Alcotest.(check bool)
-    (Printf.sprintf "queue bound shed load (%d dropped)"
-       st.Kernel.rx_dropped_queue)
-    true
-    (st.Kernel.rx_dropped_queue > 0);
-  Alcotest.(check int) "the rest were delivered"
-    (6 - st.Kernel.rx_dropped_queue)
-    !user_saw;
-  Alcotest.(check int) "accounting adds up" 6
-    (st.Kernel.rx_dropped_queue + st.Kernel.user_deliveries)
+    (Printf.sprintf "queue bound shed load (%d dropped)" shed)
+    true (shed > 0);
+  Alcotest.(check int) "the rest were delivered" (6 - shed) !user_saw;
+  Alcotest.(check int) "accounting adds up" 6 (shed + Hop.frames_out notify);
+  Balance.fabric tb
 
 let test_crc_drops_never_reach_dispatch () =
   let tb = Fabric.pair () in
@@ -442,12 +447,13 @@ let test_crc_drops_never_reach_dispatch () =
     Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 'c')
   done;
   Fabric.run tb;
-  let st = Kernel.stats srv in
-  Alcotest.(check int) "every frame dropped as crc" 5 st.Kernel.rx_dropped_crc;
-  Alcotest.(check int) "none demuxed" 0 st.Kernel.rx_delivered;
-  Alcotest.(check int) "handler never ran" 0 st.Kernel.ash_committed;
-  Alcotest.(check int) "board saw the damage" 5
-    (An2.stats (an2 tb 0)).An2.rx_crc_errors
+  let rx = (Kernel.an2_hops srv).Kernel.rx in
+  Alcotest.(check int) "every frame dropped as crc" 5 (Hop.dropped rx Trace.Crc);
+  Alcotest.(check int) "none demuxed" 0 (Hop.frames_out rx);
+  Alcotest.(check int) "handler never ran" 0
+    (Kernel.stats srv).Kernel.ash_committed;
+  Alcotest.(check int) "board saw the damage" 5 (An2.rx_crc_errors (an2 tb 0));
+  Balance.fabric tb
 
 (* ------------------------------------------------------------------ *)
 (* DSM soak                                                            *)
@@ -478,6 +484,7 @@ let test_dsm_converges_under_duplication_and_reorder () =
              (fun _ -> ())))
   done;
   Fabric.run tb;
+  Balance.fabric tb;
   let mem = Machine.mem (Kernel.machine (Fabric.host tb 0).Fabric.kernel) in
   for i = 0 to n - 1 do
     let addr = Dsm.segment_addr server ~seg:(i mod 2) + (i / 2 * 8) in
@@ -511,6 +518,7 @@ let chaos_scenario ~seed () =
   send 0;
   Fabric.run tb;
   Trace.stop r;
+  Balance.fabric tb;
   (r, Buffer.contents buf)
 
 let test_same_seed_same_chaos_stream () =
@@ -546,9 +554,11 @@ module Exp_scale = Ash_core.Exp_scale
    client-facing port, so every lost segment is covered by an armed
    retransmission timer on the other side. *)
 let test_fabric_lossy_port () =
+  let fabric = ref None in
   let r =
     Exp_scale.run_churn
       ~configure:(fun fab ->
+          fabric := Some fab;
           Switch.set_fault_plan (Fabric.switch fab) ~port:1
             (Some (Fault.create (Fault.lossy ~seed 0.1))))
       { Exp_scale.default_spec with
@@ -564,7 +574,8 @@ let test_fabric_lossy_port () =
   Alcotest.(check bool) "loss actually recovered" true
     (r.Exp_scale.retransmits > 0);
   Alcotest.(check int) "no bindings leaked" 0 r.Exp_scale.leaked_bindings;
-  Alcotest.(check int) "no regions leaked" 0 r.Exp_scale.leaked_regions
+  Alcotest.(check int) "no regions leaked" 0 r.Exp_scale.leaked_regions;
+  Balance.fabric (Option.get !fabric)
 
 let test_different_seed_different_faults () =
   let r1, _ = chaos_scenario ~seed () in
@@ -685,10 +696,11 @@ let tcp_bulk_under ?rto ~plan () =
   in
   send 0;
   Fabric.run tb;
+  Balance.fabric tb;
   Alcotest.(check int) "all writes completed" chunks !completed;
   Alcotest.(check bool) "payload byte-identical" true
     (Buffer.contents got = Bytes.to_string data);
-  (Tcp.stats c, An2.stats (an2 tb 0))
+  (Tcp.stats c, an2 tb 0)
 
 let late_reorder seed =
   { Fault.none with Fault.seed; reorder = 0.15; reorder_delay_ns = 30_000_000 }
@@ -702,7 +714,7 @@ let test_tcp_recycled_frames_under_late_reorder () =
        (* A late copy that shared its bytes with a recycled frame would
           arrive holding another segment and fail the board CRC. *)
        Alcotest.(check int) "no frame damaged after send" 0
-         nic.An2.rx_crc_errors)
+         (An2.rx_crc_errors nic))
     [ 1; 7; 42 ]
 
 (* No fault plan, and a fixed RTO shorter than the round trip: segments
@@ -717,8 +729,9 @@ let test_tcp_recycled_frames_under_spurious_timeouts () =
   in
   Alcotest.(check int) "retransmits" 972 st.Tcp.retransmits;
   Alcotest.(check int) "timeouts" 309 st.Tcp.timeout_retransmits;
-  Alcotest.(check int) "frames received" 1010 nic.An2.rx_frames;
-  Alcotest.(check int) "no frame damaged after send" 0 nic.An2.rx_crc_errors
+  Alcotest.(check int) "frames received" 1010
+    (Hop.frames_out (An2.rx_hop nic));
+  Alcotest.(check int) "no frame damaged after send" 0 (An2.rx_crc_errors nic)
 
 let test_tcp_recycled_frames_under_duplicate_and_corrupt () =
   List.iter
@@ -728,13 +741,13 @@ let test_tcp_recycled_frames_under_duplicate_and_corrupt () =
            ~plan:{ (late_reorder seed) with Fault.duplicate = 0.15 } ()
        in
        Alcotest.(check int) "duplicates arrive intact" 0
-         nic.An2.rx_crc_errors;
+         (An2.rx_crc_errors nic);
        let st, nic =
          tcp_bulk_under
            ~plan:{ (late_reorder seed) with Fault.corrupt = 0.1 } ()
        in
        Alcotest.(check bool) "corruption injected and recovered" true
-         (nic.An2.rx_crc_errors > 0 && st.Tcp.retransmits > 0))
+         (An2.rx_crc_errors nic > 0 && st.Tcp.retransmits > 0))
     [ 1; 7; 42 ]
 
 (* Under [corrupt_next] or a fault plan, the NICs damage private copies:
@@ -776,10 +789,10 @@ let test_nics_never_mutate_caller_frame () =
   send_all ();
   Alcotest.(check bool) "fault plans spare the caller" true
     (Bytes.equal frame pristine);
-  Alcotest.(check bool) "an2 saw the damage" true
-    ((An2.stats b).An2.rx_crc_errors > 1);
+  Balance.check [ ("an2 b rx", An2.rx_hop b); ("eth b rx", Ethernet.rx_hop eb) ];
+  Alcotest.(check bool) "an2 saw the damage" true (An2.rx_crc_errors b > 1);
   Alcotest.(check bool) "ethernet saw the damage" true
-    ((Ethernet.stats eb).Ethernet.rx_crc_errors > 1)
+    (Ethernet.rx_crc_errors eb > 1)
 
 let () =
   Alcotest.run "ash_chaos"

@@ -132,8 +132,9 @@ let test_unbind_under_both_engines () =
          (frame 0xAA 0xBB);
        Fabric.run tb;
        Alcotest.(check int) "all bindings gone: frame dropped" 0 !hits;
-       Alcotest.(check bool) "drop counted" true
-         ((Kernel.stats srv).Kernel.rx_dropped_unbound >= 1))
+       Alcotest.(check int) "counted as a DPF miss" 1
+         (Ash_obs.Hop.dropped (Kernel.eth_hops srv).Kernel.rx
+            Ash_obs.Trace.Dpf_miss))
     [ Kernel.Demux_linear; Kernel.Demux_trie ]
 
 (* ------------------------------------------------------------------ *)

@@ -14,6 +14,8 @@ module An2 = Ash_nic.An2
 module Isa = Ash_vm.Isa
 module Builder = Ash_vm.Builder
 module Bytesx = Ash_util.Bytesx
+module Hop = Ash_obs.Hop
+module Trace = Ash_obs.Trace
 
 let costs = Costs.decstation
 
@@ -375,8 +377,59 @@ let test_kernel_eth_filter_dispatch () =
   Fabric.run tb;
   Alcotest.(check (list int)) "filters demultiplex" [ 200; 100 ]
     (List.rev !hits);
-  Alcotest.(check bool) "unmatched dropped" true
-    ((Kernel.stats srv).Kernel.rx_dropped_unbound >= 1)
+  Alcotest.(check int) "unmatched dropped as a DPF miss" 1
+    (Hop.dropped (Kernel.eth_hops srv).Kernel.rx Trace.Dpf_miss)
+
+(* A VC open on the board but bound to nothing in the kernel: the
+   board DMAs each frame into a posted buffer and hands it up, and the
+   kernel drops it at its receive boundary as unbound. *)
+let test_kernel_an2_unbound_drops () =
+  let tb = mk_pair () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let nic = Kernel.an2 srv in
+  An2.bind_vc nic ~vc;
+  Fabric.post_buffers (Fabric.host tb 0) ~vc ~count:3 ~size:64;
+  for _ = 1 to 3 do
+    Kernel.kernel_send (Fabric.host tb 1).Fabric.kernel ~vc (Bytes.make 8 'u')
+  done;
+  Fabric.run tb;
+  let rx = (Kernel.an2_hops srv).Kernel.rx in
+  Alcotest.(check int) "board passed every frame up" 3
+    (Hop.frames_out (An2.rx_hop nic));
+  Alcotest.(check int) "kernel dropped each as unbound" 3
+    (Hop.dropped rx Trace.Unbound);
+  Alcotest.(check int) "none dispatched" 0 (Hop.frames_out rx);
+  Balance.fabric tb
+
+(* Frames for a user-level binding hold their packet buffer until the
+   application runs. With eight processes in an oblivious round robin
+   the application waits out seven quanta, so a burst of 40 frames
+   finds the kernel's 32 packet buffers taken after the 32nd. *)
+let test_kernel_eth_pktbuf_exhaustion () =
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let cli = (Fabric.host tb 1).Fabric.kernel in
+  let pvc =
+    Kernel.bind_eth_filter srv [ Dpf.atom ~offset:0 ~width:2 100 ]
+      Kernel.Deliver_user
+  in
+  let seen = ref 0 in
+  Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ -> incr seen);
+  Kernel.setup_scheduler srv ~policy:Sched.Oblivious_rr ~nprocs:8;
+  let frame = Bytes.make 32 '\000' in
+  Bytesx.set_u16 frame 0 100;
+  ignore
+    (Engine.schedule (Fabric.engine tb) ~delay:1_200_000 (fun () ->
+         for _ = 1 to 40 do
+           Kernel.eth_kernel_send cli frame
+         done));
+  Fabric.run tb;
+  let rx = (Kernel.eth_hops srv).Kernel.rx in
+  Alcotest.(check int) "the pool's worth dispatched" 32 (Hop.frames_out rx);
+  Alcotest.(check int) "the rest dropped as no-pktbuf" 8
+    (Hop.dropped rx Trace.No_pktbuf);
+  Alcotest.(check int) "the application saw the dispatched ones" 32 !seen;
+  Balance.fabric tb
 
 let test_kernel_ash_sandbox_stats_exposed () =
   let tb = mk_pair () in
@@ -642,6 +695,10 @@ let () =
           Alcotest.test_case "commit hook" `Quick test_kernel_commit_hook_fires;
           Alcotest.test_case "eth filter dispatch" `Quick
             test_kernel_eth_filter_dispatch;
+          Alcotest.test_case "an2 unbound drops" `Quick
+            test_kernel_an2_unbound_drops;
+          Alcotest.test_case "eth pktbuf exhaustion" `Quick
+            test_kernel_eth_pktbuf_exhaustion;
           Alcotest.test_case "sandbox stats" `Quick
             test_kernel_ash_sandbox_stats_exposed;
           Alcotest.test_case "download rejects" `Quick

@@ -11,6 +11,10 @@ module Fault = Ash_sim.Fault
 module Trace = Ash_obs.Trace
 module Metrics = Ash_obs.Metrics
 module Flight = Ash_obs.Flight
+module Handlers = Ash_core.Handlers
+module Kernel = Ash_kern.Kernel
+module Packet = Ash_proto.Packet
+module Bytesx = Ash_util.Bytesx
 
 let seed =
   match Sys.getenv_opt "CHAOS_SEED" with
@@ -33,7 +37,7 @@ let check_audit name (a : Mq.audit) =
 (* ------------------------------------------------------------------ *)
 
 let test_clean_delivery () =
-  let _fab, q = mk () in
+  let fab, q = mk () in
   Mq.produce q ~producer:0 ~count:20 ~at:(ms 1);
   Mq.produce q ~producer:1 ~count:20 ~at:(ms 1);
   Alcotest.(check bool) "drained" true (Mq.drain q ~deadline:(ms 400));
@@ -43,16 +47,17 @@ let test_clean_delivery () =
   Alcotest.(check int) "primary log" 40 (fst s.Mq.s_log);
   let a = Mq.audit ~check_prefix_equal:true q in
   check_audit "clean" a;
-  Alcotest.(check int) "audit sees the acks" 40 a.Mq.a_acked
+  Alcotest.(check int) "audit sees the acks" 40 a.Mq.a_acked;
+  Balance.fabric fab
 
 let test_clean_consumer () =
-  let _fab, q = mk () in
+  let fab, q = mk () in
   let c = Mq.add_consumer q ~host:4 ~start_at:(ms 1) ~interval_ns:500_000 ~until:(ms 300) in
   Mq.produce q ~producer:0 ~count:15 ~at:(ms 1);
   Mq.produce q ~producer:1 ~count:15 ~at:(ms 2);
   Alcotest.(check bool) "drained" true (Mq.drain q ~deadline:(ms 200));
   (* Let the consumer catch up to the head. *)
-  Fabric.run_until _fab (ms 300);
+  Fabric.run_until fab (ms 300);
   let got = Mq.delivered q ~consumer:c in
   Alcotest.(check int) "consumed the whole log" 30 (List.length got);
   List.iteri
@@ -60,7 +65,8 @@ let test_clean_consumer () =
       Alcotest.(check int) "in offset order" i o;
       Alcotest.(check bool) "payload intact" true ok)
     got;
-  check_audit "consumer" (Mq.audit ~check_prefix_equal:true q)
+  check_audit "consumer" (Mq.audit ~check_prefix_equal:true q);
+  Balance.fabric fab
 
 (* ------------------------------------------------------------------ *)
 (* Lossy / adversarial links                                           *)
@@ -83,7 +89,7 @@ let test_dedup_under_duplication () =
      ever lands. Three seeds beyond the matrix seed for good measure. *)
   List.iter
     (fun s ->
-      let _fab, q = mk () in
+      let fab, q = mk () in
       Mq.install_chaos q ~config:(adversarial ~seed:s) ~seed:s;
       Mq.produce q ~producer:0 ~count:25 ~at:(ms 1);
       Mq.produce q ~producer:1 ~count:25 ~at:(ms 1);
@@ -98,21 +104,101 @@ let test_dedup_under_duplication () =
          have absorbed something on at least one broker. *)
       let dup = fst st.Mq.s_dedup + snd st.Mq.s_dedup in
       if st.Mq.s_redeliveries > 0 then
-        Alcotest.(check bool) "dedup window exercised" true (dup >= 0))
+        Alcotest.(check bool) "dedup window exercised" true (dup >= 0);
+      Balance.fabric fab)
     [ seed; seed + 100; seed + 200 ]
+
+(* A hand-made MQ frame from host [src] to broker host [dst]'s UDP
+   [port]: the MQ header follows the IP and UDP headers, then a
+   payload of the default size. *)
+let inject fab ~src ~dst ~port ~op ~seq ~offset =
+  let net_off = Packet.ip_header_len + Packet.udp_header_len in
+  let plen = Mq.default_spec.Mq.payload_words * 4 in
+  let total = net_off + Handlers.mq_header + plen in
+  let fr = Bytes.make total '\000' in
+  let ip h = (Fabric.host fab h).Fabric.ip in
+  Packet.Ip.write fr ~off:0
+    { Packet.Ip.src = ip src; dst = ip dst; proto = Packet.Ip.proto_udp;
+      total_len = total; ttl = 64; id = seq };
+  Packet.Udp.write fr ~off:Packet.ip_header_len
+    { Packet.Udp.src_port = 40_000; dst_port = port;
+      length = total - Packet.ip_header_len; checksum = 0 };
+  let set field v = Bytesx.set_u32 fr (net_off + field) v in
+  set Handlers.mq_off_magic Handlers.mq_magic;
+  set Handlers.mq_off_op op;
+  set Handlers.mq_off_producer 0;
+  set Handlers.mq_off_seq seq;
+  set Handlers.mq_off_offset offset;
+  set Handlers.mq_off_client_ip (ip src);
+  set Handlers.mq_off_client_port 40_000;
+  set Handlers.mq_off_len plen;
+  Kernel.eth_kernel_send (Fabric.host fab src).Fabric.kernel fr
+
+(* Producer 0 (host 2) has two messages acked, so both brokers hold
+   its session at seq 2 and both logs hold two messages. [stray] then
+   sends hand-made frames from host 2 and lets the housekeeping tick
+   mirror the handler counters into drops.mq.*. *)
+let two_acked_then stray =
+  let rec_ = Trace.record () in
+  let fab, q = mk () in
+  Mq.produce q ~producer:0 ~count:2 ~at:(ms 1);
+  Alcotest.(check bool) "drained" true (Mq.drain q ~deadline:(ms 400));
+  stray fab;
+  Fabric.run_until fab (Fabric.now fab + ms 5);
+  let m = Trace.metrics rec_ in
+  Trace.stop rec_;
+  Balance.fabric fab;
+  check_audit "strays" (Mq.audit q);
+  (Mq.stats q, m)
+
+(* The primary's produce handler drops a sequence outside its window,
+   below it or above it, as stale. *)
+let test_stale_seq_counted () =
+  let produce_port = Mq.default_spec.Mq.produce_port in
+  let st, m =
+    two_acked_then (fun fab ->
+        List.iter
+          (fun seq ->
+             inject fab ~src:2 ~dst:0 ~port:produce_port
+               ~op:Handlers.mq_op_produce ~seq ~offset:0)
+          [ 1; 5 ])
+  in
+  Alcotest.(check (pair int int)) "stale on the primary only" (2, 0)
+    st.Mq.s_stale;
+  Alcotest.(check int) "drops.mq.stale-seq mirrors it" 2
+    (Metrics.counter m "drops.mq.stale-seq");
+  Alcotest.(check (pair int int)) "nothing appended" (2, 2) st.Mq.s_appends
+
+(* The replica's replicate handler drops a sequence past its gapless
+   prefix (seq 4 after 2), and an in-sequence one at the wrong offset
+   (seq 3 at offset 9, not 2), as repl-gap. 7 is the replicate op. *)
+let test_repl_gap_counted () =
+  let repl_port = Mq.default_spec.Mq.repl_port in
+  let st, m =
+    two_acked_then (fun fab ->
+        List.iter
+          (fun (seq, offset) ->
+             inject fab ~src:2 ~dst:1 ~port:repl_port ~op:7 ~seq ~offset)
+          [ (4, 3); (3, 9) ])
+  in
+  Alcotest.(check (pair int int)) "gaps on the replica only" (0, 2)
+    st.Mq.s_gap;
+  Alcotest.(check int) "drops.mq.repl-gap mirrors it" 2
+    (Metrics.counter m "drops.mq.repl-gap");
+  Alcotest.(check (pair int int)) "nothing appended" (2, 2) st.Mq.s_appends
 
 let test_drops_mq_namespace () =
   (* The handler-side counters surface as drops.mq.* metrics through
      the housekeeping tick. Force dup hits deterministically with a
      duplicate-heavy plan. *)
   let rec_ = Trace.record () in
-  let _fab, q = mk () in
+  let fab, q = mk () in
   Mq.install_chaos q
     ~config:{ Fault.none with Fault.seed; duplicate = 0.5 }
     ~seed;
   Mq.produce q ~producer:0 ~count:20 ~at:(ms 1);
   Alcotest.(check bool) "drained" true (Mq.drain q ~deadline:(ms 1_000));
-  Fabric.run_until _fab (Fabric.now _fab + ms 5);
+  Fabric.run_until fab (Fabric.now fab + ms 5);
   let m = Trace.metrics rec_ in
   Trace.stop rec_;
   let st = Mq.stats q in
@@ -120,14 +206,15 @@ let test_drops_mq_namespace () =
   Alcotest.(check bool) "plan produced duplicate hits" true (dup > 0);
   Alcotest.(check int) "drops.mq.dup-seq mirrors the machine counter" dup
     (Metrics.counter m "drops.mq.dup-seq");
-  check_audit "namespace" (Mq.audit q)
+  check_audit "namespace" (Mq.audit q);
+  Balance.fabric fab
 
 (* ------------------------------------------------------------------ *)
 (* Crash / partition / failover                                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_crash_failover () =
-  let _fab, q = mk () in
+  let fab, q = mk () in
   (* Primary dies mid-stream with its segments wiped, heals later;
      clients redirect to the replica and replay. *)
   Mq.schedule_crash q ~broker:0 (Fault.outage ~down_at:(ms 5) ~heal_at:(ms 60));
@@ -142,10 +229,11 @@ let test_crash_failover () =
     (Printf.sprintf "replay bounded (%d attempts)" st.Mq.s_max_attempt)
     true
     (st.Mq.s_max_attempt <= Mq.default_spec.Mq.max_attempts);
-  check_audit "crash" (Mq.audit q)
+  check_audit "crash" (Mq.audit q);
+  Balance.fabric fab
 
 let test_partition_failover () =
-  let _fab, q = mk () in
+  let fab, q = mk () in
   Mq.schedule_partition q ~broker:0 ~seed
     (Fault.outage ~down_at:(ms 5) ~heal_at:(ms 80));
   Mq.produce q ~producer:0 ~count:30 ~at:(ms 1);
@@ -153,12 +241,13 @@ let test_partition_failover () =
   Alcotest.(check bool) "drained" true (Mq.drain q ~deadline:(ms 2_000));
   let st = Mq.stats q in
   Alcotest.(check int) "all acked across the partition" 60 st.Mq.s_acked;
-  check_audit "partition" (Mq.audit q)
+  check_audit "partition" (Mq.audit q);
+  Balance.fabric fab
 
 let test_crash_plus_lossy () =
   (* The headline chaos scenario: lossy links during a primary outage,
      consumers running throughout. *)
-  let _fab, q = mk ~hosts:5 () in
+  let fab, q = mk ~hosts:5 () in
   let c = Mq.add_consumer q ~host:4 ~start_at:(ms 1) ~interval_ns:500_000 ~until:(ms 1_500) in
   Mq.install_chaos q
     ~config:{ Fault.none with Fault.seed; drop = 0.05; jitter = 0.2 }
@@ -167,7 +256,7 @@ let test_crash_plus_lossy () =
   Mq.produce q ~producer:0 ~count:25 ~at:(ms 1);
   Mq.produce q ~producer:1 ~count:25 ~at:(ms 2);
   Alcotest.(check bool) "drained" true (Mq.drain q ~deadline:(ms 3_000));
-  Fabric.run_until _fab (Fabric.now _fab + ms 200);
+  Fabric.run_until fab (Fabric.now fab + ms 200);
   let st = Mq.stats q in
   Alcotest.(check int) "all acked" 50 st.Mq.s_acked;
   check_audit "crash+lossy" (Mq.audit q);
@@ -176,7 +265,8 @@ let test_crash_plus_lossy () =
     (fun i (o, _p, _s, ok) ->
       Alcotest.(check int) "consumed in offset order" i o;
       Alcotest.(check bool) "consumed payload intact" true ok)
-    got
+    got;
+  Balance.fabric fab
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -196,7 +286,7 @@ let test_redelivery_storm_trigger () =
         }
       ()
   in
-  let _fab, q =
+  let fab, q =
     mk
       ~spec:
         {
@@ -210,7 +300,7 @@ let test_redelivery_storm_trigger () =
   Mq.schedule_partition q ~broker:0 ~seed
     (Fault.outage ~down_at:(ms 2) ~heal_at:(ms 90));
   Mq.produce q ~producer:0 ~count:5 ~at:(ms 1);
-  Fabric.run_until _fab (ms 40);
+  Fabric.run_until fab (ms 40);
   let fired =
     List.exists
       (fun (d : Flight.dump) -> d.Flight.d_trigger = Flight.Redelivery_storm)
@@ -243,7 +333,8 @@ let test_timeseries_sources () =
           "mq.redeliveries";
           "mq.repl_lag";
           "mq.log_depth";
-        ])
+        ];
+      Balance.fabric fab)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
@@ -265,6 +356,7 @@ let chaos_run ~jobs =
   in
   let metrics = Metrics.counters (Trace.metrics rec_) in
   Trace.stop rec_;
+  Balance.fabric fab;
   (drained, Mq.audit q, events, metrics)
 
 let test_chaos_deterministic_across_jobs () =
@@ -287,6 +379,8 @@ let () =
             test_dedup_under_duplication;
           Alcotest.test_case "drops.mq.* namespace" `Quick
             test_drops_mq_namespace;
+          Alcotest.test_case "stale seq counted" `Quick test_stale_seq_counted;
+          Alcotest.test_case "repl gap counted" `Quick test_repl_gap_counted;
           Alcotest.test_case "crash failover" `Quick test_crash_failover;
           Alcotest.test_case "partition failover" `Quick
             test_partition_failover;

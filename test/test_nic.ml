@@ -8,6 +8,8 @@ module Costs = Ash_sim.Costs
 module Link = Ash_nic.Link
 module An2 = Ash_nic.An2
 module Ethernet = Ash_nic.Ethernet
+module Hop = Ash_obs.Hop
+module Trace = Ash_obs.Trace
 
 let costs = Costs.decstation
 
@@ -15,21 +17,26 @@ let costs = Costs.decstation
 (* Link                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The wire timing depends on [wire_bytes] alone; no plan is installed,
+   so the frame itself crosses untouched. *)
+let send l ~bytes k =
+  Link.transmit l ~wire_bytes:bytes ~frame:Bytes.empty (fun _ -> k ())
+
 let test_link_latency () =
   let e = Engine.create () in
-  let l = Link.create e ~fixed_ns:1000 ~ns_per_byte:10.0 () in
+  let l = Link.create e ~nic:"test" ~fixed_ns:1000 ~ns_per_byte:10.0 () in
   let arrival = ref 0 in
-  Link.transmit l ~bytes:100 (fun () -> arrival := Engine.now e);
+  send l ~bytes:100 (fun () -> arrival := Engine.now e);
   Engine.run e;
   (* 100 bytes * 10 ns + 1000 ns fixed *)
   Alcotest.(check int) "arrival" 2000 !arrival
 
 let test_link_serializes () =
   let e = Engine.create () in
-  let l = Link.create e ~fixed_ns:0 ~ns_per_byte:10.0 () in
+  let l = Link.create e ~nic:"test" ~fixed_ns:0 ~ns_per_byte:10.0 () in
   let arrivals = ref [] in
   for _ = 1 to 3 do
-    Link.transmit l ~bytes:100 (fun () ->
+    send l ~bytes:100 (fun () ->
         arrivals := Engine.now e :: !arrivals)
   done;
   Engine.run e;
@@ -38,10 +45,13 @@ let test_link_serializes () =
 
 let test_link_occupancy () =
   let e = Engine.create () in
-  let l = Link.create e ~pkt_occupancy_ns:500 ~fixed_ns:1000 ~ns_per_byte:10.0 () in
+  let l =
+    Link.create e ~nic:"test" ~pkt_occupancy_ns:500 ~fixed_ns:1000
+      ~ns_per_byte:10.0 ()
+  in
   let arrivals = ref [] in
   for _ = 1 to 2 do
-    Link.transmit l ~bytes:10 (fun () -> arrivals := Engine.now e :: !arrivals)
+    send l ~bytes:10 (fun () -> arrivals := Engine.now e :: !arrivals)
   done;
   Engine.run e;
   (* each frame occupies 500+100 ns; fixed 1000 pipelined *)
@@ -50,12 +60,12 @@ let test_link_occupancy () =
 
 let test_link_idle_gap () =
   let e = Engine.create () in
-  let l = Link.create e ~fixed_ns:0 ~ns_per_byte:10.0 () in
+  let l = Link.create e ~nic:"test" ~fixed_ns:0 ~ns_per_byte:10.0 () in
   let arrivals = ref [] in
-  Link.transmit l ~bytes:10 (fun () -> arrivals := Engine.now e :: !arrivals);
+  send l ~bytes:10 (fun () -> arrivals := Engine.now e :: !arrivals);
   ignore
     (Engine.schedule e ~delay:5000 (fun () ->
-         Link.transmit l ~bytes:10 (fun () ->
+         send l ~bytes:10 (fun () ->
              arrivals := Engine.now e :: !arrivals)));
   Engine.run e;
   Alcotest.(check (list int)) "no queueing across idle gaps" [ 100; 5100 ]
@@ -126,17 +136,19 @@ let test_an2_unbound_vc_drops () =
   ignore (post p p.b p.mb 64);
   An2.transmit p.a ~vc:2 (Bytes.make 4 'x');
   Engine.run p.engine;
-  let st = An2.stats p.b in
-  Alcotest.(check int) "dropped no vc" 1 st.An2.rx_dropped_no_vc;
-  Alcotest.(check int) "not delivered" 0 st.An2.rx_frames
+  let hop = An2.rx_hop p.b in
+  Balance.check [ ("an2 b rx", hop) ];
+  Alcotest.(check int) "dropped no vc" 1 (Hop.dropped hop Trace.No_vc);
+  Alcotest.(check int) "not delivered" 0 (Hop.frames_out hop)
 
 let test_an2_no_buffer_drops () =
   let p = an2_pair () in
   An2.bind_vc p.b ~vc:1;
   An2.transmit p.a ~vc:1 (Bytes.make 4 'x');
   Engine.run p.engine;
+  Balance.check [ ("an2 b rx", An2.rx_hop p.b) ];
   Alcotest.(check int) "dropped no buffer" 1
-    (An2.stats p.b).An2.rx_dropped_no_buffer
+    (Hop.dropped (An2.rx_hop p.b) Trace.No_buffer)
 
 let test_an2_buffers_fifo () =
   let p = an2_pair () in
@@ -162,8 +174,11 @@ let test_an2_oversize_frame_dropped () =
   An2.transmit p.a ~vc:1 (Bytes.make 64 'z');
   Engine.run p.engine;
   Alcotest.(check bool) "not delivered" false !delivered;
-  Alcotest.(check int) "counted as drop" 1
-    (An2.stats p.b).An2.rx_dropped_no_buffer
+  let hop = An2.rx_hop p.b in
+  Balance.check [ ("an2 b rx", hop) ];
+  Alcotest.(check int) "dropped too big" 1 (Hop.dropped hop Trace.Too_big);
+  Alcotest.(check int) "not a no-buffer drop" 0
+    (Hop.dropped hop Trace.No_buffer)
 
 (* At 16 bytes the CRC runs bytewise; at 3 KiB the flipped middle byte
    lies in the prefix the carry-less fold takes on a PCLMULQDQ host. *)
@@ -185,7 +200,7 @@ let test_an2_crc_catches_corruption () =
        Alcotest.(check (list bool)) (name ^ "first corrupt, second clean")
          [ false; true ] (List.rev !crc_flags);
        Alcotest.(check int) (name ^ "crc error counted") 1
-         (An2.stats p.b).An2.rx_crc_errors)
+         (An2.rx_crc_errors p.b))
     [ 16; 3072 ]
 
 let test_an2_rejects_bad_frames () =
@@ -268,10 +283,11 @@ let test_eth_ring_exhaustion () =
     Ethernet.transmit p.ea (Bytes.make 32 'q')
   done;
   Engine.run p.e_engine;
+  Balance.check [ ("eth b rx", Ethernet.rx_hop p.eb) ];
   Alcotest.(check int) "ring-limited deliveries" costs.Costs.eth_rx_ring_slots
     !seen;
   Alcotest.(check int) "overflow dropped" 3
-    (Ethernet.stats p.eb).Ethernet.rx_dropped_no_buffer
+    (Hop.dropped (Ethernet.rx_hop p.eb) Trace.No_buffer)
 
 let test_eth_release_recycles () =
   let p = eth_pair () in
@@ -283,7 +299,7 @@ let test_eth_release_recycles () =
   Engine.run p.e_engine;
   Alcotest.(check int) "all delivered when released"
     (costs.Costs.eth_rx_ring_slots + 5)
-    (Ethernet.stats p.eb).Ethernet.rx_frames;
+    (Hop.frames_out (Ethernet.rx_hop p.eb));
   Alcotest.(check int) "nothing outstanding" 0
     (Ethernet.outstanding_buffers p.eb)
 

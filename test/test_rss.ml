@@ -184,6 +184,7 @@ let ownership_run ~jobs =
          (fun () -> Kernel.eth_kernel_send kernel frame))
   done;
   Fabric.run_for fab 20_000_000;
+  Balance.fabric fab;
   let sorted = List.sort compare in
   Array.iteri
     (fun c flows ->

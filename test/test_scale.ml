@@ -25,6 +25,8 @@ module Fabric = Ash_core.Fabric
 module Exp_scale = Ash_core.Exp_scale
 module Exp_ablate = Ash_core.Exp_ablate
 module Bytesx = Ash_util.Bytesx
+module Hop = Ash_obs.Hop
+module Trace = Ash_obs.Trace
 
 let churn_conns =
   match Sys.getenv_opt "SCALE_CONNS" with
@@ -99,14 +101,21 @@ let test_switch_queue_overflow_accounted () =
     Ethernet.transmit nics.(1) (Bytes.make 256 'b')
   done;
   Engine.run engine;
-  let ps = Switch.port_stats sw ~port:2 in
-  Alcotest.(check bool) "tail drops happened" true
-    (ps.Switch.tx_dropped_overflow > 0);
+  let hop = Switch.port_hop sw ~port:2 in
+  let dropped = Hop.dropped hop Trace.Queue_full in
+  Alcotest.(check bool) "tail drops happened" true (dropped > 0);
   Alcotest.(check int) "every frame accounted"
     (2 * per_sender)
-    (!delivered + ps.Switch.tx_dropped_overflow);
-  Alcotest.(check int) "delivered = enqueued" !delivered ps.Switch.tx_enqueued;
-  Alcotest.(check bool) "peak within bound" true (ps.Switch.queue_peak <= 2)
+    (!delivered + dropped);
+  Alcotest.(check int) "delivered = enqueued" !delivered
+    (Hop.frames_in hop - dropped);
+  Alcotest.(check bool) "peak within bound" true
+    (Switch.queue_peak sw ~port:2 <= 2);
+  Balance.check
+    (List.init 3 (fun i ->
+         [ (Printf.sprintf "switch port %d" i, Switch.port_hop sw ~port:i);
+           (Printf.sprintf "nic %d rx" i, Ethernet.rx_hop nics.(i)) ])
+     |> List.concat)
 
 let test_arp_through_switch () =
   let fab = Fabric.create ~hosts:4 () in
@@ -131,9 +140,17 @@ let test_arp_through_switch () =
 (* Echo soak and churn                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [run_churn] on [spec], then the hop balance of the fabric it ran to
+   completion. *)
+let run_churn_balanced spec =
+  let fabric = ref None in
+  let r = Exp_scale.run_churn ~configure:(fun fab -> fabric := Some fab) spec in
+  Balance.fabric (Option.get !fabric);
+  r
+
 let test_echo_soak_byte_correct () =
   let r =
-    Exp_scale.run_churn
+    run_churn_balanced
       { Exp_scale.default_spec with
         connections = 8;
         client_hosts = 8;
@@ -152,7 +169,7 @@ let test_echo_soak_byte_correct () =
 let test_churn_1k_leaks_nothing () =
   let n = churn_conns in
   let r =
-    Exp_scale.run_churn
+    run_churn_balanced
       { Exp_scale.default_spec with
         connections = n;
         client_hosts = min 16 n;
@@ -176,7 +193,7 @@ let test_churn_1k_leaks_nothing () =
 
 let test_fairness_bounded () =
   let r =
-    Exp_scale.run_churn
+    run_churn_balanced
       { Exp_scale.default_spec with connections = 64; client_hosts = 8 }
   in
   Alcotest.(check int) "all completed" 64 r.Exp_scale.completed;
@@ -379,7 +396,7 @@ let test_switch_drop_spike_fires_black_box () =
         Ethernet.transmit nics.(1) (Bytes.make 256 'b')
       done;
       Engine.run engine;
-      let drops = (Switch.port_stats sw ~port:2).Switch.tx_dropped_overflow in
+      let drops = Hop.dropped (Switch.port_hop sw ~port:2) Trace.Queue_full in
       Alcotest.(check bool) "tail drops happened" true (drops >= 3);
       Alcotest.(check bool) "black box fired" true (Flight.dump_count fl >= 1);
       (match

@@ -1209,6 +1209,22 @@ let test_memory_path_allocation_free () =
                      per call" words)
     true (words <= 30_000)
 
+(* Every frame bumps a hop counter on its way in and out, and every
+   drop one more: with tracing off, none of it allocates. *)
+let test_hop_counting_allocation_free () =
+  let module Hop = Ash_obs.Hop in
+  let hop = Hop.create "eth" in
+  let zero name f =
+    Alcotest.(check int) (name ^ ": minor words over 10k calls") 0
+      (minor_words_over_10k f)
+  in
+  zero "Hop.frame_in" (fun () -> Hop.frame_in hop);
+  zero "Hop.frame_out" (fun () -> Hop.frame_out hop);
+  zero "Hop.drop" (fun () -> Hop.drop hop Ash_obs.Trace.No_buffer);
+  Alcotest.(check (list int)) "every call counted" [ 10_001; 10_001; 10_001 ]
+    [ Hop.frames_in hop; Hop.frames_out hop;
+      Hop.dropped hop Ash_obs.Trace.No_buffer ]
+
 (* One [Dilp.execute] of TCP's checksumming Write transfer, the bulk
    benchmark's per-segment call, with [init] built per call as the
    kernel builds it. The run-granular path allocates its register file
@@ -1389,5 +1405,7 @@ let () =
             test_fastpath_run_allocation;
           Alcotest.test_case "dilp transfer allocation" `Quick
             test_dilp_transfer_allocation;
+          Alcotest.test_case "hop counting allocation-free" `Quick
+            test_hop_counting_allocation_free;
         ] );
     ]
