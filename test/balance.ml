@@ -40,7 +40,8 @@ let kernel_hops name k =
 let fabric_hops fab =
   let hosts =
     List.init (Fabric.hosts fab) (fun h ->
-        kernel_hops (Printf.sprintf "host %d" h) (Fabric.host fab h).Fabric.kernel)
+        kernel_hops (Printf.sprintf "host %d" h)
+          (Fabric.host fab h).Fabric.kernel)
   in
   let cores =
     Array.to_list (Fabric.cores fab)

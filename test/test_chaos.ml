@@ -407,7 +407,8 @@ let test_rearm_gives_handler_another_chance () =
   (* It ran again (and was killed and re-quarantined). *)
   Alcotest.(check int) "ran again" 2
     (Kernel.stats srv).Kernel.ash_aborted_involuntary;
-  Alcotest.(check bool) "quarantined again" true (Kernel.ash_quarantined srv id);
+  Alcotest.(check bool) "quarantined again" true
+    (Kernel.ash_quarantined srv id);
   Balance.fabric tb
 
 let test_notify_queue_bound_sheds_load () =
@@ -448,7 +449,8 @@ let test_crc_drops_never_reach_dispatch () =
   done;
   Fabric.run tb;
   let rx = (Kernel.an2_hops srv).Kernel.rx in
-  Alcotest.(check int) "every frame dropped as crc" 5 (Hop.dropped rx Trace.Crc);
+  Alcotest.(check int) "every frame dropped as crc" 5
+    (Hop.dropped rx Trace.Crc);
   Alcotest.(check int) "none demuxed" 0 (Hop.frames_out rx);
   Alcotest.(check int) "handler never ran" 0
     (Kernel.stats srv).Kernel.ash_committed;
@@ -789,7 +791,8 @@ let test_nics_never_mutate_caller_frame () =
   send_all ();
   Alcotest.(check bool) "fault plans spare the caller" true
     (Bytes.equal frame pristine);
-  Balance.check [ ("an2 b rx", An2.rx_hop b); ("eth b rx", Ethernet.rx_hop eb) ];
+  Balance.check
+    [ ("an2 b rx", An2.rx_hop b); ("eth b rx", Ethernet.rx_hop eb) ];
   Alcotest.(check bool) "an2 saw the damage" true (An2.rx_crc_errors b > 1);
   Alcotest.(check bool) "ethernet saw the damage" true
     (Ethernet.rx_crc_errors eb > 1)
