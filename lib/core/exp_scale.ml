@@ -79,7 +79,6 @@ type churn_result = {
   leaked_bindings : int;
   leaked_filters : int;
   leaked_regions : int;
-  demux_maint_units : int;
   switch_drops : int;
   retransmits : int;
 }
@@ -369,8 +368,6 @@ let run_churn ?(configure = fun (_ : Fabric.t) -> ()) spec =
     leaked_bindings = !leaked_bindings;
     leaked_filters = !leaked_filters;
     leaked_regions = !leaked_regions;
-    demux_maint_units =
-      Kernel.demux_maintenance_units (Fabric.host fab 0).Fabric.kernel;
     switch_drops = !switch_drops;
     retransmits = Array.fold_left ( + ) 0 retransmits;
   }

@@ -55,10 +55,6 @@ type churn_result = {
   leaked_bindings : int; (** Kernel bindings above baseline, all hosts. *)
   leaked_filters : int;  (** Trie filters above baseline, all hosts. *)
   leaked_regions : int;  (** Memory regions above baseline, all hosts. *)
-  demux_maint_units : int;
-      (** The server kernel's demux-maintenance work counter — the
-          churn hot path's cycle-budget guard (see
-          {!Ash_kern.Kernel.demux_maintenance_units}). *)
   switch_drops : int;    (** Egress tail drops across all switch ports. *)
   retransmits : int;     (** TCP segments resent, both directions. *)
 }

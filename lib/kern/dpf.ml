@@ -44,30 +44,28 @@ let compile atoms =
   Builder.abort b;
   Builder.assemble b
 
-let filter_env machine ~msg_addr ~msg_len =
-  {
-    Interp.machine;
-    msg_addr;
-    msg_len;
-    allowed_calls = Isa.[ K_msg_read8; K_msg_read16; K_msg_read32 ];
-    dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
-    send = ignore;
-    gas_cycles = Interp.default_gas;
-  }
-
-let run_prepared machine prepared ~msg_addr ~msg_len =
-  let env = filter_env machine ~msg_addr ~msg_len in
+let run_compiled machine program ~msg_addr ~msg_len =
+  let env =
+    {
+      Interp.machine;
+      msg_addr;
+      msg_len;
+      allowed_calls = Isa.[ K_msg_read8; K_msg_read16; K_msg_read32 ];
+      dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
+      send = ignore;
+      gas_cycles = Interp.default_gas;
+    }
+  in
   let matched =
-    match (Ash_vm.Exec.run env prepared).Interp.outcome with
+    match
+      (Ash_vm.Exec.run env (Ash_vm.Exec.prepare program)).Interp.outcome
+    with
     | Interp.Committed -> true
     | Interp.Aborted | Interp.Returned | Interp.Killed _ -> false
   in
   if Ash_obs.Trace.enabled () then
     Ash_obs.Trace.emit (Ash_obs.Trace.Dpf_eval { compiled = true; matched });
   matched
-
-let run_compiled machine program ~msg_addr ~msg_len =
-  run_prepared machine (Ash_vm.Exec.prepare program) ~msg_addr ~msg_len
 
 (* Per-atom decode/dispatch cost of a tree-walking filter interpreter:
    fetch the atom record, switch on the opcode, bounds-check, loop — the

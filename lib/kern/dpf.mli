@@ -1,12 +1,15 @@
 (** DPF-style dynamic packet filters (§IV-A).
 
     Aegis exports the Ethernet through a packet-filter engine; DPF [19]
-    compiles filters to executable code when they are installed,
-    eliminating interpretation overhead. We reproduce both halves:
-    {!compile} turns a declarative filter into a VM program (executed by
-    the same executor that runs ASHs, so its cost is real), and
-    {!run_interpreted} is the classic tree-walking engine DPF is measured
-    against (charged a realistic per-atom interpretation cost).
+    compiles filters to executable code when they are installed and
+    merges them, eliminating interpretation overhead and per-filter
+    work. The kernel's demux is the merged form, {!Dpf_trie}, which
+    charges per atom what the compiled code below charges. This module
+    holds the filter language and the per-filter engines that ablation
+    A1 compares: {!compile} turns a declarative filter into a VM program
+    (executed by the same executor that runs ASHs, so its cost is real),
+    and {!run_interpreted} is the classic tree-walking engine DPF is
+    measured against (charged a realistic per-atom interpretation cost).
 
     A filter is a conjunction of masked-compare atoms over the packet,
     the same predicate language as CSPF/BPF-style engines. *)
@@ -31,25 +34,15 @@ val compile : t -> Ash_vm.Program.t
     (reject). Filter constants are baked into the emitted code, like
     DPF's constant specialization. *)
 
-val run_prepared :
-  Ash_sim.Machine.t ->
-  Ash_vm.Exec.prepared ->
-  msg_addr:int ->
-  msg_len:int ->
-  bool
-(** Execute a prepared compiled filter against a packet, charging the
-    machine. Packets shorter than a referenced field reject (kill =
-    reject). The kernel prepares each binding's filter once at bind
-    time and calls this per frame. *)
-
 val run_compiled :
   Ash_sim.Machine.t ->
   Ash_vm.Program.t ->
   msg_addr:int ->
   msg_len:int ->
   bool
-(** [run_prepared] on a one-shot preparation: execute a compiled filter
-    program directly, charging the machine. *)
+(** Execute a compiled filter program against a packet, charging the
+    machine. Packets shorter than a referenced field reject (kill =
+    reject). *)
 
 val run_interpreted :
   Ash_sim.Machine.t -> t -> msg_addr:int -> msg_len:int -> bool

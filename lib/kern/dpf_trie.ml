@@ -77,29 +77,39 @@ let recompute_node_min n =
   n.node_min <-
     Hashtbl.fold (fun _ sub m -> min m sub.level_min) n.edges max_int
 
-(* Remove the entry installed with [prio] along [atoms], pruning emptied
-   sub-levels and recomputing priority summaries on the way back up. *)
+(* Remove the entries installed with [prio] along [atoms], pruning
+   emptied sub-levels and recomputing priority summaries on the way back
+   up. Returns how many entries went. *)
 let rec remove_level lv ~prio atoms =
-  (match atoms with
-   | [] -> lv.accepts <- List.filter (fun (p, _) -> p <> prio) lv.accepts
-   | a :: rest ->
-     let k = key_of_atom a in
-     (match List.find_opt (fun n -> n.nkey = k) lv.tests with
-      | None -> ()
-      | Some node ->
-        (match Hashtbl.find_opt node.edges a.Dpf.value with
-         | None -> ()
-         | Some sub ->
-           remove_level sub ~prio rest;
-           if level_empty sub then Hashtbl.remove node.edges a.Dpf.value);
-        if Hashtbl.length node.edges = 0 then
-          lv.tests <- List.filter (fun n -> n != node) lv.tests
-        else recompute_node_min node));
-  recompute_level_min lv
+  let removed =
+    match atoms with
+    | [] ->
+      let gone, kept = List.partition (fun (p, _) -> p = prio) lv.accepts in
+      lv.accepts <- kept;
+      List.length gone
+    | a :: rest ->
+      let k = key_of_atom a in
+      (match List.find_opt (fun n -> n.nkey = k) lv.tests with
+       | None -> 0
+       | Some node ->
+         let removed =
+           match Hashtbl.find_opt node.edges a.Dpf.value with
+           | None -> 0
+           | Some sub ->
+             let removed = remove_level sub ~prio rest in
+             if level_empty sub then Hashtbl.remove node.edges a.Dpf.value;
+             removed
+         in
+         if Hashtbl.length node.edges = 0 then
+           lv.tests <- List.filter (fun n -> n != node) lv.tests
+         else recompute_node_min node;
+         removed)
+  in
+  recompute_level_min lv;
+  removed
 
 let remove t ~prio atoms =
-  remove_level t.root ~prio atoms;
-  t.size <- t.size - 1
+  t.size <- t.size - remove_level t.root ~prio atoms
 
 (* ---------------------------------------------------------------- *)
 (* Matching                                                          *)
@@ -162,33 +172,4 @@ let lookup t machine ~msg_addr ~msg_len =
   let matched = !best <> None in
   if Ash_obs.Trace.enabled () then
     Ash_obs.Trace.emit (Ash_obs.Trace.Dpf_eval { compiled = true; matched });
-  Option.map snd !best
-
-(* Pure reference walk over packet bytes: no machine, no charging. *)
-let find t pkt =
-  let len = Bytes.length pkt in
-  let best = ref None in
-  let better p =
-    match !best with None -> true | Some (bp, _) -> p < bp
-  in
-  let rec walk lv =
-    (match lv.accepts with
-     | (p, v) :: _ when better p -> best := Some (p, v)
-     | _ -> ());
-    List.iter
-      (fun n ->
-         if better n.node_min && n.nkey.offset + n.nkey.width <= len then begin
-           let v =
-             match n.nkey.width with
-             | 1 -> Ash_util.Bytesx.get_u8 pkt n.nkey.offset
-             | 2 -> Ash_util.Bytesx.get_u16 pkt n.nkey.offset
-             | _ -> Ash_util.Bytesx.get_u32 pkt n.nkey.offset
-           in
-           match Hashtbl.find_opt n.edges (v land n.nkey.mask) with
-           | Some sub -> walk sub
-           | None -> ()
-         end)
-      lv.tests
-  in
-  walk t.root;
   Option.map snd !best

@@ -81,11 +81,9 @@ type binding = {
   mutable ash_budget : int option;
   mutable ash_tick_start : Ash_sim.Time.ns;
   mutable ash_ran_this_tick : int;
-  filter : (Dpf.t * Exec.prepared) option; (* Ethernet bindings only *)
+  filter : Dpf.t option; (* Ethernet bindings only; unbind needs it *)
   prio : int; (* install order; lower wins on overlapping eth filters *)
 }
-
-type demux = Demux_linear | Demux_trie
 
 type tx_target = Tx_an2 of int | Tx_eth
 
@@ -97,7 +95,6 @@ type t = {
   absint_on : bool;
   (* Snapshot of [absint_default] taken at creation: downloads on a
      worker domain must not read the process-global knob. *)
-  mutable demux : demux;
   mutable an2 : An2.t option;
   mutable eth : Ethernet.t option;
   mutable an2_hops : hops option;
@@ -110,10 +107,6 @@ type t = {
   dilps : (int, Dilp.compiled) Hashtbl.t;
   mutable next_dilp : int;
   bindings : (int, binding) Hashtbl.t;
-  mutable eth_order : binding list option;
-  (* Memoised prio-sorted Ethernet bindings; only the linear-scan demux
-     fallback needs the ordered list, so bind/unbind just invalidate the
-     memo — O(1) churn on the hot path, rebuild on demand. *)
   eth_trie : binding Dpf_trie.t;
   mutable next_eth_vc : int;
   mutable next_eth_prio : int;
@@ -135,11 +128,6 @@ type t = {
   mutable s_ash_invol : int;
   mutable s_ash_quarantined : int;
   mutable s_upcalls : int;
-  mutable s_demux_maint : int;
-  (* Host-side work units spent maintaining the demux structures:
-     constant per bind/unbind plus the length of any ordered-list
-     rebuild. The churn regression test budgets this counter, so a
-     reintroduced per-operation scan over all bindings fails loudly. *)
 }
 
 (* Download-time static analysis is on unless an experiment (ashbench
@@ -160,7 +148,6 @@ let create ?(quarantine_threshold = 3)
     machine = Machine.create costs;
     kname = name;
     absint_on = !absint_default;
-    demux = Demux_trie;
     an2 = None;
     eth = None;
     an2_hops = None;
@@ -173,7 +160,6 @@ let create ?(quarantine_threshold = 3)
     dilps = Hashtbl.create 8;
     next_dilp = 0;
     bindings = Hashtbl.create 8;
-    eth_order = None;
     eth_trie = Dpf_trie.create ();
     next_eth_vc = 10_000;
     next_eth_prio = 0;
@@ -190,7 +176,6 @@ let create ?(quarantine_threshold = 3)
     s_ash_invol = 0;
     s_ash_quarantined = 0;
     s_upcalls = 0;
-    s_demux_maint = 0;
     }
   in
   (* Telemetry sources, when an ambient timeseries is installed. Rates
@@ -235,7 +220,6 @@ let set_notify_queue_limit t n =
   t.notify_queue_limit <- n
 
 let name t = t.kname
-let set_eth_demux t d = t.demux <- d
 
 (* ---------------------------------------------------------------- *)
 (* Meter / transmit settlement                                       *)
@@ -470,16 +454,13 @@ let bind_eth_filter t filter delivery =
   t.next_eth_vc <- vc + 1;
   let prio = t.next_eth_prio in
   t.next_eth_prio <- prio + 1;
-  let prog = Exec.prepare (Dpf.compile filter) in
   let b =
     { bvc = vc; delivery; user_handler = None; commit_hook = None;
       auto_repost = false; inflight_notify = 0; ash_budget = None;
       ash_tick_start = 0; ash_ran_this_tick = 0;
-      filter = Some (filter, prog); prio }
+      filter = Some filter; prio }
   in
   Hashtbl.add t.bindings vc b;
-  t.eth_order <- None;
-  t.s_demux_maint <- t.s_demux_maint + 1;
   Dpf_trie.insert t.eth_trie ~prio filter b;
   vc
 
@@ -489,10 +470,8 @@ let unbind_eth_filter t ~vc =
   | Some b ->
     match b.filter with
     | None -> invalid_arg "Kernel.unbind_eth_filter: not an Ethernet binding"
-    | Some (spec, _) ->
+    | Some spec ->
       Hashtbl.remove t.bindings vc;
-      t.eth_order <- None;
-      t.s_demux_maint <- t.s_demux_maint + 1;
       Dpf_trie.remove t.eth_trie ~prio:b.prio spec
 
 let unbind_vc t ~vc =
@@ -532,7 +511,6 @@ let reboot t =
 
 let binding_count t = Hashtbl.length t.bindings
 let eth_filter_count t = Dpf_trie.size t.eth_trie
-let demux_maintenance_units t = t.s_demux_maint
 
 let set_user_handler t ~vc h =
   match Hashtbl.find_opt t.bindings vc with
@@ -894,34 +872,6 @@ let take_pktbuf t =
     t.eth_pktbufs <- rest;
     Some p
 
-let eth_order t =
-  match t.eth_order with
-  | Some l -> l
-  | None ->
-    let l =
-      Hashtbl.fold
-        (fun _ b acc -> match b.filter with Some _ -> b :: acc | None -> acc)
-        t.bindings []
-      |> List.sort (fun a b -> compare a.prio b.prio)
-    in
-    t.s_demux_maint <- t.s_demux_maint + List.length l;
-    t.eth_order <- Some l;
-    l
-
-(* DPF demultiplexing over the contiguous packet. Default: one walk of
-   the merged filter trie; [Demux_linear] runs each binding's compiled
-   filter in install order instead. *)
-let eth_demux t ~msg_addr ~msg_len =
-  if t.demux = Demux_trie then
-    Dpf_trie.lookup t.eth_trie t.machine ~msg_addr ~msg_len
-  else
-    List.find_opt
-      (fun b ->
-         match b.filter with
-         | Some (_, prep) -> Dpf.run_prepared t.machine prep ~msg_addr ~msg_len
-         | None -> false)
-      (eth_order t)
-
 let on_eth_rx t eth hops (rx : Ethernet.rx) =
   Hop.frame_in hops.rx;
   let corr = Trace.current_corr () in
@@ -957,7 +907,9 @@ let on_eth_rx t eth hops (rx : Ethernet.rx) =
       let c0 = Machine.consumed_cycles t.machine in
       if Trace.enabled () then
         Span.begin_span ~corr ~off:(span_off t) Trace.Demux;
-      let matching = eth_demux t ~msg_addr:pktbuf ~msg_len:len in
+      let matching =
+        Dpf_trie.lookup t.eth_trie t.machine ~msg_addr:pktbuf ~msg_len:len
+      in
       if Trace.enabled () then
         Span.end_span ~corr ~off:(span_off t)
           ~cycles:(Machine.consumed_cycles t.machine - c0)

@@ -73,12 +73,6 @@ type hops = {
           [Queue_full] at a binding's [notify_queue_limit]. *)
 }
 
-type demux =
-  | Demux_linear  (** Run each installed filter's program in install
-                      order — the pre-trie baseline. *)
-  | Demux_trie    (** One walk of the merged filter trie
-                      ({!Dpf_trie}). *)
-
 val create :
   ?quarantine_threshold:int ->
   ?notify_queue_limit:int ->
@@ -98,13 +92,6 @@ val set_notify_queue_limit : t -> int -> unit
 val engine : t -> Ash_sim.Engine.t
 val machine : t -> Ash_sim.Machine.t
 val name : t -> string
-
-val set_eth_demux : t -> demux -> unit
-(** Switch the Ethernet demux strategy (default [Demux_trie]; tests
-    compare the two on live bindings). It is a host-side choice:
-    simulated numbers are identical across modes whenever filters don't
-    overlap in cost-visible ways (a lone filter charges identically
-    under both). *)
 
 val span_off : t -> int
 (** Span-clock offset for tracing on this node: work already charged to
@@ -239,20 +226,14 @@ val binding_count : t -> int
 val eth_filter_count : t -> int
 (** Filters currently merged into the demux trie. *)
 
-val demux_maintenance_units : t -> int
-(** Monotonic count of host-side work units spent maintaining demux
-    structures (bind, unbind, ordered-list rebuilds; each unit is O(1)
-    work). The churn regression budgets this: n bind/unbind pairs must
-    stay within O(n) units, so a quadratic rescan cannot land
-    silently. *)
-
 val rebind_vc : t -> vc:int -> delivery -> unit
 (** Change the delivery mode of an existing binding (e.g. disable ASHs
     under load, §VI-4). *)
 
 val bind_eth_filter : t -> Dpf.t -> delivery -> int
-(** Install a compiled packet filter for Ethernet demux; first installed
-    match wins. The filter is merged into the demux trie incrementally.
+(** Install a packet filter for Ethernet demux; first installed match
+    wins. The filter's atoms are merged into the demux trie
+    ({!Dpf_trie}) incrementally; no per-filter program is built.
     Returns the binding's pseudo-vc (10000, 10001, ...), usable with
     {!set_user_handler}, {!rebind_vc} and {!unbind_eth_filter}. *)
 

@@ -25,7 +25,6 @@ type config = {
   stall_ns : int;
   cooldown_ns : int;
   max_dumps : int;
-  keep_engine_events : bool;
 }
 
 let default_config =
@@ -40,7 +39,6 @@ let default_config =
     stall_ns = 50_000_000;
     cooldown_ns = 5_000_000;
     max_dumps = 8;
-    keep_engine_events = false;
   }
 
 type dump = {
@@ -188,12 +186,11 @@ let on_event t ~ts ~corr (k : Trace.kind) =
   let prev = t.last_ts in
   t.last_ts <- ts;
   let e = { Trace.seq = t.total; ts; corr; kind = k } in
-  let keep_in_ring =
-    match k with
-    | Trace.Ev_scheduled _ | Trace.Ev_fired -> t.cfg.keep_engine_events
-    | _ -> true
-  in
-  if keep_in_ring then push t e;
+  (* [engine.scheduled]/[engine.fired] are volume without postmortem
+     signal: the ring keeps everything else. *)
+  (match k with
+   | Trace.Ev_scheduled _ | Trace.Ev_fired -> ()
+   | _ -> push t e);
   if is_progress k then t.last_progress <- ts
   else check_stall t ~ts ~prev ~event:(Some e);
   match k with

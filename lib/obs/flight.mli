@@ -47,7 +47,9 @@ val trigger_label : trigger -> string
 (** Stable dashed label, e.g. ["queue-full-burst"]. *)
 
 type config = {
-  ring_capacity : int;  (** retained recent events (default 2048) *)
+  ring_capacity : int;
+      (** retained recent events (default 2048); [engine.scheduled] and
+          [engine.fired] are never retained *)
   metric_window : int;  (** trailing samples per series (default 32) *)
   queue_full_burst : int;  (** threshold; [<= 0] disables (default 8) *)
   retransmit_storm : int;  (** threshold; [<= 0] disables (default 12) *)
@@ -58,9 +60,6 @@ type config = {
                        (default 50 ms) *)
   cooldown_ns : int;  (** quiet period after a dump (default 5 ms) *)
   max_dumps : int;  (** retained dumps per arming (default 8) *)
-  keep_engine_events : bool;
-      (** retain [engine.scheduled]/[engine.fired] in the ring
-          (default false: they are volume without postmortem signal) *)
 }
 
 val default_config : config

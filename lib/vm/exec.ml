@@ -6,10 +6,10 @@ type prepared = { compiled : Compile.t }
    cache) still share one closure artifact per distinct program. Reset
    when it grows past [memo_cap] — property tests churn through
    thousands of one-shot random programs. Downloads can run on shard
-   domains (connection churn under a sharded fabric), so the shared
-   table is mutex-protected; compilation itself happens outside the
-   lock on a miss (a duplicate compile is harmless — both artifacts
-   are equivalent and one wins the table). *)
+   domains (an MQ broker re-installs its handlers when it heals), so
+   the shared table is mutex-protected; compilation itself happens
+   outside the lock on a miss (a duplicate compile is harmless — both
+   artifacts are equivalent and one wins the table). *)
 let memo_cap = 1024
 let artifacts : (string, Compile.t) Hashtbl.t = Hashtbl.create 64
 let artifacts_mutex = Mutex.create ()

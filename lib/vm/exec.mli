@@ -1,11 +1,12 @@
 (** The executor for downloaded code.
 
     Every layer that runs downloaded code (kernel ASH/upcall dispatch,
-    DPF message demultiplexing, DILP transfers) executes through this
-    module, which runs the closure-compiled form ({!Compile}) of the
-    program. {!Interp} is the reference semantics: [test_differential]
-    checks that both produce the same {!Interp.result} and the same
-    simulated cycle/cache accounting on random programs. *)
+    DILP transfers, and the per-filter compiled DPF engine that ablation
+    A1 measures) executes through this module, which runs the
+    closure-compiled form ({!Compile}) of the program. {!Interp} is the
+    reference semantics: [test_differential] checks that both produce
+    the same {!Interp.result} and the same simulated cycle/cache
+    accounting on random programs. *)
 
 type prepared
 (** A program prepared for execution. Each {!prepare} returns a fresh

@@ -436,7 +436,7 @@ let check_differential ~what seed p =
 
 let prop_absint_differential =
   QCheck.Test.make ~name:"absint sandbox = full sandbox (1000 programs)"
-    ~count:1000 QCheck.small_nat (fun seed ->
+    ~count:1000 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 211) in
       let _, _, scratch = fixture seed in
       let p = gen_program rng ~scratch_base:scratch.Memory.base in
@@ -467,7 +467,7 @@ let gen_loop rng =
 
 let prop_loop_differential =
   QCheck.Test.make ~name:"counted loops: differential + bound soundness"
-    ~count:300 QCheck.small_nat (fun seed ->
+    ~count:300 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 977) in
       let p = gen_loop rng in
       check_differential ~what:"loop" seed p)

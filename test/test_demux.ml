@@ -1,9 +1,10 @@
 (* Ethernet demultiplexing semantics: the merged DPF trie must be an
-   invisible optimisation. Overlapping filters resolve by install order
-   identically under the linear scan and the trie (kernel-level), unbind
-   removes exactly the one binding it names, and the trie's pure lookup
-   agrees with the obvious first-match-in-priority-order reference on
-   random filter sets. *)
+   invisible optimisation. The reference throughout is the obvious one,
+   [Dpf.matches] applied to the filters in install order, first match
+   wins. Overlapping filters resolve as the reference says
+   (kernel-level), unbind removes exactly the one binding it names, and
+   the trie's machine-charged lookup agrees with the reference on random
+   filter sets, after inserts and removes alike. *)
 
 module Machine = Ash_sim.Machine
 module Memory = Ash_sim.Memory
@@ -16,11 +17,29 @@ module Bytesx = Ash_util.Bytesx
 module Fabric = Ash_core.Fabric
 
 (* ------------------------------------------------------------------ *)
-(* Kernel-level: overlapping filters, linear scan vs trie              *)
+(* The reference and the walk under test                               *)
+(* ------------------------------------------------------------------ *)
+
+(* First match in install order over [(filter, payload)] pairs. *)
+let first_match filters pkt =
+  List.find_opt (fun (f, _) -> Dpf.matches pkt f) filters |> Option.map snd
+
+(* [Dpf_trie.lookup] over [pkt], copied into a fresh machine's memory:
+   the walk the kernel runs on every Ethernet frame. *)
+let lookup trie pkt =
+  let machine = Machine.create Costs.decstation in
+  let mem = Machine.mem machine in
+  let len = Bytes.length pkt in
+  let buf = Memory.alloc mem ~name:"pkt" len in
+  Memory.blit_from_bytes mem ~src:pkt ~src_off:0 ~dst:buf.Memory.base ~len;
+  Dpf_trie.lookup trie machine ~msg_addr:buf.Memory.base ~msg_len:len
+
+(* ------------------------------------------------------------------ *)
+(* Kernel-level: overlapping filters                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Three mutually overlapping filters; [0xAA; 0xBB] frames match all
-   three, so whichever engine runs must pick the first installed. *)
+   three, so the kernel must pick the first installed. *)
 let overlap_filters =
   [
     ("f1", [ Dpf.atom ~offset:0 ~width:1 0xAA ]);
@@ -40,10 +59,9 @@ let trial_frames =
 (* Install [filters] in order, send every trial frame, and return the
    sequence of filter names that handled them (one entry per delivered
    frame; drops don't appear). *)
-let run_demux ~mode filters =
+let run_demux filters =
   let tb = Fabric.pair ~ethernet:true () in
   let srv = (Fabric.host tb 0).Fabric.kernel in
-  Kernel.set_eth_demux srv mode;
   let hits = ref [] in
   List.iter
     (fun (name, filter) ->
@@ -57,23 +75,26 @@ let run_demux ~mode filters =
   Fabric.run tb;
   List.rev !hits
 
-let test_overlap_install_order_trie_equals_linear () =
+let test_overlap_matches_first_match_reference () =
   List.iter
     (fun filters ->
-       let linear = run_demux ~mode:Kernel.Demux_linear filters in
-       let trie = run_demux ~mode:Kernel.Demux_trie filters in
-       Alcotest.(check (list string)) "same winners under both engines"
-         linear trie)
-    (* Both install orders: the specific-first order makes f2 win the
+       let reference =
+         List.filter_map
+           (first_match (List.map (fun (name, f) -> (f, name)) filters))
+           trial_frames
+       in
+       Alcotest.(check (list string)) "kernel winners = first match"
+         reference (run_demux filters))
+    (* Both install orders: the specific-first order makes f3 win the
        doubly-matching frame, the general-first order makes f1 win. *)
     [ overlap_filters; List.rev overlap_filters ];
   (* And pin the install-order-wins semantics explicitly. *)
   Alcotest.(check (list string)) "first installed wins"
     [ "f1"; "f1"; "f3" ]
-    (run_demux ~mode:Kernel.Demux_trie overlap_filters);
+    (run_demux overlap_filters);
   Alcotest.(check (list string)) "specific first wins when installed first"
     [ "f3"; "f1"; "f3" ]
-    (run_demux ~mode:Kernel.Demux_trie (List.rev overlap_filters))
+    (run_demux (List.rev overlap_filters))
 
 let test_unbind_removes_exactly_one () =
   let tb = Fabric.pair ~ethernet:true () in
@@ -109,33 +130,27 @@ let test_unbind_removes_exactly_one () =
      | () -> false
      | exception Invalid_argument _ -> true)
 
-let test_unbind_under_both_engines () =
-  List.iter
-    (fun mode ->
-       let tb = Fabric.pair ~ethernet:true () in
-       let srv = (Fabric.host tb 0).Fabric.kernel in
-       Kernel.set_eth_demux srv mode;
-       let hits = ref 0 in
-       let vcs =
-         List.map
-           (fun (_, filter) ->
-              let pvc =
-                Kernel.bind_eth_filter srv filter Kernel.Deliver_user
-              in
-              Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
-                  incr hits);
-              pvc)
-           overlap_filters
-       in
-       List.iter (fun vc -> Kernel.unbind_eth_filter srv ~vc) vcs;
-       Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel
-         (frame 0xAA 0xBB);
-       Fabric.run tb;
-       Alcotest.(check int) "all bindings gone: frame dropped" 0 !hits;
-       Alcotest.(check int) "counted as a DPF miss" 1
-         (Ash_obs.Hop.dropped (Kernel.eth_hops srv).Kernel.rx
-            Ash_obs.Trace.Dpf_miss))
-    [ Kernel.Demux_linear; Kernel.Demux_trie ]
+let test_unbind_leaves_dpf_miss () =
+  let tb = Fabric.pair ~ethernet:true () in
+  let srv = (Fabric.host tb 0).Fabric.kernel in
+  let hits = ref 0 in
+  let vcs =
+    List.map
+      (fun (_, filter) ->
+         let pvc = Kernel.bind_eth_filter srv filter Kernel.Deliver_user in
+         Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
+             incr hits);
+         pvc)
+      overlap_filters
+  in
+  List.iter (fun vc -> Kernel.unbind_eth_filter srv ~vc) vcs;
+  Alcotest.(check int) "trie empty" 0 (Kernel.eth_filter_count srv);
+  Kernel.eth_kernel_send (Fabric.host tb 1).Fabric.kernel (frame 0xAA 0xBB);
+  Fabric.run tb;
+  Alcotest.(check int) "all bindings gone: frame dropped" 0 !hits;
+  Alcotest.(check int) "counted as a DPF miss" 1
+    (Ash_obs.Hop.dropped (Kernel.eth_hops srv).Kernel.rx
+       Ash_obs.Trace.Dpf_miss)
 
 (* ------------------------------------------------------------------ *)
 (* Trie vs first-match reference on random filter sets                 *)
@@ -162,16 +177,9 @@ let gen_packet rng =
   done;
   b
 
-(* First match in priority order — what a linear install-order scan
-   computes. *)
-let reference_find filters pkt =
-  List.sort (fun ((_, a) : Dpf.t * int) (_, b) -> compare a b) filters
-  |> List.find_opt (fun (f, _) -> Dpf.matches pkt f)
-  |> Option.map snd
-
-let prop_trie_find_equals_reference =
-  QCheck.Test.make ~name:"trie find = first-match reference" ~count:300
-    QCheck.small_nat (fun seed ->
+let prop_trie_lookup_equals_reference =
+  QCheck.Test.make ~name:"trie lookup = first-match reference" ~count:300
+    ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 101) in
       let nfilters = 1 + Rng.int rng 8 in
       let filters = List.init nfilters (fun i -> (gen_filter rng, i)) in
@@ -186,31 +194,37 @@ let prop_trie_find_equals_reference =
       if Dpf_trie.size trie <> List.length kept then
         QCheck.Test.fail_reportf "size %d after removals, expected %d"
           (Dpf_trie.size trie) (List.length kept);
-      let ok = ref true in
       for _ = 1 to 16 do
         let pkt = gen_packet rng in
-        let expected = reference_find kept pkt in
-        if Dpf_trie.find trie pkt <> expected then ok := false
+        let got = lookup trie pkt and expected = first_match kept pkt in
+        if got <> expected then
+          let show = function None -> "miss" | Some p -> string_of_int p in
+          QCheck.Test.fail_reportf "lookup %s, first match %s" (show got)
+            (show expected)
       done;
-      !ok)
+      true)
 
-let prop_trie_lookup_equals_find =
-  QCheck.Test.make ~name:"machine-charged lookup = pure find" ~count:200
-    QCheck.small_nat (fun seed ->
-      let rng = Rng.create (seed + 211) in
-      let nfilters = 1 + Rng.int rng 6 in
-      let trie = Dpf_trie.create () in
-      for p = 0 to nfilters - 1 do
-        Dpf_trie.insert trie ~prio:p (gen_filter rng) p
-      done;
-      let pkt = gen_packet rng in
-      let machine = Machine.create Costs.decstation in
-      let mem = Machine.mem machine in
-      let buf = Memory.alloc mem ~name:"pkt" pkt_len in
-      Memory.blit_from_bytes mem ~src:pkt ~src_off:0 ~dst:buf.Memory.base
-        ~len:pkt_len;
-      Dpf_trie.lookup trie machine ~msg_addr:buf.Memory.base ~msg_len:pkt_len
-      = Dpf_trie.find trie pkt)
+(* Removing a filter that is not there, under another [prio] or along
+   atoms never installed, must leave the count and every answer as they
+   were: [size] is the churn audit's leaked-filter count. *)
+let test_absent_remove_changes_nothing () =
+  let trie = Dpf_trie.create () in
+  List.iteri
+    (fun p (_, f) -> Dpf_trie.insert trie ~prio:p f p)
+    overlap_filters;
+  let answers () = List.map (lookup trie) trial_frames in
+  let before = answers () in
+  let check what =
+    Alcotest.(check int) (what ^ ": size") 3 (Dpf_trie.size trie);
+    Alcotest.(check (list (option int))) (what ^ ": lookups") before
+      (answers ())
+  in
+  Dpf_trie.remove trie ~prio:7 (List.assoc "f1" overlap_filters);
+  check "wrong prio";
+  (* f2's path up to its last atom, then a value no filter tests. *)
+  Dpf_trie.remove trie ~prio:1
+    [ Dpf.atom ~offset:0 ~width:1 0xAA; Dpf.atom ~offset:1 ~width:1 0xCC ];
+  check "atoms never installed"
 
 let test_trie_single_filter_costs_match_compiled () =
   (* The whole point of the cost model: a lone filter charges exactly
@@ -252,17 +266,18 @@ let () =
     [
       ( "kernel",
         [
-          Alcotest.test_case "overlap: trie = linear" `Quick
-            test_overlap_install_order_trie_equals_linear;
+          Alcotest.test_case "overlap: trie = first-match reference" `Quick
+            test_overlap_matches_first_match_reference;
           Alcotest.test_case "unbind removes one" `Quick
             test_unbind_removes_exactly_one;
-          Alcotest.test_case "unbind under both engines" `Quick
-            test_unbind_under_both_engines;
+          Alcotest.test_case "unbind leaves a dpf-miss" `Quick
+            test_unbind_leaves_dpf_miss;
         ] );
       ( "trie",
         [
-          QCheck_alcotest.to_alcotest prop_trie_find_equals_reference;
-          QCheck_alcotest.to_alcotest prop_trie_lookup_equals_find;
+          QCheck_alcotest.to_alcotest prop_trie_lookup_equals_reference;
+          Alcotest.test_case "absent remove changes nothing" `Quick
+            test_absent_remove_changes_nothing;
           Alcotest.test_case "lone filter cost = compiled" `Quick
             test_trie_single_filter_costs_match_compiled;
         ] );

@@ -163,7 +163,7 @@ let region_contents (machine, _, _) (r : Memory.region) =
 
 let prop_sandboxed_equals_unsafe =
   QCheck.Test.make ~name:"sandboxed and unsafe runs agree" ~count:150
-    QCheck.small_nat (fun seed ->
+    (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 1) in
       let fa = fixture seed and fb = fixture seed in
       let _, _, sa = fa and _, _, sb = fb in
@@ -201,7 +201,7 @@ let prop_sandboxed_equals_unsafe =
 
 let prop_sandbox_adds_static_checks =
   QCheck.Test.make ~name:"check_insns is 0 iff unsafe (statically too)"
-    ~count:80 QCheck.small_nat (fun seed ->
+    ~count:80 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 1000) in
       let _, _, scratch = fixture seed in
       let p = gen_program rng ~scratch_base:scratch.Memory.base in
@@ -273,7 +273,7 @@ let host_reference stack buf =
 
 let prop_dilp_matches_sequential =
   QCheck.Test.make ~name:"fused DILP = sequential per-pass reference"
-    ~count:120 QCheck.small_nat (fun seed ->
+    ~count:120 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 7) in
       let stack = gen_stack rng in
       let len = 4 * (1 + Rng.int rng 128) in
@@ -357,7 +357,7 @@ let prop_dilp_matches_sequential =
    passes on a second, identically laid out machine. *)
 let prop_dilp_matches_baseline_passes =
   QCheck.Test.make ~name:"fused cksum+bswap = Baseline sequential passes"
-    ~count:60 QCheck.small_nat (fun seed ->
+    ~count:60 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 31) in
       let len = 4 * (1 + Rng.int rng 256) in
       let payload = Bytes.create len in
@@ -438,7 +438,7 @@ let check_results_equal ~what (a : Interp.result) (b : Interp.result) =
 
 let prop_backends_agree =
   QCheck.Test.make ~name:"compiled backend = interpreter (unsafe + sandboxed)"
-    ~count:150 QCheck.small_nat (fun seed ->
+    ~count:150 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 13) in
       let fa = fixture seed and fb = fixture seed in
       let _, _, sa = fa and ma, _, _ = fa and mb, _, _ = fb in
@@ -805,7 +805,7 @@ let gen_filter rng =
 
 let prop_dpf_backends_agree =
   QCheck.Test.make ~name:"DPF filter evaluation agrees across backends"
-    ~count:120 QCheck.small_nat (fun seed ->
+    ~count:120 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 23) in
       let filter = gen_filter rng in
       let packet = Bytes.create msg_len in
@@ -841,8 +841,7 @@ let prop_dpf_backends_agree =
         (Interp.run env program).Interp.outcome = Interp.Committed
       in
       let accept_b =
-        Dpf.run_prepared mb (Exec.prepare program) ~msg_addr:bufb.Memory.base
-          ~msg_len
+        Dpf.run_compiled mb program ~msg_addr:bufb.Memory.base ~msg_len
       in
       if accept_a <> accept_b then
         QCheck.Test.fail_reportf "accept differs: %b vs %b" accept_a accept_b;
@@ -1125,7 +1124,7 @@ let sweep_budgets ~full run =
 
 let prop_gas_sweep =
   QCheck.Test.make ~name:"gas sweep: every kill point = interpreter" ~count:500
-    ~long_factor:20 QCheck.small_nat (fun seed ->
+    ~long_factor:20 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng, fa, fb, p = block_case seed in
       let regs_init = gen_regs_init rng in
       List.iter
