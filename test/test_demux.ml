@@ -177,8 +177,8 @@ let gen_packet rng =
   done;
   b
 
-let prop_trie_lookup_equals_reference =
-  QCheck.Test.make ~name:"trie lookup = first-match reference" ~count:300
+let prop_trie_find_equals_reference =
+  QCheck.Test.make ~name:"trie find = first-match reference" ~count:300
     ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
       let rng = Rng.create (seed + 101) in
       let nfilters = 1 + Rng.int rng 8 in
@@ -203,6 +203,35 @@ let prop_trie_lookup_equals_reference =
             (show expected)
       done;
       true)
+
+(* The charged walk reads machine memory and stops at [msg_len]; the
+   pure find is [Dpf.matches] over the message's bytes alone. A short
+   [msg_len] over a longer buffer must kill a branch whose field runs
+   past it, as a packet of that length would. *)
+let prop_trie_lookup_equals_find =
+  QCheck.Test.make ~name:"machine-charged lookup = pure find" ~count:200
+    ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
+      let rng = Rng.create (seed + 211) in
+      let nfilters = 1 + Rng.int rng 6 in
+      let filters = List.init nfilters (fun i -> (gen_filter rng, i)) in
+      let trie = Dpf_trie.create () in
+      List.iter (fun (f, p) -> Dpf_trie.insert trie ~prio:p f p) filters;
+      let pkt = gen_packet rng in
+      (* Atoms end by byte 5: lengths below 6 cut some of them off. *)
+      let msg_len = if Rng.int rng 2 = 0 then pkt_len else Rng.int rng 6 in
+      let machine = Machine.create Costs.decstation in
+      let mem = Machine.mem machine in
+      let buf = Memory.alloc mem ~name:"pkt" pkt_len in
+      Memory.blit_from_bytes mem ~src:pkt ~src_off:0 ~dst:buf.Memory.base
+        ~len:pkt_len;
+      let got =
+        Dpf_trie.lookup trie machine ~msg_addr:buf.Memory.base ~msg_len
+      and expected = first_match filters (Bytes.sub pkt 0 msg_len) in
+      if got <> expected then
+        let show = function None -> "miss" | Some p -> string_of_int p in
+        QCheck.Test.fail_reportf "msg_len %d: lookup %s, pure find %s" msg_len
+          (show got) (show expected)
+      else true)
 
 (* Removing a filter that is not there, under another [prio] or along
    atoms never installed, must leave the count and every answer as they
@@ -275,7 +304,8 @@ let () =
         ] );
       ( "trie",
         [
-          QCheck_alcotest.to_alcotest prop_trie_lookup_equals_reference;
+          QCheck_alcotest.to_alcotest prop_trie_find_equals_reference;
+          QCheck_alcotest.to_alcotest prop_trie_lookup_equals_find;
           Alcotest.test_case "absent remove changes nothing" `Quick
             test_absent_remove_changes_nothing;
           Alcotest.test_case "lone filter cost = compiled" `Quick
