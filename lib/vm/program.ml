@@ -10,9 +10,12 @@ let make ~name code =
 
 let length t = Array.length t.code
 
+(* [No_sharing]: the bytes must depend on the values only, not on
+   which equal blocks the compiler or the builder happened to share. *)
 let digest t =
   Digest.to_hex
-    (Digest.string (Marshal.to_string (t.name, t.code, t.jump_map) []))
+    (Digest.string
+       (Marshal.to_string (t.name, t.code, t.jump_map) [ Marshal.No_sharing ]))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>; program %s (%d instructions)@," t.name

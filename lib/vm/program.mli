@@ -21,9 +21,11 @@ val make : name:string -> Isa.insn array -> t
 val length : t -> int
 
 val digest : t -> string
-(** Stable hex digest over name, code and jump map. Two programs with
-    equal digests are behaviourally interchangeable; the kernel keys its
-    download-time handler cache on this. *)
+(** Stable hex digest over name, code and jump map. It depends on their
+    values only, not on physical sharing: structurally equal programs
+    get equal digests however their instructions were built. Two
+    programs with equal digests are behaviourally interchangeable; the
+    kernel keys its download-time handler cache on this. *)
 
 val pp : Format.formatter -> t -> unit
 (** Disassembly listing with instruction indices. *)

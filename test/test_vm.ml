@@ -742,6 +742,25 @@ let test_asm_roundtrip () =
     [ ("loopy", mk_loopy ()); ("echo", mk_echo ()) ]
 
 (* ------------------------------------------------------------------ *)
+(* Program digest                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The digest keys the handler cache, so equal programs must get equal
+   digests however their blocks were built. [Sys.opaque_identity] on an
+   operand makes each [Li] a block allocated at run time, which the
+   compiler cannot share with another. *)
+let test_digest_ignores_sharing () =
+  let li () = Isa.Li (1, Sys.opaque_identity 5) in
+  let i = li () in
+  let shared = Program.make ~name:"p" [| i; i; Isa.Commit |] in
+  let fresh = Program.make ~name:"p" [| li (); li (); Isa.Commit |] in
+  Alcotest.(check bool) "blocks differ" false
+    (fresh.Program.code.(0) == fresh.Program.code.(1));
+  Alcotest.(check bool) "structurally equal" true (shared = fresh);
+  Alcotest.(check string) "digest" (Program.digest shared)
+    (Program.digest fresh)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -900,6 +919,11 @@ let () =
             test_asm_memory_and_calls;
           Alcotest.test_case "errors" `Quick test_asm_errors;
           Alcotest.test_case "roundtrip" `Quick test_asm_roundtrip;
+        ] );
+      ( "program",
+        [
+          Alcotest.test_case "digest ignores sharing" `Quick
+            test_digest_ignores_sharing;
         ] );
       ( "properties",
         [
