@@ -209,7 +209,7 @@ let run_taps ~ts ~corr k = List.iter (fun (_, f) -> f ~ts ~corr k) !taps
 
 (* Emission sites use [enabled] to skip event construction entirely;
    an armed tap makes the stream live even without a recorder. *)
-let enabled () =
+let[@inline] enabled () =
   let c = cur () in
   c.c_on || (c.c_is_root && !taps != [])
 
@@ -246,8 +246,8 @@ let new_corr () =
   c.c_corr_count <- c.c_corr_count + 1;
   c.c_corr_first + ((c.c_corr_count - 1) * c.c_corr_stride)
 
-let current_corr () = (cur ()).c_ambient
-let set_corr v = (cur ()).c_ambient <- v
+let[@inline] current_corr () = (cur ()).c_ambient
+let[@inline] set_corr v = (cur ()).c_ambient <- v
 
 let ensure_corr () =
   let c = cur () in

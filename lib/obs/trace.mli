@@ -139,7 +139,8 @@ type event = { seq : int; ts : int; corr : int; kind : kind }
     While no {!with_shard} slice is running on any domain, every call
     here uses the root context directly, without a domain-local
     lookup, so the off path of {!enabled}, {!current_corr} and
-    {!set_corr} is a few loads. This rests on one precondition:
+    {!set_corr} is a few loads, inlined into their callers. This rests
+    on one precondition:
     {b outside a shard slice, only the main domain runs simulation
     code.} The cluster's worker pool is the only code that spawns
     domains, and its workers emit only inside {!with_shard}. Code that
