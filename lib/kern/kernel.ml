@@ -777,8 +777,7 @@ let run_handler_common t b ~id ~corr ~c0 ~addr ~len ~release ~env ~upcall
     end;
     user_path t b ~addr ~len ~release
 
-let ash_path t b id ~eth ~addr ~len ~release =
-  let ash = find_ash t id in
+let ash_path t b ~id ~ash ~eth ~addr ~len ~release =
   if Trace.enabled () then
     Trace.emit (Trace.Ash_dispatch { id; vc = b.bvc });
   let corr = Trace.current_corr () in
@@ -794,8 +793,7 @@ let ash_path t b id ~eth ~addr ~len ~release =
   run_handler_common t b ~id ~corr ~c0 ~addr ~len ~release ~env ~upcall:false
     ~ash
 
-let upcall_path t b id ~eth ~addr ~len ~release =
-  let ash = find_ash t id in
+let upcall_path t b ~id ~ash ~eth ~addr ~len ~release =
   t.s_upcalls <- t.s_upcalls + 1;
   if Trace.enabled () then begin
     Trace.emit (Trace.Upcall { vc = b.bvc });
@@ -815,16 +813,20 @@ let upcall_path t b id ~eth ~addr ~len ~release =
   (* Return crossing from the upcall back into the kernel. *)
   charge_ns t t.costs.Costs.crossing_ns
 
+(* Quarantine wins before any budget bookkeeping: a demoted handler
+   must not run, and [ash_over_budget] has side effects. *)
 let dispatch t b ~eth ~addr ~len ~release =
   match b.delivery with
-  (* Quarantine wins before any budget bookkeeping: a demoted handler
-     must not run, and [ash_over_budget] has side effects. *)
-  | (Deliver_ash id | Deliver_upcall id) when (find_ash t id).quarantined ->
-    user_path t b ~addr ~len ~release
-  | Deliver_ash id when not (ash_over_budget t b) ->
-    ash_path t b id ~eth ~addr ~len ~release
-  | Deliver_upcall id -> upcall_path t b id ~eth ~addr ~len ~release
-  | Deliver_ash _ | Deliver_user -> user_path t b ~addr ~len ~release
+  | Deliver_ash id ->
+    let ash = find_ash t id in
+    if ash.quarantined || ash_over_budget t b then
+      user_path t b ~addr ~len ~release
+    else ash_path t b ~id ~ash ~eth ~addr ~len ~release
+  | Deliver_upcall id ->
+    let ash = find_ash t id in
+    if ash.quarantined then user_path t b ~addr ~len ~release
+    else upcall_path t b ~id ~ash ~eth ~addr ~len ~release
+  | Deliver_user -> user_path t b ~addr ~len ~release
 
 (* ---------------------------------------------------------------- *)
 (* Driver receive hooks                                              *)

@@ -11,14 +11,22 @@ let max_frame = 4096
 
 type rx = { vc : int; addr : int; len : int; buf_len : int; crc_ok : bool }
 
-type vc_state = {
-  mutable buffers : (int * int) list; (* (addr, len), FIFO *)
+(* A VC's posted buffers, oldest first: a ring of [count] (addr, len)
+   pairs from pair index [head], at [2i] and [2i + 1] of [slots], which
+   doubles when full. The board takes one buffer per received frame and
+   the driver reposts one, so neither allocates: a [Queue] would
+   allocate a cell per repost, which the GC promotes because the
+   previous cell points to it. *)
+type posted = {
+  mutable slots : int array;
+  mutable head : int;
+  mutable count : int;
 }
 
 type t = {
   engine : Engine.t;
   machine : Machine.t;
-  vcs : (int, vc_state) Hashtbl.t;
+  vcs : (int, posted) Hashtbl.t;
   mutable rx_handler : rx -> unit;
   mutable peer : t option;
   mutable tx_link : Link.t option; (* our transmit direction *)
@@ -57,7 +65,7 @@ let connect a b =
 
 let bind_vc t ~vc =
   if Hashtbl.mem t.vcs vc then invalid_arg "An2.bind_vc: already bound";
-  Hashtbl.add t.vcs vc { buffers = [] }
+  Hashtbl.add t.vcs vc { slots = Array.make 8 0; head = 0; count = 0 }
 
 let unbind_vc t ~vc =
   if not (Hashtbl.mem t.vcs vc) then invalid_arg "An2.unbind_vc: not bound";
@@ -66,12 +74,25 @@ let unbind_vc t ~vc =
 let post_buffer t ~vc ~addr ~len =
   match Hashtbl.find_opt t.vcs vc with
   | None -> invalid_arg "An2.post_buffer: unbound vc"
-  | Some s -> s.buffers <- s.buffers @ [ (addr, len) ]
+  | Some p ->
+    let cap = Array.length p.slots / 2 in
+    if p.count = cap then begin
+      let slots = Array.make (4 * cap) 0 in
+      let tail = 2 * (cap - p.head) in
+      Array.blit p.slots (2 * p.head) slots 0 tail;
+      Array.blit p.slots 0 slots tail (2 * p.head);
+      p.slots <- slots;
+      p.head <- 0
+    end;
+    let i = 2 * ((p.head + p.count) mod (Array.length p.slots / 2)) in
+    p.slots.(i) <- addr;
+    p.slots.(i + 1) <- len;
+    p.count <- p.count + 1
 
 let free_buffers t ~vc =
   match Hashtbl.find_opt t.vcs vc with
   | None -> 0
-  | Some s -> List.length s.buffers
+  | Some p -> p.count
 
 let set_rx_handler t f = t.rx_handler <- f
 
@@ -88,26 +109,28 @@ let deliver t ~vc ~payload ~crc_sent =
   Span.end_span ~corr Trace.Demux;
   match binding with
   | None -> Hop.drop t.rx_hop Trace.No_vc
-  | Some s -> begin
-      match s.buffers with
-      | [] -> Hop.drop t.rx_hop Trace.No_buffer
-      | (addr, buf_len) :: rest ->
-        let len = Bytes.length payload in
-        if len > buf_len then
-          (* A frame bigger than the posted buffer is a binding error;
-             the board drops it rather than overrunning memory. *)
-          Hop.drop t.rx_hop Trace.Too_big
-        else begin
-          s.buffers <- rest;
-          Memory.blit_from_bytes (Machine.mem t.machine) ~src:payload
-            ~src_off:0 ~dst:addr ~len;
-          let crc_ok = Crc32.digest payload ~off:0 ~len = crc_sent in
-          if not crc_ok then t.rx_crc_errors <- t.rx_crc_errors + 1;
-          Hop.frame_out t.rx_hop;
-          if Trace.enabled () then
-            Trace.emit (Trace.Pkt_rx { nic = "an2"; bytes = len });
-          t.rx_handler { vc; addr; len; buf_len; crc_ok }
-        end
+  | Some p ->
+    if p.count = 0 then Hop.drop t.rx_hop Trace.No_buffer
+    else begin
+      let addr = p.slots.(2 * p.head)
+      and buf_len = p.slots.((2 * p.head) + 1) in
+      let len = Bytes.length payload in
+      if len > buf_len then
+        (* A frame bigger than the posted buffer is a binding error;
+           the board drops it rather than overrunning memory. *)
+        Hop.drop t.rx_hop Trace.Too_big
+      else begin
+        p.head <- (p.head + 1) mod (Array.length p.slots / 2);
+        p.count <- p.count - 1;
+        Memory.blit_from_bytes (Machine.mem t.machine) ~src:payload
+          ~src_off:0 ~dst:addr ~len;
+        let crc_ok = Crc32.digest payload ~off:0 ~len = crc_sent in
+        if not crc_ok then t.rx_crc_errors <- t.rx_crc_errors + 1;
+        Hop.frame_out t.rx_hop;
+        if Trace.enabled () then
+          Trace.emit (Trace.Pkt_rx { nic = "an2"; bytes = len });
+        t.rx_handler { vc; addr; len; buf_len; crc_ok }
+      end
     end
 
 let transmit t ~vc payload =

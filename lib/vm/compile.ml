@@ -397,14 +397,15 @@ let compile (p : Program.t) : t =
 (* The most cycles one instruction inside a block (one that does not end
    it) can charge on this machine: its base cost, a sandbox check's
    cost, or a load or store over the most cache lines a 4-byte access
-   can touch, every line a miss. *)
+   can touch, every line a miss. [run] computes it on every run, so it
+   uses [Int.max], not the polymorphic [max] and its C comparison. *)
 let worst_insn_cycles t (costs : Costs.t) =
   let line = costs.Costs.cache_line in
   let lines = ((4 + line - 2) / line) + 1 in
   let insn = costs.Costs.insn_cycles in
-  max
-    (max t.max_base (1 + costs.Costs.sandboxed_insn_extra_cycles))
-    (max
+  Int.max
+    (Int.max t.max_base (1 + costs.Costs.sandboxed_insn_extra_cycles))
+    (Int.max
        (insn
         + lines
           * (costs.Costs.load_extra_cycles + costs.Costs.miss_penalty_cycles))

@@ -165,6 +165,35 @@ let test_an2_buffers_fifo () =
     (List.rev !landed);
   Alcotest.(check int) "buffers consumed" 0 (An2.free_buffers p.b ~vc:1)
 
+(* The posted-buffer ring keeps FIFO order across wrap-around and
+   growth: two frames move its head, then more buffers are posted than
+   it first has room for. *)
+let test_an2_buffer_ring_wraps_and_grows () =
+  let p = an2_pair () in
+  An2.bind_vc p.b ~vc:1;
+  let posted = ref [] and landed = ref [] in
+  let post_n n =
+    for _ = 1 to n do
+      posted := (post p p.b p.mb 64).Memory.base :: !posted
+    done
+  in
+  let send n =
+    for _ = 1 to n do
+      An2.transmit p.a ~vc:1 (Bytes.make 4 'x')
+    done;
+    Engine.run p.engine
+  in
+  An2.set_rx_handler p.b (fun rx -> landed := rx.An2.addr :: !landed);
+  post_n 3;
+  send 2;
+  post_n 9;
+  Alcotest.(check int) "posted, not consumed" 10
+    (An2.free_buffers p.b ~vc:1);
+  send 10;
+  Alcotest.(check (list int)) "fifo across wrap and growth" (List.rev !posted)
+    (List.rev !landed);
+  Alcotest.(check int) "buffers consumed" 0 (An2.free_buffers p.b ~vc:1)
+
 let test_an2_oversize_frame_dropped () =
   let p = an2_pair () in
   An2.bind_vc p.b ~vc:1;
@@ -366,6 +395,8 @@ let () =
             test_an2_unbound_vc_drops;
           Alcotest.test_case "no buffer drops" `Quick test_an2_no_buffer_drops;
           Alcotest.test_case "fifo buffers" `Quick test_an2_buffers_fifo;
+          Alcotest.test_case "buffer ring wraps and grows" `Quick
+            test_an2_buffer_ring_wraps_and_grows;
           Alcotest.test_case "oversize dropped" `Quick
             test_an2_oversize_frame_dropped;
           Alcotest.test_case "crc catches corruption" `Quick
