@@ -45,9 +45,9 @@ let[@inline] word v =
 
 let unsafe_be32 b i = word (get32u b i)
 
-(* Each word moves as its raw bytes; only the sum needs its value. The
-   loop is here, not at its callers, so that the loads inline: dune's
-   default profile compiles each module opaque to the others. *)
+(* Each word moves as its raw bytes; only the sum needs its value. One
+   call sums a whole transfer: [cksum16_pass] and DILP's word kernel
+   share this loop. *)
 let unsafe_sum_be32 src soff n ~write dst doff =
   let sum = ref 0 in
   for i = 0 to n - 1 do
