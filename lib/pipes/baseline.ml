@@ -31,7 +31,6 @@ let cksum16_checked m ~addr ~len =
 external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external bswap16 : int -> int = "%bswap16"
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
 (* Big-endian halfword and word, unchecked: callers read only inside a
@@ -40,22 +39,16 @@ let[@inline] unsafe_be16 b i =
   let v = get16u b i in
   if Sys.big_endian then v else bswap16 v
 
-let[@inline] word v =
+let unsafe_be32 b i =
+  let v = get32u b i in
   Int32.to_int (if Sys.big_endian then v else swap32 v) land 0xffff_ffff
 
-let unsafe_be32 b i = word (get32u b i)
-
-(* Each word moves as its raw bytes; only the sum needs its value. One
-   call sums a whole transfer: [cksum16_pass] and DILP's word kernel
-   share this loop. *)
-let unsafe_sum_be32 src soff n ~write dst doff =
-  let sum = ref 0 in
-  for i = 0 to n - 1 do
-    let v = get32u src (soff + (4 * i)) in
-    if write then set32u dst (doff + (4 * i)) v;
-    sum := !sum + word v
-  done;
-  !sum
+(* One call sums a whole transfer: [cksum16_pass] and DILP's word
+   kernel share this loop (baseline_stubs.c). *)
+external unsafe_sum_be32 :
+  Bytes.t -> int -> int -> write:bool -> Bytes.t -> int -> int
+  = "ash_sum_be32_byte" "ash_sum_be32"
+[@@noalloc]
 
 (* The same pass over a range that cannot fault: its charge in one sum,
    the halfword loads as one cache run and the odd byte as another, and

@@ -34,15 +34,23 @@ val unsafe_be32 : Bytes.t -> int -> int
     only inside a range {!Ash_sim.Memory.locate} found wholly within a
     region's data. *)
 
-val unsafe_sum_be32 :
+external unsafe_sum_be32 :
   Bytes.t -> int -> int -> write:bool -> Bytes.t -> int -> int
+  = "ash_sum_be32_byte" "ash_sum_be32"
+[@@noalloc]
 (** [unsafe_sum_be32 src soff n ~write dst doff] is the plain sum of the
     [n] big-endian words at [src.[soff..]], loaded in ascending order, as
     {!unsafe_be32} reads them. With [~write:true] each word is also
     stored at [dst.[doff..]] before the next is loaded, so overlapping
     ranges read their own writes, as on the VM. Unchecked like
-    {!unsafe_be32}, for both ranges. The checksum pass and
-    {!Dilp.execute}'s word kernel run on it. *)
+    {!unsafe_be32}, for both ranges; it never raises or allocates. The
+    checksum pass and {!Dilp.execute}'s word kernel run on it.
+
+    A C loop: on x86-64 it moves and sums 16 bytes per SSE2 step, each
+    step loading before it stores, which gives the word loop's bytes and
+    sum whenever the destination does not start above the source inside
+    the range read. That case, the 0–3-word tail and every other host
+    run a scalar word loop. *)
 
 val byteswap_pass : Ash_sim.Machine.t -> addr:int -> len:int -> unit
 (** A separate in-place 32-bit byteswap pass. [len] must be a multiple

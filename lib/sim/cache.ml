@@ -84,16 +84,15 @@ let[@inline] load t ~addr ~size =
   end
   else load_lines t ~addr ~size
 
+(* How many lines [addr, addr + len) covers, for [len > 0]. *)
+let[@inline] lines_in t ~addr ~len =
+  ((line_addr t (addr + len - 1) - line_addr t addr) asr t.line_shift) + 1
+
 let[@inline] store t ~addr ~size =
   (* Write-through, no allocate: cost is per line touched; a store hit
      keeps the line valid (the data array is shared with memory in our
      model so no value update is needed). *)
-  if size <= 0 then 0
-  else
-    let lines =
-      ((line_addr t (addr + size - 1) - line_addr t addr) asr t.line_shift) + 1
-    in
-    lines * t.store_extra
+  if size <= 0 then 0 else lines_in t ~addr ~len:size * t.store_extra
 
 (* A run of [count] accesses of [size] bytes at [addr], [addr + size],
    ... in ascending order touches every line of its span, and all the
@@ -104,48 +103,56 @@ let[@inline] store t ~addr ~size =
    counts a loop of [load]s would leave, even when the span wraps the
    index space. [size] divides the line (both are powers of two), so an
    aligned run straddles no line boundary and an unaligned one
-   straddles every boundary inside its span. *)
+   straddles every boundary inside its span.
 
-let check_run t ~size =
+   This walk, [flush_range] and [warm_range] step through consecutive
+   tag indices, wrapping at the end of the array, with the record's
+   fields read once: the line after [la] has the index after [la]'s. *)
+
+let check_run fn t ~size =
   if size <= 0 || size > t.line || size land (size - 1) <> 0 then
-    invalid_arg "Cache.load_run: size must be a power of two up to a line"
+    invalid_arg (fn ^ ": size must be a power of two up to a line")
 
-let run_touches t ~addr ~size ~count =
-  let span = line_addr t (addr + (count * size) - 1) - line_addr t addr in
-  if addr land (size - 1) = 0 then count else count + (span asr t.line_shift)
+(* The run's touches, from the [lines] its span covers. *)
+let touches ~addr ~size ~count ~lines =
+  if addr land (size - 1) = 0 then count else count + lines - 1
 
 let load_run t ~addr ~size ~count =
-  check_run t ~size;
+  check_run "Cache.load_run" t ~size;
   if count <= 0 then 0
   else begin
-    let last = line_addr t (addr + (count * size) - 1) in
-    let misses = ref 0 in
+    let lines = lines_in t ~addr ~len:(count * size) in
+    let tags = t.tags and line = t.line and mask = t.index_mask in
     let la = ref (line_addr t addr) in
-    while !la <= last do
-      let i = index t !la in
-      if t.tags.(i) <> !la then begin
+    let i = ref (index t !la) and misses = ref 0 in
+    for _ = 1 to lines do
+      if tags.(!i) <> !la then begin
         incr misses;
-        t.tags.(i) <- !la
+        tags.(!i) <- !la
       end;
-      la := !la + t.line
+      la := !la + line;
+      i := (!i + 1) land mask
     done;
-    let touches = run_touches t ~addr ~size ~count in
+    let touches = touches ~addr ~size ~count ~lines in
     t.misses <- t.misses + !misses;
     t.hits <- t.hits + touches - !misses;
     (touches * t.load_extra) + (!misses * t.miss_penalty)
   end
 
 let store_run t ~addr ~size ~count =
-  check_run t ~size;
-  if count <= 0 then 0 else run_touches t ~addr ~size ~count * t.store_extra
-
-let load_run_worst t ~addr ~size ~count =
-  check_run t ~size;
+  check_run "Cache.store_run" t ~size;
   if count <= 0 then 0
   else
-    let span = line_addr t (addr + (count * size) - 1) - line_addr t addr in
-    (run_touches t ~addr ~size ~count * t.load_extra)
-    + (((span asr t.line_shift) + 1) * t.miss_penalty)
+    let lines = lines_in t ~addr ~len:(count * size) in
+    touches ~addr ~size ~count ~lines * t.store_extra
+
+let load_run_worst t ~addr ~size ~count =
+  check_run "Cache.load_run_worst" t ~size;
+  if count <= 0 then 0
+  else
+    let lines = lines_in t ~addr ~len:(count * size) in
+    (touches ~addr ~size ~count ~lines * t.load_extra)
+    + (lines * t.miss_penalty)
 
 let probe t ~addr =
   let la = line_addr t addr in
@@ -155,22 +162,25 @@ let flush_all t = Array.fill t.tags 0 t.lines (-1)
 
 let flush_range t ~addr ~len =
   if len > 0 then begin
-    let last = line_addr t (addr + len - 1) in
+    let tags = t.tags and line = t.line and mask = t.index_mask in
     let la = ref (line_addr t addr) in
-    while !la <= last do
-      let i = index t !la in
-      if t.tags.(i) = !la then t.tags.(i) <- -1;
-      la := !la + t.line
+    let i = ref (index t !la) in
+    for _ = 1 to lines_in t ~addr ~len do
+      if tags.(!i) = !la then tags.(!i) <- -1;
+      la := !la + line;
+      i := (!i + 1) land mask
     done
   end
 
 let warm_range t ~addr ~len =
   if len > 0 then begin
-    let last = line_addr t (addr + len - 1) in
+    let tags = t.tags and line = t.line and mask = t.index_mask in
     let la = ref (line_addr t addr) in
-    while !la <= last do
-      t.tags.(index t !la) <- !la;
-      la := !la + t.line
+    let i = ref (index t !la) in
+    for _ = 1 to lines_in t ~addr ~len do
+      tags.(!i) <- !la;
+      la := !la + line;
+      i := (!i + 1) land mask
     done
   end
 

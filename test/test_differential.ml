@@ -543,7 +543,7 @@ let dilp_case_name c =
 let dilp_fixture c =
   let machine = Machine.create Costs.decstation in
   let mem = Machine.mem machine in
-  let room = c.len + 32 in
+  let room = c.len + 48 in
   let src_r = Memory.alloc mem ~name:"src" room in
   let dst_r = Memory.alloc mem ~name:"dst" room in
   let fill =
@@ -675,28 +675,35 @@ let prop_dilp_backends_agree =
       true)
 
 (* TCP's checksumming transfer, [cksum32] alone, takes the word kernel
-   (see dilp.mli). Every mode, a length of 0, one word, a tail, a
-   segment and a transfer as large as the cache, and a destination in
-   its own region and overlapping either way inside the source's region:
-   at src+4 each word is stored where the next is loaded, at src-4 where
-   the one before it was, and at src+2 and src-2 each store also
-   rewrites half of the word it was loaded from, the last one included.
-   The kernel folds once at the end, so it gets an accumulator near 2^32
-   over all-ones words, which carry on every word, 0 over all-zero
-   words, which must stay 0, and a random one over random words, which
-   also tell the overlap orders apart. *)
+   (see dilp.mli). Every mode; a length of 0, one word, three words, a
+   16-byte step and three words, a segment, a segment and one word, and
+   a transfer as large as the cache, so the kernel's 16-byte steps run
+   with a 0-3-word tail and without; a source 16 bytes into its region
+   and one 19 bytes in; and a destination in its own region and
+   overlapping either way inside the source's region. At src+4 each
+   word is stored where the next is loaded, at src-4 where the one
+   before it was, and at src+2 and src-2 each store also rewrites half
+   of the word it was loaded from, the last one included; at src+16 a
+   store lands four words ahead, where a 16-byte step that loaded
+   before the earlier stores would differ, and at src-16 four words
+   behind. The kernel folds once at the end, so it gets an accumulator
+   near 2^32 over all-ones words, which carry on every word, 0 over
+   all-zero words, which must stay 0, and a random one over random
+   words, which also tell the overlap orders apart. *)
 let kernel_cases rng =
   let ( let* ) l f = List.concat_map f l in
   let* mode = [ Dilp.Write; Dilp.Sink ] in
-  let* len = [ 0; 4; 12; 3072; 65536 ] in
+  let* len = [ 0; 4; 12; 28; 3072; 3076; 65536 ] in
+  let* src_off = [ 16; 19 ] in
   let* dst_at =
-    [ `Own 0; `In_src 4; `In_src (-4); `In_src 2; `In_src (-2) ]
+    [ `Own 0; `In_src 4; `In_src (-4); `In_src 2; `In_src (-2); `In_src 16;
+      `In_src (-16) ]
   in
   let* payload, acc =
     [ (`Byte '\xff', 0xffff_ff00 + Rng.int rng 0x100); (`Byte '\000', 0);
       (`Seed (Rng.int rng 1_000_000), Rng.int rng 0x1_0000_0000) ]
   in
-  [ ( { mode; stack = [ Cksum ]; odd = None; len; src_off = 16; dst_at;
+  [ ( { mode; stack = [ Cksum ]; odd = None; len; src_off; dst_at;
         warm = `Cold; gone = None; r0 = None; payload },
       acc ) ]
 

@@ -218,6 +218,23 @@ let test_cache_warm_range () =
   let cost = Cache.load c ~addr:0x4000 ~size:4 in
   Alcotest.(check int) "warm = hit" costs.Costs.load_extra_cycles cost
 
+(* Each run function rejects a size that is not a power of two up to a
+   line, and names itself. *)
+let test_cache_run_sizes () =
+  let c = Cache.create costs in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun size ->
+            Alcotest.check_raises
+              (Printf.sprintf "%s, size %d" name size)
+              (Invalid_argument
+                 (name ^ ": size must be a power of two up to a line"))
+              (fun () -> ignore (run c ~addr:0x1000 ~size ~count:4)))
+         [ 0; 3; 2 * costs.Costs.cache_line ])
+    [ ("Cache.load_run", Cache.load_run); ("Cache.store_run", Cache.store_run);
+      ("Cache.load_run_worst", Cache.load_run_worst) ]
+
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -995,16 +1012,20 @@ let prop_copy_matches_reference =
    total cost, same hit/miss counts, same tag on every line either side
    touched. Tags are pre-warmed at random near the run and one cache
    size away (the same index, another tag), so runs start on a mix of
-   hits, misses and conflicts. The worst-case load charge, taken first
-   so a tag it wrote would show, bounds the run and is what the run
-   costs on a cold cache. *)
+   hits, misses and conflicts. One run in eight spans more than the
+   cache, so its walk wraps the index space and its later lines evict
+   its earlier ones. The worst-case load charge, taken first so a tag
+   it wrote would show, bounds the run and is what the run costs on a
+   cold cache. *)
 type run = { r_addr : int; r_size : int; r_count : int; r_warm : int list }
 
 let gen_run =
   let open QCheck.Gen in
   int_range 0 200_000 >>= fun r_addr ->
   oneofl [ 1; 2; 4 ] >>= fun r_size ->
-  int_range 0 300 >>= fun r_count ->
+  let wraps = costs.Costs.cache_size / r_size in
+  frequency [ (7, int_range 0 300); (1, int_range (wraps + 1) (wraps + 300)) ]
+  >>= fun r_count ->
   let near = int_range (r_addr - 64) (r_addr + (r_size * r_count) + 64) in
   let alias = map (fun a -> a + costs.Costs.cache_size) near in
   list_size (int_range 0 40) (frequency [ (3, near); (1, alias) ])
@@ -1049,6 +1070,85 @@ let prop_runs_match_single_accesses =
             (fun la ->
                Cache.probe run ~addr:la = Cache.probe single ~addr:la)
             touched)
+
+(* [flush_range] and [warm_range] leave the tags a per-line loop over
+   the range's lines leaves on a plain tag array. Both sides first load
+   the same lines: half the time every line of the range, then
+   stretches of lines near it and one cache size away, so a flush meets
+   lines whose tag it owns and lines another tag holds. One range in
+   four is longer than the cache, so the walk wraps the index space and
+   a later line takes an earlier line's index. Every line from one
+   before the range to one after it, and every line loaded, must probe
+   the same on both sides, and neither walk may move the hit/miss
+   counts. *)
+type walk = {
+  w_flush : bool;
+  w_addr : int;
+  w_len : int;
+  w_warm : bool;
+  w_loads : int list;
+}
+
+let gen_walk =
+  let open QCheck.Gen in
+  let size = costs.Costs.cache_size in
+  bool >>= fun w_flush ->
+  int_range 0 200_000 >>= fun w_addr ->
+  frequency [ (3, int_range 0 600); (1, int_range (size + 1) (2 * size)) ]
+  >>= fun w_len ->
+  bool >>= fun w_warm ->
+  let near = int_range (w_addr - 64) (w_addr + w_len + 64) in
+  let start = frequency [ (3, near); (1, map (fun a -> a + size) near) ] in
+  let stretch =
+    map2
+      (fun a k -> List.init k (fun j -> a + (j * Ref.line)))
+      start (int_range 1 64)
+  in
+  map List.concat (list_size (int_range 0 20) stretch) >>= fun w_loads ->
+  return { w_flush; w_addr; w_len; w_warm; w_loads }
+
+let print_walk w =
+  Printf.sprintf "%s %d bytes at %d, warm %b, loads [%s]"
+    (if w.w_flush then "flush" else "warm") w.w_len w.w_addr w.w_warm
+    (String.concat "; " (List.map string_of_int w.w_loads))
+
+let prop_range_walks_match_lines =
+  QCheck.Test.make ~name:"Cache flush/warm ranges = per-line loop" ~count:300
+    ~long_factor:20
+    (QCheck.make ~print:print_walk gen_walk)
+    (fun { w_flush; w_addr = addr; w_len = len; w_warm; w_loads } ->
+       let c = Cache.create costs and tags = Array.make Ref.nlines (-1) in
+       let line a = a land lnot (Ref.line - 1) in
+       let range =
+         if len <= 0 then []
+         else List.filter (fun la -> la < addr + len) (lines_of ~addr ~len)
+       in
+       let loads = (if w_warm then range else []) @ w_loads in
+       List.iter
+         (fun a ->
+            ignore (Cache.load c ~addr:a ~size:1);
+            tags.(Ref.index (line a)) <- line a)
+         loads;
+       let stats = Cache.stats c in
+       if w_flush then begin
+         Cache.flush_range c ~addr ~len;
+         List.iter
+           (fun la ->
+              let i = Ref.index la in
+              if tags.(i) = la then tags.(i) <- -1)
+           range
+       end
+       else begin
+         Cache.warm_range c ~addr ~len;
+         List.iter (fun la -> tags.(Ref.index la) <- la) range
+       end;
+       Cache.stats c = stats
+       && List.for_all
+            (fun a ->
+               let la = line a in
+               Cache.probe c ~addr:la
+               = if tags.(Ref.index la) = la then Cache.Hit else Cache.Miss)
+            (lines_of ~addr:(addr - Ref.line) ~len:(len + Ref.line) @ loads))
 
 let prop_cksum_matches_reference =
   QCheck.Test.make ~name:"Baseline.cksum16_pass = per-halfword reference"
@@ -1176,6 +1276,10 @@ let test_memory_path_allocation_free () =
   zero "Machine.store32" (fun () -> Machine.store32 m (b + 30) 0xdead_beef);
   zero "Cache.load" (fun () -> ignore (Cache.load c ~addr:(a + 13) ~size:4));
   zero "Cache.store" (fun () -> ignore (Cache.store c ~addr:(b + 13) ~size:4));
+  zero "Cache.load_run 3 KiB" (fun () ->
+      ignore (Cache.load_run c ~addr:a ~size:4 ~count:768));
+  zero "Cache.flush_range 3 KiB" (fun () ->
+      Cache.flush_range c ~addr:a ~len:3072);
   zero "Memory.resident_at" (fun () ->
       ignore (Memory.resident_at mem ~addr:(a + 100) ~size:64));
   (* Two regions in turn hit both memo slots; a third evicts one on
@@ -1355,6 +1459,7 @@ let () =
             test_cache_store_no_allocate;
           Alcotest.test_case "spanning access" `Quick test_cache_spanning_access;
           Alcotest.test_case "warm range" `Quick test_cache_warm_range;
+          Alcotest.test_case "run sizes rejected" `Quick test_cache_run_sizes;
         ] );
       ( "memory",
         [
@@ -1394,6 +1499,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_copy_matches_reference;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
           QCheck_alcotest.to_alcotest prop_runs_match_single_accesses;
+          QCheck_alcotest.to_alcotest prop_range_walks_match_lines;
           QCheck_alcotest.to_alcotest prop_cksum_matches_reference;
           QCheck_alcotest.to_alcotest prop_destripe_matches_copies;
         ] );
