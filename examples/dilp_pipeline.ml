@@ -27,7 +27,7 @@ let () =
   Memory.blit_from_bytes mem ~src:payload ~src_off:0 ~dst:src.Memory.base ~len;
 
   (* Fig. 1, extended: compose three pipes at runtime. *)
-  let pl = Pipe.Pipelist.create ~expected:3 () in
+  let pl = Pipe.Pipelist.create () in
   let _cksum_id, cksum_acc = Pipelib.cksum32 pl in
   let _xor_id, key_reg = Pipelib.xor_cipher pl in
   let _bswap_id = Pipelib.byteswap32 pl in

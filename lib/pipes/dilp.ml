@@ -15,15 +15,10 @@ let eth_striped = Striped { data = 16; pad = 16 }
    cache model instead. *)
 type part = { insns : int; cycles : int }
 
-(* What a native transfer does with each word: TCP's checksumming
-   transfer runs as a word kernel, any other register-only body as its
-   function. *)
-type kernel =
-  | Sum of Isa.reg (* a lone [Cksum32 (acc, r30)]: add each word to acc *)
-  | Body of (int array -> unit) (* one word's pipe instructions *)
-
+(* TCP's checksumming transfer, whose every word is a lone
+   [Cksum32 (acc, r30)]: the word kernel adds each word to [acc]. *)
 type native = {
-  kernel : kernel;
+  acc : Isa.reg;
   once : part; (* prologue, the two taken exit tests, Halt *)
   group : part; (* one unrolled iteration *)
   single : part; (* one tail iteration *)
@@ -33,8 +28,6 @@ type compiled = {
   program : Ash_vm.Program.t;
   exec : Ash_vm.Exec.prepared;
   mode : mode;
-  layout : layout;
-  pipes : Pipe.t list;
   persistent : Ash_vm.Isa.reg list;
   native : native option;
 }
@@ -120,37 +113,30 @@ let part (code : Isa.insn array) lo hi =
 
 let plus a b = { insns = a.insns + b.insns; cycles = a.cycles + b.cycles }
 
-(* A body that writes r0-r5 would move the loop's own registers. *)
-let writes_loop_regs insn =
-  match Ash_vm.Absint.defs insn with
-  | Some ds -> List.exists (fun r -> r <= reg_limit) ds
-  | None -> true
-
-(* The native form of a one-word body that writes none of r0-r5. The
-   sum kernel's fold needs an accumulator that enters below 2^32, which
-   r28 and r29 (the caller's unmasked [src] and [len]) need not. *)
-let kernel_of body =
-  match body with
+(* The accumulator of a word-kernel body, a lone [Cksum32 (acc, r30)].
+   [acc] must leave r0-r5 to the loop, and the kernel's fold needs it to
+   enter below 2^32, which r28 and r29 (the caller's unmasked [src] and
+   [len]) need not. *)
+let kernel_acc = function
   | [| Isa.Cksum32 (acc, s) |]
-    when s = reg_data && acc <> reg_data && acc <> Isa.reg_msg_addr
-         && acc <> Isa.reg_msg_len ->
-    Some (Sum acc)
-  | _ -> Option.map (fun f -> Body f) (Ash_vm.Compile.register_body body)
+    when s = reg_data && acc > reg_limit && acc <> reg_data
+         && acc <> Isa.reg_msg_addr && acc <> Isa.reg_msg_len ->
+    Some acc
+  | _ -> None
 
-(* The run-granular form of an assembled contiguous loop. [bodies] are
-   the pc spans of every word's pipe instructions, [group], [tail] and
-   [halt] the pcs where the unrolled loop, the tail loop and the exit
-   begin (each loop starts with its exit test). *)
+(* The word kernel of an assembled contiguous loop, when every word's
+   body is the same lone [Cksum32]. [bodies] are the pc spans of every
+   word's pipe instructions, [group], [tail] and [halt] the pcs where
+   the unrolled loop, the tail loop and the exit begin (each loop starts
+   with its exit test). *)
 let native_of (p : Ash_vm.Program.t) ~bodies ~group ~tail ~halt =
   let code = p.Ash_vm.Program.code in
   match List.map (fun (lo, hi) -> Array.sub code lo (hi - lo)) bodies with
-  | body :: rest
-    when List.for_all (( = ) body) rest
-         && not (Array.exists writes_loop_regs body) ->
+  | body :: rest when List.for_all (( = ) body) rest ->
     Option.map
-      (fun kernel ->
+      (fun acc ->
          {
-           kernel;
+           acc;
            once =
              List.fold_left plus (part code 0 group)
                [ part code group (group + 1); part code tail (tail + 1);
@@ -158,7 +144,7 @@ let native_of (p : Ash_vm.Program.t) ~bodies ~group ~tail ~halt =
            group = part code group tail;
            single = part code tail halt;
          })
-      (kernel_of body)
+      (kernel_acc body)
   | _ -> None
 
 let compile_contiguous ~name pipes mode =
@@ -281,16 +267,9 @@ let compile ?(layout = Contiguous) pl mode =
     program;
     exec = Ash_vm.Exec.prepare program;
     mode;
-    layout;
-    pipes;
     persistent = Pipe.Pipelist.persistent_regs pl;
     native;
   }
-
-let word_kernel t =
-  match t.native with
-  | Some { kernel = Sum _; _ } -> true
-  | Some { kernel = Body _; _ } | None -> false
 
 (* A sum of 32-bit values with end-around carry, folded once. Adding
    them one at a time with [Cksum32] keeps the accumulator congruent to
@@ -308,7 +287,7 @@ let rec fold32 s =
 let in_region mem addr len =
   addr + len <= 0xffff_ffff && Memory.resident_at mem ~addr ~size:len
 
-(* The contiguous loop at run granularity (see dilp.mli), or [None]
+(* The contiguous loop as the word kernel (see dilp.mli), or [None]
    when the transfer must run the VM program. The register file starts
    as Compile.run builds it, so r1-r3 are read after [init], as the
    program reads them. While its end registers do not wrap, the loop
@@ -358,40 +337,14 @@ let run_native machine t nat ~init ~src ~dst ~len =
       let ddata = dr.Memory.data and doff = d - dr.Memory.base in
       regs.(reg_end) <- s + l;
       regs.(reg_limit) <- s + l - (4 * unroll) + 1;
-      (match nat.kernel with
-       | Body body ->
-         let word o =
-           regs.(reg_data) <- Baseline.unsafe_be32 sdata (soff + o);
-           body regs;
-           if write then
-             Bytes.set_int32_be ddata (doff + o) (Int32.of_int regs.(reg_data))
-         in
-         let step o =
-           regs.(reg_src) <- s + o;
-           if write then regs.(reg_dst) <- d + o
-         in
-         let r0 = regs.(Isa.reg_zero) in
-         regs.(Isa.reg_zero) <- 0;
-         for g = 0 to groups - 1 do
-           step (4 * unroll * g);
-           for k = 0 to unroll - 1 do
-             word ((4 * unroll * g) + (4 * k))
-           done
-         done;
-         for i = n - singles to n - 1 do
-           step (4 * i);
-           word (4 * i)
-         done;
-         regs.(Isa.reg_zero) <- r0
-       | Sum acc ->
-         let sum = Baseline.unsafe_sum_be32 sdata soff n ~write ddata doff in
-         regs.(acc) <- fold32 (regs.(acc) + sum);
-         (* The last word loaded: in Write mode the last store wrote it
-            and nothing followed, in Sink mode nothing was stored. *)
-         if n > 0 then
-           regs.(reg_data) <-
-             (if write then Baseline.unsafe_be32 ddata (doff + l - 4)
-              else Baseline.unsafe_be32 sdata (soff + l - 4)));
+      let sum = Baseline.unsafe_sum_be32 sdata soff n ~write ddata doff in
+      regs.(nat.acc) <- fold32 (regs.(nat.acc) + sum);
+      (* The last word loaded: in Write mode the last store wrote it and
+         nothing followed, in Sink mode nothing was stored. *)
+      if n > 0 then
+        regs.(reg_data) <-
+          (if write then Baseline.unsafe_be32 ddata (doff + l - 4)
+           else Baseline.unsafe_be32 sdata (soff + l - 4));
       regs.(reg_src) <- s + l;
       if write then regs.(reg_dst) <- d + l;
       if Ash_obs.Trace.enabled () then

@@ -15,53 +15,44 @@
     seeded via [init] (export) and read back from the returned register
     file (import).
 
-    {b Run-granular transfers.} The VM program is the specification;
-    {!execute} runs most contiguous transfers without it. Every word of
-    the loop gets the same pipe instructions, and {!compile} keeps that
-    one-word body as a single function when it only computes on
-    registers ({!Ash_vm.Compile.register_body}) and leaves [r0]-[r5] to
-    the loop. It also records each part of the emitted loop's
-    instruction count and fixed cycles: the prologue, one unrolled
-    iteration, one tail iteration, the two exit tests and the [Halt].
-    {!execute} then charges the whole transfer with one
+    {b The word kernel.} The VM program is the specification; {!execute}
+    runs one kind of contiguous transfer without it. That is TCP's
+    checksumming transfer, {!Pipelib.cksum32} alone, whose one-word
+    body is a lone [Cksum32 (acc, r30)] with [acc] none of [r0]-[r5]
+    and [r28]-[r30]. As it emits the loop, {!compile} records each
+    part's instruction count and fixed cycles: the prologue, one
+    unrolled iteration, one tail iteration, the two exit tests and the
+    [Halt]. {!execute} then charges the whole transfer with one
     {!Ash_sim.Machine.charge_cycles}: those fixed cycles, one
     instruction's cycles per load and store, {!Ash_sim.Cache.load_run}
     over the source and, in [Write] mode, {!Ash_sim.Cache.store_run}
-    over the destination. It moves the words in ascending order, runs
-    the body on each, and sets [r1]/[r2] at every iteration and
-    [r3]-[r5] before the loop, as the program does. The charge is exact
-    because stores touch no cache tags and the body makes no memory
-    access, so the loads form one ascending run, and the words move in
-    the VM's order even when the ranges overlap. The result and the
-    [Vm_run] trace event are the ones the VM run would have produced.
-
-    {b Word kernel.} One body runs without a call per word: a lone
-    [Cksum32 (acc, r30)] ({!Pipelib.cksum32} alone, TCP's checksumming
-    transfer), whose [acc] is none of [r0]-[r5] and [r28]-[r30]. The
-    kernel loads each word in ascending order and, in [Write] mode,
-    stores it before it loads the next, so overlapping ranges read their
-    own writes as on the VM. It adds the words to a plain integer
-    ({!Baseline.unsafe_sum_be32}, the loop the checksum pass runs too)
-    and folds [acc] plus that total once, with end-around carry at 32
-    bits. That fold is exact: adding one word at a time with end-around
-    carry keeps [acc] congruent to the plain sum [S] modulo 2{^32}-1 and
-    inside \[0, 2{^32}-1\], and leaves it 0 only when [S] is 0, so both
-    end at the one such value with [S]'s residue. [acc] enters below
-    2{^32} ([r28] and [r29] need not), and [S] cannot overflow for a
-    transfer the gas budget admits. Afterwards [r30] holds the last word
-    (unchanged when [len] is 0), read back from where the last store put
-    it in [Write] mode; [r1] ends at [src + len] and, in [Write] mode,
-    [r2] at [dst + len], as the program leaves them. Every other body,
-    the identity pipe's empty one included, runs as its function once
-    per word.
+    over the destination. The charge is exact because stores touch no
+    cache tags and the body makes no memory access, so the loads form
+    one ascending run. The kernel loads each word in ascending order
+    and, in [Write] mode, stores it before it loads the next, so
+    overlapping ranges read their own writes as on the VM. It adds the
+    words to a plain integer ({!Baseline.unsafe_sum_be32}, the loop the
+    checksum pass runs too) and folds [acc] plus that total once, with
+    end-around carry at 32 bits. That fold is exact: adding one word at
+    a time with end-around carry keeps [acc] congruent to the plain sum
+    [S] modulo 2{^32}-1 and inside \[0, 2{^32}-1\], and leaves it 0
+    only when [S] is 0, so both end at the one such value with [S]'s
+    residue. [acc] enters below 2{^32} ([r28] and [r29] need not), and
+    [S] cannot overflow for a transfer the gas budget admits.
+    Afterwards [r30] holds the last word (unchanged when [len] is 0),
+    read back from where the last store put it in [Write] mode; [r1]
+    ends at [src + len] and, in [Write] mode, [r2] at [dst + len], and
+    [r4] and [r5] hold the loop's end and limit, as the program leaves
+    them. The result and the [Vm_run] trace event are the ones the VM
+    run would have produced.
 
     A transfer runs the VM program, unchanged, whenever one of these
-    holds: the layout is striped; the body touches memory or writes
-    [r0]-[r5]; the source or, in [Write] mode, the destination is not
-    inside one resident region below 2{^32}, or the loop's end registers
-    would wrap; the transfer's cycles with every load line a miss would
-    exceed {!Ash_vm.Interp.default_gas}; or its instruction count
-    exceeds {!Ash_vm.Interp.max_steps}. Each case is decided from the
+    holds: the layout is striped; the body is anything else; the source
+    or, in [Write] mode, the destination is not inside one resident
+    region below 2{^32}, or the loop's end registers would wrap; the
+    transfer's cycles with every load line a miss would exceed
+    {!Ash_vm.Interp.default_gas}; or its instruction count exceeds
+    {!Ash_vm.Interp.max_steps}. Each case is decided from the
     input alone, with [r1]-[r3] read after [init] as the program reads
     them. The VM then faults, runs out of gas or completes exactly as it
     always did. *)
@@ -89,21 +80,19 @@ val eth_striped : layout
 (** The Ethernet device's 16-data/16-pad layout. *)
 
 type native
-(** A contiguous loop's one-word body as a function, with the
-    instruction counts and fixed cycles of the loop's parts. *)
+(** The word kernel's accumulator, with the instruction counts and fixed
+    cycles of the loop's parts. *)
 
 type compiled = private {
   program : Ash_vm.Program.t;
   exec : Ash_vm.Exec.prepared;
   (** The program prepared for execution (compiled with the loop). *)
   mode : mode;
-  layout : layout;
-  pipes : Pipe.t list;
   persistent : Ash_vm.Isa.reg list;
   native : native option;
-  (** The run-granular form; [None] when every transfer runs the VM
-      program (a striped layout, or a body that touches memory, or
-      writes [r0]-[r5]). *)
+  (** The word kernel; [None] when every transfer runs the VM program
+      (a striped layout, or any body but a lone [Cksum32 (acc, r30)]
+      with [acc] none of [r0]-[r5] and [r28]-[r30]). *)
 }
 
 val compile : ?layout:layout -> Pipe.Pipelist.t -> mode -> compiled
@@ -121,16 +110,12 @@ val execute :
   len:int ->
   Ash_vm.Interp.result
 (** Run the fused loop over [len] {e payload} bytes, charging the
-    machine: at run granularity when it can (see above), otherwise on
+    machine: as the word kernel when it can (see above), otherwise on
     the VM. A striped source spans [data + pad] bytes per stripe; a
     [len] that is not a multiple of the stripe's data size ends in a
     short stripe, which the loop's word-tail moves. Raises
     [Invalid_argument] if [len] is negative or not a multiple of
     four. *)
-
-val word_kernel : compiled -> bool
-(** Whether the contiguous transfers of this loop run as the word kernel
-    (see above). *)
 
 val execute_exn :
   ?init:(Ash_vm.Isa.reg * int) list ->

@@ -9,13 +9,10 @@ type ctx = {
 type t = {
   name : string;
   gauge : gauge;
-  commutative : bool;
-  no_mod : bool;
   body : ctx -> unit;
 }
 
-let make ~name ?(commutative = false) ?(no_mod = false) ~gauge body =
-  { name; gauge; commutative; no_mod; body }
+let make ~name ~gauge body = { name; gauge; body }
 
 module Pipelist = struct
   type pipe = t
@@ -27,7 +24,7 @@ module Pipelist = struct
     mutable persistent : Ash_vm.Isa.reg list; (* reversed *)
   }
 
-  let create ?expected:_ () =
+  let create () =
     { items = []; count = 0; next_persistent = 16; persistent = [] }
 
   let getreg t =

@@ -4,10 +4,11 @@
     several bytes of data as input and producing several bytes of output
     while performing only a tiny computation" (§II-B, after Abbott &
     Peterson). Pipes are written against the VM's portable assembly and
-    carry the attributes the paper describes: an input/output {e gauge}
-    (8-, 16- or 32-bit units), whether the pipe may {e modify} its input,
-    and whether it is {e commutative} (may see message data out of
-    order). *)
+    carry an input/output {e gauge} (8-, 16- or 32-bit units). The
+    paper's other two attributes, P_COMMUTATIVE (may see message data
+    out of order) and P_NO_MOD (passes its input through unchanged), are
+    not represented: they license reordering pipes, and no pass here
+    reorders them. *)
 
 type gauge = G8 | G16 | G32
 
@@ -26,18 +27,10 @@ type ctx = {
 type t = private {
   name : string;
   gauge : gauge;
-  commutative : bool;   (** P_COMMUTATIVE: may process units out of order. *)
-  no_mod : bool;        (** P_NO_MOD: passes its input through unchanged. *)
   body : ctx -> unit;
 }
 
-val make :
-  name:string ->
-  ?commutative:bool ->
-  ?no_mod:bool ->
-  gauge:gauge ->
-  (ctx -> unit) ->
-  t
+val make : name:string -> gauge:gauge -> (ctx -> unit) -> t
 (** Define a pipe. Persistent state (e.g. a checksum accumulator) is held
     in persistent registers allocated from the {!Pipelist} before the
     pipe is created, exactly like [p_getreg] in the paper's Fig. 2. *)
@@ -49,8 +42,8 @@ module Pipelist : sig
 
   type t
 
-  val create : ?expected:int -> unit -> t
-  (** [expected] is a capacity hint, mirroring [pipel(2)]. *)
+  val create : unit -> t
+  (** An empty list ([pipel] in the paper's Fig. 1). *)
 
   val getreg : t -> Ash_vm.Isa.reg
   (** Allocate a persistent register (preserved across pipe applications;

@@ -4,23 +4,22 @@ module Isa = Ash_vm.Isa
 let cksum32 pl =
   let acc = Pipelist.getreg pl in
   let p =
-    Pipe.make ~name:"cksum32" ~commutative:true ~no_mod:true ~gauge:Pipe.G32
-      (fun c -> c.Pipe.emit (Isa.Cksum32 (acc, c.Pipe.data)))
+    Pipe.make ~name:"cksum32" ~gauge:Pipe.G32 (fun c ->
+        c.Pipe.emit (Isa.Cksum32 (acc, c.Pipe.data)))
   in
   (Pipelist.add pl p, acc)
 
 let cksum16 pl =
   let acc = Pipelist.getreg pl in
   let p =
-    Pipe.make ~name:"cksum16" ~commutative:true ~no_mod:true ~gauge:Pipe.G16
-      (fun c ->
-         (* Plain 16-bit one's-complement accumulation: add, then fold the
-            carry out of bit 16 back in. *)
-         let t = c.Pipe.temp () in
-         c.Pipe.emit (Isa.Add (acc, acc, c.Pipe.data));
-         c.Pipe.emit (Isa.Srl (t, acc, 16));
-         c.Pipe.emit (Isa.Andi (acc, acc, 0xffff));
-         c.Pipe.emit (Isa.Add (acc, acc, t)))
+    Pipe.make ~name:"cksum16" ~gauge:Pipe.G16 (fun c ->
+        (* Plain 16-bit one's-complement accumulation: add, then fold the
+           carry out of bit 16 back in. *)
+        let t = c.Pipe.temp () in
+        c.Pipe.emit (Isa.Add (acc, acc, c.Pipe.data));
+        c.Pipe.emit (Isa.Srl (t, acc, 16));
+        c.Pipe.emit (Isa.Andi (acc, acc, 0xffff));
+        c.Pipe.emit (Isa.Add (acc, acc, t)))
   in
   (Pipelist.add pl p, acc)
 
@@ -41,7 +40,7 @@ let byteswap16 pl =
 let xor_cipher pl =
   let key_reg = Pipelist.getreg pl in
   let p =
-    Pipe.make ~name:"xor-cipher" ~commutative:true ~gauge:Pipe.G32 (fun c ->
+    Pipe.make ~name:"xor-cipher" ~gauge:Pipe.G32 (fun c ->
         c.Pipe.emit (Isa.Xor_ (c.Pipe.data, c.Pipe.data, key_reg)))
   in
   (Pipelist.add pl p, key_reg)
@@ -49,16 +48,14 @@ let xor_cipher pl =
 let word_count pl =
   let counter = Pipelist.getreg pl in
   let p =
-    Pipe.make ~name:"word-count" ~commutative:true ~no_mod:true
-      ~gauge:Pipe.G32 (fun c ->
+    Pipe.make ~name:"word-count" ~gauge:Pipe.G32 (fun c ->
         c.Pipe.emit (Isa.Addi (counter, counter, 1)))
   in
   (Pipelist.add pl p, counter)
 
 let identity pl =
   let p =
-    Pipe.make ~name:"identity" ~commutative:true ~no_mod:true ~gauge:Pipe.G32
-      (fun _ -> ())
+    Pipe.make ~name:"identity" ~gauge:Pipe.G32 (fun _ -> ())
   in
   Pipelist.add pl p
 

@@ -274,71 +274,6 @@ let translate_insn ~jump_map ~len (insn : Isa.insn) : op =
       check_charge c;
       if spent c > c.env.Interp.gas_cycles then raise (Kill Isa.Gas_exhausted)
 
-(* One register-only instruction as a function of the register file:
-   [translate_insn]'s value semantics without its charge, and [None] for
-   everything else. Kept apart from [translate_insn] so the closures
-   every handler runs stay as they are. *)
-let register_op (insn : Isa.insn) : (int array -> unit) option =
-  match insn with
-  | Isa.Li (d, v) ->
-    let v = mask32 v in
-    Some (fun r -> r.(d) <- v)
-  | Isa.Mov (d, s) -> Some (fun r -> r.(d) <- mask32 r.(s))
-  | Isa.Add (d, a, b) | Isa.Adds (d, a, b) ->
-    Some (fun r -> r.(d) <- mask32 (r.(a) + r.(b)))
-  | Isa.Addi (d, a, v) -> Some (fun r -> r.(d) <- mask32 (r.(a) + v))
-  | Isa.Sub (d, a, b) -> Some (fun r -> r.(d) <- mask32 (r.(a) - r.(b)))
-  | Isa.Mul (d, a, b) -> Some (fun r -> r.(d) <- mask32 (r.(a) * r.(b)))
-  | Isa.And_ (d, a, b) -> Some (fun r -> r.(d) <- mask32 (r.(a) land r.(b)))
-  | Isa.Or_ (d, a, b) -> Some (fun r -> r.(d) <- mask32 (r.(a) lor r.(b)))
-  | Isa.Xor_ (d, a, b) -> Some (fun r -> r.(d) <- mask32 (r.(a) lxor r.(b)))
-  | Isa.Andi (d, a, v) -> Some (fun r -> r.(d) <- mask32 (r.(a) land v))
-  | Isa.Ori (d, a, v) -> Some (fun r -> r.(d) <- mask32 (r.(a) lor v))
-  | Isa.Xori (d, a, v) -> Some (fun r -> r.(d) <- mask32 (r.(a) lxor v))
-  | Isa.Sll (d, a, v) ->
-    let sh = v land 31 in
-    Some (fun r -> r.(d) <- mask32 (r.(a) lsl sh))
-  | Isa.Srl (d, a, v) ->
-    let sh = v land 31 in
-    Some (fun r -> r.(d) <- mask32 (r.(a) lsr sh))
-  | Isa.Sltu (d, a, b) ->
-    Some (fun r -> r.(d) <- (if r.(a) < r.(b) then 1 else 0))
-  | Isa.Cksum32 (acc, s) ->
-    Some
-      (fun r ->
-         let sum = r.(acc) + r.(s) in
-         r.(acc) <-
-           mask32
-             (if sum > 0xffff_ffff then (sum land 0xffff_ffff) + 1 else sum))
-  | Isa.Bswap16 (d, s) ->
-    Some (fun r -> r.(d) <- mask32 (Ash_util.Bytesx.bswap16 r.(s)))
-  | Isa.Bswap32 (d, s) ->
-    Some (fun r -> r.(d) <- mask32 (Ash_util.Bytesx.bswap32 r.(s)))
-  | Isa.Divu _ | Isa.Remu _ | Isa.Fadd _
-  | Isa.Ld8 _ | Isa.Ld16 _ | Isa.Ld32 _ | Isa.St8 _ | Isa.St16 _ | Isa.St32 _
-  | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ | Isa.Jmp _ | Isa.Jr _
-  | Isa.Call _ | Isa.Commit | Isa.Abort | Isa.Halt
-  | Isa.Check_addr _ | Isa.Check_div _ | Isa.Check_jump _ | Isa.Gas_probe ->
-    None
-
-let register_body code =
-  let writes_r0 insn =
-    match Absint.defs insn with
-    | Some ds -> List.mem Isa.reg_zero ds
-    | None -> true
-  in
-  if Array.exists writes_r0 code then None
-  else
-    let rec chain = function
-      | [] -> Some (fun (_ : int array) -> ())
-      | [ insn ] -> register_op insn
-      | insn :: rest -> (
-          match (register_op insn, chain rest) with
-          | Some f, Some g -> Some (fun r -> f r; g r)
-          | _ -> None)
-    in
-    chain (Array.to_list code)
-
 (* Writes to r0 are dropped: the rare instruction that targets it puts
    the run-time 0 back, so reads of r0 stay a plain index. *)
 let translate ~jump_map ~len insn =

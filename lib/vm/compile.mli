@@ -24,13 +24,3 @@ val compile : Program.t -> t
 val run : Interp.env -> ?regs_init:(Isa.reg * int) list -> t -> Interp.result
 (** Execute from instruction 0, exactly like {!Interp.run} on the
     source program. *)
-
-val register_body : Isa.insn array -> (int array -> unit) option
-(** A straight-line sequence as one function over a register file
-    indexed by register number: it leaves the registers {!Interp.run}
-    would leave after running the sequence, and charges nothing. [r0]
-    must hold 0 in the file while it runs, as it does inside {!run}.
-    [None] if an instruction touches memory, branches, calls, checks,
-    ends the run, can kill ([Divu], [Remu], [Fadd]) or writes [r0]. So
-    running the function cannot fail, and a caller that knows how many
-    times the sequence runs knows its cycles from {!Isa.base_cycles}. *)

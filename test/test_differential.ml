@@ -459,9 +459,9 @@ let prop_backends_agree =
         variants;
       true)
 
-(* [Dilp.execute] runs a contiguous transfer at run granularity when it
-   can and on the VM otherwise; either way it must match Interp running
-   the loop program. The cases cover both modes, lengths 0-4096 with
+(* [Dilp.execute] runs TCP's checksumming transfer as its word kernel
+   when it can and every transfer on the VM otherwise; either way it
+   must match Interp running the loop program. The cases cover both modes, lengths 0-4096 with
    tails and a 128 KiB transfer the gas budget kills, unaligned ends,
    overlapping ranges, warm, cold and aliased caches, paged-out and
    freed ranges, an [init] that sets r0, and pipes whose body loads,
@@ -523,7 +523,7 @@ let gen_dilp_case rng =
   }
 
 let dilp_case_name c =
-  Printf.sprintf "%s [%s%s] len %d src+%d dst %s%s"
+  Printf.sprintf "%s [%s%s] len %d src+%d dst %s%s%s%s"
     (match c.mode with Dilp.Write -> "write" | Dilp.Sink -> "sink")
     (String.concat ";" (List.map pd_name c.stack))
     (match c.odd with
@@ -538,6 +538,16 @@ let dilp_case_name c =
     (match c.payload with
      | `Seed _ -> ""
      | `Byte b -> Printf.sprintf " all 0x%02x" (Char.code b))
+    (match c.warm with
+     | `Cold -> ""
+     | `Ranges -> " warm"
+     | `Aliases -> " warm aliases")
+    (match c.gone with
+     | None -> ""
+     | Some `Src_paged -> " src paged out"
+     | Some `Src_freed -> " src freed"
+     | Some `Dst_paged -> " dst paged out"
+     | Some `Dst_freed -> " dst freed")
 
 (* Both fixtures are built the same way, so their addresses agree. *)
 let dilp_fixture c =
@@ -675,132 +685,94 @@ let prop_dilp_backends_agree =
       true)
 
 (* TCP's checksumming transfer, [cksum32] alone, takes the word kernel
-   (see dilp.mli). Every mode; a length of 0, one word, three words, a
-   16-byte step and three words, a segment, a segment and one word, and
-   a transfer as large as the cache, so the kernel's 16-byte steps run
-   with a 0-3-word tail and without; a source 16 bytes into its region
-   and one 19 bytes in; and a destination in its own region and
-   overlapping either way inside the source's region. At src+4 each
-   word is stored where the next is loaded, at src-4 where the one
-   before it was, and at src+2 and src-2 each store also rewrites half
-   of the word it was loaded from, the last one included; at src+16 a
-   store lands four words ahead, where a 16-byte step that loaded
-   before the earlier stores would differ, and at src-16 four words
-   behind. The kernel folds once at the end, so it gets an accumulator
-   near 2^32 over all-ones words, which carry on every word, 0 over
-   all-zero words, which must stay 0, and a random one over random
-   words, which also tell the overlap orders apart. *)
+   (see dilp.mli). A grid of cases that must return: every mode; a
+   length of 0, one word, three words, a 16-byte step and three words,
+   a segment, a segment and one word, and a transfer as large as the
+   cache, so the kernel's 16-byte steps run with a 0-3-word tail and
+   without; a source 16 bytes into its region and one 19 bytes in; and
+   a destination in its own region and overlapping either way inside
+   the source's region. At src+4 each word is stored where the next is
+   loaded, at src-4 where the one before it was, and at src+2 and src-2
+   each store also rewrites half of the word it was loaded from, the
+   last one included; at src+16 a store lands four words ahead, where a
+   16-byte step that loaded before the earlier stores would differ, and
+   at src-16 four words behind. The kernel folds once at the end, so it
+   gets an accumulator near 2^32 over all-ones words, which carry on
+   every word, 0 over all-zero words, which must stay 0, and a random
+   one over random words, which also tell the overlap orders apart.
+
+   Every grid case is cold, resident and inside the gas budget, so nine
+   fixed cases, a segment long unless stated, take the kernel's
+   admission checks and its charge the other way: a 128 KiB cold Write
+   runs out of gas; a source and a destination, each paged out and each
+   freed, fault; and in both modes, a cache warmed over both ranges,
+   where loads hit, and one warmed over their aliases, where lines that
+   hold other addresses must miss, return. *)
+type kernel_outcome = Returns | Out_of_gas | Faults
+
 let kernel_cases rng =
   let ( let* ) l f = List.concat_map f l in
-  let* mode = [ Dilp.Write; Dilp.Sink ] in
-  let* len = [ 0; 4; 12; 28; 3072; 3076; 65536 ] in
-  let* src_off = [ 16; 19 ] in
-  let* dst_at =
-    [ `Own 0; `In_src 4; `In_src (-4); `In_src 2; `In_src (-2); `In_src 16;
-      `In_src (-16) ]
+  let grid =
+    let* mode = [ Dilp.Write; Dilp.Sink ] in
+    let* len = [ 0; 4; 12; 28; 3072; 3076; 65536 ] in
+    let* src_off = [ 16; 19 ] in
+    let* dst_at =
+      [ `Own 0; `In_src 4; `In_src (-4); `In_src 2; `In_src (-2);
+        `In_src 16; `In_src (-16) ]
+    in
+    let* payload, acc =
+      [ (`Byte '\xff', 0xffff_ff00 + Rng.int rng 0x100); (`Byte '\000', 0);
+        (`Seed (Rng.int rng 1_000_000), Rng.int rng 0x1_0000_0000) ]
+    in
+    [ ( { mode; stack = [ Cksum ]; odd = None; len; src_off; dst_at;
+          warm = `Cold; gone = None; r0 = None; payload },
+        acc, Returns ) ]
   in
-  let* payload, acc =
-    [ (`Byte '\xff', 0xffff_ff00 + Rng.int rng 0x100); (`Byte '\000', 0);
-      (`Seed (Rng.int rng 1_000_000), Rng.int rng 0x1_0000_0000) ]
+  let fixed ?(len = 3072) ?(warm = `Cold) ?gone mode expect =
+    ( { mode; stack = [ Cksum ]; odd = None; len; src_off = 16;
+        dst_at = `Own 0; warm; gone; r0 = None;
+        payload = `Seed (Rng.int rng 1_000_000) },
+      Rng.int rng 0x1_0000_0000, expect )
   in
-  [ ( { mode; stack = [ Cksum ]; odd = None; len; src_off; dst_at;
-        warm = `Cold; gone = None; r0 = None; payload },
-      acc ) ]
+  let warmed =
+    let* mode = [ Dilp.Write; Dilp.Sink ] in
+    let* warm = [ `Ranges; `Aliases ] in
+    [ fixed ~warm mode Returns ]
+  in
+  grid
+  @ (fixed ~len:(128 * 1024) Dilp.Write Out_of_gas
+     :: List.map
+          (fun gone -> fixed ~gone Dilp.Write Faults)
+          [ `Src_paged; `Src_freed; `Dst_paged; `Dst_freed ])
+  @ warmed
 
-(* Every case lies in mapped regions and fits the gas budget, so it
-   must return: one that faulted or ran out of gas on both sides would
-   agree without reaching the kernel. *)
+(* Each case must end as it expects: one that faulted or ran out of gas
+   on both sides where it should return would agree without reaching
+   the kernel. *)
 let prop_dilp_kernels_agree =
   QCheck.Test.make ~name:"DILP word kernel agrees across backends" ~count:4
     ~long_factor:5 (QCheck.int_bound 1_000_000_000) (fun seed ->
       List.iter
-        (fun (c, acc) ->
+        (fun (c, acc, expect) ->
            let what = dilp_case_name c in
            let compiled, persistent = dilp_compile c in
-           if not (Dilp.word_kernel compiled) then
+           if Option.is_none compiled.Dilp.native then
              QCheck.Test.fail_reportf "%s: no word kernel" what;
            let r =
              dilp_agree c compiled
                ~init:(List.map (fun r -> (r, acc)) persistent)
            in
-           if r.Interp.outcome <> Interp.Returned then
-             QCheck.Test.fail_reportf "%s: did not return" what)
+           let as_expected =
+             match r.Interp.outcome with
+             | Interp.Returned -> expect = Returns
+             | Interp.Killed Isa.Gas_exhausted -> expect = Out_of_gas
+             | Interp.Killed (Isa.Mem_fault _) -> expect = Faults
+             | Interp.Committed | Interp.Aborted | Interp.Killed _ -> false
+           in
+           if not as_expected then
+             QCheck.Test.fail_reportf "%s: did not end as expected" what)
         (kernel_cases (Rng.create (seed + 23)));
       true)
-
-(* [Compile.register_body] against Interp on random sequences that use
-   every register-only opcode at least once, from random registers that
-   include r0's slot; and [None] once any other instruction, or a write
-   to r0, is mixed in. *)
-let register_ops rng =
-  let rd () = 1 + Rng.int rng 31 and rs () = Rng.int rng 32 in
-  let imm () = Rng.int rng 0x2_0000 - 0x1_0000 in
-  let sh () = Rng.int rng 64 in
-  [ Isa.Li (rd (), imm ()); Isa.Mov (rd (), rs ());
-    Isa.Add (rd (), rs (), rs ()); Isa.Adds (rd (), rs (), rs ());
-    Isa.Addi (rd (), rs (), imm ()); Isa.Sub (rd (), rs (), rs ());
-    Isa.Mul (rd (), rs (), rs ()); Isa.And_ (rd (), rs (), rs ());
-    Isa.Or_ (rd (), rs (), rs ()); Isa.Xor_ (rd (), rs (), rs ());
-    Isa.Andi (rd (), rs (), imm ()); Isa.Ori (rd (), rs (), imm ());
-    Isa.Xori (rd (), rs (), imm ()); Isa.Sll (rd (), rs (), sh ());
-    Isa.Srl (rd (), rs (), sh ()); Isa.Sltu (rd (), rs (), rs ());
-    Isa.Cksum32 (rd (), rs ()); Isa.Bswap16 (rd (), rs ());
-    Isa.Bswap32 (rd (), rs ()) ]
-
-let not_register_only rng =
-  let ops =
-    [| Isa.Li (0, 1); Isa.Addi (0, 3, 1); Isa.Divu (1, 2, 3);
-       Isa.Remu (1, 2, 3); Isa.Fadd (1, 2, 3); Isa.Ld8 (1, 2, 0);
-       Isa.Ld16 (1, 2, 0); Isa.Ld32 (1, 2, 0); Isa.St8 (1, 2, 0);
-       Isa.St16 (1, 2, 0); Isa.St32 (1, 2, 0); Isa.Beq (1, 2, 0);
-       Isa.Bne (1, 2, 0); Isa.Bltu (1, 2, 0); Isa.Bgeu (1, 2, 0);
-       Isa.Jmp 0; Isa.Jr 1; Isa.Call Isa.K_msg_len; Isa.Commit; Isa.Abort;
-       Isa.Halt; Isa.Check_addr (1, 0, 4); Isa.Check_div 1;
-       Isa.Check_jump 1; Isa.Gas_probe |]
-  in
-  ops.(Rng.int rng (Array.length ops))
-
-let prop_register_body_matches_interp =
-  QCheck.Test.make ~name:"register-only bodies = interpreter" ~count:300
-    ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
-      let rng = Rng.create seed in
-      (* Every opcode once, up to two more of each, in random order. *)
-      let ops =
-        List.concat (List.init (1 + Rng.int rng 3) (fun _ -> register_ops rng))
-      in
-      let keyed = List.map (fun i -> (Rng.int rng 1_000_000, i)) ops in
-      let body = Array.of_list (List.map snd (List.sort compare keyed)) in
-      let regs_init =
-        List.init 32 (fun r -> (r, Rng.int rng 0x1_0000_0000))
-        |> List.filter (fun _ -> Rng.int rng 4 > 0)
-      in
-      let machine = Machine.create Costs.decstation in
-      let env =
-        oracle_env ~allowed_calls:[] machine ~msg_addr:0x1234 ~msg_len:64
-      in
-      let r =
-        Interp.run env ~regs_init
-          (Program.make ~name:"body" (Array.append body [| Isa.Halt |]))
-      in
-      let regs = Array.make Isa.num_regs 0 in
-      regs.(Isa.reg_msg_addr) <- 0x1234;
-      regs.(Isa.reg_msg_len) <- 64;
-      List.iter (fun (r, v) -> regs.(r) <- v) regs_init;
-      let r0 = regs.(0) in
-      regs.(0) <- 0;
-      (match Ash_vm.Compile.register_body body with
-       | Some f -> f regs
-       | None -> QCheck.Test.fail_report "a register-only body was refused");
-      regs.(0) <- r0;
-      if regs <> r.Interp.regs then
-        QCheck.Test.fail_report "registers differ from the interpreter's";
-      let at = Rng.int rng (Array.length body + 1) in
-      let bad =
-        Array.concat
-          [ Array.sub body 0 at; [| not_register_only rng |];
-            Array.sub body at (Array.length body - at) ]
-      in
-      Ash_vm.Compile.register_body bad = None)
 
 let gen_filter rng =
   let natoms = 1 + Rng.int rng 4 in
@@ -1231,7 +1203,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_dilp_backends_agree;
           QCheck_alcotest.to_alcotest prop_dilp_kernels_agree;
           QCheck_alcotest.to_alcotest prop_dpf_backends_agree;
-          QCheck_alcotest.to_alcotest prop_register_body_matches_interp;
         ] );
       ( "blocks",
         [

@@ -166,7 +166,7 @@ let test_fig1_composition () =
      checksum sees pre-swap data (it is first in the pipe list); the
      destination receives swapped data. *)
   let b = setup ~len:2048 () in
-  let pl = Pipe.Pipelist.create ~expected:2 () in
+  let pl = Pipe.Pipelist.create () in
   let _cid, acc = Pipelib.cksum32 pl in
   ignore (Pipelib.byteswap32 pl);
   let c = Dilp.compile pl Dilp.Write in
@@ -266,31 +266,25 @@ let test_unaligned_length_rejected () =
     (Invalid_argument "Dilp.execute: length must be a non-negative multiple of 4")
     (fun () -> ignore (Dilp.execute b.m c ~src:b.src ~dst:b.dst ~len:10))
 
-(* Every library pipe alone (cksum32 alone is TCP's fast-path list)
-   gets the run-granular body in both modes: a pipe that starts using an
-   instruction the body cannot run would otherwise only move every
-   transfer back onto the VM, which no output shows. TCP's list,
-   cksum32 alone, takes the word kernel and no other pipe does; a kernel
-   lost or gained would otherwise show only in host time. Striped loops
-   and bodies that load or move the loop's registers keep the VM. *)
+(* TCP's list, cksum32 alone, takes the word kernel in both modes and
+   no other library pipe does: a kernel lost or gained would otherwise
+   show only in host time. Striped loops keep the VM, and so do bodies
+   that load, move the loop's registers or divide, and a lone cksum32
+   into a register the kernel may not take: r4, the loop's end, and r28
+   and r29, which enter holding the caller's unmasked source and
+   length. Into r6, just past the loop's registers, it takes the
+   kernel. *)
 let test_run_granular_bodies () =
-  let compile ?layout mode add =
+  let native ?layout mode add =
     let pl = Pipe.Pipelist.create () in
     add pl;
-    Dilp.compile ?layout pl mode
-  in
-  let native ?layout mode add =
-    Option.is_some (compile ?layout mode add).Dilp.native
+    Option.is_some (Dilp.compile ?layout pl mode).Dilp.native
   in
   List.iter
     (fun (name, kernel, add) ->
        List.iter
          (fun (m, mode) ->
-            Alcotest.(check bool) (name ^ " " ^ m) true (native mode add);
-            Alcotest.(check bool)
-              (name ^ " " ^ m ^ " word kernel")
-              kernel
-              (Dilp.word_kernel (compile mode add)))
+            Alcotest.(check bool) (name ^ " " ^ m) kernel (native mode add))
          [ ("write", Dilp.Write); ("sink", Dilp.Sink) ])
     [ ("cksum32", true, fun pl -> ignore (Pipelib.cksum32 pl));
       ("cksum16", false, fun pl -> ignore (Pipelib.cksum16 pl));
@@ -303,15 +297,24 @@ let test_run_granular_bodies () =
   Alcotest.(check bool) "striped keeps the VM" false
     (native ~layout:Dilp.eth_striped Dilp.Write (fun pl ->
          ignore (Pipelib.cksum32 pl)));
-  let odd name body =
+  let hand_made name kernel body =
     let add pl =
       ignore (Pipe.Pipelist.add pl (Pipe.make ~name ~gauge:Pipe.G32 body))
     in
-    Alcotest.(check bool) (name ^ " keeps the VM") false (native Dilp.Write add)
+    Alcotest.(check bool) name kernel (native Dilp.Write add)
   in
-  odd "a load" (fun c -> c.Pipe.emit (Isa.Ld32 (c.Pipe.temp (), 1, 0)));
-  odd "a write to r2" (fun c -> c.Pipe.emit (Isa.Addi (2, 2, 4)));
-  odd "a divide" (fun c -> c.Pipe.emit (Isa.Divu (c.Pipe.data, c.Pipe.data, 3)))
+  hand_made "a load" false (fun c ->
+      c.Pipe.emit (Isa.Ld32 (c.Pipe.temp (), 1, 0)));
+  hand_made "a write to r2" false (fun c -> c.Pipe.emit (Isa.Addi (2, 2, 4)));
+  hand_made "a divide" false (fun c ->
+      c.Pipe.emit (Isa.Divu (c.Pipe.data, c.Pipe.data, 3)));
+  List.iter
+    (fun (acc, kernel) ->
+       hand_made
+         (Printf.sprintf "a cksum32 into r%d" acc)
+         kernel
+         (fun c -> c.Pipe.emit (Isa.Cksum32 (acc, c.Pipe.data))))
+    [ (4, false); (28, false); (29, false); (6, true) ]
 
 let test_persistent_register_exhaustion () =
   let pl = Pipe.Pipelist.create () in

@@ -1331,11 +1331,10 @@ let test_hop_counting_allocation_free () =
 
 (* One [Dilp.execute] of TCP's checksumming Write transfer, the bulk
    benchmark's per-segment call, with [init] built per call as the
-   kernel builds it. The run-granular path allocates its register file
-   and result (and the per-word closures of a body with no word kernel)
-   whatever the length, so a 3 KiB segment costs what a 4-byte one
-   does: 54 words with the word kernel, 71 with the closures. The VM
-   run it replaced allocated 91 words per call. *)
+   kernel builds it. The word kernel allocates its register file and
+   result whatever the length, so a 3 KiB segment costs what a 4-byte
+   one does: 52 words. The VM run it replaced allocated 91 words per
+   call. *)
 let test_dilp_transfer_allocation () =
   let module Dilp = Ash_pipes.Dilp in
   let m = mk_machine () in
