@@ -33,25 +33,35 @@ val set_resident : region -> bool -> unit
 
 val free : t -> region -> unit
 (** Release a region allocated with {!alloc}: subsequent accesses to
-    its addresses fault (use-after-free is caught, never silently
-    served). Address space is not reused. Raises [Invalid_argument] if
-    the region is not currently live (e.g. double free). Connection
-    churn relies on this so thousands of short-lived endpoints do not
-    grow the lookup table without bound. *)
+    its addresses fault with reason ["unmapped"] (use-after-free is
+    caught, never silently served). Address space is not reused. The
+    region's table entry becomes a tombstone (its base and length, no
+    bytes), so no entry moves; the table is rebuilt from its live
+    entries once tombstones outnumber them, so a free costs amortized
+    O(log n). Nothing in [t] keeps the region or its bytes reachable
+    afterwards. Raises [Invalid_argument] if the region is not
+    currently live (e.g. double free). Connection churn relies on this
+    so thousands of short-lived endpoints do not grow the lookup table
+    without bound. *)
 
 val region_count : t -> int
-(** Live (allocated, not freed) regions — the scale suite's leak
-    check. *)
+(** Live (allocated, not freed) regions; tombstones do not count. The
+    scale suite's leak check. *)
 
 val resident_at : t -> addr:int -> size:int -> bool
 (** Whether [addr, addr+size) lies wholly inside one mapped, resident
     region: exactly the ranges the accessors below serve without
-    faulting. Allocation-free, like every accessor here. *)
+    faulting. A span that would run past [max_int] is never inside one.
+    Allocation-free, like every accessor here. *)
 
 val locate : t -> int -> int -> region
 (** [locate t addr size] is the resident region wholly containing
     [addr, addr+size). Raises {!Fault} with reason ["unmapped"] or
-    ["non-resident page"] otherwise. *)
+    ["non-resident page"] otherwise. It and every accessor below first
+    read one slot of a direct-mapped region cache, indexed by the
+    address's 256-byte granule (the guard gap): a hit tests residency
+    and the span and writes nothing; a miss binary-searches the region
+    table and fills the slot. *)
 
 val load8 : t -> int -> int
 

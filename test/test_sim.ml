@@ -301,48 +301,125 @@ let fault_reason f =
   | _ -> "no fault"
   | exception Memory.Fault { reason; _ } -> reason
 
-(* Lookups memoize two regions. Taking a region away — freeing it or
-   paging it out — while it sits in either memo slot must still fault
-   at the very next access, and leave the other slot serving. *)
-let test_memory_memo_invalidation () =
+(* Lay out [a] and [b] so their bases are 256 KiB apart: with 1024
+   slots of a 256-byte granule, they share one region-cache slot. The
+   pad between them takes the rest of the span, after two guard gaps of
+   256 bytes. *)
+let cache_reach = 256 * 1024
+
+let aliased_pair mem len =
+  let a = Memory.alloc mem len in
+  ignore (Memory.alloc mem (cache_reach - len - (2 * 256)));
+  let b = Memory.alloc mem len in
+  Alcotest.(check int) "bases one cache reach apart" cache_reach
+    (b.Memory.base - a.Memory.base);
+  (a, b)
+
+(* Taking a region away (freeing it or paging it out) right after it
+   was accessed must fault at the very next load, store, [resident_at]
+   and [Machine.copy], with the same reason, and leave the other region
+   serving. The two regions sit in slots of their own, or share one
+   slot when their bases are a cache reach apart; either the region
+   accessed last or the one before is taken away. *)
+let test_memory_cache_invalidation () =
   List.iter
-    (fun (slot, action) ->
-       let m = Memory.create () in
-       let a = Memory.alloc m 64 and b = Memory.alloc m 64 in
-       ignore (Memory.load8 m a.Memory.base);
-       ignore (Memory.load8 m b.Memory.base);
-       (* Now b is the last hit and a the one before. *)
-       let target, other = if slot = "last" then (b, a) else (a, b) in
+    (fun ((pair, aliased), which, action) ->
+       let m = Machine.create costs in
+       let mem = Machine.mem m in
+       let a, b =
+         if aliased then aliased_pair mem 64
+         else
+           let a = Memory.alloc mem 64 in
+           (a, Memory.alloc mem 64)
+       in
+       for _ = 1 to 3 do
+         ignore (Memory.load8 mem a.Memory.base);
+         ignore (Memory.load8 mem b.Memory.base)
+       done;
+       let target, other = if which = "last" then (b, a) else (a, b) in
        let expected =
          match action with
          | `Free ->
-           Memory.free m target;
+           Memory.free mem target;
            "unmapped"
          | `Page_out ->
            Memory.set_resident target false;
            "non-resident page"
        in
-       let what = Printf.sprintf "%s slot, %s" slot expected in
+       let what = Printf.sprintf "%s, %s accessed, %s" pair which expected in
        Alcotest.(check string) (what ^ ": load") expected
-         (fault_reason (fun () -> Memory.load32 m (target.Memory.base + 4)));
+         (fault_reason (fun () -> Memory.load32 mem (target.Memory.base + 4)));
        Alcotest.(check string) (what ^ ": store") expected
-         (fault_reason (fun () -> Memory.store8 m target.Memory.base 1));
+         (fault_reason (fun () -> Memory.store8 mem target.Memory.base 1));
        Alcotest.(check bool) (what ^ ": resident_at") false
-         (Memory.resident_at m ~addr:target.Memory.base ~size:1);
-       Memory.store8 m other.Memory.base 7;
+         (Memory.resident_at mem ~addr:target.Memory.base ~size:1);
+       Alcotest.(check string) (what ^ ": copy from") expected
+         (fault_reason (fun () ->
+              Machine.copy m ~src:target.Memory.base ~dst:other.Memory.base
+                ~len:16));
+       Alcotest.(check string) (what ^ ": copy to") expected
+         (fault_reason (fun () ->
+              Machine.copy m ~src:other.Memory.base ~dst:target.Memory.base
+                ~len:16));
+       Memory.store8 mem other.Memory.base 7;
        Alcotest.(check int) (what ^ ": other region serves") 7
-         (Memory.load8 m other.Memory.base);
-       Alcotest.(check string) (what ^ ": still faults after a miss")
+         (Memory.load8 mem other.Memory.base);
+       Alcotest.(check bool) (what ^ ": other region resident") true
+         (Memory.resident_at mem ~addr:other.Memory.base ~size:64);
+       Alcotest.(check string) (what ^ ": still faults after the other")
          expected
-         (fault_reason (fun () -> Memory.load8 m target.Memory.base)))
-    [ ("last", `Free); ("last", `Page_out); ("prev", `Free);
-      ("prev", `Page_out) ]
+         (fault_reason (fun () -> Memory.load8 mem target.Memory.base)))
+    (List.concat_map
+       (fun pair ->
+          List.concat_map
+            (fun which ->
+               List.map (fun action -> (pair, which, action))
+                 [ `Free; `Page_out ])
+            [ "last"; "earlier" ])
+       [ ("own slots", false); ("one shared slot", true) ])
 
-(* Allocate, touch and free a region in a frame of its own, so nothing
-   on the test's stack keeps it alive. *)
+(* [addr + size] wraps negative near [max_int]: a span that runs past
+   it lies in no region, the highest one included. *)
+let test_memory_wrapping_spans_fault () =
+  let m = Memory.create () in
+  ignore (Memory.alloc m 64);
+  let top = Memory.alloc m 4096 in
+  ignore (Memory.load8 m top.Memory.base);
+  let unmapped addr size = Ok (addr, size, "unmapped") in
+  let fault f =
+    match f () with
+    | () -> Error "no fault"
+    | exception Memory.Fault { addr; size; reason } -> Ok (addr, size, reason)
+  in
+  let faults = Alcotest.(result (triple int int string) string) in
+  List.iter
+    (fun k ->
+       let addr = max_int - k in
+       let what op = Printf.sprintf "%s at max_int - %d" op k in
+       Alcotest.check faults (what "load8") (unmapped addr 1)
+         (fault (fun () -> ignore (Memory.load8 m addr)));
+       Alcotest.check faults (what "load16") (unmapped addr 2)
+         (fault (fun () -> ignore (Memory.load16 m addr)));
+       Alcotest.check faults (what "load32") (unmapped addr 4)
+         (fault (fun () -> ignore (Memory.load32 m addr)));
+       Alcotest.check faults (what "store32") (unmapped addr 4)
+         (fault (fun () -> Memory.store32 m addr 1));
+       Alcotest.(check bool) (what "resident_at") false
+         (Memory.resident_at m ~addr ~size:4);
+       Alcotest.check faults (what "blit_to_bytes") (unmapped addr 16)
+         (fault (fun () ->
+              Memory.blit_to_bytes m ~src:addr ~dst:(Bytes.create 16)
+                ~dst_off:0 ~len:16)))
+    [ 0; 1; 3 ]
+
+(* Allocate a region, touch it in every granule so it sits in every
+   region-cache slot, and free it, in a frame of its own so nothing on
+   the test's stack keeps it alive. *)
 let[@inline never] alloc_touch_free m weak =
   let r = Memory.alloc m (1 lsl 20) in
-  ignore (Memory.load8 m r.Memory.base);
+  for g = 0 to (r.Memory.len / 256) - 1 do
+    ignore (Memory.load8 m (r.Memory.base + (g * 256)))
+  done;
   Weak.set weak 0 (Some r);
   Memory.free m r
 
@@ -350,13 +427,15 @@ let test_memory_free_releases_region () =
   let m = Memory.create () in
   let keep = Memory.alloc m 64 in
   let weak = Weak.create 1 in
-  (* The freed region is the highest one: its lookup slot is the one
-     the blit vacates. *)
   alloc_touch_free m weak;
   Gc.full_major ();
   Alcotest.(check bool) "freed region collected" false (Weak.check weak 0);
   Alcotest.(check int) "live regions" 1 (Memory.region_count m);
-  Alcotest.(check int) "survivor readable" 0 (Memory.load8 m keep.Memory.base)
+  Alcotest.(check int) "survivor readable" 0 (Memory.load8 m keep.Memory.base);
+  Alcotest.(check bool) "double free raises" true
+    (match Memory.free m keep; Memory.free m keep with
+     | () -> false
+     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Machine: cycle accounting and Table III calibration                 *)
@@ -677,6 +756,11 @@ module Ref = struct
          addr >= r.Memory.base && addr + size <= r.Memory.base + r.Memory.len)
       t.live
 
+  let resident_at t ~addr ~size =
+    match find t ~addr ~size with
+    | None -> false
+    | Some r -> r.Memory.resident
+
   let locate t addr size =
     match find t ~addr ~size with
     | None -> raise (Memory.Fault { addr; size; reason = "unmapped" })
@@ -917,10 +1001,10 @@ let prop_accesses_match_reference =
        let touched = ref [] in
        List.for_all (access_agrees w touched) ops && same_state w !touched)
 
-(* Interleavings over two or three regions: what keeps both memo slots
-   busy (a DILP loop's source and destination, a handler's message and
-   TCB) and what evicts them (a third region). Regions are paged in and
-   out and freed between accesses, whichever memo slot they sit in. *)
+(* Interleavings over two or three regions: a DILP loop's source and
+   destination, a handler's message and TCB, and a third region between
+   them. Regions are paged in and out and freed between accesses, while
+   the region cache holds them. *)
 type step = Access of access | Set_resident of int * bool | Free of int
 
 let print_step = function
@@ -980,6 +1064,143 @@ let prop_interleavings_match_reference =
            | Access op -> access_agrees w touched op)
          steps
        && same_state w !touched)
+
+(* Many regions: 40-400 of 1 B-4 KiB and two to four of 64-300 KiB, so
+   the span runs well past the region cache's 256 KiB reach and slots
+   alias. Steps interleave loads and stores (inside a region, across
+   its ends, in its guard gap, and a cache reach from the last access),
+   [resident_at] at the same kinds of addresses, paging live and freed
+   regions in and out, frees, double frees, and new allocations. Frees
+   outnumber allocations, so most cases free more than half their
+   regions at least twice, and the table is rebuilt each time. Values
+   and faults are checked at every step, [Memory.region_count] after
+   every free, and the whole state at the end. *)
+let prop_many_regions_match_reference =
+  QCheck.Test.make ~name:"many-region churn = reference" ~count:40
+    ~long_factor:10 (QCheck.int_bound 1_000_000_000) (fun seed ->
+      let module Rng = Ash_util.Rng in
+      let rng = Rng.create (seed + 409) in
+      let w = { m = Machine.create costs; rf = Ref.create (); real = [||];
+                refr = [||] } in
+      let mem = Machine.mem w.m in
+      let fail fmt = QCheck.Test.fail_reportf ("step %d: " ^^ fmt) in
+      (* Region [i] is [real.(i)] here and [refr.(i)] in the model, live
+         while [live_at.(i)] is its position in [live.(0 .. nlive-1)]. *)
+      let n = ref 0 and real = ref [||] and refr = ref [||] in
+      let live = ref [||] and live_at = ref [||] and nlive = ref 0 in
+      let alloc len =
+        let resident = Rng.int rng 8 <> 0 in
+        let r = Memory.alloc mem ~resident len in
+        let r' = Ref.alloc w.rf ~resident len in
+        Rng.fill_bytes rng r.Memory.data;
+        Bytes.blit r.Memory.data 0 r'.Memory.data 0 len;
+        if !n = Array.length !real then begin
+          let grow a x = Array.append a (Array.make (Int.max 16 !n) x) in
+          real := grow !real r;
+          refr := grow !refr r';
+          live := grow !live 0;
+          live_at := grow !live_at (-1)
+        end;
+        !real.(!n) <- r;
+        !refr.(!n) <- r';
+        !live.(!nlive) <- !n;
+        !live_at.(!n) <- !nlive;
+        incr n;
+        incr nlive
+      in
+      let small () =
+        if Rng.int rng 2 = 0 then 1 + Rng.int rng 64 else 1 + Rng.int rng 4096
+      in
+      let n0 = 40 + Rng.int rng 361 in
+      let large = 2 + Rng.int rng 3 in
+      for i = 0 to n0 + large - 1 do
+        if i mod (n0 / large) = 0 && i / (n0 / large) < large then
+          alloc ((64 + Rng.int rng 237) * 1024)
+        else alloc (small ())
+      done;
+      (* Three accesses in four go to a recently picked region, so the
+         cache hits as well as misses. *)
+      let recent = Array.init 4 (fun _ -> Rng.int rng !n) in
+      let last_addr = ref 0 in
+      let addr () =
+        let a =
+          if Rng.int rng 8 = 0 then
+            !last_addr + if Rng.int rng 2 = 0 then cache_reach else - cache_reach
+          else begin
+            let i =
+              if Rng.int rng 4 = 0 then begin
+                let i = Rng.int rng !n in
+                recent.(Rng.int rng 4) <- i;
+                i
+              end
+              else recent.(Rng.int rng 4)
+            in
+            let r = !real.(i) in
+            let len = r.Memory.len in
+            r.Memory.base
+            + match Rng.int rng 8 with
+            | 0 -> -1 - Rng.int rng 4
+            | 1 -> len - 4 + Rng.int rng 8
+            | 2 -> len + Rng.int rng 300
+            | _ -> Rng.int rng len
+          end
+        in
+        last_addr := a;
+        a
+      in
+      let touched = ref [] in
+      for step = 1 to 4 * n0 do
+        match Rng.int rng 20 with
+        | k when k < 7 ->
+          let size = [| 1; 2; 4 |].(Rng.int rng 3) in
+          let a = addr () in
+          let op =
+            if Rng.int rng 2 = 0 then Load (size, a)
+            else Store (size, a, Rng.next rng)
+          in
+          if not (access_agrees w touched op) then
+            fail "%s disagrees with the model" step (print_access op)
+        | k when k < 10 ->
+          let size = [| 1; 2; 4; 16; 300 |].(Rng.int rng 5) in
+          let a = addr () in
+          let got = Memory.resident_at mem ~addr:a ~size in
+          if got <> Ref.resident_at w.rf ~addr:a ~size then
+            fail "resident_at 0x%x %d = %b, the model disagrees" step a size
+              got
+        | 10 ->
+          let i = Rng.int rng !n and b = Rng.int rng 3 <> 0 in
+          Memory.set_resident !real.(i) b;
+          Memory.set_resident !refr.(i) b
+        | k when k < 18 ->
+          if !nlive < !n && Rng.int rng 8 = 0 then begin
+            let i = ref (Rng.int rng !n) in
+            while !live_at.(!i) >= 0 do
+              i := (!i + 1) mod !n
+            done;
+            match Memory.free mem !real.(!i) with
+            | () -> fail "double free of r%d did not raise" step !i
+            | exception Invalid_argument _ -> ()
+          end
+          else if !nlive > 0 then begin
+            let p = Rng.int rng !nlive in
+            let i = !live.(p) in
+            let moved = !live.(!nlive - 1) in
+            !live.(p) <- moved;
+            !live_at.(moved) <- p;
+            !live_at.(i) <- -1;
+            decr nlive;
+            Memory.free mem !real.(i);
+            Ref.free w.rf !refr.(i);
+            let model = List.length w.rf.Ref.live in
+            if Memory.region_count mem <> model then
+              fail "region_count %d after freeing r%d, the model has %d" step
+                (Memory.region_count mem) i model
+          end
+        | _ -> alloc (small ())
+      done;
+      same_state
+        { w with real = Array.sub !real 0 !n; refr = Array.sub !refr 0 !n }
+        !touched)
 
 type copy = { src : int; dst : int; len : int }
 
@@ -1282,8 +1503,8 @@ let test_memory_path_allocation_free () =
       Cache.flush_range c ~addr:a ~len:3072);
   zero "Memory.resident_at" (fun () ->
       ignore (Memory.resident_at mem ~addr:(a + 100) ~size:64));
-  (* Two regions in turn hit both memo slots; a third evicts one on
-     every access. *)
+  zero "Memory.locate" (fun () -> ignore (Memory.locate mem (a + 100) 64));
+  (* Two or three regions in turn each keep their own cache slot. *)
   let d = (Memory.alloc mem 4096).Memory.base in
   zero "alternating Machine.load32/store32" (fun () ->
       Machine.store32 m (b + 40) (Machine.load32 m (a + 40)));
@@ -1298,6 +1519,35 @@ let test_memory_path_allocation_free () =
       ignore (Memory.resident_at mem ~addr:(b + 8) ~size:4);
       ignore (Memory.resident_at mem ~addr:(d + 8) ~size:4));
   zero "Machine.copy 3 KiB" (fun () -> Machine.copy m ~src:a ~dst:b ~len:3072);
+  (* Two regions a cache reach apart share one slot, so each access
+     misses and refills it. *)
+  let a2, b2 = aliased_pair mem 3072 in
+  let a2 = a2.Memory.base and b2 = b2.Memory.base in
+  zero "aliased Memory.locate" (fun () ->
+      ignore (Memory.locate mem (a2 + 8) 4);
+      ignore (Memory.locate mem (b2 + 8) 4));
+  zero "aliased Memory.resident_at" (fun () ->
+      ignore (Memory.resident_at mem ~addr:(a2 + 8) ~size:4);
+      ignore (Memory.resident_at mem ~addr:(b2 + 8) ~size:4));
+  zero "aliased Machine.copy 3 KiB" (fun () ->
+      Machine.copy m ~src:a2 ~dst:b2 ~len:3072);
+  (* A first touch finds its slot empty, so it runs once per region:
+     one pass over fresh regions, not the repeated calls above. *)
+  let first_touch name f =
+    let fresh = Array.init 200 (fun _ -> (Memory.alloc mem 3072).Memory.base) in
+    let before = Gc.minor_words () in
+    for i = 0 to Array.length fresh - 1 do
+      f fresh.(i)
+    done;
+    Alcotest.(check int) (name ^ ": minor words over 200 first touches") 0
+      (int_of_float (Gc.minor_words () -. before))
+  in
+  first_touch "first-touch Memory.locate" (fun x ->
+      ignore (Memory.locate mem (x + 8) 4));
+  first_touch "first-touch Memory.resident_at" (fun x ->
+      ignore (Memory.resident_at mem ~addr:(x + 8) ~size:4));
+  first_touch "first-touch Machine.copy 3 KiB" (fun x ->
+      Machine.copy m ~src:x ~dst:x ~len:3072);
   zero "Baseline.cksum16_pass 3 KiB" (fun () ->
       ignore (Ash_pipes.Baseline.cksum16_pass m ~addr:a ~len:3072));
   zero "Machine.destripe 1500 B" (fun () ->
@@ -1471,8 +1721,10 @@ let () =
           Alcotest.test_case "blit" `Quick test_memory_blit;
           Alcotest.test_case "many regions" `Quick
             test_memory_many_regions_lookup;
-          Alcotest.test_case "memo slots invalidated" `Quick
-            test_memory_memo_invalidation;
+          Alcotest.test_case "cached region invalidated" `Quick
+            test_memory_cache_invalidation;
+          Alcotest.test_case "spans that wrap fault" `Quick
+            test_memory_wrapping_spans_fault;
           Alcotest.test_case "free releases region" `Quick
             test_memory_free_releases_region;
         ] );
@@ -1495,6 +1747,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_cache_load_cost_bounded;
           QCheck_alcotest.to_alcotest prop_accesses_match_reference;
           QCheck_alcotest.to_alcotest prop_interleavings_match_reference;
+          QCheck_alcotest.to_alcotest prop_many_regions_match_reference;
           QCheck_alcotest.to_alcotest prop_copy_matches_reference;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
           QCheck_alcotest.to_alcotest prop_runs_match_single_accesses;

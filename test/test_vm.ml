@@ -479,6 +479,27 @@ let test_kill_nonresident () =
    | Interp.Killed (Isa.Mem_fault _) -> ()
    | _ -> Alcotest.fail "expected kill on non-resident page")
 
+(* The verifier bounds immediates but not load and store offsets, so
+   this load passes download; its span runs past [max_int], where
+   [addr + size] wraps. The address check and the load must both see
+   an unmapped address and kill the handler, plain or sandboxed, under
+   either executor. *)
+let test_kill_wrapping_span () =
+  let p =
+    match Verify.check (prog [ Isa.Ld32 (6, 0, max_int - 1); Isa.Commit ]) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "rejected: %a" Verify.pp_error e
+  in
+  let expected = Interp.Killed (Isa.Mem_fault (max_int - 1)) in
+  List.iter
+    (fun (what, p) ->
+       Alcotest.check outcome_t (what ^ ", Interp.run") expected
+         (run (fixture ()) p).Interp.outcome;
+       Alcotest.check outcome_t (what ^ ", Exec.run") expected
+         (Ash_vm.Exec.run (env (fixture ())) (Ash_vm.Exec.prepare p))
+           .Interp.outcome)
+    [ ("plain", p); ("sandboxed", fst (Sandbox.apply p)) ]
+
 let test_kill_div_zero () =
   let f = fixture () in
   let p = prog [ Isa.Li (5, 1); Isa.Li (6, 0); Isa.Divu (7, 5, 6); Isa.Halt ] in
@@ -887,6 +908,8 @@ let () =
         [
           Alcotest.test_case "wild load killed" `Quick test_kill_wild_load;
           Alcotest.test_case "non-resident killed" `Quick test_kill_nonresident;
+          Alcotest.test_case "wrapping span killed" `Quick
+            test_kill_wrapping_span;
           Alcotest.test_case "div by zero killed" `Quick test_kill_div_zero;
           Alcotest.test_case "gas exhaustion killed" `Quick
             test_kill_gas_exhausted;
